@@ -23,7 +23,7 @@ class UnknownSegment(ChannelModelError):
 
 
 class ComponentTooLarge(ChannelModelError):
-    """Connectivity component exceeds the subset-enumeration cap."""
+    """Too many cliques of users pairwise closer than 2r to enumerate."""
 
 
 class InvalidScenario(ChannelModelError):

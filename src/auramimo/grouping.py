@@ -4,9 +4,10 @@ Users whose auras overlap are connected in a proximity graph; its
 connected components are the candidate sharing pools. Inside a
 component, every subset of users that huddles within one aura radius of
 its centroid gets a proportion of common clusters that shrinks linearly
-with the subset's mean centroid distance. Proportions are then turned
-into integer per-subset cluster counts so that every user ends up with
-exactly the configured number of clusters.
+with the subset's mean centroid distance; only cliques of users pairwise
+closer than 2r can huddle, so only those (at most MAX_CLIQUES) are
+enumerated. Proportions then become integer per-subset cluster counts so
+that every user ends up with exactly the configured number of clusters.
 
 All overlap and centroid-distance computations are horizontal (x, y):
 auras are circles, not spheres.
@@ -22,8 +23,9 @@ import numpy as np
 from .errors import ComponentTooLarge
 from .layout import Aura, Position, UserLayout
 
-# Subset enumeration is exponential in component size; refuse beyond this.
-MAX_COMPONENT_USERS = 20
+# Enumeration is exponential: allow only as many cliques as one of this size has.
+MAX_CLIQUE_USERS = 20
+MAX_CLIQUES = 2**MAX_CLIQUE_USERS - MAX_CLIQUE_USERS - 1
 
 # Intended-integer guard for floor(proportion * total): products that land
 # within this of an integer from below are treated as that integer.
@@ -36,11 +38,6 @@ class OverlapGraph:
 
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-
-    def neighbors(self, user: int) -> tuple[int, ...]:
-        out = [v for (u, v) in self.edges if u == user]
-        out += [u for (u, v) in self.edges if v == user]
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,6 @@ class GroupShare:
     scaled_proportion: float
     count: int
     cluster_ids: tuple[int, ...]
-    centroid: Position | None = None
-    mean_distance_m: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,6 @@ class ShareTable:
         for g in self.groups:
             if cluster_id in g.cluster_ids:
                 return g.members
-        raise KeyError(f"cluster {cluster_id} not in table")
-
-    def group_of_cluster(self, cluster_id: int) -> GroupShare:
-        for g in self.groups:
-            if cluster_id in g.cluster_ids:
-                return g
         raise KeyError(f"cluster {cluster_id} not in table")
 
     @property
@@ -166,12 +155,28 @@ def connected_components(graph: OverlapGraph) -> tuple[tuple[int, ...], ...]:
 
 def _centroid_and_mean_distance(
     subset: tuple[int, ...], positions: dict[int, Position]
-) -> tuple[np.ndarray, float, float]:
-    """Horizontal centroid, mean member distance, and max member distance."""
+) -> tuple[float, float]:
+    """Mean and max horizontal member distance to the subset centroid."""
     pts = np.array([[positions[u].x, positions[u].y] for u in subset])
-    centroid = pts.mean(axis=0)
-    dists = np.linalg.norm(pts - centroid, axis=1)
-    return centroid, float(dists.mean()), float(dists.max())
+    dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    return float(dists.mean()), float(dists.max())
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _clique_count(later: list[int], cap: int) -> int:
+    """Multi-user cliques from the later-neighbour bitmasks; stops once past `cap`."""
+    count, extends = 0, later
+    while extends:
+        count += sum(e.bit_count() for e in extends)
+        extends = [e & later[v] for e in extends for v in _bits(e)] if count <= cap else []
+    return count
 
 
 def compute_proportions(
@@ -187,26 +192,36 @@ def compute_proportions(
     the centroid) and immediately debits p/(N-1) from each of its
     (N-1)-subsets; a subset whose members straggle beyond the radius
     shares nothing and debits nothing. Debits can drive values negative;
-    downstream normalization clamps.
+    downstream normalization clamps. Only cliques of members pairwise
+    closer than 2r can huddle; they are tested in `combinations` order per
+    size, and more than MAX_CLIQUES of them raise ComponentTooLarge first.
     """
-    n = len(component)
-    if n > MAX_COMPONENT_USERS:
-        raise ComponentTooLarge(
-            f"component of {n} users exceeds the supported {MAX_COMPONENT_USERS} "
-            f"(subset enumeration is exponential)"
-        )
     members = tuple(sorted(component))
+    pts = np.array([[positions[u].x, positions[u].y] for u in members])
+    # The slack, far above the rounding of the centroid test, only adds pairs.
+    limit = 2.0 * radius_m + 1e-9 * (2.0 * radius_m + np.abs(pts).max())
+    close = np.triu(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) < limit, 1)
+    # Bit j of later[i]: j > i and members i and j are closer than the limit.
+    later = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in close]
+    if _clique_count(later, MAX_CLIQUES) > MAX_CLIQUES:
+        raise ComponentTooLarge(
+            f"component of {len(members)} users has over {MAX_CLIQUES} cliques of users pairwise "
+            f"closer than {2 * radius_m:g} m, more than one {MAX_CLIQUE_USERS}-user clique has"
+        )
     proportions: dict[tuple[int, ...], float] = {(u,): 1.0 for u in members}
-
-    for size in range(2, n + 1):
-        for subset in combinations(members, size):
-            _, md, far = _centroid_and_mean_distance(subset, positions)
+    # A clique extended by each later member adjacent to all of it, ascending,
+    # gives the next size in `combinations` order.
+    cliques = [((u,), later[i]) for i, u in enumerate(members)]
+    while cliques:
+        cliques = [(c + (members[v],), ext & later[v]) for c, ext in cliques for v in _bits(ext)]
+        for subset, _ in cliques:
+            md, far = _centroid_and_mean_distance(subset, positions)
             if far >= radius_m:
                 continue  # subset does not huddle: shares nothing
             p = 1.0 - md / radius_m
             proportions[subset] = proportions.get(subset, 0.0) + p
-            debit = p / (size - 1)
-            for sub in combinations(subset, size - 1):
+            debit = p / (len(subset) - 1)
+            for sub in combinations(subset, len(subset) - 1):
                 proportions[sub] = proportions.get(sub, 0.0) - debit
     return proportions
 
@@ -216,7 +231,6 @@ def normalize_and_count(
     total_clusters_per_user: int,
     *,
     segment_index: int = 0,
-    positions: dict[int, Position] | None = None,
     id_base: int = 0,
 ) -> ShareTable:
     """Turn raw proportions into an integer allocation table.
@@ -258,12 +272,6 @@ def normalize_and_count(
         for u in subset:
             singleton_used[u] += counts[subset]
             singleton_scaled[u] -= scaled[subset]
-        centroid = None
-        md = 0.0
-        if positions is not None:
-            c, md, _ = _centroid_and_mean_distance(subset, positions)
-            z = float(np.mean([positions[u].z for u in subset]))
-            centroid = Position(float(c[0]), float(c[1]), z)
         groups.append(
             GroupShare(
                 members=subset,
@@ -271,8 +279,6 @@ def normalize_and_count(
                 scaled_proportion=scaled[subset],
                 count=counts[subset],
                 cluster_ids=ids,
-                centroid=centroid,
-                mean_distance_m=md,
             )
         )
 
@@ -289,8 +295,6 @@ def normalize_and_count(
                 scaled_proportion=max(0.0, singleton_scaled[u]),
                 count=count,
                 cluster_ids=ids,
-                centroid=positions[u] if positions is not None else None,
-                mean_distance_m=0.0,
             )
         )
 
@@ -319,9 +323,5 @@ def share_table_for_segment(
     for component in connected_components(graph):
         raw.update(compute_proportions(component, positions, layout.stationarity_user_m))
     return normalize_and_count(
-        raw,
-        total_clusters_per_user,
-        segment_index=segment_index,
-        positions=positions,
-        id_base=id_base,
+        raw, total_clusters_per_user, segment_index=segment_index, id_base=id_base
     )

@@ -234,6 +234,22 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert err.startswith("ConfigError:")
 
 
+def test_cli_clique_cap_exits_2_without_traceback(tmp_path, capsys):
+    # 21 users 0.2 m apart: every pair is closer than 2r = 10 m.
+    raw = base_raw()
+    template = raw["layout"]["users"][0]
+    raw["layout"]["users"] = [
+        dict(template, user_id=u, start_m=[30.0 + 0.2 * u, 0.0, 1.5]) for u in range(1, 22)
+    ]
+    cfg = write_config(tmp_path, raw)
+    code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ComponentTooLarge:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_cli_bad_tensor_exits_3(tmp_path, capsys):
     bogus = tmp_path / "bogus.bin"
     bogus.write_bytes(b"definitely not a tensor")

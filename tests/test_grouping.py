@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from auramimo import (
     build_overlap_graph,
     compute_proportions,
     connected_components,
+    grouping,
     linear_track,
     normalize_and_count,
     share_table_for_segment,
@@ -184,6 +186,145 @@ def test_component_cap():
     pos = _positions({u: (0.0, 0.0, 1.5) for u in range(1, 22)})
     with pytest.raises(ComponentTooLarge):
         compute_proportions(tuple(range(1, 22)), pos, 3.0)
+
+
+def _reference_proportions(component, positions, radius_m):
+    """Exhaustive reference: tests every subset of the component, in
+    `combinations` order, with the same arithmetic as the huddle test."""
+    members = tuple(sorted(component))
+    proportions = {(u,): 1.0 for u in members}
+    for size in range(2, len(members) + 1):
+        for subset in combinations(members, size):
+            pts = np.array([[positions[u].x, positions[u].y] for u in subset])
+            dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+            md, far = float(dists.mean()), float(dists.max())
+            if far >= radius_m:
+                continue
+            p = 1.0 - md / radius_m
+            proportions[subset] = proportions.get(subset, 0.0) + p
+            debit = p / (size - 1)
+            for sub in combinations(subset, size - 1):
+                proportions[sub] = proportions.get(sub, 0.0) - debit
+    return proportions
+
+
+def _oracle_layout(rng, kind, n, radius):
+    if kind == "scatter":
+        return rng.uniform(0.0, 6.0 * radius, size=(n, 2))
+    if kind == "coincident":
+        # A few distinct spots, several users on each.
+        spots = rng.uniform(0.0, 3.0 * radius, size=(max(1, n // 3), 2))
+        return spots[rng.integers(0, len(spots), size=n)]
+    if kind == "collinear":
+        t = rng.uniform(0.0, 5.0 * radius, size=n)
+        angle = rng.uniform(0.0, math.pi)
+        return np.stack([t * math.cos(angle), t * math.sin(angle)], axis=1)
+    if kind == "rim":
+        # A random walk of steps at or just under 2r: pairs on the edge of
+        # the 2r limit, some of which pass the centroid test by rounding.
+        shrink = 1.0 - rng.choice([0.0, 1e-12, 1e-4], size=n)
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        steps = 2.0 * radius * shrink[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+        return rng.uniform(0.0, 30.0, size=2) + np.cumsum(steps, axis=0)
+    # "grid": integer multiples of r, so many pairs sit exactly 2r apart.
+    return rng.integers(0, 5, size=(n, 2)) * radius
+
+
+def test_clique_enumeration_matches_exhaustive_reference():
+    # Same values and same dict order: normalize_and_count sums the loads
+    # in insertion order, so both matter for byte-identical tables.
+    rng = np.random.default_rng(2026)
+    kinds = ("scatter", "coincident", "collinear", "grid", "rim")
+    for trial in range(250):
+        n = int(rng.integers(1, 13))
+        radius = float(rng.choice([0.5, 1.5, 2.0, 3.0, 4.0, 5.0, 7.25]))
+        pts = _oracle_layout(rng, kinds[trial % len(kinds)], n, radius)
+        # Sparse ids, so that set iteration order differs from id order.
+        ids = [int(u) for u in rng.choice(100_000, size=n, replace=False)]
+        positions = {u: Position(float(x), float(y), 1.5) for u, (x, y) in zip(ids, pts)}
+        component = tuple(ids)
+        got = compute_proportions(component, positions, radius)
+        want = _reference_proportions(component, positions, radius)
+        assert list(got.items()) == list(want.items()), (trial, n, radius)
+
+
+def test_pair_kept_by_rounding_at_2r_is_enumerated():
+    # A pair 2r apart whose rounded centroid distances fall just below r
+    # while its rounded pair distance is not below 2r: the old exhaustive
+    # scan kept it, so the clique graph must contain it too.
+    rng = np.random.default_rng(5)
+    for _ in range(100_000):
+        radius = float(rng.choice([0.5, 1.5, 3.0, 5.0, 7.25]))
+        a = rng.uniform(0.0, 30.0, size=2)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        b = a + 2.0 * radius * np.array([math.cos(angle), math.sin(angle)])
+        positions = {1: Position(*a, 1.5), 2: Position(*b, 1.5)}
+        want = _reference_proportions((1, 2), positions, radius)
+        if (1, 2) in want and np.linalg.norm(a - b) >= 2.0 * radius:
+            break
+    else:
+        pytest.fail("no rounding case found")
+    assert list(compute_proportions((1, 2), positions, radius).items()) == list(want.items())
+
+
+def test_long_sparse_line_is_not_capped():
+    # 40 users 3 m apart with r = 5 m: one 40-user component whose largest
+    # clique (users pairwise closer than 10 m) has 4 members.
+    layout = make_point_layout(
+        {u: (20.0 + 3.0 * u, 0.0, 1.5) for u in range(40)}, stationarity_m=5.0
+    )
+    auras = {u: layout.aura_of(u, 0) for u in layout.user_ids}
+    assert connected_components(build_overlap_graph(auras)) == (tuple(range(40)),)
+    table = share_table_for_segment(layout, 0, 7)
+    assert table.users == tuple(range(40))
+    for u in table.users:
+        assert sum(g.count for g in table.groups if u in g.members) == 7
+    assert max(len(g.members) for g in table.groups) <= 4
+
+
+@pytest.fixture
+def no_huddle_test(monkeypatch):
+    def fail(subset, positions):
+        raise AssertionError(f"huddle test ran for {subset} before the cap")
+
+    monkeypatch.setattr(grouping, "_centroid_and_mean_distance", fail)
+
+
+def test_clique_cap_raises_before_any_huddle_test(no_huddle_test):
+    pos = _positions({u: (0.0, 0.0, 1.5) for u in range(1, 22)})
+    with pytest.raises(ComponentTooLarge, match="clique"):
+        compute_proportions(tuple(range(1, 22)), pos, 3.0)
+
+
+def test_clique_count_cap_raises_before_any_huddle_test(no_huddle_test):
+    # 25 users 0.55 m apart with r = 5 m: no clique has more than 19 users,
+    # but there are more cliques than one 20-user clique has.
+    pos = _positions({u: (0.55 * u, 0.0, 1.5) for u in range(25)})
+    with pytest.raises(ComponentTooLarge, match="clique"):
+        compute_proportions(tuple(range(25)), pos, 5.0)
+
+
+def test_clique_count_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        close = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.9), 1)
+        later = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in close]
+        cliques = [
+            c
+            for k in range(2, n + 1)
+            for c in combinations(range(n), k)
+            if all(close[i, j] for i, j in combinations(c, 2))
+        ]
+        assert grouping._clique_count(later, 10**6) == len(cliques)
+        if cliques:
+            assert grouping._clique_count(later, len(cliques) - 1) >= len(cliques)
+
+
+def test_clique_cap_admits_one_full_clique_of_the_largest_size():
+    n = grouping.MAX_CLIQUE_USERS
+    later = [((1 << n) - 1) >> (i + 1) << (i + 1) for i in range(n)]
+    assert grouping._clique_count(later, grouping.MAX_CLIQUES) == grouping.MAX_CLIQUES
 
 
 # ---------------------------------------------------------------------------
