@@ -20,7 +20,6 @@ import sys
 from .config import FORMATS, load_config
 from .errors import ChannelModelError
 from .grouping import share_table_for_segment
-from .lsp import draw_lsp  # noqa: F401  (re-exported for scripting convenience)
 from .metrics import correlation_metrics
 from .pipeline import run, write_outputs
 from .tensorio import read_tensor_binary
@@ -42,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p_run)
     p_run.add_argument("--out-dir", default=None, help="override output directory")
     p_run.add_argument("--format", choices=FORMATS, default=None, help="tensor format")
-    p_run.add_argument("--workers", type=int, default=None, help="synthesis workers")
+    p_run.add_argument(
+        "--workers", type=int, default=None, help="accepted; does not change results"
+    )
 
     p_plan = sub.add_parser("plan", help="print sharing tables without synthesis")
     _add_config_options(p_plan)

@@ -142,16 +142,11 @@ def gen_arrival_angles(
 def gen_departure_angles(
     n_subarrays: int, sigma_aod_deg: float, sigma_eod_deg: float, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent departure (azimuth, elevation) per sub-array, same
-    marginal law as the arrival angles with departure spreads."""
+    """Independent departure (azimuth, elevation) per sub-array: the
+    arrival-angle law and draw order with departure spreads."""
     if n_subarrays < 1:
         raise ValueError("need at least one sub-array")
-    rng = _as_rng(rng)
-    az_mag = np.abs(rng.normal(0.0, sigma_aod_deg, size=n_subarrays))
-    signs = rng.integers(0, 2, size=n_subarrays) * 2 - 1
-    az = wrap_azimuth_deg(signs * az_mag)
-    el = clip_elevation_deg(rng.normal(0.0, sigma_eod_deg, size=n_subarrays))
-    return np.atleast_1d(az), np.atleast_1d(el)
+    return gen_arrival_angles(np.ones(n_subarrays), sigma_aod_deg, sigma_eod_deg, rng)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:

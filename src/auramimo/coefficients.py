@@ -13,22 +13,24 @@ and the coefficient is the sum over scatterers of
 sqrt(power/20) * exp(-j*2*pi/lambda * L + j*phi_l). Scatterer positions
 are frozen per segment; only the receiver term moves with the snapshot
 (drifting). All randomness (per-cluster phases and the departure-side
-offset pairing) is keyed by cluster id, so synthesis order and worker
-count cannot change a single value.
+offset pairing) is keyed by cluster id, so synthesis order cannot change
+a single value. Synthesis is single-threaded: the `workers` setting is
+accepted and ignored, and results do not depend on it. The work along
+the sub-array axis (scatterer fans, planar error) runs as array code
+over all sub-arrays at once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompleteViews
-from .geom import SPEED_OF_LIGHT_M_S, rotate_azimuth
-from .layout import UserLayout
+from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms, rotate_azimuth
+from .layout import ArrayGeometry, UserLayout, as_matrix
 from .lsp import STREAM_SCATTERERS
 from .sharing import OwnerView, OwnerViews
 
@@ -71,17 +73,17 @@ def scatterer_randomness(
 
 
 def _fan_positions(
-    anchor: np.ndarray, focal: np.ndarray, offsets_deg: np.ndarray
+    anchors: np.ndarray, focals: np.ndarray, rotation: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Scatterer bounce points: the anchor->focal direction rotated in
-    azimuth by each offset, at the original focal distance. Shape (n, 3).
-    A zero-length focal leg collapses the fan onto the focal point."""
-    delta = focal - anchor
-    dist = float(np.linalg.norm(delta))
-    if dist == 0.0:
-        return np.tile(focal, (len(offsets_deg), 1))
-    direction = delta / dist
-    return anchor + dist * np.array([rotate_azimuth(direction, d) for d in offsets_deg])
+    """Scatterer bounce points (..., n, 3) of anchor/focal pairs (..., 3):
+    each anchor->focal direction rotated in azimuth by the n offsets of
+    `rotation`, at the focal distance. A zero-length leg collapses its
+    fan onto the focal point."""
+    delta = focals - anchors
+    dist = np.sqrt(np.vecdot(delta, delta))[..., None, None]
+    direction = delta[..., None, :] / np.where(dist == 0.0, 1.0, dist)
+    points = anchors[..., None, :] + dist * rotate_azimuth(direction, rotation=rotation)
+    return np.where(dist == 0.0, focals[..., None, :], points)
 
 
 @dataclass(frozen=True)
@@ -115,24 +117,21 @@ class ChannelTensor:
 
 def _synthesize_user(
     views: list[OwnerView],
-    elements: np.ndarray,
-    sub_of_element: np.ndarray,
-    sub_centers: np.ndarray,
+    coeff: np.ndarray,
+    delays: np.ndarray,
     rx_positions: np.ndarray,
     anchor: np.ndarray,
+    array: ArrayGeometry,
     wavenumber: float,
-    offsets_deg: np.ndarray,
+    rotation: tuple[np.ndarray, np.ndarray],
     randomness: dict[int, tuple[np.ndarray, np.ndarray]],
-    ref_index: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coefficients (tx, cluster, snapshot) and delays (cluster, snapshot)
-    for one user; also returns how many views had a negative interior
+) -> int:
+    """Fill one user's coefficients (tx, cluster, snapshot) and delays
+    (cluster, snapshot); returns how many views had a negative interior
     length clamped away."""
-    n_tx = elements.shape[0]
-    n_snap = rx_positions.shape[0]
-    n_clusters = len(views)
-    coeff = np.empty((n_tx, n_clusters, n_snap), dtype=np.complex128)
-    delays = np.empty((n_clusters, n_snap))
+    elements = array.element_matrix()
+    sub_of_element = array.subarray_of_element()
+    ref_index = array.reference_subarray().index
     clamped = 0
 
     for c, view in enumerate(views):
@@ -145,22 +144,18 @@ def _synthesize_user(
             interior = 0.0
 
         # Frozen scatterer bounce points for this owner's segment.
-        lbs_points = _fan_positions(anchor, view.lbs.as_array(), offsets_deg)
-        dep_offsets = offsets_deg[perm]
-        fbs_points = np.array(
-            [
-                _fan_positions(sub_centers[a], view.fbs[a].as_array(), dep_offsets)
-                for a in range(len(view.fbs))
-            ]
+        lbs = view.lbs.as_array()
+        lbs_points = _fan_positions(anchor, lbs, rotation)
+        fbs_points = _fan_positions(
+            array.subarray_centers,
+            as_matrix(view.fbs),
+            (rotation[0][perm], rotation[1][perm]),
         )  # (A, n_sc, 3)
 
         # Element -> departure bounce point, per scatterer: (tx, n_sc).
-        fbs_per_elem = fbs_points[sub_of_element]  # (tx, n_sc, 3)
-        d_tx = np.linalg.norm(elements[:, None, :] - fbs_per_elem, axis=2)
+        d_tx = norms(elements[:, None, :] - fbs_points[sub_of_element])
         # Arrival bounce point -> rx position, per snapshot: (snap, n_sc).
-        d_rx = np.linalg.norm(
-            rx_positions[:, None, :] - lbs_points[None, :, :], axis=2
-        )
+        d_rx = norms(rx_positions[:, None, :] - lbs_points[None, :, :])
 
         tx_phase = np.exp(-1j * wavenumber * (d_tx + interior))
         rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
@@ -168,12 +163,12 @@ def _synthesize_user(
 
         # Center-path delay: reference-sub-array leg + interior + moving
         # receiver leg, all scatterer offsets at zero.
-        d_center_rx = np.linalg.norm(rx_positions - view.lbs.as_array(), axis=1)
+        d_center_rx = norms(rx_positions - lbs)
         delays[c, :] = (
             float(view.e_len_m[ref_index]) + interior + d_center_rx
         ) / SPEED_OF_LIGHT_M_S
 
-    return coeff, delays, clamped
+    return clamped
 
 
 def synthesize(
@@ -186,13 +181,14 @@ def synthesize(
     n_scatterers: int = N_SCATTERERS,
     workers: int = 1,
 ) -> ChannelTensor:
-    """Synthesize the channel tensor for one segment.
+    """Synthesize the channel tensor for one segment, one user after
+    another in this thread.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
-    id) before any parallel work starts; per-user synthesis then only
-    reads frozen inputs, so the result is independent of worker count and
-    completion order. `n_scatterers` exists as a test hook (1 collapses
-    the cluster to its center ray).
+    id), so no value depends on the order in which users are synthesized.
+    `workers` is accepted for config compatibility and ignored.
+    `n_scatterers` exists as a test hook (1 collapses the cluster to its
+    center ray).
     """
     user_ids = views.user_ids
     if not user_ids:
@@ -208,53 +204,34 @@ def synthesize(
                     f"view (user {u}, cluster {v.cluster_id}) has no focal points"
                 )
 
-    offsets = laplacian_offsets(n_scatterers) * cluster_angle_spread_deg
+    rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * cluster_angle_spread_deg)
     all_cluster_ids = sorted({v.cluster_id for uv in per_user for v in uv})
     randomness = {
         cid: scatterer_randomness(seed, cid, n_scatterers) for cid in all_cluster_ids
     }
 
-    elements = layout.array.element_matrix()
-    sub_of_element = layout.array.subarray_of_element()
-    sub_centers = np.array([s.center.as_array() for s in layout.array.subarrays])
-    ref_index = layout.array.reference_subarray().index
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
-
-    n_users = len(user_ids)
-    n_tx = elements.shape[0]
-    n_clusters = counts.pop()
+    n_users, n_clusters = len(user_ids), counts.pop()
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
-
-    coefficients = np.empty((n_users, 1, n_tx, n_clusters, n_snap), dtype=np.complex128)
+    coefficients = np.empty(
+        (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex128
+    )
     delays = np.empty((n_users, n_clusters, n_snap))
 
-    def run_one(k: int) -> int:
-        u = user_ids[k]
-        rx = layout.segment_positions(u, segment)
-        anchor = layout.segment_start_position(u, segment).as_array()
-        coeff_u, delays_u, clamped = _synthesize_user(
+    total_clamped = 0
+    for k, u in enumerate(user_ids):
+        total_clamped += _synthesize_user(
             per_user[k],
-            elements,
-            sub_of_element,
-            sub_centers,
-            rx,
-            anchor,
+            coefficients[k, 0],
+            delays[k],
+            layout.segment_positions(u, segment),
+            layout.segment_start_position(u, segment).as_array(),
+            layout.array,
             wavenumber,
-            offsets,
+            rotation,
             randomness,
-            ref_index,
         )
-        coefficients[k, 0] = coeff_u
-        delays[k] = delays_u
-        return clamped
-
-    if workers <= 1:
-        clamp_counts = [run_one(k) for k in range(n_users)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            clamp_counts = list(pool.map(run_one, range(n_users)))
-    total_clamped = sum(clamp_counts)
     if total_clamped:
         log.warning(
             "segment %d: interior path length clamped to 0 for %d cluster view(s)",
@@ -278,18 +255,28 @@ def planar_vs_spherical_error(
     between spherical distances to the departure focal point and the
     far-field linear phase along the sub-array's departure direction."""
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
-    elements = layout.array.element_matrix()
-    errors = np.zeros(len(view.fbs))
-    for sub in layout.array.subarrays:
-        focal = view.fbs[sub.index].as_array()
-        center = sub.center.as_array()
-        leg = focal - center
-        dist = float(np.linalg.norm(leg))
-        if dist == 0.0:
-            continue
-        direction = leg / dist
-        elems = elements[sub.element_range[0] : sub.element_range[1]]
-        d_spherical = np.linalg.norm(elems - focal, axis=1)
-        d_linear = dist - (elems - center) @ direction
-        errors[sub.index] = float(np.max(np.abs(d_spherical - d_linear))) * wavenumber
+    array = layout.array
+    elements = array.element_matrix()
+    sub = array.subarray_of_element()
+    centers = array.subarray_centers
+    focal = as_matrix(view.fbs)
+    leg = focal - centers
+    dist = np.sqrt(np.vecdot(leg, leg))
+    direction = leg / np.where(dist == 0.0, 1.0, dist)[:, None]
+    d_spherical = norms(elements - focal[sub])
+    # Stacked matrix-vector products over runs of equal-size sub-arrays:
+    # per-element dot products (vecdot, einsum) round differently.
+    local = elements - centers[sub]
+    projection = np.concatenate(
+        [
+            np.matmul(
+                local[e0:e1].reshape(a1 - a0, -1, 3), direction[a0:a1, :, None]
+            ).ravel()
+            for a0, a1, e0, e1 in array.equal_size_runs
+        ]
+    )
+    deviation = np.abs(d_spherical - (dist[sub] - projection))
+    starts = [s.element_range[0] for s in array.subarrays]
+    errors = np.maximum.reduceat(deviation, starts) * wavenumber
+    errors[dist == 0.0] = 0.0
     return errors

@@ -12,6 +12,13 @@ import numpy as np
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 
+def norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: the arithmetic of
+    np.linalg.norm(x, axis=-1) (square, add.reduce, sqrt), so the bits
+    match, without its per-call overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def wrap_azimuth_deg(angle):
     """Wrap angle(s) in degrees to the half-open interval (-180, 180]."""
     a = np.asarray(angle, dtype=float)
@@ -30,30 +37,45 @@ def clip_elevation_deg(angle):
     return a
 
 
-def unit_from_angles(az_deg: float, el_deg: float) -> np.ndarray:
-    """Unit 3-vector for an (azimuth, elevation) pair in degrees."""
+def unit_from_angles(az_deg, el_deg) -> np.ndarray:
+    """Unit 3-vector(s) for (azimuth, elevation) in degrees; arrays of
+    angles give one vector per angle along a new last axis."""
     az = np.radians(az_deg)
     el = np.radians(el_deg)
     ce = np.cos(el)
-    return np.array([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
+    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
 
 
-def angles_from_vector(vec: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) in degrees of a direction vector.
+def angles_from_vector(vec):
+    """(azimuth, elevation) in degrees of a direction vector, as floats;
+    vectors (..., 3) give two arrays (...).
 
     The zero vector maps to (0, 0); azimuth of a purely vertical vector
     is 0 by the atan2 convention.
     """
-    x, y, z = (float(v) for v in vec)
-    horiz = np.hypot(x, y)
-    az = float(np.degrees(np.arctan2(y, x)))
-    el = float(np.degrees(np.arctan2(z, horiz)))
-    return wrap_azimuth_deg(az), el
+    x, y, z = np.moveaxis(np.asarray(vec, dtype=float), -1, 0)
+    az = wrap_azimuth_deg(np.degrees(np.arctan2(y, x)))
+    el = np.degrees(np.arctan2(z, np.hypot(x, y)))
+    return az, (float(el) if np.ndim(el) == 0 else el)
 
 
-def rotate_azimuth(vec: np.ndarray, delta_deg: float) -> np.ndarray:
-    """Rotate a 3-vector about the z axis by delta_deg (right-handed)."""
+def azimuth_rotation(delta_deg):
+    """(cos, sin) of azimuth angle(s) in degrees, for `rotate_azimuth`."""
     d = np.radians(delta_deg)
-    c, s = np.cos(d), np.sin(d)
-    x, y, z = vec
-    return np.array([c * x - s * y, s * x + c * y, z])
+    return np.cos(d), np.sin(d)
+
+
+def rotate_azimuth(vec, delta_deg=None, *, rotation=None) -> np.ndarray:
+    """Rotate 3-vector(s) about the z axis by delta_deg (right-handed).
+
+    Broadcasts: vectors (..., 3) against angles (...) give (..., 3).
+    `rotation` takes a precomputed azimuth_rotation(delta_deg) instead.
+    """
+    c, s = azimuth_rotation(delta_deg) if rotation is None else rotation
+    vec = np.asarray(vec, dtype=float)
+    x, y = vec[..., 0], vec[..., 1]
+    out = np.empty(np.broadcast_shapes(vec.shape, np.shape(c) + (3,)))
+    out[..., 0] = c * x - s * y
+    out[..., 1] = s * x + c * y
+    out[..., 2] = vec[..., 2]
+    return out

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -41,6 +43,11 @@ class Position:
     def horizontal_distance_to(self, other: "Position") -> float:
         """2D (x, y) distance; aura overlap is a circle test, z is ignored."""
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+def as_matrix(points) -> np.ndarray:
+    """(n, 3) float array of a sequence of positions."""
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,17 @@ class SubArray:
         return self.element_range[1] - self.element_range[0]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
+    """Element positions and their partition into sub-arrays. The array
+    constants (element matrix, sub-array of each element, centers, runs,
+    reference sub-array) are computed once; arrays are read-only."""
+
     element_positions: tuple[Position, ...]
     subarrays: tuple[SubArray, ...]
     bs_stationarity_m: float
@@ -134,16 +150,48 @@ class ArrayGeometry:
     def n_subarrays(self) -> int:
         return len(self.subarrays)
 
+    @cached_property
+    def _elements(self) -> np.ndarray:
+        return _read_only(as_matrix(self.element_positions))
+
+    @cached_property
+    def _subarray_of_element(self) -> np.ndarray:
+        sizes = [s.n_elements for s in self.subarrays]
+        return _read_only(np.repeat(np.arange(self.n_subarrays), sizes))
+
+    @cached_property
+    def subarray_centers(self) -> np.ndarray:
+        """(n_subarrays, 3) float array of sub-array centers."""
+        return _read_only(as_matrix(s.center for s in self.subarrays))
+
+    @cached_property
+    def equal_size_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Maximal runs of consecutive equal-size sub-arrays, as (first
+        sub-array, stop sub-array, first element, stop element)."""
+        runs = []
+        for _, group in groupby(self.subarrays, key=lambda s: s.n_elements):
+            subs = list(group)
+            first, last = subs[0], subs[-1]
+            runs.append(
+                (first.index, last.index + 1, first.element_range[0], last.element_range[1])
+            )
+        return tuple(runs)
+
+    @cached_property
+    def _reference(self) -> SubArray:
+        centroid = self._elements.mean(axis=0)
+        return min(
+            self.subarrays,
+            key=lambda s: (float(np.linalg.norm(s.center.as_array() - centroid)), s.index),
+        )
+
     def element_matrix(self) -> np.ndarray:
         """(n_elements, 3) float array of element positions."""
-        return np.array([p.as_array() for p in self.element_positions])
+        return self._elements
 
     def subarray_of_element(self) -> np.ndarray:
         """Sub-array index for every element."""
-        out = np.empty(self.n_elements, dtype=int)
-        for sub in self.subarrays:
-            out[sub.element_range[0] : sub.element_range[1]] = sub.index
-        return out
+        return self._subarray_of_element
 
     def reference_subarray(self) -> SubArray:
         """Sub-array whose center is closest to the whole-array centroid.
@@ -151,12 +199,7 @@ class ArrayGeometry:
         Used as the anchor for receiver-side focal points and interior
         path lengths; ties resolve to the lowest index.
         """
-        centroid = self.element_matrix().mean(axis=0)
-        best = min(
-            self.subarrays,
-            key=lambda s: (float(np.linalg.norm(s.center.as_array() - centroid)), s.index),
-        )
-        return best
+        return self._reference
 
 
 def build_segments(tracks: list[Track], stationarity_user_m: float) -> tuple[Segment, ...]:
@@ -306,7 +349,7 @@ class UserLayout:
         track = self.track_of(user_id)
         seg = self.segment(segment_index)
         pts = track.points[seg.first_snapshot : seg.first_snapshot + seg.n_snapshots]
-        return np.array([p.as_array() for p in pts])
+        return as_matrix(pts)
 
     def aura_of(self, user_id: int, segment_index: int) -> Aura:
         return Aura(

@@ -80,7 +80,6 @@ def run(config: RunConfig) -> RunResult:
             config.carrier_hz,
             config.seed,
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
-            workers=config.workers,
         )
         for seg in segments
     ]
@@ -110,13 +109,12 @@ def _fill_sharing_and_planar_metrics(
                 shared += len(ids_u & ids_v)
             report.shared_cluster_counts[(u, v)] = shared
 
-    worst: dict[int, float] = {}
+    worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
         for view in seg.views.views.values():
             errors = planar_vs_spherical_error(view, config.layout, config.carrier_hz)
-            for sub_index, err in enumerate(errors):
-                worst[sub_index] = max(worst.get(sub_index, 0.0), float(err))
-    report.planar_error_max_rad.update(worst)
+            worst = np.maximum(worst, errors)
+    report.planar_error_max_rad.update(enumerate(worst.tolist()))
 
 
 def _fmt(value) -> str:

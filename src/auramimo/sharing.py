@@ -14,14 +14,14 @@ copying keeps the equality bit-exact instead of round-trip-rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clustergen import Cluster, ClusterSet
-from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector, unit_from_angles
-from .layout import Position, UserLayout
-from .spherical import fbs_focal_point, lbs_focal_point, solve_departure_geometry, total_path_length
+from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector
+from .layout import Position, UserLayout, as_matrix
+from .spherical import solve_cluster_geometry
 
 MODE_GENERATOR = "generator"
 MODE_KEPT_PARAMETERS = "kept-parameters"
@@ -48,17 +48,6 @@ class OwnerView:
     g_len_m: float
     interior_raw_m: float
     boresight: bool
-
-    @property
-    def n_subarrays(self) -> int:
-        return len(self.aod_az_deg)
-
-    def table_entries(self) -> list:
-        row = [self.delay_s, self.power, self.aoa_az_deg, self.aoa_el_deg]
-        for a in range(self.n_subarrays):
-            row.append(float(self.aod_az_deg[a]))
-            row.append(float(self.aod_el_deg[a]))
-        return row + [self.lbs] + list(self.fbs)
 
 
 @dataclass(frozen=True)
@@ -133,43 +122,14 @@ def recalc_kept_parameters(
     if _colocated(owner_pos, gen_pos):
         return _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
 
-    subarrays = layout.array.subarrays
-    ref_index = layout.array.reference_subarray().index
-
-    e_len = np.empty(len(subarrays))
-    fbs = []
-    for sub in subarrays:
-        d_c = total_path_length(cluster.tau_s, sub.center, owner_pos)
-        e_hat = unit_from_angles(
-            float(cluster.aod_az_deg[sub.index]), float(cluster.aod_el_deg[sub.index])
-        )
-        geom = solve_departure_geometry(sub.center, owner_pos, e_hat, d_c)
-        e_len[sub.index] = geom.e_len
-        fbs.append(fbs_focal_point(geom, sub.center))
-
-    ref_center = subarrays[ref_index].center
-    d_c_ref = total_path_length(cluster.tau_s, ref_center, owner_pos)
-    g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
-    lbs = lbs_focal_point(owner_pos, ref_center, g_hat, d_c_ref)
-    g_len = owner_pos.distance_to(lbs)
-
-    return OwnerView(
-        user_id=owner_id,
-        cluster_id=cluster.cluster_id,
-        generating_user=cluster.generating_user,
-        recalc_mode=MODE_KEPT_PARAMETERS,
-        delay_s=cluster.tau_s,
-        power=power,
-        aoa_az_deg=cluster.aoa_az_deg,
-        aoa_el_deg=cluster.aoa_el_deg,
-        aod_az_deg=cluster.aod_az_deg,
-        aod_el_deg=cluster.aod_el_deg,
-        lbs=lbs,
-        fbs=tuple(fbs),
-        e_len_m=e_len,
-        g_len_m=g_len,
-        interior_raw_m=d_c_ref - float(e_len[ref_index]) - g_len,
-        boresight=cluster.boresight,
+    geometry = solve_cluster_geometry(cluster, owner_pos, layout.array)
+    return replace(
+        _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power),
+        lbs=geometry.lbs,
+        fbs=geometry.fbs,
+        e_len_m=geometry.e_len_m,
+        g_len_m=geometry.g_len_m,
+        interior_raw_m=geometry.interior_raw_m,
     )
 
 
@@ -193,45 +153,26 @@ def recalc_kept_focal_point(
     if _colocated(owner_pos, gen_pos):
         return _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
 
-    subarrays = layout.array.subarrays
-    ref_index = layout.array.reference_subarray().index
-
-    aod_az = np.empty(len(subarrays))
-    aod_el = np.empty(len(subarrays))
-    for sub in subarrays:
-        az, el = angles_from_vector(
-            cluster.fbs[sub.index].as_array() - sub.center.as_array()
-        )
-        aod_az[sub.index] = az
-        aod_el[sub.index] = el
-    aoa_az, aoa_el = angles_from_vector(
-        cluster.lbs.as_array() - owner_pos.as_array()
+    aod_az, aod_el = angles_from_vector(
+        as_matrix(cluster.fbs) - layout.array.subarray_centers
     )
+    aoa_az, aoa_el = angles_from_vector(cluster.lbs.as_array() - owner_pos.as_array())
 
-    ref_center = subarrays[ref_index].center
-    e_ref = float(cluster.e_len_m[ref_index])
+    ref = layout.array.reference_subarray()
+    e_ref = float(cluster.e_len_m[ref.index])
     g_len = owner_pos.distance_to(cluster.lbs)
-    direct = owner_pos.distance_to(ref_center)
+    direct = owner_pos.distance_to(ref.center)
     delay = (e_ref + cluster.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
     delay = max(0.0, delay)
 
-    return OwnerView(
-        user_id=owner_id,
-        cluster_id=cluster.cluster_id,
-        generating_user=cluster.generating_user,
-        recalc_mode=MODE_KEPT_FOCAL,
+    return replace(
+        _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power),
         delay_s=delay,
-        power=power,
         aoa_az_deg=aoa_az,
         aoa_el_deg=aoa_el,
         aod_az_deg=aod_az,
         aod_el_deg=aod_el,
-        lbs=cluster.lbs,
-        fbs=cluster.fbs,
-        e_len_m=cluster.e_len_m,
         g_len_m=g_len,
-        interior_raw_m=cluster.interior_raw_m,
-        boresight=cluster.boresight,
     )
 
 

@@ -21,15 +21,15 @@ every element without inventing geometry the delay cannot support.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .clustergen import ClusterSet, gen_arrival_angles, gen_departure_angles
+from .clustergen import Cluster, ClusterSet, gen_arrival_angles, gen_departure_angles
 from .errors import DegenerateGeometry
 from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
-from .layout import Position, UserLayout
+from .layout import ArrayGeometry, Position, UserLayout
 from .lsp import STREAM_REDRAW, LspDraw
 
 EPSILON_M = 1e-9
@@ -41,17 +41,25 @@ class FocalGeometry:
     """Solved single-bounce geometry on the departure side.
 
     r0: anchor-to-user vector (meters); d_c: total path length; e_hat:
-    unit departure direction; e_len: anchor-to-focal distance. beta (the
-    angle at the anchor between r0 and e_hat, degrees) and f_vec (the
-    user-to-focal vector) are diagnostics.
+    unit departure direction; e_len: anchor-to-focal distance.
     """
 
     r0: np.ndarray
     d_c: float
     e_hat: np.ndarray
     e_len: float
-    beta_deg: float
-    f_vec: np.ndarray
+
+
+class ClusterGeometry(NamedTuple):
+    """Focal points and path bookkeeping of one cluster seen from one
+    user position; field names match the attributes of `Cluster`."""
+
+    lbs: Position
+    fbs: tuple[Position, ...]
+    e_len_m: np.ndarray
+    g_len_m: float
+    d_c_ref_m: float
+    interior_raw_m: float
 
 
 def total_path_length(tau_s: float, apos: Position, user_pos: Position) -> float:
@@ -62,41 +70,44 @@ def total_path_length(tau_s: float, apos: Position, user_pos: Position) -> float
     return tau_s * SPEED_OF_LIGHT_M_S + apos.distance_to(user_pos)
 
 
-def _solve_focal_length(d_c: float, r0: np.ndarray, direction: np.ndarray) -> float:
-    """Distance along `direction` from the anchor to the bounce point."""
-    r0_norm = float(np.linalg.norm(r0))
-    if d_c <= r0_norm + EPSILON_M:
+def solve_focal_lengths(
+    d_c: np.ndarray, r0: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form for A anchors at once, from float arrays d_c (A,),
+    anchor-to-far-end vectors r0 (A, 3) and directions (A, 3) (normalized
+    unless unit to 1e-12). Returns (anchor-to-bounce distances (A,), unit
+    directions (A, 3)); raises DegenerateGeometry for the first solve in
+    index order that has no excess path or a direction inconsistent with
+    the delay.
+    """
+    norm = np.sqrt(np.vecdot(directions, directions))
+    rescale = np.abs(norm - 1.0) > 1e-12
+    directions = np.where(rescale[:, None], directions / norm[:, None], directions)
+    r0_norm = np.sqrt(np.vecdot(r0, r0))
+    no_excess = d_c <= r0_norm + EPSILON_M
+    denom = 2.0 * (d_c - np.vecdot(r0, directions))
+    bad = np.flatnonzero(no_excess | (denom <= EPSILON_M))
+    if bad.size:
+        a = bad[0]
+        if no_excess[a]:
+            raise DegenerateGeometry(
+                f"no excess path: d_c={float(d_c[a])!r} vs direct {float(r0_norm[a])!r}"
+            )
         raise DegenerateGeometry(
-            f"no excess path: d_c={d_c!r} vs direct {r0_norm!r}"
+            f"direction inconsistent with delay: denominator {float(denom[a])!r}"
         )
-    denom = 2.0 * (d_c - float(r0 @ direction))
-    if denom <= EPSILON_M:
-        raise DegenerateGeometry(
-            f"direction inconsistent with delay: denominator {denom!r}"
-        )
-    return (d_c * d_c - r0_norm * r0_norm) / denom
+    return (d_c * d_c - r0_norm * r0_norm) / denom, directions
 
 
 def solve_departure_geometry(
     apos: Position, user_pos: Position, e_hat: np.ndarray, d_c: float
 ) -> FocalGeometry:
-    """Full departure-side solve with diagnostics."""
-    e_hat = np.asarray(e_hat, dtype=float)
-    norm = float(np.linalg.norm(e_hat))
-    if abs(norm - 1.0) > 1e-12:
-        e_hat = e_hat / norm
+    """One departure-side solve (solve_focal_lengths with A = 1)."""
     r0 = user_pos.as_array() - apos.as_array()
-    e_len = _solve_focal_length(d_c, r0, e_hat)
-    r0_norm = float(np.linalg.norm(r0))
-    if r0_norm > 0:
-        cos_beta = float(np.clip(r0 @ e_hat / r0_norm, -1.0, 1.0))
-        beta = math.degrees(math.acos(cos_beta))
-    else:
-        beta = 0.0
-    f_vec = e_len * e_hat - r0
-    return FocalGeometry(
-        r0=r0, d_c=float(d_c), e_hat=e_hat, e_len=e_len, beta_deg=beta, f_vec=f_vec
+    e_len, e_hat = solve_focal_lengths(
+        np.array([d_c], dtype=float), r0[None], np.asarray(e_hat, dtype=float)[None]
     )
+    return FocalGeometry(r0=r0, d_c=float(d_c), e_hat=e_hat[0], e_len=float(e_len[0]))
 
 
 def fbs_focal_point(geom: FocalGeometry, apos: Position) -> Position:
@@ -114,47 +125,46 @@ def lbs_focal_point(
     return fbs_focal_point(geom, user_pos)
 
 
+def solve_cluster_geometry(
+    cluster: Cluster, user_pos: Position, array: ArrayGeometry
+) -> ClusterGeometry:
+    """Both focal points of a cluster with excess delay, from `user_pos`:
+    one departure solve over all sub-arrays, then the arrival solve
+    against the reference sub-array."""
+    ref = array.reference_subarray()
+    centers = array.subarray_centers
+    tau = cluster.tau_s
+    # One math.dist per sub-array: numpy has no bit-identical twin of it.
+    d_c = np.array([total_path_length(tau, s.center, user_pos) for s in array.subarrays])
+    e_len, e_hat = solve_focal_lengths(
+        d_c,
+        user_pos.as_array() - centers,
+        unit_from_angles(cluster.aod_az_deg, cluster.aod_el_deg),
+    )
+    fbs = tuple(Position(*p) for p in (centers + e_len[:, None] * e_hat).tolist())
+    d_c_ref = float(d_c[ref.index])
+    g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
+    lbs = lbs_focal_point(user_pos, ref.center, g_hat, d_c_ref)
+    g_len = user_pos.distance_to(lbs)
+    interior = d_c_ref - float(e_len[ref.index]) - g_len
+    return ClusterGeometry(lbs, fbs, e_len, g_len, d_c_ref, interior)
+
+
 def _attach_one(cluster, gen_pos: Position, layout: UserLayout) -> None:
     """Solve and store LBS, per-sub-array FBS, and path bookkeeping."""
-    subarrays = layout.array.subarrays
-    ref_index = layout.array.reference_subarray().index
-
     if cluster.boresight:
         # Zero excess delay: both bounce points collapse onto the
         # generating user's segment-start position. Drawn angles are kept
         # in the table; the geometry simply cannot bend the path.
-        cluster.lbs = gen_pos
-        cluster.fbs = tuple(gen_pos for _ in subarrays)
-        cluster.e_len_m = np.array(
-            [gen_pos.distance_to(s.center) for s in subarrays]
-        )
-        cluster.g_len_m = 0.0
-        cluster.d_c_ref_m = float(cluster.e_len_m[ref_index])
-        cluster.interior_raw_m = 0.0
-        return
-
-    e_len = np.empty(len(subarrays))
-    fbs = []
-    for sub in subarrays:
-        d_c = total_path_length(cluster.tau_s, sub.center, gen_pos)
-        e_hat = unit_from_angles(
-            float(cluster.aod_az_deg[sub.index]), float(cluster.aod_el_deg[sub.index])
-        )
-        geom = solve_departure_geometry(sub.center, gen_pos, e_hat, d_c)
-        e_len[sub.index] = geom.e_len
-        fbs.append(fbs_focal_point(geom, sub.center))
-
-    ref_center = subarrays[ref_index].center
-    d_c_ref = total_path_length(cluster.tau_s, ref_center, gen_pos)
-    g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
-    lbs = lbs_focal_point(gen_pos, ref_center, g_hat, d_c_ref)
-
-    cluster.lbs = lbs
-    cluster.fbs = tuple(fbs)
-    cluster.e_len_m = e_len
-    cluster.g_len_m = gen_pos.distance_to(lbs)
-    cluster.d_c_ref_m = d_c_ref
-    cluster.interior_raw_m = d_c_ref - float(e_len[ref_index]) - cluster.g_len_m
+        subarrays = layout.array.subarrays
+        e_len = np.array([gen_pos.distance_to(s.center) for s in subarrays])
+        ref_len = float(e_len[layout.array.reference_subarray().index])
+        fbs = (gen_pos,) * len(subarrays)
+        geometry = ClusterGeometry(gen_pos, fbs, e_len, 0.0, ref_len, 0.0)
+    else:
+        geometry = solve_cluster_geometry(cluster, gen_pos, layout.array)
+    for name, value in geometry._asdict().items():
+        setattr(cluster, name, value)
 
 
 def attach_focal_points(

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from auramimo import (
     attach_focal_points,
     draw_lsp,
     laplacian_offsets,
+    partition_subarrays,
     planar_vs_spherical_error,
     recalculate_views,
     share_clusters,
     share_table_for_segment,
     synthesize,
+    uniform_linear_array,
 )
-from auramimo.coefficients import scatterer_randomness
+from auramimo.coefficients import _fan_positions, scatterer_randomness
+from auramimo.layout import ArrayGeometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import make_point_layout, make_scenario, make_two_user_layout
@@ -291,3 +295,110 @@ def test_single_element_subarrays_have_no_deviation():
     view = _broadside_view(layout, 2.0)
     err = planar_vs_spherical_error(view, layout, 3.5e9)
     np.testing.assert_array_equal(err, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# Batched sub-array geometry against the per-sub-array scalar forms
+# ---------------------------------------------------------------------------
+
+
+def _scalar_rotate(vec, delta_deg):
+    d = np.radians(delta_deg)
+    c, s = np.cos(d), np.sin(d)
+    x, y, z = vec
+    return np.array([c * x - s * y, s * x + c * y, z])
+
+
+def _scalar_fan(anchor, focal, offsets_deg):
+    # One fan, one rotation call per offset: the form the batch replaced.
+    delta = focal - anchor
+    dist = float(np.linalg.norm(delta))
+    if dist == 0.0:
+        return np.tile(focal, (len(offsets_deg), 1))
+    direction = delta / dist
+    return anchor + dist * np.array([_scalar_rotate(direction, d) for d in offsets_deg])
+
+
+def _scalar_planar_error(view, layout, carrier_hz):
+    # One sub-array at a time: the form the batch replaced.
+    wavenumber = 2.0 * math.pi * carrier_hz / C0
+    elements = np.array([p.as_array() for p in layout.array.element_positions])
+    errors = np.zeros(len(view.fbs))
+    for sub in layout.array.subarrays:
+        focal = view.fbs[sub.index].as_array()
+        center = sub.center.as_array()
+        leg = focal - center
+        dist = float(np.linalg.norm(leg))
+        if dist == 0.0:
+            continue
+        direction = leg / dist
+        elems = elements[sub.element_range[0] : sub.element_range[1]]
+        d_spherical = np.linalg.norm(elems - focal, axis=1)
+        d_linear = dist - (elems - center) @ direction
+        errors[sub.index] = float(np.max(np.abs(d_spherical - d_linear))) * wavenumber
+    return errors
+
+
+def test_batched_fan_equals_scalar_fans():
+    rng = np.random.default_rng(21)
+    for trial in range(250):
+        n_sub = int(rng.integers(1, 70))
+        anchors = rng.uniform(-50.0, 50.0, size=(n_sub, 3))
+        focals = anchors + rng.normal(size=(n_sub, 3)) * rng.uniform(1e-3, 200.0)
+        # Zero-length legs collapse onto the focal point.
+        zero = rng.random(n_sub) < 0.2
+        focals[zero] = anchors[zero]
+        offsets = laplacian_offsets(20) * rng.uniform(0.5, 10.0)
+        perm = rng.permutation(20)
+        d = np.radians(offsets)
+        got = _fan_positions(anchors, focals, (np.cos(d)[perm], np.sin(d)[perm]))
+        want = np.array(
+            [_scalar_fan(anchors[a], focals[a], offsets[perm]) for a in range(n_sub)]
+        )
+        assert np.array_equal(got, want), trial
+        assert np.array_equal(got[zero], np.repeat(focals[zero][:, None, :], 20, axis=1))
+        # A single fan (the arrival side) is the n_sub = 1 case without the axis.
+        one = _fan_positions(anchors[0], focals[0], (np.cos(d), np.sin(d)))
+        assert np.array_equal(one, _scalar_fan(anchors[0], focals[0], offsets))
+
+
+def _random_array_layout(rng):
+    n_elements = int(rng.integers(1, 200))
+    if rng.random() < 0.5:
+        axis = tuple(rng.normal(size=3))
+        elements = uniform_linear_array(
+            n_elements, rng.uniform(0.01, 0.2), Position(*rng.uniform(-5, 5, 3)), axis
+        )
+    else:
+        points = np.cumsum(rng.normal(size=(n_elements, 3)) * 0.05, axis=0)
+        elements = [Position(*p) for p in points]
+    stationarity = rng.uniform(0.01, 3.0)
+    array = ArrayGeometry(
+        element_positions=tuple(elements),
+        subarrays=partition_subarrays(elements, stationarity),
+        bs_stationarity_m=stationarity,
+    )
+    return SimpleNamespace(array=array)
+
+
+def test_batched_planar_error_equals_scalar_loop():
+    rng = np.random.default_rng(22)
+    uneven = 0
+    for trial in range(250):
+        layout = _random_array_layout(rng)
+        subs = layout.array.subarrays
+        uneven += len({s.n_elements for s in subs}) > 1
+        scale = 10.0 ** rng.uniform(-1, 6)
+        fbs = [
+            Position(*(s.center.as_array() + rng.normal(size=3) * scale)) for s in subs
+        ]
+        # Zero-length focal legs have no planar error.
+        zero = [a for a in range(len(subs)) if rng.random() < 0.2]
+        for a in zero:
+            fbs[a] = subs[a].center
+        view = SimpleNamespace(fbs=tuple(fbs))
+        carrier = rng.uniform(1e9, 30e9)
+        got = planar_vs_spherical_error(view, layout, carrier)
+        assert np.array_equal(got, _scalar_planar_error(view, layout, carrier)), trial
+        assert np.all(got[zero] == 0.0)
+    assert uneven >= 50  # runs of unequal sub-array sizes are exercised

@@ -4,6 +4,7 @@ import pytest
 from auramimo.geom import (
     angles_from_vector,
     clip_elevation_deg,
+    norms,
     rotate_azimuth,
     unit_from_angles,
     wrap_azimuth_deg,
@@ -58,3 +59,64 @@ def test_rotate_azimuth_quarter_turn():
     w = rotate_azimuth(v, 37.0)
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v))
     assert w[2] == v[2]
+
+
+# ---------------------------------------------------------------------------
+# Array forms equal the scalar forms bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _scalar_angles_from_vector(vec):
+    # The per-vector form the array code replaced.
+    x, y, z = (float(v) for v in vec)
+    horiz = np.hypot(x, y)
+    az = float(np.degrees(np.arctan2(y, x)))
+    el = float(np.degrees(np.arctan2(z, horiz)))
+    return wrap_azimuth_deg(az), el
+
+
+def test_rotate_azimuth_array_equals_scalar_calls():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n_vec, n_ang = rng.integers(1, 8, size=2)
+        vecs = rng.normal(size=(n_vec, 1, 3)) * rng.uniform(1e-3, 300.0)
+        angles = rng.uniform(-20.0, 20.0, size=n_ang)
+        got = rotate_azimuth(vecs, angles)
+        assert got.shape == (n_vec, n_ang, 3)
+        want = np.array(
+            [[rotate_azimuth(v[0], float(a)) for a in angles] for v in vecs]
+        )
+        assert np.array_equal(got, want)
+        # Precomputed cos/sin give the same bits as the angles.
+        rotation = (np.cos(np.radians(angles)), np.sin(np.radians(angles)))
+        assert np.array_equal(rotate_azimuth(vecs, rotation=rotation), got)
+
+
+def test_unit_from_angles_array_equals_scalar_calls():
+    rng = np.random.default_rng(12)
+    az = rng.uniform(-180.0, 180.0, size=2000)
+    el = rng.uniform(-90.0, 90.0, size=2000)
+    want = np.array([unit_from_angles(float(a), float(e)) for a, e in zip(az, el)])
+    assert np.array_equal(unit_from_angles(az, el), want)
+
+
+def test_angles_from_vector_array_equals_scalar_form():
+    rng = np.random.default_rng(13)
+    vecs = rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 300.0, size=(2000, 1))
+    vecs[:20, :2] = 0.0  # vertical
+    vecs[20:40, 2] = 0.0  # horizontal
+    vecs[40:45] = 0.0  # zero vector
+    az, el = angles_from_vector(vecs)
+    want = np.array([_scalar_angles_from_vector(v) for v in vecs])
+    assert np.array_equal(az, want[:, 0])
+    assert np.array_equal(el, want[:, 1])
+    # A single vector still gives plain floats.
+    single = angles_from_vector(vecs[100])
+    assert all(type(x) is float for x in single)
+    assert single == _scalar_angles_from_vector(vecs[100])
+
+
+def test_norms_equal_linalg_norm():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(64, 20, 3)) * 50.0
+    assert np.array_equal(norms(x), np.linalg.norm(x, axis=2))

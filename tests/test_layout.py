@@ -199,3 +199,30 @@ def test_segment_positions_slice():
     assert pts[0, 1] == pytest.approx(5.0)
     assert pts[-1, 1] == pytest.approx(9.5)
     np.testing.assert_allclose(pts[:, 0], 34.0)
+
+
+def test_array_constants_are_cached_and_read_only():
+    array = _array_geometry(70)  # four 16-element sub-arrays and one of 6
+    for get in (
+        array.element_matrix,
+        array.subarray_of_element,
+        lambda: array.subarray_centers,
+    ):
+        first = get()
+        assert get() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = first[1]
+    assert array.reference_subarray() is array.reference_subarray()
+    np.testing.assert_array_equal(
+        array.element_matrix(), [p.as_array() for p in array.element_positions]
+    )
+    np.testing.assert_array_equal(
+        array.subarray_centers, [s.center.as_array() for s in array.subarrays]
+    )
+
+
+def test_equal_size_runs_cover_the_array():
+    assert _array_geometry(70).equal_size_runs == ((0, 4, 0, 64), (4, 5, 64, 70))
+    assert _array_geometry(64).equal_size_runs == ((0, 4, 0, 64),)
+    assert _array_geometry(8, bs_stationarity=100.0).equal_size_runs == ((0, 1, 0, 8),)

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import auramimo.spherical as spherical
 from auramimo import (
     DegenerateGeometry,
     Position,
@@ -9,11 +12,21 @@ from auramimo import (
     draw_lsp,
     fbs_focal_point,
     lbs_focal_point,
+    partition_subarrays,
     share_table_for_segment,
     solve_departure_geometry,
     total_path_length,
+    uniform_linear_array,
 )
-from auramimo.clustergen import Cluster, ClusterSet
+from auramimo.clustergen import (
+    Cluster,
+    ClusterSet,
+    gen_arrival_angles,
+    gen_departure_angles,
+)
+from auramimo.layout import ArrayGeometry
+from auramimo.lsp import STREAM_REDRAW
+from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, unit_from_angles
 from conftest import make_scenario, make_two_user_layout
 
@@ -242,3 +255,166 @@ def test_degenerate_cluster_exhausts_retries():
     # give up with a descriptive error rather than spin forever.
     with pytest.raises(DegenerateGeometry, match="redraws"):
         attach_focal_points(_degenerate_cluster_set(), layout, lsp_draw=lsp, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Batched departure solve against the per-sub-array scalar solve
+# ---------------------------------------------------------------------------
+
+
+def _scalar_unit(az_deg, el_deg):
+    az, el = np.radians(az_deg), np.radians(el_deg)
+    ce = np.cos(el)
+    return np.array([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
+
+
+def _scalar_departure(apos, user_pos, e_hat, d_c):
+    # One sub-array's solve, as it was before the batch: returns the
+    # anchor-to-bounce length and the bounce point.
+    e_hat = np.asarray(e_hat, dtype=float)
+    norm = float(np.linalg.norm(e_hat))
+    if abs(norm - 1.0) > 1e-12:
+        e_hat = e_hat / norm
+    r0 = user_pos.as_array() - apos.as_array()
+    r0_norm = float(np.linalg.norm(r0))
+    if d_c <= r0_norm + spherical.EPSILON_M:
+        raise DegenerateGeometry(f"no excess path: d_c={d_c!r} vs direct {r0_norm!r}")
+    denom = 2.0 * (d_c - float(r0 @ e_hat))
+    if denom <= spherical.EPSILON_M:
+        raise DegenerateGeometry(
+            f"direction inconsistent with delay: denominator {denom!r}"
+        )
+    e_len = (d_c * d_c - r0_norm * r0_norm) / denom
+    p = apos.as_array() + e_len * e_hat
+    return e_len, Position(float(p[0]), float(p[1]), float(p[2]))
+
+
+def _scalar_cluster_geometry(cluster, user_pos, array):
+    subarrays = array.subarrays
+    ref_index = array.reference_subarray().index
+    e_len = np.empty(len(subarrays))
+    fbs = []
+    for sub in subarrays:
+        d_c = total_path_length(cluster.tau_s, sub.center, user_pos)
+        e_hat = _scalar_unit(
+            float(cluster.aod_az_deg[sub.index]), float(cluster.aod_el_deg[sub.index])
+        )
+        e_len[sub.index], focal = _scalar_departure(sub.center, user_pos, e_hat, d_c)
+        fbs.append(focal)
+    ref_center = subarrays[ref_index].center
+    d_c_ref = total_path_length(cluster.tau_s, ref_center, user_pos)
+    g_hat = _scalar_unit(cluster.aoa_az_deg, cluster.aoa_el_deg)
+    _, lbs = _scalar_departure(user_pos, ref_center, g_hat, d_c_ref)
+    g_len = user_pos.distance_to(lbs)
+    interior = d_c_ref - float(e_len[ref_index]) - g_len
+    return lbs, tuple(fbs), e_len, g_len, d_c_ref, interior
+
+
+def _random_array(rng):
+    n_elements = int(rng.integers(1, 300))
+    axis = tuple(rng.normal(size=3))
+    origin = Position(*rng.uniform([-20, -20, 0], [20, 20, 30]))
+    elements = uniform_linear_array(n_elements, rng.uniform(0.01, 0.2), origin, axis)
+    stationarity = rng.uniform(0.01, 5.0)
+    return ArrayGeometry(
+        element_positions=tuple(elements),
+        subarrays=partition_subarrays(elements, stationarity),
+        bs_stationarity_m=stationarity,
+    )
+
+
+def _random_cluster(rng, n_sub, tau_s):
+    return SimpleNamespace(
+        tau_s=tau_s,
+        aod_az_deg=rng.uniform(-180.0, 180.0, size=n_sub),
+        aod_el_deg=rng.uniform(-90.0, 90.0, size=n_sub),
+        aoa_az_deg=float(rng.uniform(-180.0, 180.0)),
+        aoa_el_deg=float(rng.uniform(-90.0, 90.0)),
+    )
+
+
+def test_batched_cluster_geometry_equals_scalar_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(250):
+        array = _random_array(rng)
+        user = Position(*rng.uniform([-200, -200, 0], [200, 200, 3]))
+        tau = float(10.0 ** rng.uniform(-10, -5))
+        cluster = _random_cluster(rng, array.n_subarrays, tau)
+        got = solve_cluster_geometry(cluster, user, array)
+        lbs, fbs, e_len, g_len, d_c_ref, interior = _scalar_cluster_geometry(
+            cluster, user, array
+        )
+        assert got.lbs == lbs and got.fbs == fbs, trial
+        assert np.array_equal(got.e_len_m, e_len), trial
+        assert (got.g_len_m, got.d_c_ref_m, got.interior_raw_m) == (
+            g_len,
+            d_c_ref,
+            interior,
+        ), trial
+
+
+def test_batched_solve_raises_on_the_same_first_subarray():
+    # An excess path of ~1e-9 m sits on the degeneracy threshold, so
+    # rounding makes some sub-arrays degenerate and others not.
+    rng = np.random.default_rng(32)
+    outcomes = {"raised_first": 0, "raised_later": 0, "solved": 0}
+    for _ in range(300):
+        array = _random_array(rng)
+        user = Position(*rng.uniform([-100, -100, 0], [100, 100, 3]))
+        excess = spherical.EPSILON_M + rng.normal() * 2e-14
+        cluster = _random_cluster(rng, array.n_subarrays, excess / C0)
+        try:
+            _scalar_cluster_geometry(cluster, user, array)
+        except DegenerateGeometry as scalar_error:
+            with pytest.raises(DegenerateGeometry) as batched_error:
+                solve_cluster_geometry(cluster, user, array)
+            assert str(batched_error.value) == str(scalar_error)
+            first = array.subarrays[0]
+            d_c0 = total_path_length(cluster.tau_s, first.center, user)
+            at_first = f"d_c={d_c0!r}" in str(scalar_error)
+            outcomes["raised_first" if at_first else "raised_later"] += 1
+        else:
+            solve_cluster_geometry(cluster, user, array)
+            outcomes["solved"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
+    # The first solve of one cluster fails; its angles must be redrawn
+    # from the (seed, segment, cluster id) redraw stream and re-solved.
+    layout = make_two_user_layout(2.0)
+    scenario = make_scenario()
+    table = share_table_for_segment(layout, 0, 7)
+    lsp = draw_lsp(scenario, layout, seed=3)
+    cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
+    victim = next(c for _, c in sorted(cs.clusters.items()) if not c.boresight)
+    real_solve = spherical.solve_cluster_geometry
+    failed = []
+
+    def fail_once(cluster, user_pos, array):
+        if cluster is victim and not failed:
+            failed.append(True)
+            raise DegenerateGeometry("forced")
+        return real_solve(cluster, user_pos, array)
+
+    monkeypatch.setattr(spherical, "solve_cluster_geometry", fail_once)
+    attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
+    assert failed
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence(3, spawn_key=(STREAM_REDRAW, 0, victim.cluster_id))
+    )
+    values = lsp.of(victim.generating_user, 0)
+    aod_az, aod_el = gen_departure_angles(
+        layout.array.n_subarrays, values.sigma_aod_deg, values.sigma_eod_deg, rng
+    )
+    aoa_az, aoa_el = gen_arrival_angles(
+        np.ones(1), values.sigma_aoa_deg, values.sigma_eoa_deg, rng
+    )
+    assert np.array_equal(victim.aod_az_deg, aod_az)
+    assert np.array_equal(victim.aod_el_deg, aod_el)
+    assert (victim.aoa_az_deg, victim.aoa_el_deg) == (aoa_az[0], aoa_el[0])
+    gen_pos = layout.segment_start_position(victim.generating_user, 0)
+    lbs, fbs, e_len, *_ = _scalar_cluster_geometry(victim, gen_pos, layout.array)
+    assert victim.lbs == lbs and victim.fbs == fbs
+    assert np.array_equal(victim.e_len_m, e_len)
