@@ -17,7 +17,11 @@ offset pairing) is keyed by cluster id, so synthesis order cannot change
 a single value. Synthesis is single-threaded: the `workers` setting is
 accepted and ignored, and results do not depend on it. The work along
 the sub-array axis (scatterer fans, planar error) runs as array code
-over all sub-arrays at once.
+over all sub-arrays at once, and element distances are taken plane-wise
+(ArrayGeometry.element_distances). The departure phase depends only on
+the cluster id, the FBS set and the clamped interior length, so it is
+computed once per distinct departure geometry of a segment and shared by
+the owners that copy all three (kept-focal-point, co-located owners).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import IncompleteViews
 from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms, rotate_azimuth
-from .layout import ArrayGeometry, UserLayout, as_matrix
+from .layout import ArrayGeometry, Position, UserLayout, as_matrix
 from .lsp import STREAM_SCATTERERS
 from .sharing import OwnerView, OwnerViews
 
@@ -115,60 +119,18 @@ class ChannelTensor:
         return self.user_ids.index(user_id)
 
 
-def _synthesize_user(
-    views: list[OwnerView],
-    coeff: np.ndarray,
-    delays: np.ndarray,
-    rx_positions: np.ndarray,
-    anchor: np.ndarray,
+def _departure_phase(
+    fbs: tuple[Position, ...],
+    interior: float,
     array: ArrayGeometry,
     wavenumber: float,
     rotation: tuple[np.ndarray, np.ndarray],
-    randomness: dict[int, tuple[np.ndarray, np.ndarray]],
-) -> int:
-    """Fill one user's coefficients (tx, cluster, snapshot) and delays
-    (cluster, snapshot); returns how many views had a negative interior
-    length clamped away."""
-    elements = array.element_matrix()
-    sub_of_element = array.subarray_of_element()
-    ref_index = array.reference_subarray().index
-    clamped = 0
-
-    for c, view in enumerate(views):
-        phases, perm = randomness[view.cluster_id]
-        n_sc = len(phases)
-        amp = math.sqrt(view.power / n_sc)
-        interior = view.interior_raw_m
-        if interior < 0.0:
-            clamped += 1
-            interior = 0.0
-
-        # Frozen scatterer bounce points for this owner's segment.
-        lbs = view.lbs.as_array()
-        lbs_points = _fan_positions(anchor, lbs, rotation)
-        fbs_points = _fan_positions(
-            array.subarray_centers,
-            as_matrix(view.fbs),
-            (rotation[0][perm], rotation[1][perm]),
-        )  # (A, n_sc, 3)
-
-        # Element -> departure bounce point, per scatterer: (tx, n_sc).
-        d_tx = norms(elements[:, None, :] - fbs_points[sub_of_element])
-        # Arrival bounce point -> rx position, per snapshot: (snap, n_sc).
-        d_rx = norms(rx_positions[:, None, :] - lbs_points[None, :, :])
-
-        tx_phase = np.exp(-1j * wavenumber * (d_tx + interior))
-        rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
-        coeff[:, c, :] = amp * np.einsum("il,tl->it", tx_phase, rx_phase)
-
-        # Center-path delay: reference-sub-array leg + interior + moving
-        # receiver leg, all scatterer offsets at zero.
-        d_center_rx = norms(rx_positions - lbs)
-        delays[c, :] = (
-            float(view.e_len_m[ref_index]) + interior + d_center_rx
-        ) / SPEED_OF_LIGHT_M_S
-
-    return clamped
+) -> np.ndarray:
+    """exp(-j k (|elem_i - FBS_{a,l}| + interior)), (tx, n_sc): the
+    departure fans of one FBS set (rotated by the cluster's permuted
+    `rotation`) and the element-to-bounce-point distances."""
+    fbs_points = _fan_positions(array.subarray_centers, as_matrix(fbs), rotation)
+    return np.exp(-1j * wavenumber * (array.element_distances(fbs_points) + interior))
 
 
 def synthesize(
@@ -180,6 +142,7 @@ def synthesize(
     cluster_angle_spread_deg: float = 3.0,
     n_scatterers: int = N_SCATTERERS,
     workers: int = 1,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ChannelTensor:
     """Synthesize the channel tensor for one segment, one user after
     another in this thread.
@@ -188,7 +151,8 @@ def synthesize(
     id), so no value depends on the order in which users are synthesized.
     `workers` is accepted for config compatibility and ignored.
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
-    center ray).
+    center ray). `out` takes (coefficients, delays) arrays to fill, such
+    as this segment's snapshot slices of a run tensor.
     """
     user_ids = views.user_ids
     if not user_ids:
@@ -211,32 +175,55 @@ def synthesize(
     }
 
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
+    array = layout.array
     n_users, n_clusters = len(user_ids), counts.pop()
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
-    coefficients = np.empty(
-        (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex128
-    )
-    delays = np.empty((n_users, n_clusters, n_snap))
+    shape = (n_users, 1, array.n_elements, n_clusters, n_snap)
+    if out is None:
+        out = (np.empty(shape, dtype=np.complex128), np.empty(shape[:1] + shape[3:]))
+    coefficients, delays = out
+    if coefficients.shape != shape or delays.shape != shape[:1] + shape[3:]:
+        raise ValueError(f"output arrays do not have the segment's shape {shape}")
+    ref_index = array.reference_subarray().index
 
-    total_clamped = 0
-    for k, u in enumerate(user_ids):
-        total_clamped += _synthesize_user(
-            per_user[k],
-            coefficients[k, 0],
-            delays[k],
-            layout.segment_positions(u, segment),
-            layout.segment_start_position(u, segment).as_array(),
-            layout.array,
-            wavenumber,
-            rotation,
-            randomness,
+    # Views by departure geometry: one departure phase serves them all.
+    by_geometry: dict[tuple, list[tuple[int, int]]] = {}
+    for k, user_views in enumerate(per_user):
+        for c, v in enumerate(user_views):
+            key = (v.cluster_id, v.fbs, max(v.interior_raw_m, 0.0))
+            by_geometry.setdefault(key, []).append((k, c))
+    rx_positions = [layout.segment_positions(u, segment) for u in user_ids]
+    anchors = [layout.segment_start_position(u, segment).as_array() for u in user_ids]
+
+    for (cluster_id, fbs, interior), slots in by_geometry.items():
+        phases, perm = randomness[cluster_id]
+        tx_phase = _departure_phase(
+            fbs, interior, array, wavenumber, (rotation[0][perm], rotation[1][perm])
         )
-    if total_clamped:
+        for k, c in slots:
+            view = per_user[k][c]
+            # Frozen arrival bounce points; only the receiver moves.
+            lbs = view.lbs.as_array()
+            lbs_points = _fan_positions(anchors[k], lbs, rotation)
+            d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
+            rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
+            amp = math.sqrt(view.power / len(phases))
+            coefficients[k, 0, :, c, :] = amp * np.einsum("il,tl->it", tx_phase, rx_phase)
+
+            # Center-path delay: reference-sub-array leg + interior + moving
+            # receiver leg, all scatterer offsets at zero.
+            d_center_rx = norms(rx_positions[k] - lbs)
+            delays[k, c, :] = (
+                float(view.e_len_m[ref_index]) + interior + d_center_rx
+            ) / SPEED_OF_LIGHT_M_S
+
+    clamped = sum(v.interior_raw_m < 0.0 for uv in per_user for v in uv)
+    if clamped:
         log.warning(
             "segment %d: interior path length clamped to 0 for %d cluster view(s)",
             segment,
-            total_clamped,
+            clamped,
         )
 
     return ChannelTensor(
@@ -263,7 +250,7 @@ def planar_vs_spherical_error(
     leg = focal - centers
     dist = np.sqrt(np.vecdot(leg, leg))
     direction = leg / np.where(dist == 0.0, 1.0, dist)[:, None]
-    d_spherical = norms(elements - focal[sub])
+    d_spherical = array.element_distances(focal[:, None, :])[:, 0]
     # Stacked matrix-vector products over runs of equal-size sub-arrays:
     # per-element dot products (vecdot, einsum) round differently.
     local = elements - centers[sub]

@@ -193,6 +193,21 @@ class ArrayGeometry:
         """Sub-array index for every element."""
         return self._subarray_of_element
 
+    def element_distances(self, points: np.ndarray) -> np.ndarray:
+        """Distances (n_elements, n) from each element to the n points
+        (n_subarrays, n, 3) of its sub-array, plane by plane per run of
+        equal-size sub-arrays: x^2 + y^2 + z^2, then sqrt, the arithmetic of
+        geom.norms, so the bits match."""
+        out = np.empty((self.n_elements, points.shape[1]))
+        for a0, a1, e0, e1 in self.equal_size_runs:
+            elements = self._elements[e0:e1].reshape(a1 - a0, -1, 1, 3)
+            run = points[a0:a1, None]
+            acc = (elements[..., 0] - run[..., 0]) ** 2
+            for j in (1, 2):
+                acc += (elements[..., j] - run[..., j]) ** 2
+            np.sqrt(acc, out=out[e0:e1].reshape(acc.shape))
+        return out
+
     def reference_subarray(self) -> SubArray:
         """Sub-array whose center is closest to the whole-array centroid.
 

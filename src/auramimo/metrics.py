@@ -41,21 +41,29 @@ def pair_correlation(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
     """|h_u^H h_v| / (|h_u| |h_v|) per snapshot for (vector, snapshot)
     matrices; zero-norm snapshots give 0."""
     num = np.abs(np.sum(np.conj(h_u) * h_v, axis=0))
-    den = np.linalg.norm(h_u, axis=0) * np.linalg.norm(h_v, axis=0)
+    return _normalized(num, np.linalg.norm(h_u, axis=0) * np.linalg.norm(h_v, axis=0))
+
+
+def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return np.minimum(out, 1.0)
 
 
 def correlation_metrics(tensor: ChannelTensor) -> MetricsReport:
-    """Per-user-pair normalized channel correlation from a tensor."""
+    """pair_correlation of every user pair of a tensor; user norms are
+    taken once, and every pair's product fills one reused buffer."""
     n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
+    # Stack rx antennas alongside tx x cluster; rx is 1 in practice.
+    shape = (n_rx * n_tx * n_clusters, n_snap)
+    h = [tensor.coefficients[i].reshape(shape) for i in range(n_users)]
+    norm = [np.linalg.norm(h_i, axis=0) for h_i in h]
+    product = np.empty(shape, dtype=np.complex128)
     report = MetricsReport()
-    for i in range(n_users):
+    for i in range(n_users - 1):
         for j in range(i + 1, n_users):
-            # Stack rx antennas alongside tx x cluster; rx is 1 in practice.
-            h_i = tensor.coefficients[i].reshape(n_rx * n_tx * n_clusters, n_snap)
-            h_j = tensor.coefficients[j].reshape(n_rx * n_tx * n_clusters, n_snap)
-            corr = pair_correlation(h_i, h_j)
+            np.multiply(np.conj(h[i], out=product), h[j], out=product)
+            num = np.abs(np.sum(product, axis=0))
+            corr = _normalized(num, norm[i] * norm[j])
             key = (tensor.user_ids[i], tensor.user_ids[j])
             report.pair_correlation[key] = corr
             report.pair_correlation_mean[key] = float(corr.mean())

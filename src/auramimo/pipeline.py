@@ -73,20 +73,28 @@ def run(config: RunConfig) -> RunResult:
             id_base = max(ids) + 1
         segments.append(result)
 
-    tensors = [
+    # One run tensor; each segment fills its own snapshot slice.
+    n_users, n_clusters = len(layout.user_ids), config.total_clusters_per_user
+    n_snap = sum(s.n_snapshots for s in layout.segments)
+    coefficients = np.empty(
+        (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex128
+    )
+    delays = np.empty((n_users, n_clusters, n_snap))
+    for seg in segments:
+        span = layout.segments[seg.views.segment_index]
+        snapshots = slice(span.first_snapshot, span.first_snapshot + span.n_snapshots)
         synthesize(
             seg.views,
             layout,
             config.carrier_hz,
             config.seed,
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
+            out=(coefficients[..., snapshots], delays[..., snapshots]),
         )
-        for seg in segments
-    ]
     tensor = ChannelTensor(
-        user_ids=tensors[0].user_ids,
-        coefficients=np.concatenate([t.coefficients for t in tensors], axis=4),
-        delays=np.concatenate([t.delays for t in tensors], axis=2),
+        user_ids=layout.user_ids,
+        coefficients=coefficients,
+        delays=delays,
         carrier_hz=config.carrier_hz,
         seed=config.seed,
     )

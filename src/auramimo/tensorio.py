@@ -33,7 +33,9 @@ def write_tensor_binary(tensor: ChannelTensor, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(header.tobytes())
-        f.write(np.ascontiguousarray(tensor.coefficients, dtype="<c8").tobytes())
+        # One user at a time: no whole-tensor float32 copy, no bytes copy.
+        for user_block in tensor.coefficients:
+            f.write(np.ascontiguousarray(user_block, dtype="<c8"))
         f.write(np.ascontiguousarray(tensor.delays, dtype="<f8").tobytes())
 
 
@@ -44,10 +46,12 @@ def read_tensor_binary(path) -> ChannelTensor:
             raise ValueError(f"not a channel tensor file: magic {magic!r}")
         header = np.frombuffer(f.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
         dims = tuple(int(d) for d in header["dims"])
-        n_coeff = int(np.prod(dims))
-        coeff = np.frombuffer(f.read(8 * n_coeff), dtype="<c8")
-        if coeff.size != n_coeff:
-            raise ValueError("truncated coefficient block")
+        coeff = np.empty(dims, dtype=np.complex128)
+        for user_block in coeff:  # one user at a time, as written
+            raw = f.read(8 * user_block.size)
+            if len(raw) != 8 * user_block.size:
+                raise ValueError("truncated coefficient block")
+            user_block[...] = np.frombuffer(raw, dtype="<c8").reshape(user_block.shape)
         u, _, _, c, s = dims
         n_delay = u * c * s
         delays = np.frombuffer(f.read(8 * n_delay), dtype="<f8")
@@ -55,7 +59,7 @@ def read_tensor_binary(path) -> ChannelTensor:
             raise ValueError("truncated delay block")
     return ChannelTensor(
         user_ids=tuple(range(dims[0])),
-        coefficients=coeff.reshape(dims).astype(np.complex128),
+        coefficients=coeff,
         delays=delays.reshape(u, c, s).copy(),
         carrier_hz=float(header["carrier_hz"]),
         seed=int(header["seed"]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,10 @@ from auramimo import (
     Position,
     assemble_clusters,
     attach_focal_points,
+    build_layout,
     draw_lsp,
     laplacian_offsets,
+    linear_track,
     partition_subarrays,
     planar_vs_spherical_error,
     recalculate_views,
@@ -20,9 +23,10 @@ from auramimo import (
     synthesize,
     uniform_linear_array,
 )
+from auramimo import coefficients
 from auramimo.coefficients import _fan_positions, scatterer_randomness
-from auramimo.layout import ArrayGeometry
-from auramimo.geom import SPEED_OF_LIGHT_M_S
+from auramimo.layout import ArrayGeometry, as_matrix
+from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import make_point_layout, make_scenario, make_two_user_layout
 
@@ -402,3 +406,187 @@ def test_batched_planar_error_equals_scalar_loop():
         assert np.array_equal(got, _scalar_planar_error(view, layout, carrier)), trial
         assert np.all(got[zero] == 0.0)
     assert uneven >= 50  # runs of unequal sub-array sizes are exercised
+
+
+def test_element_distances_equal_gathered_norms():
+    rng = np.random.default_rng(23)
+    uneven = 0
+    for trial in range(250):
+        array = _random_array_layout(rng).array
+        uneven += len(array.equal_size_runs) > 1
+        n = int(rng.integers(1, 25))
+        scale = 10.0 ** rng.uniform(-2, 4)
+        points = array.subarray_centers[:, None, :] + rng.normal(
+            size=(array.n_subarrays, n, 3)
+        ) * scale
+        want = norms(array.element_matrix()[:, None, :] - points[array.subarray_of_element()])
+        assert np.array_equal(array.element_distances(points), want), trial
+    assert uneven >= 50
+
+
+# ---------------------------------------------------------------------------
+# Shared departure phases against the per-view synthesis loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatterers):
+    # Every view computes its own fans, gathered distances and phases: the
+    # loop that per-geometry departure phases replaced.
+    array = layout.array
+    elements = array.element_matrix()
+    sub_of_element = array.subarray_of_element()
+    ref_index = array.reference_subarray().index
+    rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
+    wavenumber = 2.0 * math.pi * carrier_hz / C0
+    segment = views.segment_index
+    user_ids = views.user_ids
+    n_clusters = len(views.views_of_user(user_ids[0]))
+    n_snap = layout.segments[segment].n_snapshots
+    coeff = np.empty((len(user_ids), 1, array.n_elements, n_clusters, n_snap), complex)
+    delays = np.empty((len(user_ids), n_clusters, n_snap))
+    for k, u in enumerate(user_ids):
+        rx_positions = layout.segment_positions(u, segment)
+        anchor = layout.segment_start_position(u, segment).as_array()
+        for c, view in enumerate(views.views_of_user(u)):
+            phases, perm = scatterer_randomness(seed, view.cluster_id, n_scatterers)
+            amp = math.sqrt(view.power / len(phases))
+            interior = view.interior_raw_m
+            if interior < 0.0:
+                interior = 0.0
+            lbs = view.lbs.as_array()
+            lbs_points = _fan_positions(anchor, lbs, rotation)
+            fbs_points = _fan_positions(
+                array.subarray_centers,
+                as_matrix(view.fbs),
+                (rotation[0][perm], rotation[1][perm]),
+            )
+            d_tx = norms(elements[:, None, :] - fbs_points[sub_of_element])
+            d_rx = norms(rx_positions[:, None, :] - lbs_points[None, :, :])
+            tx_phase = np.exp(-1j * wavenumber * (d_tx + interior))
+            rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
+            coeff[k, 0, :, c, :] = amp * np.einsum("il,tl->it", tx_phase, rx_phase)
+            d_center_rx = norms(rx_positions - lbs)
+            delays[k, c, :] = (
+                float(view.e_len_m[ref_index]) + interior + d_center_rx
+            ) / C0
+    return coeff, delays
+
+
+def _departure_keys(views):
+    return {
+        (v.cluster_id, v.fbs, 0.0 if v.interior_raw_m < 0.0 else v.interior_raw_m)
+        for v in views.views.values()
+    }
+
+
+def _seeded_views(rng, seed):
+    """Owner views of one segment of a random multi-user layout, run
+    through the real stages; some users share a start position."""
+    n_users = int(rng.integers(2, 5))
+    n_snap = int(rng.integers(1, 4))
+    spacing = rng.uniform(0.3, 4.0)
+    starts = []
+    for _ in range(n_users):
+        if starts and rng.random() < 0.3:
+            starts.append(starts[int(rng.integers(len(starts)))])
+        else:
+            starts.append(Position(*rng.uniform([20.0, -3.0, 1.5], [28.0, 3.0, 1.5])))
+    tracks = [linear_track(u + 1, p, 90.0, n_snap, spacing) for u, p in enumerate(starts)]
+    elements = uniform_linear_array(
+        int(rng.integers(2, 41)), 0.05, Position(0.0, 0.0, 10.0)
+    )
+    layout = build_layout(
+        tracks,
+        elements,
+        stationarity_user_m=n_snap * spacing + 1.0,
+        bs_stationarity_m=rng.uniform(0.1, 1.0),
+    )
+    total = int(rng.integers(3, 7))
+    scenario = make_scenario(clusters_per_user=total)
+    table = share_table_for_segment(layout, 0, total)
+    lsp = draw_lsp(scenario, layout, seed=seed)
+    cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
+    attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
+    views = recalculate_views(
+        share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
+    )
+    return views, layout
+
+
+def _perturb(views, rng):
+    """Views with equal-valued FBS copies and changed interiors, so that
+    owners of one cluster share an FBS set but not always an interior."""
+    changed = {}
+    for key, view in views.views.items():
+        r = rng.random()
+        if r < 0.15:
+            view = replace(view, interior_raw_m=-rng.uniform(0.0, 30.0))
+        elif r < 0.25:
+            view = replace(view, interior_raw_m=view.interior_raw_m + rng.uniform(0.1, 5.0))
+        elif r < 0.3:
+            view = replace(view, interior_raw_m=float(rng.choice([0.0, -0.0])))
+        elif r < 0.4:
+            view = replace(view, fbs=tuple(Position(p.x, p.y, p.z) for p in view.fbs))
+        changed[key] = view
+    return replace(views, views=changed)
+
+
+def test_shared_departure_phases_equal_per_view_loop():
+    rng = np.random.default_rng(24)
+    seen = dict.fromkeys(
+        "kept-focal-point kept-parameters colocated clamped boresight reused uneven single"
+        .split(),
+        0,
+    )
+    for trial in range(220):
+        seed = 1000 + trial
+        views, layout = _seeded_views(rng, seed)
+        if trial % 2:
+            views = _perturb(views, rng)
+        n_sc = 1 if rng.random() < 0.15 else 20
+        spread = rng.uniform(0.5, 10.0)
+        carrier = rng.uniform(1e9, 30e9)
+        tensor = synthesize(
+            views, layout, carrier, seed, cluster_angle_spread_deg=spread, n_scatterers=n_sc
+        )
+        coeff, delays = _reference_synthesize(views, layout, carrier, seed, spread, n_sc)
+        assert np.array_equal(tensor.coefficients, coeff), trial
+        assert np.array_equal(tensor.delays, delays), trial
+
+        all_views = list(views.views.values())
+        for v in all_views:
+            seen[v.recalc_mode] = seen.get(v.recalc_mode, 0) + 1
+            seen["clamped"] += v.interior_raw_m < 0.0
+            seen["boresight"] += v.boresight
+        starts = [layout.segment_start_position(u, 0) for u in layout.user_ids]
+        seen["colocated"] += len(set(starts)) < len(starts)
+        seen["reused"] += len(_departure_keys(views)) < len(all_views)
+        seen["uneven"] += len(layout.array.equal_size_runs) > 1
+        seen["single"] += n_sc == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_departure_phase_computed_once_per_distinct_geometry(monkeypatch):
+    calls = []
+    original = coefficients._departure_phase
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "_departure_phase", spy)
+    _, views, _ = _full_tensor(make_two_user_layout(0.0))
+    assert len(calls) == len(_departure_keys(views)) < len(views.views)
+
+    calls.clear()
+    _, views, _ = _full_tensor(make_two_user_layout(40.0))
+    assert views.user_ids == (1, 2)
+    assert not set(views.by_user[1]) & set(views.by_user[2])  # nothing shared
+    assert len(calls) == len(views.views)
+
+
+def test_output_arrays_must_have_the_segment_shape():
+    _, views, layout = _full_tensor(make_two_user_layout(2.0))
+    coeff = np.empty((2, 1, 64, 7, 5), dtype=complex)  # one snapshot too many
+    with pytest.raises(ValueError, match="shape"):
+        synthesize(views, layout, 3.5e9, seed=3, out=(coeff, np.empty((2, 7, 5))))

@@ -120,3 +120,68 @@ def test_tensor_validation():
             np.zeros((1, 1, 1, 1, 1), dtype=complex),
             delays=np.array([[[-1e-9]]]),
         )
+
+
+def _per_pair_correlation(tensor):
+    # Both users' matrices and norms formed anew for every pair: the loop
+    # that per-user norms replaced.
+    n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
+    corr = {}
+    for i in range(n_users):
+        for j in range(i + 1, n_users):
+            h_i = tensor.coefficients[i].reshape(n_rx * n_tx * n_clusters, n_snap)
+            h_j = tensor.coefficients[j].reshape(n_rx * n_tx * n_clusters, n_snap)
+            num = np.abs(np.sum(np.conj(h_i) * h_j, axis=0))
+            den = np.linalg.norm(h_i, axis=0) * np.linalg.norm(h_j, axis=0)
+            out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+            corr[(tensor.user_ids[i], tensor.user_ids[j])] = np.minimum(out, 1.0)
+    return corr
+
+
+def test_correlation_metrics_equal_per_pair_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        u = int(rng.integers(2, 7))
+        shape = (u, int(rng.integers(1, 3)), int(rng.integers(1, 20)),
+                 int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # Zero-norm snapshots of single users, and a shared channel.
+        coeff[rng.random(u) < 0.3, ..., 0] = 0.0
+        coeff[-1] = coeff[0]
+        tensor = _tensor(coeff, user_ids=tuple(range(10, 10 + u)))
+        report = correlation_metrics(tensor)
+        want = _per_pair_correlation(tensor)
+        assert list(report.pair_correlation) == list(want)
+        for key, corr in want.items():
+            assert np.array_equal(report.pair_correlation[key], corr), trial
+            assert report.pair_correlation_mean[key] == float(corr.mean())
+            i, j = key[0] - 10, key[1] - 10
+            h_i = coeff[i].reshape(-1, shape[4])
+            h_j = coeff[j].reshape(-1, shape[4])
+            assert np.array_equal(pair_correlation(h_i, h_j), corr)
+
+
+def test_binary_body_is_the_whole_tensor_in_float32(tmp_path, rng):
+    # Written user by user, read back user by user: the file holds the
+    # bytes of the whole-tensor conversion.
+    coeff = rng.normal(size=(3, 1, 5, 2, 4)) + 1j * rng.normal(size=(3, 1, 5, 2, 4))
+    tensor = _tensor(coeff, user_ids=(1, 2, 3))
+    path = tmp_path / "t.bin"
+    write_tensor_binary(tensor, path)
+    body = np.ascontiguousarray(coeff, dtype="<c8").tobytes()
+    data = path.read_bytes()
+    head = 8 + 36  # magic and header
+    assert data[head : head + len(body)] == body
+    assert len(data) == head + len(body) + tensor.delays.nbytes
+    back = read_tensor_binary(path)
+    assert np.array_equal(back.coefficients, coeff.astype(np.complex64))
+
+
+def test_binary_rejects_truncated_coefficients(tmp_path, rng):
+    coeff = rng.normal(size=(2, 1, 4, 2, 2)) + 0j
+    path = tmp_path / "t.bin"
+    write_tensor_binary(_tensor(coeff), path)
+    data = path.read_bytes()
+    path.write_bytes(data[: 8 + 36 + 8 * 8 + 4])  # inside the second user's block
+    with pytest.raises(ValueError, match="truncated coefficient"):
+        read_tensor_binary(path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from auramimo import parse_config, read_tensor_binary
+from auramimo import parse_config, read_tensor_binary, synthesize
 from auramimo.pipeline import run, write_outputs
 
 SCENARIO = {
@@ -162,3 +162,24 @@ def test_written_tensor_round_trips_through_reader(tmp_path):
         result.tensor.coefficients.astype(np.complex64).astype(np.complex128),
     )
     np.testing.assert_array_equal(tensor.delays, result.tensor.delays)
+
+
+def test_run_tensor_equals_concatenated_segment_tensors():
+    config = make_run_config(n_snapshots=20)  # two 10-snapshot segments
+    result = run(config)
+    parts = [
+        synthesize(
+            seg.views,
+            config.layout,
+            config.carrier_hz,
+            config.seed,
+            cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
+        )
+        for seg in result.segments
+    ]
+    assert len(parts) == 2
+    assert result.tensor.user_ids == parts[0].user_ids
+    assert np.array_equal(
+        result.tensor.coefficients, np.concatenate([t.coefficients for t in parts], axis=4)
+    )
+    assert np.array_equal(result.tensor.delays, np.concatenate([t.delays for t in parts], axis=2))
