@@ -22,6 +22,7 @@ from .errors import ChannelModelError
 from .grouping import share_table_for_segment
 from .metrics import correlation_metrics
 from .pipeline import run, write_outputs
+from .tables import METRICS_HEADER, SHARE_HEADER, metrics_rows, share_rows
 from .tensorio import read_tensor_binary
 
 
@@ -80,31 +81,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = _load(args)
-    print("segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids")
+    print(SHARE_HEADER)
     id_base = 0
     for segment in config.layout.segments:
         table = share_table_for_segment(
-            config.layout,
-            segment.index,
-            config.total_clusters_per_user,
-            id_base=id_base,
+            config.layout, segment.index, config.total_clusters_per_user, id_base=id_base
         )
         if table.cluster_ids:
             id_base = max(table.cluster_ids) + 1
-        for row in table.report_rows():
-            print(
-                f"{segment.index}\t{row['members']}\t{row['proportion']!r}\t"
-                f"{row['scaled_proportion']!r}\t{row['count']}\t{row['cluster_ids']}"
-            )
+        for line in share_rows(table):
+            print(line)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     tensor = read_tensor_binary(args.tensor)
     report = correlation_metrics(tensor)
-    print("metric\tkey1\tkey2\tvalue")
-    for row in report.report_rows():
-        print("\t".join(str(x) for x in row))
+    print(METRICS_HEADER, *metrics_rows(report), sep="\n")
     return 0
 
 

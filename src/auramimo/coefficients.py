@@ -143,7 +143,7 @@ def synthesize(
     n_scatterers: int = N_SCATTERERS,
     workers: int = 1,
     out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ChannelTensor:
+) -> ChannelTensor | None:
     """Synthesize the channel tensor for one segment, one user after
     another in this thread.
 
@@ -151,8 +151,8 @@ def synthesize(
     id), so no value depends on the order in which users are synthesized.
     `workers` is accepted for config compatibility and ignored.
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
-    center ray). `out` takes (coefficients, delays) arrays to fill, such
-    as this segment's snapshot slices of a run tensor.
+    center ray). `out` takes (coefficients, delays) arrays to fill (a run
+    tensor's snapshot slices); then None is returned, and the caller checks them.
     """
     user_ids = views.user_ids
     if not user_ids:
@@ -180,9 +180,7 @@ def synthesize(
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     shape = (n_users, 1, array.n_elements, n_clusters, n_snap)
-    if out is None:
-        out = (np.empty(shape, dtype=np.complex128), np.empty(shape[:1] + shape[3:]))
-    coefficients, delays = out
+    coefficients, delays = out or (np.empty(shape, complex), np.empty(shape[:1] + shape[3:]))
     if coefficients.shape != shape or delays.shape != shape[:1] + shape[3:]:
         raise ValueError(f"output arrays do not have the segment's shape {shape}")
     ref_index = array.reference_subarray().index
@@ -226,13 +224,14 @@ def synthesize(
             clamped,
         )
 
-    return ChannelTensor(
-        user_ids=user_ids,
-        coefficients=coefficients,
-        delays=delays,
-        carrier_hz=carrier_hz,
-        seed=seed,
-    )
+    if out is None:
+        return ChannelTensor(
+            user_ids=user_ids,
+            coefficients=coefficients,
+            delays=delays,
+            carrier_hz=carrier_hz,
+            seed=seed,
+        )
 
 
 def planar_vs_spherical_error(

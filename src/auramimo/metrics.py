@@ -50,14 +50,17 @@ def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def correlation_metrics(tensor: ChannelTensor) -> MetricsReport:
-    """pair_correlation of every user pair of a tensor; user norms are
-    taken once, and every pair's product fills one reused buffer."""
+    """pair_correlation of every user pair of a tensor; each user's norms
+    and each pair's product are taken in one reused user-sized buffer."""
     n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
     # Stack rx antennas alongside tx x cluster; rx is 1 in practice.
     shape = (n_rx * n_tx * n_clusters, n_snap)
     h = [tensor.coefficients[i].reshape(shape) for i in range(n_users)]
-    norm = [np.linalg.norm(h_i, axis=0) for h_i in h]
     product = np.empty(shape, dtype=np.complex128)
+    norm = []  # np.linalg.norm(h_i, axis=0), its arithmetic without its temporaries
+    for h_i in h:
+        np.multiply(np.conj(h_i, out=product), h_i, out=product)
+        norm.append(np.sqrt(np.add.reduce(product.real, axis=0)))
     report = MetricsReport()
     for i in range(n_users - 1):
         for j in range(i + 1, n_users):

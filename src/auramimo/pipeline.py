@@ -22,6 +22,7 @@ from .lsp import draw_lsp
 from .metrics import MetricsReport, correlation_metrics
 from .sharing import OwnerViews, recalculate_views, share_clusters
 from .spherical import attach_focal_points
+from .tables import write_tables
 from .tensorio import write_tensor_binary, write_tensor_text
 
 
@@ -91,6 +92,7 @@ def run(config: RunConfig) -> RunResult:
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
             out=(coefficients[..., snapshots], delays[..., snapshots]),
         )
+    # Checks every value once: the segments fill their slices unchecked.
     tensor = ChannelTensor(
         user_ids=layout.user_ids,
         coefficients=coefficients,
@@ -117,119 +119,25 @@ def _fill_sharing_and_planar_metrics(
                 shared += len(ids_u & ids_v)
             report.shared_cluster_counts[(u, v)] = shared
 
+    # The error depends only on the FBS set: one view per distinct set.
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
-        for view in seg.views.views.values():
+        for view in {v.fbs: v for v in seg.views.views.values()}.values():
             errors = planar_vs_spherical_error(view, config.layout, config.carrier_hz)
             worst = np.maximum(worst, errors)
     report.planar_error_max_rad.update(enumerate(worst.tolist()))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # incl. numpy float64, repr'd as plain float
-        return repr(float(value))
-    return str(value)
-
-
-def _view_param_columns(view, n_subarrays: int) -> list[str]:
-    cols = [
-        _fmt(view.delay_s),
-        _fmt(view.power),
-        _fmt(view.aoa_az_deg),
-        _fmt(view.aoa_el_deg),
-    ]
-    for a in range(n_subarrays):
-        cols.append(_fmt(float(view.aod_az_deg[a])))
-        cols.append(_fmt(float(view.aod_el_deg[a])))
-    cols += [_fmt(view.lbs.x), _fmt(view.lbs.y), _fmt(view.lbs.z)]
-    for a in range(n_subarrays):
-        p = view.fbs[a]
-        cols += [_fmt(p.x), _fmt(p.y), _fmt(p.z)]
-    return cols
-
-
-def _param_header(n_subarrays: int) -> list[str]:
-    head = ["delay_s", "power", "aoa_az_deg", "aoa_el_deg"]
-    for a in range(n_subarrays):
-        head += [f"aod_az_deg_{a}", f"aod_el_deg_{a}"]
-    head += ["lbs_x_m", "lbs_y_m", "lbs_z_m"]
-    for a in range(n_subarrays):
-        head += [f"fbs{a}_x_m", f"fbs{a}_y_m", f"fbs{a}_z_m"]
-    return head
-
-
 def write_outputs(result: RunResult, out_dir=None) -> dict[str, Path]:
-    """Write tensor, per-user cluster tables, the owner-view table, the
-    share table, and metrics. Returns the file paths by kind."""
+    """Write the tensor, then the tables (`tables.write_tables`); returns
+    the file paths by kind."""
     config = result.config
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_subarrays = config.layout.array.n_subarrays
-    paths: dict[str, Path] = {}
-
     if config.out_format == "binary":
         tensor_path = out / "channel.bin"
         write_tensor_binary(result.tensor, tensor_path)
     else:
         tensor_path = out / "channel.tsv"
         write_tensor_text(result.tensor, tensor_path)
-    paths["tensor"] = tensor_path
-
-    share_path = out / "share_table.tsv"
-    with open(share_path, "w") as f:
-        f.write("segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids\n")
-        for seg in result.segments:
-            for row in seg.share_table.report_rows():
-                f.write(
-                    f"{seg.share_table.segment_index}\t{row['members']}\t"
-                    f"{_fmt(row['proportion'])}\t{_fmt(row['scaled_proportion'])}\t"
-                    f"{row['count']}\t{row['cluster_ids']}\n"
-                )
-    paths["share_table"] = share_path
-
-    header = _param_header(n_subarrays)
-    for user in config.layout.user_ids:
-        user_path = out / f"clusters_user{user}.tsv"
-        with open(user_path, "w") as f:
-            f.write(
-                "segment\tcluster_id\tmembers\tgenerating_user\tboresight\t"
-                + "\t".join(header)
-                + "\n"
-            )
-            for seg in result.segments:
-                for view in seg.views.views_of_user(user):
-                    cluster = seg.cluster_set.clusters[view.cluster_id]
-                    members = "+".join(str(u) for u in cluster.owner_set)
-                    f.write(
-                        f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
-                        f"{members}\t{cluster.generating_user}\t"
-                        f"{int(view.boresight)}\t"
-                        + "\t".join(_view_param_columns(view, n_subarrays))
-                        + "\n"
-                    )
-        paths[f"clusters_user{user}"] = user_path
-
-    views_path = out / "cluster_views.tsv"
-    with open(views_path, "w") as f:
-        f.write(
-            "segment\tcluster_id\towner\trecalc_mode\t" + "\t".join(header) + "\n"
-        )
-        for seg in result.segments:
-            for (user, cluster_id) in sorted(seg.views.views):
-                view = seg.views.views[(user, cluster_id)]
-                f.write(
-                    f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
-                    f"{view.recalc_mode}\t"
-                    + "\t".join(_view_param_columns(view, n_subarrays))
-                    + "\n"
-                )
-    paths["cluster_views"] = views_path
-
-    metrics_path = out / "metrics.tsv"
-    with open(metrics_path, "w") as f:
-        f.write("metric\tkey1\tkey2\tvalue\n")
-        for row in result.metrics.report_rows():
-            f.write("\t".join(str(x) for x in row) + "\n")
-    paths["metrics"] = metrics_path
-
-    return paths
+    return {"tensor": tensor_path, **write_tables(result, out)}

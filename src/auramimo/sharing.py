@@ -58,9 +58,6 @@ class OwnerViews:
     views: dict[tuple[int, int], OwnerView] = field(repr=False, default_factory=dict)
     by_user: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
 
-    def of(self, user_id: int, cluster_id: int) -> OwnerView:
-        return self.views[(user_id, cluster_id)]
-
     def views_of_user(self, user_id: int) -> list[OwnerView]:
         return [self.views[(user_id, c)] for c in self.by_user[user_id]]
 

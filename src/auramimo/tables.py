@@ -1,0 +1,99 @@
+"""Tab-separated output tables (share, per-user cluster, owner-view and
+metrics); floats are written by `repr`, which round-trips exactly. A
+view's parameter columns are formatted once per run from one float64 row
+(delay, power, AoA azimuth/elevation, AoD azimuth/elevation per
+sub-array, LBS, FBS x/y/z per sub-array) and written to its user's table
+and to `cluster_views.tsv` alike."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+SHARE_HEADER = "segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids"
+METRICS_HEADER = "metric\tkey1\tkey2\tvalue"
+
+
+def share_rows(table) -> list[str]:
+    """One segment's share-table rows; proportions are written as plain floats."""
+    return [
+        f"{table.segment_index}\t{row['members']}\t{float(row['proportion'])!r}\t"
+        f"{float(row['scaled_proportion'])!r}\t{row['count']}\t{row['cluster_ids']}"
+        for row in table.report_rows()
+    ]
+
+
+def metrics_rows(report) -> list[str]:
+    return ["\t".join(str(x) for x in row) for row in report.report_rows()]
+
+
+def param_header(n_subarrays: int) -> str:
+    aod = [f"aod_{c}_deg_{a}" for a in range(n_subarrays) for c in ("az", "el")]
+    fbs = [f"fbs{a}_{c}_m" for a in range(n_subarrays) for c in "xyz"]
+    head = ["delay_s", "power", "aoa_az_deg", "aoa_el_deg", *aod]
+    return "\t".join(head + ["lbs_x_m", "lbs_y_m", "lbs_z_m"] + fbs)
+
+
+def _param_row(view, n_subarrays: int) -> str:
+    """The view's parameter columns, tab-joined; `tolist` turns the
+    float64 row into Python floats, whose repr is that of the value."""
+    n = n_subarrays
+    row = np.empty(7 + 5 * n)
+    row[:4] = view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg
+    row[4 : 4 + 2 * n : 2] = view.aod_az_deg
+    row[5 : 4 + 2 * n : 2] = view.aod_el_deg
+    row[4 + 2 * n : 7 + 2 * n] = view.lbs.x, view.lbs.y, view.lbs.z
+    row[7 + 2 * n :] = [c for p in view.fbs for c in (p.x, p.y, p.z)]
+    return "\t".join(map(repr, row.tolist()))
+
+
+def write_tables(result, out: Path) -> dict[str, Path]:
+    """Write the tables of a `RunResult` into `out`; returns the file
+    paths by kind."""
+    segments = result.segments
+    paths = {"share_table": out / "share_table.tsv"}
+    with open(paths["share_table"], "w") as f:
+        f.write(SHARE_HEADER + "\n")
+        for seg in segments:
+            f.writelines(line + "\n" for line in share_rows(seg.share_table))
+
+    n_subarrays = result.config.layout.array.n_subarrays
+    header = param_header(n_subarrays)
+    # Each view's row, by (user, cluster id), for each segment.
+    rows = [
+        {key: _param_row(view, n_subarrays) for key, view in seg.views.views.items()}
+        for seg in segments
+    ]
+
+    for user in result.config.layout.user_ids:
+        path = paths[f"clusters_user{user}"] = out / f"clusters_user{user}.tsv"
+        with open(path, "w") as f:
+            f.write("segment\tcluster_id\tmembers\tgenerating_user\tboresight\t")
+            f.write(header + "\n")
+            for seg, seg_rows in zip(segments, rows):
+                for view in seg.views.views_of_user(user):
+                    cluster = seg.cluster_set.clusters[view.cluster_id]
+                    f.write(
+                        f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
+                        f"{'+'.join(map(str, cluster.owner_set))}\t"
+                        f"{cluster.generating_user}\t{int(view.boresight)}\t"
+                        f"{seg_rows[(user, view.cluster_id)]}\n"
+                    )
+
+    paths["cluster_views"] = out / "cluster_views.tsv"
+    with open(paths["cluster_views"], "w") as f:
+        f.write("segment\tcluster_id\towner\trecalc_mode\t" + header + "\n")
+        for seg, seg_rows in zip(segments, rows):
+            for user, cluster_id in sorted(seg_rows):
+                f.write(
+                    f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
+                    f"{seg.views.views[(user, cluster_id)].recalc_mode}\t"
+                    f"{seg_rows[(user, cluster_id)]}\n"
+                )
+
+    paths["metrics"] = out / "metrics.tsv"
+    with open(paths["metrics"], "w") as f:
+        f.write(METRICS_HEADER + "\n")
+        f.writelines(line + "\n" for line in metrics_rows(result.metrics))
+    return paths

@@ -15,6 +15,9 @@ The text mode is a plain TSV for small runs: one row per tensor entry.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .coefficients import ChannelTensor
@@ -46,21 +49,24 @@ def read_tensor_binary(path) -> ChannelTensor:
             raise ValueError(f"not a channel tensor file: magic {magic!r}")
         header = np.frombuffer(f.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
         dims = tuple(int(d) for d in header["dims"])
-        coeff = np.empty(dims, dtype=np.complex128)
-        for user_block in coeff:  # one user at a time, as written
-            raw = f.read(8 * user_block.size)
-            if len(raw) != 8 * user_block.size:
-                raise ValueError("truncated coefficient block")
-            user_block[...] = np.frombuffer(raw, dtype="<c8").reshape(user_block.shape)
-        u, _, _, c, s = dims
-        n_delay = u * c * s
-        delays = np.frombuffer(f.read(8 * n_delay), dtype="<f8")
-        if delays.size != n_delay:
+        delay_dims = dims[:1] + dims[3:]  # user, cluster, snapshot
+        n_coeff, n_delay = math.prod(dims), math.prod(delay_dims)
+        # Sizes from the header are checked before anything is allocated.
+        body = os.fstat(f.fileno()).st_size - f.tell()
+        if body < 8 * n_coeff:
+            raise ValueError(f"truncated coefficient block: {body} of {8 * n_coeff} bytes")
+        if body < 8 * (n_coeff + n_delay):
             raise ValueError("truncated delay block")
+        coeff = np.empty(dims, dtype=np.complex128)
+        block = np.empty(dims[1:], dtype="<c8")  # one user at a time, as written
+        for user_block in coeff:
+            f.readinto(block)
+            user_block[...] = block
+        delays = np.frombuffer(f.read(8 * n_delay), dtype="<f8")
     return ChannelTensor(
         user_ids=tuple(range(dims[0])),
         coefficients=coeff,
-        delays=delays.reshape(u, c, s).copy(),
+        delays=delays.reshape(delay_dims).copy(),
         carrier_hz=float(header["carrier_hz"]),
         seed=int(header["seed"]),
     )
@@ -74,14 +80,9 @@ def write_tensor_text(tensor: ChannelTensor, path) -> None:
         f.write(f"# carrier_hz={tensor.carrier_hz!r} seed={tensor.seed}\n")
         f.write(f"# dims user={u_n} rx={r_n} tx={t_n} cluster={c_n} snapshot={s_n}\n")
         f.write("user\trx\ttx\tcluster\tsnapshot\tre\tim\tdelay_s\n")
-        for iu, user in enumerate(tensor.user_ids):
-            for ir in range(r_n):
-                for it in range(t_n):
-                    for ic in range(c_n):
-                        for isn in range(s_n):
-                            z = tensor.coefficients[iu, ir, it, ic, isn]
-                            d = float(tensor.delays[iu, ic, isn])
-                            f.write(
-                                f"{user}\t{ir}\t{it}\t{ic}\t{isn}\t"
-                                f"{float(z.real)!r}\t{float(z.imag)!r}\t{d!r}\n"
-                            )
+        for iu, ir, it, ic, isn in np.ndindex(tensor.coefficients.shape):
+            z = complex(tensor.coefficients[iu, ir, it, ic, isn])
+            f.write(
+                f"{tensor.user_ids[iu]}\t{ir}\t{it}\t{ic}\t{isn}\t"
+                f"{z.real!r}\t{z.imag!r}\t{float(tensor.delays[iu, ic, isn])!r}\n"
+            )

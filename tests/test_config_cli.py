@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from auramimo import (
@@ -15,6 +16,7 @@ from auramimo import (
     read_tensor_binary,
 )
 from auramimo.cli import main
+from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 SCENARIO = {
     "delay_spread_median_s": 1e-7,
@@ -257,3 +259,29 @@ def test_cli_bad_tensor_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("ValueError:")
+
+
+def test_cli_tensor_header_larger_than_file_exits_3(tmp_path, capsys):
+    # A header claiming ~1.4 PiB of coefficients, then 100 bytes.
+    header = np.zeros(1, dtype=_HEADER_DTYPE)
+    header["dims"][0] = (1000, 1, 100000, 1000, 1000)
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(MAGIC + header.tobytes() + b"\x00" * 100)
+    code = main(["metrics", "--tensor", str(corrupt)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValueError: truncated coefficient block")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_plan_prints_the_written_share_table(tmp_path, capsys):
+    raw = base_raw()
+    for user in raw["layout"]["users"]:
+        user["n_snapshots"] = 20  # two segments
+    cfg = write_config(tmp_path, raw)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    planned = capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert planned == (tmp_path / "out" / "share_table.tsv").read_text()
+    assert len(planned.splitlines()) > 3

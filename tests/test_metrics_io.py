@@ -9,6 +9,7 @@ from auramimo import (
     write_tensor_binary,
     write_tensor_text,
 )
+from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 
 def _tensor(coeff, delays=None, user_ids=None, carrier=3.5e9, seed=7):
@@ -184,4 +185,22 @@ def test_binary_rejects_truncated_coefficients(tmp_path, rng):
     data = path.read_bytes()
     path.write_bytes(data[: 8 + 36 + 8 * 8 + 4])  # inside the second user's block
     with pytest.raises(ValueError, match="truncated coefficient"):
+        read_tensor_binary(path)
+
+
+def _header_only_file(path, dims, body=b"\x00" * 100):
+    header = np.zeros(1, dtype=_HEADER_DTYPE)
+    header["dims"][0] = dims
+    path.write_bytes(MAGIC + header.tobytes() + body)
+
+
+def test_binary_rejects_dims_larger_than_the_file(tmp_path):
+    # The header claims ~1.4 PiB of coefficients; nothing is allocated.
+    path = tmp_path / "huge.bin"
+    _header_only_file(path, (1000, 1, 100000, 1000, 1000))
+    with pytest.raises(ValueError, match="truncated coefficient block"):
+        read_tensor_binary(path)
+    # Coefficients complete, delays short.
+    _header_only_file(path, (1, 1, 2, 2, 1), body=b"\x00" * (8 * 4 + 8))
+    with pytest.raises(ValueError, match="truncated delay block"):
         read_tensor_binary(path)

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from auramimo import parse_config, read_tensor_binary, synthesize
+from auramimo import (
+    ChannelTensor,
+    coefficients,
+    parse_config,
+    pipeline,
+    read_tensor_binary,
+    synthesize,
+)
 from auramimo.pipeline import run, write_outputs
 
 SCENARIO = {
@@ -183,3 +190,69 @@ def test_run_tensor_equals_concatenated_segment_tensors():
         result.tensor.coefficients, np.concatenate([t.coefficients for t in parts], axis=4)
     )
     assert np.array_equal(result.tensor.delays, np.concatenate([t.delays for t in parts], axis=2))
+
+
+def test_run_checks_every_coefficient_once(monkeypatch):
+    checked = []
+    original = ChannelTensor.__post_init__
+
+    def spy(self):
+        checked.append(self.coefficients.size + self.delays.size)
+        original(self)
+
+    monkeypatch.setattr(ChannelTensor, "__post_init__", spy)
+    result = run(make_run_config(n_snapshots=20))  # two segments
+    assert checked == [result.tensor.coefficients.size + result.tensor.delays.size]
+
+
+@pytest.mark.parametrize("bad", ["nan coefficient", "negative delay"])
+def test_bad_value_in_one_segment_fails_the_run(monkeypatch, bad):
+    original = pipeline.synthesize
+
+    def poisoned(views, *args, out=None, **kwargs):
+        filled = original(views, *args, out=out, **kwargs)
+        if views.segment_index == 1:
+            if bad == "nan coefficient":
+                out[0][1, 0, 5, 2, 3] = np.nan
+            else:
+                out[1][0, 4, 0] = -1e-9
+        return filled
+
+    monkeypatch.setattr(pipeline, "synthesize", poisoned)
+    with pytest.raises(ValueError, match="non-finite|nonnegative"):
+        run(make_run_config(n_snapshots=20))
+
+
+def test_segment_synthesis_without_out_is_checked(monkeypatch):
+    result = run(make_run_config())
+    seg = result.segments[0]
+    monkeypatch.setattr(
+        coefficients, "_departure_phase", lambda *a: np.full((32, 20), np.nan + 0j)
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        synthesize(seg.views, result.config.layout, 3.5e9, seed=11)
+
+
+def test_planar_error_once_per_distinct_fbs_set(monkeypatch):
+    calls = []
+    original = pipeline.planar_vs_spherical_error
+
+    def spy(view, layout, carrier_hz):
+        calls.append(view.fbs)
+        return original(view, layout, carrier_hz)
+
+    monkeypatch.setattr(pipeline, "planar_vs_spherical_error", spy)
+    for separation in (0.0, 3.0):  # co-located owners share every FBS set
+        config = make_run_config(separation_m=separation, n_snapshots=20)
+        calls.clear()
+        result = run(config)
+        views = [seg.views.views.values() for seg in result.segments]
+        assert len(calls) == sum(len({v.fbs for v in vs}) for vs in views)
+        if separation == 0.0:
+            assert len(calls) < sum(len(vs) for vs in views)
+        # The max over every view, as before.
+        worst = np.zeros(config.layout.array.n_subarrays)
+        for vs in views:
+            for v in vs:
+                worst = np.maximum(worst, original(v, config.layout, config.carrier_hz))
+        assert result.metrics.planar_error_max_rad == dict(enumerate(worst.tolist()))

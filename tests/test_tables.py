@@ -1,0 +1,222 @@
+"""Output tables against the value-by-value writers they replaced."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from auramimo import MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, parse_config, tables
+from auramimo.pipeline import run, write_outputs
+from auramimo.tensorio import write_tensor_binary, write_tensor_text
+from test_pipeline import SCENARIO
+
+# ---------------------------------------------------------------------------
+# Reference: the per-value formatting and the table loops, as they were
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _view_param_columns(view, n_subarrays):
+    cols = [
+        _fmt(view.delay_s),
+        _fmt(view.power),
+        _fmt(view.aoa_az_deg),
+        _fmt(view.aoa_el_deg),
+    ]
+    for a in range(n_subarrays):
+        cols.append(_fmt(float(view.aod_az_deg[a])))
+        cols.append(_fmt(float(view.aod_el_deg[a])))
+    cols += [_fmt(view.lbs.x), _fmt(view.lbs.y), _fmt(view.lbs.z)]
+    for a in range(n_subarrays):
+        p = view.fbs[a]
+        cols += [_fmt(p.x), _fmt(p.y), _fmt(p.z)]
+    return cols
+
+
+def _param_header(n_subarrays):
+    head = ["delay_s", "power", "aoa_az_deg", "aoa_el_deg"]
+    for a in range(n_subarrays):
+        head += [f"aod_az_deg_{a}", f"aod_el_deg_{a}"]
+    head += ["lbs_x_m", "lbs_y_m", "lbs_z_m"]
+    for a in range(n_subarrays):
+        head += [f"fbs{a}_x_m", f"fbs{a}_y_m", f"fbs{a}_z_m"]
+    return head
+
+
+def _reference_write(result, out: Path) -> dict[str, Path]:
+    config = result.config
+    out.mkdir(parents=True)
+    n_subarrays = config.layout.array.n_subarrays
+    paths = {}
+    if config.out_format == "binary":
+        paths["tensor"] = out / "channel.bin"
+        write_tensor_binary(result.tensor, paths["tensor"])
+    else:
+        paths["tensor"] = out / "channel.tsv"
+        write_tensor_text(result.tensor, paths["tensor"])
+
+    paths["share_table"] = out / "share_table.tsv"
+    with open(paths["share_table"], "w") as f:
+        f.write("segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids\n")
+        for seg in result.segments:
+            for row in seg.share_table.report_rows():
+                f.write(
+                    f"{seg.share_table.segment_index}\t{row['members']}\t"
+                    f"{_fmt(row['proportion'])}\t{_fmt(row['scaled_proportion'])}\t"
+                    f"{row['count']}\t{row['cluster_ids']}\n"
+                )
+
+    header = _param_header(n_subarrays)
+    for user in config.layout.user_ids:
+        path = paths[f"clusters_user{user}"] = out / f"clusters_user{user}.tsv"
+        with open(path, "w") as f:
+            f.write(
+                "segment\tcluster_id\tmembers\tgenerating_user\tboresight\t"
+                + "\t".join(header)
+                + "\n"
+            )
+            for seg in result.segments:
+                for view in seg.views.views_of_user(user):
+                    cluster = seg.cluster_set.clusters[view.cluster_id]
+                    members = "+".join(str(u) for u in cluster.owner_set)
+                    f.write(
+                        f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
+                        f"{members}\t{cluster.generating_user}\t"
+                        f"{int(view.boresight)}\t"
+                        + "\t".join(_view_param_columns(view, n_subarrays))
+                        + "\n"
+                    )
+
+    paths["cluster_views"] = out / "cluster_views.tsv"
+    with open(paths["cluster_views"], "w") as f:
+        f.write("segment\tcluster_id\towner\trecalc_mode\t" + "\t".join(header) + "\n")
+        for seg in result.segments:
+            for (user, cluster_id) in sorted(seg.views.views):
+                view = seg.views.views[(user, cluster_id)]
+                f.write(
+                    f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
+                    f"{view.recalc_mode}\t"
+                    + "\t".join(_view_param_columns(view, n_subarrays))
+                    + "\n"
+                )
+
+    paths["metrics"] = out / "metrics.tsv"
+    with open(paths["metrics"], "w") as f:
+        f.write("metric\tkey1\tkey2\tvalue\n")
+        for row in result.metrics.report_rows():
+            f.write("\t".join(str(x) for x in row) + "\n")
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# Seeded runs
+# ---------------------------------------------------------------------------
+
+
+def _seeded_config(rng, seed):
+    """A small random run: 2-4 users on parallel tracks (some sharing a
+    start), several segments, 1-24 elements in one or more sub-arrays."""
+    n_users = int(rng.integers(2, 5))
+    starts = []
+    for _ in range(n_users):
+        if starts and rng.random() < 0.3:
+            starts.append(starts[int(rng.integers(len(starts)))])
+        else:
+            starts.append([*map(float, rng.uniform([20.0, -3.0], [36.0, 3.0])), 1.5])
+    n_snap = int(rng.integers(2, 9))
+    spacing = float(rng.uniform(0.5, 2.0))
+    n_elements = int(rng.integers(1, 25))
+    bs_stationarity = 10.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 0.4))
+    raw = {
+        "seed": seed,
+        "scenario": dict(SCENARIO, clusters_per_user=int(rng.integers(2, 6))),
+        "output": {"format": "text" if rng.random() < 0.3 else "binary"},
+        "layout": {
+            "stationarity_user_m": float(rng.uniform(1.0, 4.0)),
+            "bs_stationarity_m": bs_stationarity,
+            "array": {
+                "n_elements": n_elements,
+                "spacing_m": 0.042,
+                "origin_m": [0.0, 0.0, 10.0],
+            },
+            "users": [
+                {
+                    "user_id": u + 1,
+                    "start_m": start,
+                    "heading_deg": 90.0,
+                    "n_snapshots": n_snap,
+                    "snapshot_spacing_m": spacing,
+                }
+                for u, start in enumerate(starts)
+            ],
+        },
+    }
+    return parse_config(raw)
+
+
+def _formatted_values(view):
+    """Every value a view's parameter row formats, as stored."""
+    fbs = [c for p in view.fbs for c in (p.x, p.y, p.z)]
+    return [view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg,
+            view.lbs.x, view.lbs.y, view.lbs.z, *fbs]
+
+
+def test_tables_equal_value_by_value_writers(tmp_path):
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(
+        "kept-focal kept-parameters colocated clamped one-subarray uneven "
+        "segments text binary".split(),
+        0,
+    )
+    for trial in range(48):
+        config = _seeded_config(rng, 700 + trial)
+        result = run(config)
+        got = write_outputs(result, tmp_path / f"new{trial}")
+        want = _reference_write(result, tmp_path / f"old{trial}")
+        assert list(got) == list(want), trial
+        for kind in want:
+            assert got[kind].read_bytes() == want[kind].read_bytes(), (trial, kind)
+
+        # Every value is a float, so the reference's str branch never applies.
+        for seg in result.segments:
+            for view in seg.views.views.values():
+                assert all(isinstance(x, float) for x in _formatted_values(view)), trial
+                assert view.aod_az_deg.dtype == view.aod_el_deg.dtype == np.float64
+
+        layout = config.layout
+        views = [v for seg in result.segments for v in seg.views.views.values()]
+        modes = {v.recalc_mode for v in views}
+        seen["kept-focal"] += MODE_KEPT_FOCAL in modes
+        seen["kept-parameters"] += MODE_KEPT_PARAMETERS in modes
+        seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
+        starts = [layout.segment_start_position(u, 0) for u in layout.user_ids]
+        seen["colocated"] += len(set(starts)) < len(starts)
+        sizes = [s.n_elements for s in layout.array.subarrays]
+        seen["one-subarray"] += len(sizes) == 1
+        seen["uneven"] += len(set(sizes)) > 1
+        seen["segments"] += len(layout.segments) > 1
+        seen[config.out_format] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_each_view_row_is_formatted_once(tmp_path, monkeypatch):
+    calls = []
+    original = tables._param_row
+
+    def spy(view, n_subarrays):
+        calls.append((view.user_id, view.cluster_id))
+        return original(view, n_subarrays)
+
+    monkeypatch.setattr(tables, "_param_row", spy)
+    config = _seeded_config(np.random.default_rng(5), 5)
+    result = run(config)
+    write_outputs(result, tmp_path / "out")
+    n_views = sum(len(seg.views.views) for seg in result.segments)
+    assert len(result.segments) > 1 and len(config.layout.user_ids) > 1
+    assert len(calls) == n_views
