@@ -4,6 +4,7 @@ and spherical-wave coefficient synthesis."""
 
 from .clustergen import (
     Cluster,
+    ClusterGeometry,
     ClusterSet,
     assemble_clusters,
     gen_arrival_angles,
@@ -58,7 +59,7 @@ from .layout import (
 )
 from .lsp import LspDraw, LspValues, ScenarioConfig, draw_lsp
 from .metrics import MetricsReport, correlation_metrics, pair_correlation
-from .pipeline import RunResult, run, run_segment, write_outputs
+from .pipeline import RunResult, run, run_segment, share_tables, write_outputs
 from .sharing import (
     MODE_GENERATOR,
     MODE_KEPT_FOCAL,
@@ -71,14 +72,7 @@ from .sharing import (
     recalculate_views,
     share_clusters,
 )
-from .spherical import (
-    FocalGeometry,
-    attach_focal_points,
-    fbs_focal_point,
-    lbs_focal_point,
-    solve_departure_geometry,
-    total_path_length,
-)
+from .spherical import attach_focal_points, solve_focal_lengths, total_path_length
 from .tensorio import read_tensor_binary, write_tensor_binary, write_tensor_text
 
 __version__ = "0.1.0"

@@ -19,9 +19,8 @@ import sys
 
 from .config import FORMATS, load_config
 from .errors import ChannelModelError
-from .grouping import share_table_for_segment
 from .metrics import correlation_metrics
-from .pipeline import run, write_outputs
+from .pipeline import run, share_tables, write_outputs
 from .tables import METRICS_HEADER, SHARE_HEADER, metrics_rows, share_rows
 from .tensorio import read_tensor_binary
 
@@ -82,13 +81,7 @@ def _cmd_run(args) -> int:
 def _cmd_plan(args) -> int:
     config = _load(args)
     print(SHARE_HEADER)
-    id_base = 0
-    for segment in config.layout.segments:
-        table = share_table_for_segment(
-            config.layout, segment.index, config.total_clusters_per_user, id_base=id_base
-        )
-        if table.cluster_ids:
-            id_base = max(table.cluster_ids) + 1
+    for table in share_tables(config):
         for line in share_rows(table):
             print(line)
     return 0

@@ -10,26 +10,36 @@ any order or in parallel without changing a single draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingLsp
 from .geom import clip_elevation_deg, wrap_azimuth_deg
 from .grouping import ShareTable
 from .layout import Position, UserLayout
 from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 
 
-@dataclass
+class ClusterGeometry(NamedTuple):
+    """Focal points and path lengths of one cluster seen from one user
+    position (solved by `spherical.solve_cluster_geometry`); the field
+    names are those of `sharing.OwnerView`."""
+
+    lbs: Position
+    fbs: tuple[Position, ...]
+    e_len_m: np.ndarray
+    g_len_m: float
+    interior_raw_m: float
+
+
+@dataclass(frozen=True)
 class Cluster:
     """One multipath cluster with per-sub-array departure parameters.
 
-    Before focal points are attached the cluster carries 4 + 2A scalars
-    (delay, power, arrival az/el, A departure az/el pairs); afterwards it
-    carries 5 + 3A table entries (each focal point counts as one).
     `power` is the generating user's share after per-user normalization;
     `power_raw` is the within-group share used to renormalize for other
-    owners.
+    owners. `geometry` (one LBS, A FBS positions and the path lengths)
+    is None until `spherical.attach_focal_points` returns a copy with it.
     """
 
     cluster_id: int
@@ -44,31 +54,11 @@ class Cluster:
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
     boresight: bool = False
-    # Attached by the focal-point pass:
-    lbs: Position | None = None
-    fbs: tuple[Position, ...] | None = None
-    d_c_ref_m: float | None = None
-    g_len_m: float | None = None
-    e_len_m: np.ndarray | None = None
-    interior_raw_m: float | None = None
+    geometry: ClusterGeometry | None = None
 
     @property
     def n_subarrays(self) -> int:
         return len(self.aod_az_deg)
-
-    def pre_focal_scalars(self) -> list[float]:
-        """The 4 + 2A scalar parameters of the pre-focal-point table."""
-        row = [self.tau_s, self.power, self.aoa_az_deg, self.aoa_el_deg]
-        for a in range(self.n_subarrays):
-            row.append(float(self.aod_az_deg[a]))
-            row.append(float(self.aod_el_deg[a]))
-        return row
-
-    def table_entries(self) -> list:
-        """The 5 + 3A entries after focal points (positions count as one)."""
-        if self.lbs is None or self.fbs is None:
-            raise ValueError(f"cluster {self.cluster_id} has no focal points yet")
-        return self.pre_focal_scalars() + [self.lbs] + list(self.fbs)
 
 
 @dataclass(frozen=True)
@@ -80,16 +70,9 @@ class ClusterSet:
     by_user: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
     power_denominator: dict[int, float] = field(repr=False, default_factory=dict)
 
-    def clusters_of_user(self, user_id: int) -> list[Cluster]:
-        return [self.clusters[c] for c in self.by_user[user_id]]
-
     def effective_power(self, user_id: int, cluster_id: int) -> float:
         """Cluster power renormalized so this user's powers sum to 1."""
         return self.clusters[cluster_id].power_raw / self.power_denominator[user_id]
-
-    @property
-    def user_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_user))
 
 
 def gen_delays(n: int, sigma_tau_s: float, r_tau: float, rng) -> np.ndarray:
@@ -179,7 +162,9 @@ def assemble_clusters(
     """
     n_subarrays = layout.array.n_subarrays
     segment_index = share_table.segment_index
-    clusters: dict[int, Cluster] = {}
+    # Cluster fields by id, all but `power`: a per-user share needs the
+    # within-group powers of every group first.
+    drawn: dict[int, dict] = {}
 
     for group_row, group in enumerate(share_table.groups):
         if group.count == 0:
@@ -202,13 +187,12 @@ def assemble_clusters(
             aod_az, aod_el = gen_departure_angles(
                 n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng
             )
-            clusters[cluster_id] = Cluster(
+            drawn[cluster_id] = dict(
                 cluster_id=cluster_id,
                 segment_index=segment_index,
                 owner_set=group.members,
                 generating_user=generator,
                 tau_s=float(delays[k]),
-                power=float(powers[k]),  # finalized to per-user share below
                 power_raw=float(powers[k]),
                 aoa_az_deg=float(aoa_az[k]),
                 aoa_el_deg=float(aoa_el[k]),
@@ -221,12 +205,14 @@ def assemble_clusters(
         u: tuple(sorted(share_table.clusters_of_user(u))) for u in share_table.users
     }
     denominator = {
-        u: float(sum(clusters[c].power_raw for c in ids))
-        for u, ids in by_user.items()
+        u: float(sum(drawn[c]["power_raw"] for c in ids)) for u, ids in by_user.items()
     }
-    for c in clusters.values():
-        c.power = c.power_raw / denominator[c.generating_user]
-
+    clusters = {
+        cluster_id: Cluster(
+            power=fields["power_raw"] / denominator[fields["generating_user"]], **fields
+        )
+        for cluster_id, fields in drawn.items()
+    }
     return ClusterSet(
         segment_index=segment_index,
         clusters=clusters,

@@ -111,13 +111,6 @@ class ChannelTensor:
         if not np.all(np.isfinite(self.delays)) or np.any(self.delays < 0):
             raise ValueError("delays must be finite and nonnegative")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.coefficients.shape
-
-    def user_index(self, user_id: int) -> int:
-        return self.user_ids.index(user_id)
-
 
 def _departure_phase(
     fbs: tuple[Position, ...],
@@ -141,7 +134,6 @@ def synthesize(
     *,
     cluster_angle_spread_deg: float = 3.0,
     n_scatterers: int = N_SCATTERERS,
-    workers: int = 1,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ChannelTensor | None:
     """Synthesize the channel tensor for one segment, one user after
@@ -149,7 +141,6 @@ def synthesize(
 
     Scatterer phases and offset pairings are derived from (seed, cluster
     id), so no value depends on the order in which users are synthesized.
-    `workers` is accepted for config compatibility and ignored.
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
     center ray). `out` takes (coefficients, delays) arrays to fill (a run
     tensor's snapshot slices); then None is returned, and the caller checks them.

@@ -88,12 +88,6 @@ class ShareTable:
         ids = [c for g in self.groups if user in g.members for c in g.cluster_ids]
         return tuple(sorted(ids))
 
-    def users_of_cluster(self, cluster_id: int) -> tuple[int, ...]:
-        for g in self.groups:
-            if cluster_id in g.cluster_ids:
-                return g.members
-        raise KeyError(f"cluster {cluster_id} not in table")
-
     @property
     def cluster_ids(self) -> tuple[int, ...]:
         return tuple(sorted(c for g in self.groups for c in g.cluster_ids))

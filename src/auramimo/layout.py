@@ -328,13 +328,12 @@ class UserLayout:
     segments: tuple[Segment, ...]
     array: ArrayGeometry
     stationarity_user_m: float
-    _track_by_user: dict[int, Track] = field(repr=False, default_factory=dict)
+    _track_by_user: dict[int, Track] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        lookup = {t.user_id: t for t in self.tracks}
-        if len(lookup) != len(self.tracks):
+        self._track_by_user.update((t.user_id, t) for t in self.tracks)
+        if len(self._track_by_user) != len(self.tracks):
             raise ValueError("duplicate user ids in layout")
-        object.__setattr__(self, "_track_by_user", lookup)
 
     @property
     def user_ids(self) -> tuple[int, ...]:

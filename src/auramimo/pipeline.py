@@ -9,6 +9,7 @@ which keys the per-cluster scatterer randomness globally.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,22 +42,28 @@ class RunResult:
     metrics: MetricsReport
 
 
-def run_segment(
-    config: RunConfig, lsp_draw, segment_index: int, id_base: int = 0
-) -> SegmentResult:
-    """The five per-segment stages, in order, for one segment."""
+def share_tables(config: RunConfig) -> Iterator[ShareTable]:
+    """Every segment's share table, in order; each segment's cluster ids
+    start where the previous segment's ended."""
+    id_base = 0
+    for segment in config.layout.segments:
+        table = share_table_for_segment(
+            config.layout, segment.index, config.total_clusters_per_user, id_base=id_base
+        )
+        if table.cluster_ids:
+            id_base = max(table.cluster_ids) + 1
+        yield table
+
+
+def run_segment(config: RunConfig, lsp_draw, table: ShareTable) -> SegmentResult:
+    """The per-segment stages after grouping, in order, for the segment
+    of `table`."""
     layout = config.layout
-    table = share_table_for_segment(
-        layout,
-        segment_index,
-        config.total_clusters_per_user,
-        id_base=id_base,
-    )
     clusters = assemble_clusters(table, lsp_draw, layout, config.scenario, config.seed)
-    attach_focal_points(clusters, layout, lsp_draw, config.seed)
+    clusters = attach_focal_points(clusters, layout, lsp_draw, config.seed)
     shared = share_clusters(clusters, layout)
     views = recalculate_views(
-        shared, clusters, layout, layout.segments[segment_index].length_m
+        shared, clusters, layout, layout.segments[table.segment_index].length_m
     )
     return SegmentResult(share_table=table, cluster_set=clusters, views=views)
 
@@ -64,15 +71,7 @@ def run_segment(
 def run(config: RunConfig) -> RunResult:
     layout = config.layout
     lsp_draw = draw_lsp(config.scenario, layout, config.seed)
-
-    segments: list[SegmentResult] = []
-    id_base = 0
-    for segment in layout.segments:
-        result = run_segment(config, lsp_draw, segment.index, id_base)
-        ids = result.share_table.cluster_ids
-        if ids:
-            id_base = max(ids) + 1
-        segments.append(result)
+    segments = [run_segment(config, lsp_draw, table) for table in share_tables(config)]
 
     # One run tensor; each segment fills its own snapshot slice.
     n_users, n_clusters = len(layout.user_ids), config.total_clusters_per_user

@@ -80,12 +80,8 @@ def _verbatim_view(
         aoa_el_deg=cluster.aoa_el_deg,
         aod_az_deg=cluster.aod_az_deg,
         aod_el_deg=cluster.aod_el_deg,
-        lbs=cluster.lbs,
-        fbs=cluster.fbs,
-        e_len_m=cluster.e_len_m,
-        g_len_m=cluster.g_len_m,
-        interior_raw_m=cluster.interior_raw_m,
         boresight=cluster.boresight,
+        **cluster.geometry._asdict(),
     )
 
 
@@ -94,7 +90,7 @@ def choose_recalc_mode(
 ) -> str:
     """Kept-focal-point iff the receiver-side focal point lies strictly
     within three segment lengths of the joining owner."""
-    distance = cluster.lbs.distance_to(owner_pos)
+    distance = cluster.geometry.lbs.distance_to(owner_pos)
     if distance < 3.0 * segment_length_m:
         return MODE_KEPT_FOCAL
     return MODE_KEPT_PARAMETERS
@@ -122,11 +118,7 @@ def recalc_kept_parameters(
     geometry = solve_cluster_geometry(cluster, owner_pos, layout.array)
     return replace(
         _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power),
-        lbs=geometry.lbs,
-        fbs=geometry.fbs,
-        e_len_m=geometry.e_len_m,
-        g_len_m=geometry.g_len_m,
-        interior_raw_m=geometry.interior_raw_m,
+        **geometry._asdict(),
     )
 
 
@@ -150,16 +142,17 @@ def recalc_kept_focal_point(
     if _colocated(owner_pos, gen_pos):
         return _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
 
+    geometry = cluster.geometry
     aod_az, aod_el = angles_from_vector(
-        as_matrix(cluster.fbs) - layout.array.subarray_centers
+        as_matrix(geometry.fbs) - layout.array.subarray_centers
     )
-    aoa_az, aoa_el = angles_from_vector(cluster.lbs.as_array() - owner_pos.as_array())
+    aoa_az, aoa_el = angles_from_vector(geometry.lbs.as_array() - owner_pos.as_array())
 
     ref = layout.array.reference_subarray()
-    e_ref = float(cluster.e_len_m[ref.index])
-    g_len = owner_pos.distance_to(cluster.lbs)
+    e_ref = float(geometry.e_len_m[ref.index])
+    g_len = owner_pos.distance_to(geometry.lbs)
     direct = owner_pos.distance_to(ref.center)
-    delay = (e_ref + cluster.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
+    delay = (e_ref + geometry.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
     delay = max(0.0, delay)
 
     return replace(

@@ -36,9 +36,12 @@ def write_tensor_binary(tensor: ChannelTensor, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(header.tobytes())
-        # One user at a time: no whole-tensor float32 copy, no bytes copy.
+        # One user at a time through one float32 buffer: no whole-tensor
+        # copy, no fresh copy per user.
+        block = np.empty(tensor.coefficients.shape[1:], dtype="<c8")
         for user_block in tensor.coefficients:
-            f.write(np.ascontiguousarray(user_block, dtype="<c8"))
+            np.copyto(block, user_block)
+            f.write(block)
         f.write(np.ascontiguousarray(tensor.delays, dtype="<f8").tobytes())
 
 
@@ -53,10 +56,13 @@ def read_tensor_binary(path) -> ChannelTensor:
         n_coeff, n_delay = math.prod(dims), math.prod(delay_dims)
         # Sizes from the header are checked before anything is allocated.
         body = os.fstat(f.fileno()).st_size - f.tell()
+        size = 8 * (n_coeff + n_delay)
         if body < 8 * n_coeff:
             raise ValueError(f"truncated coefficient block: {body} of {8 * n_coeff} bytes")
-        if body < 8 * (n_coeff + n_delay):
+        if body < size:
             raise ValueError("truncated delay block")
+        if body > size:
+            raise ValueError(f"trailing bytes: {body - size} beyond the {size}-byte body")
         coeff = np.empty(dims, dtype=np.complex128)
         block = np.empty(dims[1:], dtype="<c8")  # one user at a time, as written
         for user_block in coeff:

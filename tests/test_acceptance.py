@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,16 +31,16 @@ from auramimo import (
     compute_proportions,
     connected_components,
     draw_lsp,
-    fbs_focal_point,
     normalize_and_count,
     parse_config,
     planar_vs_spherical_error,
     read_tensor_binary,
     share_table_for_segment,
-    solve_departure_geometry,
+    solve_focal_lengths,
 )
-from auramimo.clustergen import Cluster
+from auramimo.clustergen import Cluster, ClusterGeometry
 from auramimo.pipeline import run, write_outputs
+from auramimo.tables import param_header
 from auramimo.sharing import (
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
@@ -225,15 +226,24 @@ def test_c03_components_oracle(check):
 # ---------------------------------------------------------------------------
 
 
+def _focal(apos, user, e_hat, d_c):
+    """One departure solve (solve_focal_lengths with A = 1): the
+    anchor-to-bounce length and the bounce point."""
+    e_len, unit = solve_focal_lengths(
+        np.array([d_c]), (user.as_array() - apos.as_array())[None], np.asarray(e_hat)[None]
+    )
+    return float(e_len[0]), Position(*(apos.as_array() + e_len[0] * unit[0]).tolist())
+
+
 def test_c04_focal_closure(check):
     with check(4, "focal-closure"):
         # Worked cases: anchor at origin, user 10 m along +x, 20 m total.
         apos = Position(0.0, 0.0, 0.0)
         user = Position(10.0, 0.0, 0.0)
-        perp = solve_departure_geometry(apos, user, np.array([0.0, 1.0, 0.0]), 20.0)
-        assert perp.e_len == pytest.approx(7.5, rel=1e-12)
-        through = solve_departure_geometry(apos, user, np.array([1.0, 0.0, 0.0]), 20.0)
-        assert through.e_len == pytest.approx(15.0, rel=1e-12)
+        perp, _ = _focal(apos, user, np.array([0.0, 1.0, 0.0]), 20.0)
+        assert perp == pytest.approx(7.5, rel=1e-12)
+        through, _ = _focal(apos, user, np.array([1.0, 0.0, 0.0]), 20.0)
+        assert through == pytest.approx(15.0, rel=1e-12)
 
         rng = np.random.default_rng(404)
         count = 10_000
@@ -260,11 +270,10 @@ def test_c04_focal_closure(check):
         for i in range(count):
             a = Position(*anchors[i])
             u = Position(*users[i])
-            geom = solve_departure_geometry(a, u, e_hat[i], float(d_c[i]))
-            focal = fbs_focal_point(geom, a)
-            closure = geom.e_len + focal.distance_to(u)
+            e_len, focal = _focal(a, u, e_hat[i], float(d_c[i]))
+            closure = e_len + focal.distance_to(u)
             assert abs(closure - d_c[i]) / d_c[i] <= 1e-9
-            assert abs(geom.e_len - oracle[i]) <= 1e-6
+            assert abs(e_len - oracle[i]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +292,19 @@ def test_c05_parameter_count(check):
             clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
             assert clusters.clusters
             for cluster in clusters.clusters.values():
-                assert len(cluster.pre_focal_scalars()) == 4 + 2 * n_subarrays
-            attach_focal_points(clusters, layout, lsp, config.seed)
+                assert len(cluster.aod_az_deg) == len(cluster.aod_el_deg) == n_subarrays
+            clusters = attach_focal_points(clusters, layout, lsp, config.seed)
             for cluster in clusters.clusters.values():
-                assert len(cluster.table_entries()) == 5 + 3 * n_subarrays
+                assert len(cluster.aod_az_deg) == len(cluster.geometry.fbs) == n_subarrays
+            # Table columns: 4 + 2A scalars (delay, power, AoA az/el, AoD
+            # az/el per sub-array), then the LBS and A FBS positions.
+            columns = param_header(n_subarrays).split("\t")
+            n_scalars = 4 + 2 * n_subarrays
+            scalars, positions = columns[:n_scalars], columns[n_scalars:]
+            assert not any(c.endswith(("_x_m", "_y_m", "_z_m")) for c in scalars)
+            points = ["lbs"] + [f"fbs{a}" for a in range(n_subarrays)]
+            assert positions == [f"{p}_{c}_m" for p in points for c in "xyz"]
+            assert len(scalars) + len(points) == 5 + 3 * n_subarrays
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +456,7 @@ def test_c11_recalc_fixed_point(check):
         lsp = draw_lsp(config.scenario, layout, config.seed)
         table = share_table_for_segment(layout, 0, config.total_clusters_per_user)
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
-        attach_focal_points(clusters, layout, lsp, config.seed)
+        clusters = attach_focal_points(clusters, layout, lsp, config.seed)
         views = share_clusters(clusters, layout)
 
         shared = [c for c in clusters.clusters.values() if len(c.owner_set) == 2]
@@ -472,10 +490,13 @@ def test_c11_recalc_fixed_point(check):
             aoa_el_deg=0.0,
             aod_az_deg=np.array([5.0]),
             aod_el_deg=np.array([0.0]),
+            geometry=ClusterGeometry(
+                Position(3 * segment_length, 0.0, 1.5), (), np.zeros(1), 0.0, 0.0
+            ),
         )
-        probe.lbs = Position(3 * segment_length, 0.0, 1.5)
         assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_PARAMETERS
-        probe.lbs = Position(3 * segment_length - 1e-9, 0.0, 1.5)
+        inside = Position(3 * segment_length - 1e-9, 0.0, 1.5)
+        probe = replace(probe, geometry=probe.geometry._replace(lbs=inside))
         assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_FOCAL
 
 

@@ -1,8 +1,10 @@
-"""The benchmark's trace hooks against the pipeline they wrap.
+"""The benchmark's trace hooks and counters against the pipeline they read.
 
 bench/tracing.py replaces names of `auramimo.pipeline` with timing
 wrappers; a name the pipeline no longer calls would silently drop a span
-and the per-layer metric built from it.
+and the per-layer metric built from it. bench/counters.py reads
+attributes of the run result; a renamed one would fail only in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ from pathlib import Path
 from auramimo import pipeline
 from test_pipeline import make_run_config
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_hooked_names_are_pipeline_callables():
-    hooks = _tracing().PIPELINE_HOOKS
+    hooks = _load("tracing").PIPELINE_HOOKS
     assert hooks
     for attr in hooks:
         assert callable(getattr(pipeline, attr, None)), attr
@@ -32,7 +34,7 @@ def test_hooked_names_are_pipeline_callables():
 
 
 def test_every_hook_records_a_span(tmp_path, monkeypatch):
-    tracing = _tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer("contract")
     for attr, name in tracing.PIPELINE_HOOKS.items():
         monkeypatch.setattr(pipeline, attr, tracer.wrap(getattr(pipeline, attr), name))
@@ -41,6 +43,18 @@ def test_every_hook_records_a_span(tmp_path, monkeypatch):
     pipeline.write_outputs(result, tmp_path / "out")
     recorded = {span["name"] for span in tracer.spans}
     assert recorded == set(tracing.PIPELINE_HOOKS.values())
+
+
+def test_counters_read_the_run_result(tmp_path):
+    result = pipeline.run(make_run_config(n_snapshots=20))  # two segments
+    out = tmp_path / "out"
+    pipeline.write_outputs(result, out)
+    counts = _load("counters").count(result, out)
+    assert len(result.segments) == 2
+    n_views = sum(len(seg.views.views) for seg in result.segments)
+    n_clusters = sum(len(seg.cluster_set.clusters) for seg in result.segments)
+    assert counts["sharing.views"] == n_views > 0
+    assert counts["clustergen.clusters"] == n_clusters > 0
 
 
 def test_write_outputs_writes_the_tensor_through_the_pipeline_name(tmp_path, monkeypatch):

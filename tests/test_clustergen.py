@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from auramimo import (
     gen_powers,
     share_table_for_segment,
 )
-from auramimo.clustergen import group_rng
+from auramimo.clustergen import Cluster, group_rng
 from conftest import make_point_layout, make_scenario, make_two_user_layout
 
 
@@ -89,30 +91,32 @@ def _assembled(layout, seed=3, total=7, scenario=None):
     return assemble_clusters(table, lsp, layout, scenario, seed=seed)
 
 
+def _of_user(cs, user):
+    return [cs.clusters[c] for c in cs.by_user[user]]
+
+
 def test_assemble_counts_and_determinism():
     layout = make_two_user_layout(2.0)
     a = _assembled(layout)
     b = _assembled(layout)
     for user in (1, 2):
-        ca, cb = a.clusters_of_user(user), b.clusters_of_user(user)
+        ca, cb = _of_user(a, user), _of_user(b, user)
         assert len(ca) == 7
         assert [c.tau_s for c in ca] == [c.tau_s for c in cb]
         assert [c.power for c in ca] == [c.power for c in cb]
     c = _assembled(layout, seed=4)
-    assert [x.tau_s for x in c.clusters_of_user(1)] != [
-        x.tau_s for x in a.clusters_of_user(1)
-    ]
+    assert [x.tau_s for x in _of_user(c, 1)] != [x.tau_s for x in _of_user(a, 1)]
 
 
 def test_shared_cluster_is_one_object():
     layout = make_two_user_layout(2.0)
     cs = _assembled(layout)
     shared_ids = [
-        c.cluster_id for c in cs.clusters_of_user(1) if c.owner_set == (1, 2)
+        c.cluster_id for c in _of_user(cs, 1) if c.owner_set == (1, 2)
     ]
     assert shared_ids
-    by_id_1 = {c.cluster_id: c for c in cs.clusters_of_user(1)}
-    by_id_2 = {c.cluster_id: c for c in cs.clusters_of_user(2)}
+    by_id_1 = {c.cluster_id: c for c in _of_user(cs, 1)}
+    by_id_2 = {c.cluster_id: c for c in _of_user(cs, 2)}
     for cid in shared_ids:
         assert by_id_1[cid] is by_id_2[cid]
 
@@ -122,7 +126,7 @@ def test_effective_power_sums_to_one_per_user():
     cs = _assembled(layout)
     for user in (1, 2):
         total = sum(
-            cs.effective_power(user, c.cluster_id) for c in cs.clusters_of_user(user)
+            cs.effective_power(user, c.cluster_id) for c in _of_user(cs, user)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
     # The stored power is the generating user's effective share.
@@ -145,13 +149,24 @@ def test_first_cluster_of_each_group_is_boresight():
 def test_pre_focal_parameter_count_tracks_subarrays():
     # A=4 sub-arrays -> 4 + 2*4 = 12 scalars per cluster before focal
     # points; A=1 -> 6.
+    def n_scalars(c):
+        # delay, power, arrival az/el and one departure az/el per sub-array
+        return 4 + len(c.aod_az_deg) + len(c.aod_el_deg)
+
     wide = _assembled(make_two_user_layout(2.0))
-    assert all(len(c.pre_focal_scalars()) == 12 for c in wide.clusters.values())
+    assert all(n_scalars(c) == 12 for c in wide.clusters.values())
     narrow = _assembled(
         make_point_layout({1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0)
     )
-    assert all(len(c.pre_focal_scalars()) == 6 for c in narrow.clusters.values())
+    assert all(n_scalars(c) == 6 for c in narrow.clusters.values())
     assert all(c.n_subarrays == 1 for c in narrow.clusters.values())
+
+
+def test_clusters_are_frozen():
+    cluster = next(iter(_assembled(make_two_user_layout(2.0)).clusters.values()))
+    for f in dataclasses.fields(Cluster):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cluster, f.name, getattr(cluster, f.name))
 
 
 def test_generating_user_uniform_over_members():
@@ -187,7 +202,7 @@ def test_group_streams_keyed_not_sequential():
     cs_b = assemble_clusters(
         share_table_for_segment(layout_b, 0, 7), lsp, layout_b, scenario, seed=3
     )
-    for ca, cb in zip(cs_a.clusters_of_user(1), cs_b.clusters_of_user(1)):
+    for ca, cb in zip(_of_user(cs_a, 1), _of_user(cs_b, 1)):
         assert ca.cluster_id == cb.cluster_id
         assert ca.tau_s == cb.tau_s
         assert ca.aoa_az_deg == cb.aoa_az_deg

@@ -285,3 +285,18 @@ def test_cli_plan_prints_the_written_share_table(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert planned == (tmp_path / "out" / "share_table.tsv").read_text()
     assert len(planned.splitlines()) > 3
+
+
+def test_cli_tensor_with_trailing_bytes_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    tensor = out_dir / "channel.bin"
+    tensor.write_bytes(tensor.read_bytes() + b"\x00" * 16)
+    code = main(["metrics", "--tensor", str(tensor)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ValueError: trailing bytes: 16 beyond")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out

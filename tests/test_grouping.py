@@ -424,7 +424,7 @@ def test_share_table_segment_smoke():
     # p = 1 - 1/5 = 0.8 -> floor(5.6) = 5 shared clusters.
     assert shared[0].count == 5
     for cid in shared[0].cluster_ids:
-        assert table.users_of_cluster(cid) == (1, 2)
+        assert [g.members for g in table.groups if cid in g.cluster_ids] == [(1, 2)]
 
 
 def test_share_table_scale_invariance():

@@ -69,7 +69,7 @@ def test_binary_round_trip(tmp_path, rng):
     path = tmp_path / "t.bin"
     write_tensor_binary(tensor, path)
     back = read_tensor_binary(path)
-    assert back.shape == tensor.shape
+    assert back.coefficients.shape == tensor.coefficients.shape
     assert back.carrier_hz == 2.6e9
     assert back.seed == 123
     # Coefficients survive at float32 precision, delays at full float64.
@@ -203,4 +203,15 @@ def test_binary_rejects_dims_larger_than_the_file(tmp_path):
     # Coefficients complete, delays short.
     _header_only_file(path, (1, 1, 2, 2, 1), body=b"\x00" * (8 * 4 + 8))
     with pytest.raises(ValueError, match="truncated delay block"):
+        read_tensor_binary(path)
+
+
+def test_binary_rejects_trailing_bytes(tmp_path, rng):
+    # A header whose dims understate the body must not read as a smaller
+    # tensor.
+    coeff = rng.normal(size=(2, 1, 4, 2, 2)) + 0j
+    path = tmp_path / "t.bin"
+    write_tensor_binary(_tensor(coeff), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 16)
+    with pytest.raises(ValueError, match="trailing bytes: 16 beyond"):
         read_tensor_binary(path)

@@ -256,3 +256,19 @@ def test_planar_error_once_per_distinct_fbs_set(monkeypatch):
             for v in vs:
                 worst = np.maximum(worst, original(v, config.layout, config.carrier_hz))
         assert result.metrics.planar_error_max_rad == dict(enumerate(worst.tolist()))
+
+
+def test_share_tables_start_each_segment_after_the_last(monkeypatch):
+    bases = []
+    original = pipeline.share_table_for_segment
+
+    def spy(*args, id_base):
+        bases.append(id_base)
+        return original(*args, id_base=id_base)
+
+    monkeypatch.setattr(pipeline, "share_table_for_segment", spy)
+    config = make_run_config(n_snapshots=20)  # two segments
+    tables = list(pipeline.share_tables(config))
+    assert [t.segment_index for t in tables] == [0, 1]
+    assert bases == [0, max(tables[0].cluster_ids) + 1]
+    assert [seg.share_table for seg in run(config).segments] == tables

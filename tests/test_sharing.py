@@ -19,13 +19,13 @@ from auramimo import (
     share_table_for_segment,
     total_path_length,
 )
-from auramimo.clustergen import Cluster
+from auramimo.clustergen import Cluster, ClusterGeometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S
 from conftest import make_scenario, make_two_user_layout
 
 
-def _cluster_with_lbs(lbs):
-    c = Cluster(
+def _cluster_with_lbs(lbs, fbs=(), e_len_m=None, interior_raw_m=None):
+    return Cluster(
         cluster_id=0,
         segment_index=0,
         owner_set=(1, 2),
@@ -37,9 +37,8 @@ def _cluster_with_lbs(lbs):
         aoa_el_deg=0.0,
         aod_az_deg=np.array([5.0]),
         aod_el_deg=np.array([0.0]),
+        geometry=ClusterGeometry(lbs, fbs, e_len_m, 0.0, interior_raw_m),
     )
-    c.lbs = lbs
-    return c
 
 
 @pytest.mark.parametrize(
@@ -62,7 +61,7 @@ def _full_pipeline(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
+    cs = attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
     views = share_clusters(cs, layout)
     return cs, views, layout
 
@@ -72,7 +71,7 @@ def test_share_clusters_verbatim_and_power():
     for (user, cid), view in views.views.items():
         cluster = cs.clusters[cid]
         assert view.delay_s == cluster.tau_s
-        assert view.lbs == cluster.lbs
+        assert view.lbs == cluster.geometry.lbs
         assert view.power == cs.effective_power(user, cid)
         if user == cluster.generating_user:
             assert view.recalc_mode == MODE_GENERATOR
@@ -106,7 +105,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
         assert np.array_equal(view.aod_el_deg, cluster.aod_el_deg)
         # Focal points are re-solved against the owner.
-        assert view.lbs != cluster.lbs
+        assert view.lbs != cluster.geometry.lbs
         for sub in subs:
             d_c = total_path_length(cluster.tau_s, sub.center, owner_pos)
             got = view.e_len_m[sub.index] + view.fbs[sub.index].distance_to(owner_pos)
@@ -122,12 +121,12 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
         owner_pos = layout.segment_start_position(owner, 0)
         view = recalc_kept_focal_point(cluster, owner, owner_pos, layout, 0.1)
-        assert view.lbs == cluster.lbs
-        assert view.fbs == cluster.fbs
-        assert np.array_equal(view.e_len_m, cluster.e_len_m)
+        assert view.lbs == cluster.geometry.lbs
+        assert view.fbs == cluster.geometry.fbs
+        assert np.array_equal(view.e_len_m, cluster.geometry.e_len_m)
         # Arrival azimuth is the atan2 bearing from owner to the LBS.
-        dx = cluster.lbs.x - owner_pos.x
-        dy = cluster.lbs.y - owner_pos.y
+        dx = cluster.geometry.lbs.x - owner_pos.x
+        dy = cluster.geometry.lbs.y - owner_pos.y
         expected_az = math.degrees(math.atan2(dy, dx))
         assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
         assert view.delay_s >= 0.0
@@ -143,17 +142,17 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
-            assert view.lbs == cluster.lbs
-            assert view.fbs == cluster.fbs
-            assert view.g_len_m == cluster.g_len_m
-            assert view.interior_raw_m == cluster.interior_raw_m
+            assert view.lbs == cluster.geometry.lbs
+            assert view.fbs == cluster.geometry.fbs
+            assert view.g_len_m == cluster.geometry.g_len_m
+            assert view.interior_raw_m == cluster.geometry.interior_raw_m
 
 
 def test_moving_toward_lbs_shortens_kept_focal_delay():
     cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-    to_lbs = cluster.lbs.as_array() - gen_pos.as_array()
+    to_lbs = cluster.geometry.lbs.as_array() - gen_pos.as_array()
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
     owner_pos = Position(*(gen_pos.as_array() + step))
     view = recalc_kept_focal_point(cluster, 99, owner_pos, layout, 0.1)
@@ -166,11 +165,12 @@ def test_kept_focal_delay_floors_at_zero():
     # the reconstructed delay would dip below zero.
     layout = make_two_user_layout(2.0)
     ref_center = layout.array.reference_subarray().center
-    cluster = _cluster_with_lbs(Position(30.0, 0.0, 1.5))
-    cluster.fbs = tuple(Position(30.0, 0.0, 1.5) for _ in layout.array.subarrays)
-    cluster.e_len_m = np.zeros(len(layout.array.subarrays))
-    cluster.g_len_m = 0.0
-    cluster.interior_raw_m = -100.0
+    cluster = _cluster_with_lbs(
+        Position(30.0, 0.0, 1.5),
+        fbs=tuple(Position(30.0, 0.0, 1.5) for _ in layout.array.subarrays),
+        e_len_m=np.zeros(len(layout.array.subarrays)),
+        interior_raw_m=-100.0,
+    )
     owner_pos = Position(35.0, 0.0, 1.5)
     view = recalc_kept_focal_point(cluster, 2, owner_pos, layout, 0.1)
     assert view.delay_s == 0.0

@@ -10,11 +10,9 @@ from auramimo import (
     assemble_clusters,
     attach_focal_points,
     draw_lsp,
-    fbs_focal_point,
-    lbs_focal_point,
     partition_subarrays,
     share_table_for_segment,
-    solve_departure_geometry,
+    solve_focal_lengths,
     total_path_length,
     uniform_linear_array,
 )
@@ -31,6 +29,18 @@ from auramimo.geom import SPEED_OF_LIGHT_M_S, unit_from_angles
 from conftest import make_scenario, make_two_user_layout
 
 C0 = SPEED_OF_LIGHT_M_S
+
+
+def _solve_one(apos, far_end, direction, d_c):
+    """solve_focal_lengths with A = 1: (anchor-to-bounce length, unit
+    direction, bounce point)."""
+    length, unit = solve_focal_lengths(
+        np.array([d_c], dtype=float),
+        (far_end.as_array() - apos.as_array())[None],
+        np.asarray(direction, dtype=float)[None],
+    )
+    point = apos.as_array() + length[0] * unit[0]
+    return float(length[0]), unit[0], Position(*point.tolist())
 
 
 def test_total_path_length_is_excess_plus_direct():
@@ -57,47 +67,56 @@ def test_total_path_length_is_excess_plus_direct():
 def test_focal_solve_worked_examples(e_hat, expected_len, expected_focal):
     apos = Position(0.0, 0.0, 0.0)
     user = Position(10.0, 0.0, 0.0)
-    geom = solve_departure_geometry(apos, user, np.array(e_hat), 20.0)
-    assert geom.e_len == pytest.approx(expected_len, rel=1e-12)
-    focal = fbs_focal_point(geom, apos)
+    e_len, _, focal = _solve_one(apos, user, e_hat, 20.0)
+    assert e_len == pytest.approx(expected_len, rel=1e-12)
     np.testing.assert_allclose(focal.as_array(), expected_focal, atol=1e-9)
     # Closure: anchor->focal->user equals the prescribed total length.
-    assert geom.e_len + focal.distance_to(user) == pytest.approx(20.0, rel=1e-12)
+    assert e_len + focal.distance_to(user) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_zero_excess_delay_is_degenerate():
     apos = Position(0.0, 0.0, 0.0)
     user = Position(10.0, 0.0, 0.0)
     d_direct = 10.0
-    with pytest.raises(DegenerateGeometry):
-        solve_departure_geometry(apos, user, np.array([0.0, 1.0, 0.0]), d_direct)
+    with pytest.raises(DegenerateGeometry, match="no excess path"):
+        _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct)
     # Excess below the geometric tolerance is degenerate too.
-    with pytest.raises(DegenerateGeometry):
-        solve_departure_geometry(
-            apos, user, np.array([0.0, 1.0, 0.0]), d_direct + 1e-10
-        )
+    with pytest.raises(DegenerateGeometry, match="no excess path"):
+        _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct + 1e-10)
+    # A direction within 1e-12 of unit length is used as given; pointed
+    # at a far user it can overshoot an excess path of a few nanometres.
+    far = Position(1e4, 0.0, 0.0)
+    with pytest.raises(DegenerateGeometry, match="direction inconsistent with delay"):
+        _solve_one(apos, far, [1.0 + 9e-13, 0.0, 0.0], 1e4 + 2e-9)
 
 
 def test_unnormalized_direction_is_normalized():
     apos = Position(0.0, 0.0, 0.0)
     user = Position(10.0, 0.0, 0.0)
-    a = solve_departure_geometry(apos, user, np.array([0.0, 2.0, 0.0]), 20.0)
-    b = solve_departure_geometry(apos, user, np.array([0.0, 1.0, 0.0]), 20.0)
-    assert a.e_len == pytest.approx(b.e_len, rel=1e-15)
+    a_len, a_dir, _ = _solve_one(apos, user, [0.0, 2.0, 0.0], 20.0)
+    b_len, b_dir, _ = _solve_one(apos, user, [0.0, 1.0, 0.0], 20.0)
+    assert a_len == pytest.approx(b_len, rel=1e-15)
+    np.testing.assert_array_equal(a_dir, b_dir)
 
 
 def test_lbs_mirrors_departure_solve():
     user = Position(10.0, 0.0, 0.0)
     apos = Position(0.0, 0.0, 0.0)
     g_hat = unit_from_angles(137.0, 12.0)
-    lbs = lbs_focal_point(user, apos, g_hat, 20.0)
-    geom = solve_departure_geometry(user, apos, g_hat, 20.0)
-    expected = fbs_focal_point(geom, user)
-    assert lbs == expected  # identical code path, bit-identical result
-    # And the arrival-side closure holds.
+    _, _, lbs = _solve_one(user, apos, g_hat, 20.0)
+    # The arrival-side closure holds.
     assert user.distance_to(lbs) + lbs.distance_to(apos) == pytest.approx(
         20.0, rel=1e-12
     )
+    # The cluster solve's LBS is the same closed form with the roles
+    # swapped (anchor = user, far end = reference sub-array center).
+    array = make_two_user_layout(2.0).array
+    ref = array.reference_subarray()
+    cluster = _random_cluster(np.random.default_rng(5), array.n_subarrays, 2e-8)
+    got = solve_cluster_geometry(cluster, user, array)
+    d_ref = total_path_length(cluster.tau_s, ref.center, user)
+    g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
+    assert got.lbs == _solve_one(user, ref.center, g_hat, d_ref)[2]
 
 
 def _random_cases(n, rng):
@@ -123,11 +142,10 @@ def test_closure_holds_over_random_geometries(rng):
     for i in range(len(d_c)):
         a = Position(*apos[i])
         u = Position(*user[i])
-        geom = solve_departure_geometry(a, u, e_hat[i], float(d_c[i]))
-        focal = fbs_focal_point(geom, a)
-        total = geom.e_len + focal.distance_to(u)
+        e_len, _, focal = _solve_one(a, u, e_hat[i], float(d_c[i]))
+        total = e_len + focal.distance_to(u)
         assert abs(total - d_c[i]) / d_c[i] <= 1e-9
-        assert geom.e_len > 0
+        assert e_len > 0
 
 
 def test_solver_matches_bisection_oracle(rng):
@@ -147,21 +165,18 @@ def test_solver_matches_bisection_oracle(rng):
     oracle = 0.5 * (lo + hi)
 
     for i in range(len(d_c)):
-        geom = solve_departure_geometry(
+        e_len, _, _ = _solve_one(
             Position(*apos[i]), Position(*user[i]), e_hat[i], float(d_c[i])
         )
-        assert abs(geom.e_len - oracle[i]) <= 1e-6
+        assert abs(e_len - oracle[i]) <= 1e-6
 
 
 def test_focal_point_lies_along_departure_direction(rng):
     apos, user, e_hat, d_c = _random_cases(200, rng)
     for i in range(len(d_c)):
         a = Position(*apos[i])
-        geom = solve_departure_geometry(
-            a, Position(*user[i]), e_hat[i], float(d_c[i])
-        )
-        focal = fbs_focal_point(geom, a)
-        direction = (focal.as_array() - apos[i]) / geom.e_len
+        e_len, _, focal = _solve_one(a, Position(*user[i]), e_hat[i], float(d_c[i]))
+        direction = (focal.as_array() - apos[i]) / e_len
         np.testing.assert_allclose(direction, e_hat[i], atol=1e-9)
 
 
@@ -183,39 +198,53 @@ def test_attach_full_set_with_four_subarrays():
     subs = layout.array.subarrays
     ref = layout.array.reference_subarray().index
     for c in cs.clusters.values():
-        assert c.lbs is not None and len(c.fbs) == 4
-        assert len(c.table_entries()) == 5 + 3 * 4
+        geometry = c.geometry
+        assert geometry.lbs is not None and len(geometry.fbs) == 4
+        # delay, power, arrival az/el, A departure az/el pairs, LBS, A FBS
+        n_entries = 4 + len(c.aod_az_deg) + len(c.aod_el_deg) + 1 + len(geometry.fbs)
+        assert n_entries == 5 + 3 * 4
         gen_pos = layout.segment_start_position(c.generating_user, 0)
         if c.boresight:
-            assert c.lbs == gen_pos
-            assert all(f == gen_pos for f in c.fbs)
-            assert c.interior_raw_m == 0.0
-            assert c.g_len_m == 0.0
+            assert geometry.lbs == gen_pos
+            assert all(f == gen_pos for f in geometry.fbs)
+            assert geometry.interior_raw_m == 0.0
+            assert geometry.g_len_m == 0.0
             continue
         # Departure-side closure per sub-array.
         for sub in subs:
             d_c = total_path_length(c.tau_s, sub.center, gen_pos)
-            total = c.e_len_m[sub.index] + c.fbs[sub.index].distance_to(gen_pos)
+            total = geometry.e_len_m[sub.index] + geometry.fbs[sub.index].distance_to(gen_pos)
             assert abs(total - d_c) / d_c <= 1e-9
         # Arrival-side closure against the reference sub-array.
         d_ref = total_path_length(c.tau_s, subs[ref].center, gen_pos)
-        lbs_total = c.g_len_m + c.lbs.distance_to(subs[ref].center)
+        lbs_total = geometry.g_len_m + geometry.lbs.distance_to(subs[ref].center)
         assert abs(lbs_total - d_ref) / d_ref <= 1e-9
-        assert c.d_c_ref_m == pytest.approx(d_ref, rel=1e-12)
-        assert c.interior_raw_m == pytest.approx(
-            d_ref - c.e_len_m[ref] - c.g_len_m, abs=1e-9
+        assert geometry.interior_raw_m == pytest.approx(
+            d_ref - geometry.e_len_m[ref] - geometry.g_len_m, abs=1e-9
         )
 
 
-def test_table_entries_require_attachment():
+def test_attach_returns_a_new_set_and_leaves_the_input_alone():
     layout = make_two_user_layout(2.0)
     scenario = make_scenario()
     table = share_table_for_segment(layout, 0, 7)
     lsp = draw_lsp(scenario, layout, seed=3)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
-    c = next(iter(cs.clusters.values()))
-    with pytest.raises(ValueError):
-        c.table_entries()
+    # Clusters carry no focal points until they are attached.
+    assert all(c.geometry is None for c in cs.clusters.values())
+    before = dict(cs.clusters)
+    attached = attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
+    assert attached is not cs
+    assert attached.segment_index == cs.segment_index
+    assert attached.by_user == cs.by_user
+    assert attached.power_denominator == cs.power_denominator
+    assert cs.clusters.keys() == before.keys()
+    assert all(cs.clusters[k] is c for k, c in before.items())
+    assert all(c.geometry is None for c in cs.clusters.values())
+    assert sorted(attached.clusters) == sorted(cs.clusters)
+    for cluster_id, c in attached.clusters.items():
+        assert c.geometry is not None
+        assert c.tau_s == cs.clusters[cluster_id].tau_s
 
 
 def _degenerate_cluster_set():
@@ -307,7 +336,7 @@ def _scalar_cluster_geometry(cluster, user_pos, array):
     _, lbs = _scalar_departure(user_pos, ref_center, g_hat, d_c_ref)
     g_len = user_pos.distance_to(lbs)
     interior = d_c_ref - float(e_len[ref_index]) - g_len
-    return lbs, tuple(fbs), e_len, g_len, d_c_ref, interior
+    return lbs, tuple(fbs), e_len, g_len, interior
 
 
 def _random_array(rng):
@@ -341,16 +370,12 @@ def test_batched_cluster_geometry_equals_scalar_loop():
         tau = float(10.0 ** rng.uniform(-10, -5))
         cluster = _random_cluster(rng, array.n_subarrays, tau)
         got = solve_cluster_geometry(cluster, user, array)
-        lbs, fbs, e_len, g_len, d_c_ref, interior = _scalar_cluster_geometry(
+        lbs, fbs, e_len, g_len, interior = _scalar_cluster_geometry(
             cluster, user, array
         )
         assert got.lbs == lbs and got.fbs == fbs, trial
         assert np.array_equal(got.e_len_m, e_len), trial
-        assert (got.g_len_m, got.d_c_ref_m, got.interior_raw_m) == (
-            g_len,
-            d_c_ref,
-            interior,
-        ), trial
+        assert (got.g_len_m, got.interior_raw_m) == (g_len, interior), trial
 
 
 def test_batched_solve_raises_on_the_same_first_subarray():
@@ -398,8 +423,10 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
         return real_solve(cluster, user_pos, array)
 
     monkeypatch.setattr(spherical, "solve_cluster_geometry", fail_once)
-    attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
+    attached = attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
     assert failed
+    redrawn = attached.clusters[victim.cluster_id]
+    assert redrawn is not victim and victim.geometry is None
 
     rng = np.random.default_rng(
         np.random.SeedSequence(3, spawn_key=(STREAM_REDRAW, 0, victim.cluster_id))
@@ -411,10 +438,10 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
     aoa_az, aoa_el = gen_arrival_angles(
         np.ones(1), values.sigma_aoa_deg, values.sigma_eoa_deg, rng
     )
-    assert np.array_equal(victim.aod_az_deg, aod_az)
-    assert np.array_equal(victim.aod_el_deg, aod_el)
-    assert (victim.aoa_az_deg, victim.aoa_el_deg) == (aoa_az[0], aoa_el[0])
+    assert np.array_equal(redrawn.aod_az_deg, aod_az)
+    assert np.array_equal(redrawn.aod_el_deg, aod_el)
+    assert (redrawn.aoa_az_deg, redrawn.aoa_el_deg) == (aoa_az[0], aoa_el[0])
     gen_pos = layout.segment_start_position(victim.generating_user, 0)
-    lbs, fbs, e_len, *_ = _scalar_cluster_geometry(victim, gen_pos, layout.array)
-    assert victim.lbs == lbs and victim.fbs == fbs
-    assert np.array_equal(victim.e_len_m, e_len)
+    lbs, fbs, e_len, *_ = _scalar_cluster_geometry(redrawn, gen_pos, layout.array)
+    assert redrawn.geometry.lbs == lbs and redrawn.geometry.fbs == fbs
+    assert np.array_equal(redrawn.geometry.e_len_m, e_len)
