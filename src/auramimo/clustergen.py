@@ -14,19 +14,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import clip_elevation_deg, wrap_azimuth_deg
+from .geom import clip_elevation_deg, read_only, wrap_azimuth_deg
 from .grouping import ShareTable
-from .layout import Position, UserLayout
+from .layout import UserLayout
 from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 
 
 class ClusterGeometry(NamedTuple):
     """Focal points and path lengths of one cluster seen from one user
-    position (solved by `spherical.solve_cluster_geometry`); the field
-    names are those of `sharing.OwnerView`."""
+    position (solved by `spherical.solve_cluster_geometry`) as read-only
+    arrays: the LBS (3,), one FBS per sub-array (A, 3) and the departure
+    leg lengths (A,). The field names are those of `sharing.OwnerView`."""
 
-    lbs: Position
-    fbs: tuple[Position, ...]
+    lbs: np.ndarray
+    fbs: np.ndarray
     e_len_m: np.ndarray
     g_len_m: float
     interior_raw_m: float
@@ -36,10 +37,10 @@ class ClusterGeometry(NamedTuple):
 class Cluster:
     """One multipath cluster with per-sub-array departure parameters.
 
-    `power` is the generating user's share after per-user normalization;
-    `power_raw` is the within-group share used to renormalize for other
-    owners. `geometry` (one LBS, A FBS positions and the path lengths)
-    is None until `spherical.attach_focal_points` returns a copy with it.
+    `power_raw` is the within-group share; `ClusterSet.effective_power`
+    renormalizes it for each owner. `geometry` (one LBS, A FBS and the
+    path lengths) is None until `spherical.attach_focal_points` returns
+    a copy with it. The departure angle arrays are read-only.
     """
 
     cluster_id: int
@@ -47,7 +48,6 @@ class Cluster:
     owner_set: tuple[int, ...]
     generating_user: int
     tau_s: float
-    power: float
     power_raw: float
     aoa_az_deg: float
     aoa_el_deg: float
@@ -55,6 +55,10 @@ class Cluster:
     aod_el_deg: np.ndarray
     boresight: bool = False
     geometry: ClusterGeometry | None = None
+
+    def __post_init__(self) -> None:
+        read_only(self.aod_az_deg)
+        read_only(self.aod_el_deg)
 
     @property
     def n_subarrays(self) -> int:
@@ -157,14 +161,12 @@ def assemble_clusters(
     Per group, in its own RNG stream, the draw order is: generating user
     (multi-user groups only), delays, shadowed powers, arrival angles,
     then per cluster the per-sub-array departure angles. Powers are
-    group-normalized; the stored cluster power is the generating user's
+    group-normalized; `ClusterSet.effective_power` gives each owner's
     per-user-normalized share.
     """
     n_subarrays = layout.array.n_subarrays
     segment_index = share_table.segment_index
-    # Cluster fields by id, all but `power`: a per-user share needs the
-    # within-group powers of every group first.
-    drawn: dict[int, dict] = {}
+    clusters: dict[int, Cluster] = {}
 
     for group_row, group in enumerate(share_table.groups):
         if group.count == 0:
@@ -187,7 +189,7 @@ def assemble_clusters(
             aod_az, aod_el = gen_departure_angles(
                 n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng
             )
-            drawn[cluster_id] = dict(
+            clusters[cluster_id] = Cluster(
                 cluster_id=cluster_id,
                 segment_index=segment_index,
                 owner_set=group.members,
@@ -205,13 +207,7 @@ def assemble_clusters(
         u: tuple(sorted(share_table.clusters_of_user(u))) for u in share_table.users
     }
     denominator = {
-        u: float(sum(drawn[c]["power_raw"] for c in ids)) for u, ids in by_user.items()
-    }
-    clusters = {
-        cluster_id: Cluster(
-            power=fields["power_raw"] / denominator[fields["generating_user"]], **fields
-        )
-        for cluster_id, fields in drawn.items()
+        u: float(sum(clusters[c].power_raw for c in ids)) for u, ids in by_user.items()
     }
     return ClusterSet(
         segment_index=segment_index,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import IncompleteViews
 from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms, rotate_azimuth
-from .layout import ArrayGeometry, Position, UserLayout, as_matrix
+from .layout import ArrayGeometry, UserLayout
 from .lsp import STREAM_SCATTERERS
 from .sharing import OwnerView, OwnerViews
 
@@ -113,7 +113,7 @@ class ChannelTensor:
 
 
 def _departure_phase(
-    fbs: tuple[Position, ...],
+    fbs: np.ndarray,
     interior: float,
     array: ArrayGeometry,
     wavenumber: float,
@@ -122,7 +122,7 @@ def _departure_phase(
     """exp(-j k (|elem_i - FBS_{a,l}| + interior)), (tx, n_sc): the
     departure fans of one FBS set (rotated by the cluster's permuted
     `rotation`) and the element-to-bounce-point distances."""
-    fbs_points = _fan_positions(array.subarray_centers, as_matrix(fbs), rotation)
+    fbs_points = _fan_positions(array.subarray_centers, fbs, rotation)
     return np.exp(-1j * wavenumber * (array.element_distances(fbs_points) + interior))
 
 
@@ -176,16 +176,17 @@ def synthesize(
         raise ValueError(f"output arrays do not have the segment's shape {shape}")
     ref_index = array.reference_subarray().index
 
-    # Views by departure geometry: one departure phase serves them all.
-    by_geometry: dict[tuple, list[tuple[int, int]]] = {}
+    # Views by departure geometry, with its FBS and the (user, cluster)
+    # slots it fills: one departure phase serves them all.
+    by_geometry: dict[tuple, tuple[np.ndarray, list[tuple[int, int]]]] = {}
     for k, user_views in enumerate(per_user):
         for c, v in enumerate(user_views):
-            key = (v.cluster_id, v.fbs, max(v.interior_raw_m, 0.0))
-            by_geometry.setdefault(key, []).append((k, c))
+            key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
+            by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
     rx_positions = [layout.segment_positions(u, segment) for u in user_ids]
     anchors = [layout.segment_start_position(u, segment).as_array() for u in user_ids]
 
-    for (cluster_id, fbs, interior), slots in by_geometry.items():
+    for (cluster_id, _, interior), (fbs, slots) in by_geometry.items():
         phases, perm = randomness[cluster_id]
         tx_phase = _departure_phase(
             fbs, interior, array, wavenumber, (rotation[0][perm], rotation[1][perm])
@@ -193,8 +194,7 @@ def synthesize(
         for k, c in slots:
             view = per_user[k][c]
             # Frozen arrival bounce points; only the receiver moves.
-            lbs = view.lbs.as_array()
-            lbs_points = _fan_positions(anchors[k], lbs, rotation)
+            lbs_points = _fan_positions(anchors[k], view.lbs, rotation)
             d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
             rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
             amp = math.sqrt(view.power / len(phases))
@@ -202,7 +202,7 @@ def synthesize(
 
             # Center-path delay: reference-sub-array leg + interior + moving
             # receiver leg, all scatterer offsets at zero.
-            d_center_rx = norms(rx_positions[k] - lbs)
+            d_center_rx = norms(rx_positions[k] - view.lbs)
             delays[k, c, :] = (
                 float(view.e_len_m[ref_index]) + interior + d_center_rx
             ) / SPEED_OF_LIGHT_M_S
@@ -236,7 +236,7 @@ def planar_vs_spherical_error(
     elements = array.element_matrix()
     sub = array.subarray_of_element()
     centers = array.subarray_centers
-    focal = as_matrix(view.fbs)
+    focal = view.fbs
     leg = focal - centers
     dist = np.sqrt(np.vecdot(leg, leg))
     direction = leg / np.where(dist == 0.0, 1.0, dist)[:, None]

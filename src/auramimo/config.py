@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ChannelModelError, ConfigError
@@ -27,6 +28,13 @@ class RunConfig:
     out_format: str
     layout_spec: dict  # normalized form, kept for round-trip serialization
 
+    def __post_init__(self) -> None:
+        # Here, not in parse_config, so command-line overrides are checked too.
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+
     @property
     def total_clusters_per_user(self) -> int:
         return self.scenario.clusters_per_user
@@ -34,6 +42,10 @@ class RunConfig:
     @property
     def carrier_hz(self) -> float:
         return self.scenario.carrier_hz
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -150,16 +162,11 @@ def parse_config(raw: dict) -> RunConfig:
             f"config.output.format must be one of {FORMATS}, got {out_format!r}"
         )
 
-    seed = int(raw.get("seed", 0))
-    workers = int(raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("config.workers must be >= 1")
-
     return RunConfig(
         scenario=scenario,
         layout=layout,
-        seed=seed,
-        workers=workers,
+        seed=raw.get("seed", 0),
+        workers=raw.get("workers", 1),
         out_dir=str(output.get("dir", "out")),
         out_format=out_format,
         layout_spec=_normalize_layout_spec(layout_raw),

@@ -12,6 +12,12 @@ import numpy as np
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, no longer writeable."""
+    a.flags.writeable = False
+    return a
+
+
 def norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: the arithmetic of
     np.linalg.norm(x, axis=-1) (square, add.reduce, sqrt), so the bits

@@ -17,6 +17,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import EmptyArray, UnknownSegment, UnknownUser, UnsynchronizedTracks
+from .geom import read_only
 
 # Spacing / center agreement tolerance, meters.
 GEOMETRY_TOL_M = 1e-9
@@ -127,11 +128,6 @@ class SubArray:
         return self.element_range[1] - self.element_range[0]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions and their partition into sub-arrays. The array
@@ -152,17 +148,17 @@ class ArrayGeometry:
 
     @cached_property
     def _elements(self) -> np.ndarray:
-        return _read_only(as_matrix(self.element_positions))
+        return read_only(as_matrix(self.element_positions))
 
     @cached_property
     def _subarray_of_element(self) -> np.ndarray:
         sizes = [s.n_elements for s in self.subarrays]
-        return _read_only(np.repeat(np.arange(self.n_subarrays), sizes))
+        return read_only(np.repeat(np.arange(self.n_subarrays), sizes))
 
     @cached_property
     def subarray_centers(self) -> np.ndarray:
         """(n_subarrays, 3) float array of sub-array centers."""
-        return _read_only(as_matrix(s.center for s in self.subarrays))
+        return read_only(as_matrix(s.center for s in self.subarrays))
 
     @cached_property
     def equal_size_runs(self) -> tuple[tuple[int, int, int, int], ...]:

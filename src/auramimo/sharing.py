@@ -14,13 +14,15 @@ copying keeps the equality bit-exact instead of round-trip-rounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clustergen import Cluster, ClusterSet
-from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector
-from .layout import Position, UserLayout, as_matrix
+from .errors import IncompleteViews
+from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector, read_only
+from .layout import Position, UserLayout
 from .spherical import solve_cluster_geometry
 
 MODE_GENERATOR = "generator"
@@ -30,11 +32,11 @@ MODE_KEPT_FOCAL = "kept-focal-point"
 
 @dataclass(frozen=True)
 class OwnerView:
-    """Effective cluster parameters as seen by one owner."""
+    """Effective cluster parameters as seen by one owner; the geometry
+    fields are those of `ClusterGeometry`, and every array is read-only."""
 
     user_id: int
     cluster_id: int
-    generating_user: int
     recalc_mode: str
     delay_s: float
     power: float
@@ -42,12 +44,17 @@ class OwnerView:
     aoa_el_deg: float
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
-    lbs: Position
-    fbs: tuple[Position, ...]
+    lbs: np.ndarray
+    fbs: np.ndarray
     e_len_m: np.ndarray
     g_len_m: float
     interior_raw_m: float
     boresight: bool
+
+    def __post_init__(self) -> None:
+        for a in (self.aod_az_deg, self.aod_el_deg, self.lbs, self.fbs, self.e_len_m):
+            if a is not None:
+                read_only(a)
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,11 @@ class OwnerViews:
 def _verbatim_view(
     cluster: Cluster, user_id: int, mode: str, power: float
 ) -> OwnerView:
+    if cluster.geometry is None:
+        raise IncompleteViews(f"cluster {cluster.cluster_id} has no focal points")
     return OwnerView(
         user_id=user_id,
         cluster_id=cluster.cluster_id,
-        generating_user=cluster.generating_user,
         recalc_mode=mode,
         delay_s=cluster.tau_s,
         power=power,
@@ -90,14 +98,16 @@ def choose_recalc_mode(
 ) -> str:
     """Kept-focal-point iff the receiver-side focal point lies strictly
     within three segment lengths of the joining owner."""
-    distance = cluster.geometry.lbs.distance_to(owner_pos)
+    distance = math.dist(cluster.geometry.lbs, owner_pos.as_array())
     if distance < 3.0 * segment_length_m:
         return MODE_KEPT_FOCAL
     return MODE_KEPT_PARAMETERS
 
 
-def _colocated(a: Position, b: Position) -> bool:
-    return a.x == b.x and a.y == b.y and a.z == b.z
+def _at_generator(cluster: Cluster, owner_pos: Position, layout: UserLayout) -> bool:
+    """Whether the owner stands exactly at the generating user's position."""
+    gen_pos = layout.segment_start_position(cluster.generating_user, cluster.segment_index)
+    return owner_pos == gen_pos
 
 
 def recalc_kept_parameters(
@@ -109,17 +119,10 @@ def recalc_kept_parameters(
 ) -> OwnerView:
     """Keep delay/power/angles; re-solve both focal points from the
     owner's position with the owner's own total path length."""
-    gen_pos = layout.segment_start_position(
-        cluster.generating_user, cluster.segment_index
-    )
-    if _colocated(owner_pos, gen_pos):
-        return _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
-
-    geometry = solve_cluster_geometry(cluster, owner_pos, layout.array)
-    return replace(
-        _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power),
-        **geometry._asdict(),
-    )
+    view = _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
+    if _at_generator(cluster, owner_pos, layout):
+        return view
+    return replace(view, **solve_cluster_geometry(cluster, owner_pos, layout.array)._asdict())
 
 
 def recalc_kept_focal_point(
@@ -136,27 +139,24 @@ def recalc_kept_focal_point(
     generating position is an exact fixed point; the result is floored
     at zero.
     """
-    gen_pos = layout.segment_start_position(
-        cluster.generating_user, cluster.segment_index
-    )
-    if _colocated(owner_pos, gen_pos):
-        return _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
+    view = _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
+    if _at_generator(cluster, owner_pos, layout):
+        return view
 
     geometry = cluster.geometry
-    aod_az, aod_el = angles_from_vector(
-        as_matrix(geometry.fbs) - layout.array.subarray_centers
-    )
-    aoa_az, aoa_el = angles_from_vector(geometry.lbs.as_array() - owner_pos.as_array())
+    owner = owner_pos.as_array()
+    aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
+    aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner)
 
     ref = layout.array.reference_subarray()
     e_ref = float(geometry.e_len_m[ref.index])
-    g_len = owner_pos.distance_to(geometry.lbs)
+    g_len = math.dist(owner, geometry.lbs)
     direct = owner_pos.distance_to(ref.center)
     delay = (e_ref + geometry.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
     delay = max(0.0, delay)
 
     return replace(
-        _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power),
+        view,
         delay_s=delay,
         aoa_az_deg=aoa_az,
         aoa_el_deg=aoa_el,
@@ -204,18 +204,13 @@ def recalculate_views(
             views[(user_id, cluster_id)] = view
             continue
         owner_pos = layout.segment_start_position(user_id, shared.segment_index)
-        if cluster.boresight:
-            mode = MODE_KEPT_FOCAL
-        else:
-            mode = choose_recalc_mode(cluster, owner_pos, segment_length_m)
-        if mode == MODE_KEPT_FOCAL:
-            views[(user_id, cluster_id)] = recalc_kept_focal_point(
-                cluster, user_id, owner_pos, layout, view.power
-            )
-        else:
-            views[(user_id, cluster_id)] = recalc_kept_parameters(
-                cluster, user_id, owner_pos, layout, view.power
-            )
+        keep_focal = cluster.boresight or (
+            choose_recalc_mode(cluster, owner_pos, segment_length_m) == MODE_KEPT_FOCAL
+        )
+        recalc = recalc_kept_focal_point if keep_focal else recalc_kept_parameters
+        views[(user_id, cluster_id)] = recalc(
+            cluster, user_id, owner_pos, layout, view.power
+        )
     return OwnerViews(
         segment_index=shared.segment_index, views=views, by_user=dict(shared.by_user)
     )

@@ -21,6 +21,7 @@ every element without inventing geometry the delay cannot support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from .clustergen import (
     gen_departure_angles,
 )
 from .errors import DegenerateGeometry
-from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
+from .geom import SPEED_OF_LIGHT_M_S, read_only, unit_from_angles
 from .layout import ArrayGeometry, Position, UserLayout
 from .lsp import STREAM_REDRAW, LspDraw
 
@@ -94,16 +95,16 @@ def solve_cluster_geometry(
     e_len, e_hat = solve_focal_lengths(
         d_c, user - centers, unit_from_angles(cluster.aod_az_deg, cluster.aod_el_deg)
     )
-    fbs = tuple(Position(*p) for p in (centers + e_len[:, None] * e_hat).tolist())
+    fbs = centers + e_len[:, None] * e_hat
     lbs_len, g_hat = solve_focal_lengths(
         d_c[ref.index : ref.index + 1],
         (ref.center.as_array() - user)[None],
         unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
     )
-    lbs = Position(*(user + lbs_len[0] * g_hat[0]).tolist())
-    g_len = user_pos.distance_to(lbs)
+    lbs = user + lbs_len[0] * g_hat[0]
+    g_len = math.dist(user, lbs)
     interior = float(d_c[ref.index]) - float(e_len[ref.index]) - g_len
-    return ClusterGeometry(lbs, fbs, e_len, g_len, interior)
+    return ClusterGeometry(read_only(lbs), read_only(fbs), read_only(e_len), g_len, interior)
 
 
 def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> ClusterGeometry:
@@ -116,7 +117,9 @@ def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> Cluste
     # simply cannot bend the path.
     subarrays = layout.array.subarrays
     e_len = np.array([gen_pos.distance_to(s.center) for s in subarrays])
-    return ClusterGeometry(gen_pos, (gen_pos,) * len(subarrays), e_len, 0.0, 0.0)
+    gen = read_only(gen_pos.as_array())
+    fbs = np.broadcast_to(gen, (len(subarrays), 3))
+    return ClusterGeometry(gen, fbs, read_only(e_len), 0.0, 0.0)
 
 
 def _attached(
@@ -132,11 +135,8 @@ def _attached(
         if lsp_draw is None:
             raise
     lsp = lsp_draw.of(cluster.generating_user, segment_index)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            seed, spawn_key=(STREAM_REDRAW, segment_index, cluster.cluster_id)
-        )
-    )
+    key = (STREAM_REDRAW, segment_index, cluster.cluster_id)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
     for _ in range(MAX_ANGLE_RETRIES):
         aod_az, aod_el = gen_departure_angles(
             cluster.n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng
@@ -167,8 +167,8 @@ def attach_focal_points(
     lsp_draw: LspDraw | None = None,
     seed: int = 0,
 ) -> ClusterSet:
-    """A new set whose clusters carry one LBS and A FBS positions each;
-    the input set is left as it is.
+    """A new set whose clusters carry one LBS and A FBS each; the input
+    set is left as it is.
 
     On a degenerate solve the cluster's arrival and departure angles are
     redrawn from a dedicated per-cluster stream (up to

@@ -43,8 +43,8 @@ def _param_row(view, n_subarrays: int) -> str:
     row[:4] = view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg
     row[4 : 4 + 2 * n : 2] = view.aod_az_deg
     row[5 : 4 + 2 * n : 2] = view.aod_el_deg
-    row[4 + 2 * n : 7 + 2 * n] = view.lbs.x, view.lbs.y, view.lbs.z
-    row[7 + 2 * n :] = [c for p in view.fbs for c in (p.x, p.y, p.z)]
+    row[4 + 2 * n : 7 + 2 * n] = view.lbs
+    row[7 + 2 * n :] = view.fbs.ravel()
     return "\t".join(map(repr, row.tolist()))
 
 

@@ -13,6 +13,7 @@ minute.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -401,12 +402,11 @@ def test_c09_per_subarray_angles(check):
 def _broadside_view(layout, distance_m):
     subs = layout.array.subarrays
     center = subs[0].center
-    fbs = [Position(center.x, distance_m, center.z) for _ in subs]
-    e_len = np.array([s.center.distance_to(f) for s, f in zip(subs, fbs)])
+    fbs = np.array([(center.x, distance_m, center.z) for _ in subs])
+    e_len = np.array([math.dist(s.center.as_array(), f) for s, f in zip(subs, fbs)])
     return OwnerView(
         user_id=1,
         cluster_id=0,
-        generating_user=1,
         recalc_mode="generator",
         delay_s=1e-7,
         power=1.0,
@@ -414,8 +414,8 @@ def _broadside_view(layout, distance_m):
         aoa_el_deg=0.0,
         aod_az_deg=np.zeros(len(subs)),
         aod_el_deg=np.zeros(len(subs)),
-        lbs=Position(20.0, 0.0, 1.5),
-        fbs=tuple(fbs),
+        lbs=np.array([20.0, 0.0, 1.5]),
+        fbs=fbs,
         e_len_m=e_len,
         g_len_m=0.0,
         interior_raw_m=5.0,
@@ -471,8 +471,8 @@ def test_c11_recalc_fixed_point(check):
                 assert view.aoa_el_deg == generator_view.aoa_el_deg
                 assert np.array_equal(view.aod_az_deg, generator_view.aod_az_deg)
                 assert np.array_equal(view.aod_el_deg, generator_view.aod_el_deg)
-                assert view.lbs == generator_view.lbs
-                assert view.fbs == generator_view.fbs
+                assert np.array_equal(view.lbs, generator_view.lbs)
+                assert np.array_equal(view.fbs, generator_view.fbs)
                 assert np.array_equal(view.e_len_m, generator_view.e_len_m)
 
         # The mode flips exactly at three segment lengths, strict below.
@@ -484,18 +484,21 @@ def test_c11_recalc_fixed_point(check):
             owner_set=(1, 2),
             generating_user=1,
             tau_s=1e-7,
-            power=0.5,
             power_raw=0.5,
             aoa_az_deg=10.0,
             aoa_el_deg=0.0,
             aod_az_deg=np.array([5.0]),
             aod_el_deg=np.array([0.0]),
             geometry=ClusterGeometry(
-                Position(3 * segment_length, 0.0, 1.5), (), np.zeros(1), 0.0, 0.0
+                np.array([3 * segment_length, 0.0, 1.5]),
+                np.zeros((0, 3)),
+                np.zeros(1),
+                0.0,
+                0.0,
             ),
         )
         assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_PARAMETERS
-        inside = Position(3 * segment_length - 1e-9, 0.0, 1.5)
+        inside = np.array([3 * segment_length - 1e-9, 0.0, 1.5])
         probe = replace(probe, geometry=probe.geometry._replace(lbs=inside))
         assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_FOCAL
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from auramimo import pipeline
+from auramimo import MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, pipeline
 from test_pipeline import make_run_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -55,6 +55,16 @@ def test_counters_read_the_run_result(tmp_path):
     n_clusters = sum(len(seg.cluster_set.clusters) for seg in result.segments)
     assert counts["sharing.views"] == n_views > 0
     assert counts["clustergen.clusters"] == n_clusters > 0
+
+    views = [v for seg in result.segments for v in seg.views.views.values()]
+    clusters = [c for seg in result.segments for c in seg.cluster_set.clusters.values()]
+    modes = [v.recalc_mode for v in views]
+    assert counts["sharing.views_kept_focal"] == modes.count(MODE_KEPT_FOCAL) > 0
+    assert counts["sharing.views_kept_parameters"] == modes.count(MODE_KEPT_PARAMETERS) > 0
+    assert counts["sharing.clamped_views"] == sum(v.interior_raw_m < 0.0 for v in views) > 0
+    # One FBS solve per sub-array and one LBS solve per cluster with excess delay.
+    solves = sum(len(c.geometry.fbs) + 1 for c in clusters if not c.boresight)
+    assert counts["spherical.focal_solves"] == solves > 0
 
 
 def test_write_outputs_writes_the_tensor_through_the_pipeline_name(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from auramimo import (
+    MODE_KEPT_FOCAL,
     MissingLsp,
     assemble_clusters,
     draw_lsp,
@@ -14,7 +15,9 @@ from auramimo import (
     share_table_for_segment,
 )
 from auramimo.clustergen import Cluster, group_rng
+from auramimo.pipeline import run
 from conftest import make_point_layout, make_scenario, make_two_user_layout
+from test_pipeline import make_run_config
 
 
 def test_single_delay_is_zero(rng):
@@ -103,7 +106,9 @@ def test_assemble_counts_and_determinism():
         ca, cb = _of_user(a, user), _of_user(b, user)
         assert len(ca) == 7
         assert [c.tau_s for c in ca] == [c.tau_s for c in cb]
-        assert [c.power for c in ca] == [c.power for c in cb]
+        assert [a.effective_power(c.generating_user, c.cluster_id) for c in ca] == [
+            b.effective_power(c.generating_user, c.cluster_id) for c in cb
+        ]
     c = _assembled(layout, seed=4)
     assert [x.tau_s for x in _of_user(c, 1)] != [x.tau_s for x in _of_user(a, 1)]
 
@@ -129,9 +134,6 @@ def test_effective_power_sums_to_one_per_user():
             cs.effective_power(user, c.cluster_id) for c in _of_user(cs, user)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
-    # The stored power is the generating user's effective share.
-    for c in cs.clusters.values():
-        assert c.power == cs.effective_power(c.generating_user, c.cluster_id)
 
 
 def test_first_cluster_of_each_group_is_boresight():
@@ -163,10 +165,34 @@ def test_pre_focal_parameter_count_tracks_subarrays():
 
 
 def test_clusters_are_frozen():
-    cluster = next(iter(_assembled(make_two_user_layout(2.0)).clusters.values()))
+    assembled = _assembled(make_two_user_layout(2.0))
+    cluster = next(iter(assembled.clusters.values()))
     for f in dataclasses.fields(Cluster):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cluster, f.name, getattr(cluster, f.name))
+    for c in assembled.clusters.values():
+        for a in (c.aod_az_deg, c.aod_el_deg):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    # Frozen all the way down: every array of every cluster and owner view
+    # of a two-segment run is read-only, kept-focal angles included.
+    result = run(make_run_config(n_snapshots=20))
+    assert len(result.segments) == 2
+    views = [v for seg in result.segments for v in seg.views.views.values()]
+    assert any(v.recalc_mode == MODE_KEPT_FOCAL and not v.boresight for v in views)
+    arrays = [
+        a
+        for seg in result.segments
+        for c in seg.cluster_set.clusters.values()
+        for a in (c.aod_az_deg, c.aod_el_deg, *c.geometry[:3])
+    ]
+    arrays += [
+        a for v in views for a in (v.aod_az_deg, v.aod_el_deg, v.lbs, v.fbs, v.e_len_m)
+    ]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
 
 def test_generating_user_uniform_over_members():

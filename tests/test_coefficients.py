@@ -79,15 +79,13 @@ def test_scatterer_randomness_keyed_and_valid():
 # ---------------------------------------------------------------------------
 
 
-def _manual_view(layout, lbs, fbs_list, interior, power=0.04, delay=1e-7):
+def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
     subs = layout.array.subarrays
-    e_len = np.array(
-        [subs[a].center.distance_to(fbs_list[a]) for a in range(len(subs))]
-    )
+    lbs, fbs = np.array(lbs, dtype=float), np.array(fbs, dtype=float)
+    e_len = np.array([math.dist(s.center.as_array(), f) for s, f in zip(subs, fbs)])
     return OwnerView(
         user_id=1,
         cluster_id=0,
-        generating_user=1,
         recalc_mode="generator",
         delay_s=delay,
         power=power,
@@ -96,7 +94,7 @@ def _manual_view(layout, lbs, fbs_list, interior, power=0.04, delay=1e-7):
         aod_az_deg=np.zeros(len(subs)),
         aod_el_deg=np.zeros(len(subs)),
         lbs=lbs,
-        fbs=tuple(fbs_list),
+        fbs=fbs,
         e_len_m=e_len,
         g_len_m=0.0,
         interior_raw_m=interior,
@@ -112,8 +110,8 @@ def test_single_scatterer_phase_arithmetic():
     # With one scatterer the coefficient must be exactly
     # sqrt(P) * exp(j*(phi - k*(|elem - FBS| + D_int + |LBS - rx|))).
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
-    lbs = Position(15.0, 4.0, 2.0)
-    fbs = [Position(3.0, 6.0, 5.0)]
+    lbs = np.array([15.0, 4.0, 2.0])
+    fbs = np.array([[3.0, 6.0, 5.0]])
     interior = 11.0
     view = _manual_view(layout, lbs, fbs, interior, power=0.25)
     carrier = 3.5e9
@@ -126,9 +124,9 @@ def test_single_scatterer_phase_arithmetic():
     elements = layout.array.element_matrix()
     rx = np.array([20.0, 0.0, 1.5])
     total = (
-        np.linalg.norm(elements - fbs[0].as_array(), axis=1)
+        np.linalg.norm(elements - fbs[0], axis=1)
         + interior
-        + np.linalg.norm(lbs.as_array() - rx)
+        + np.linalg.norm(lbs - rx)
     )
     expected = math.sqrt(0.25) * np.exp(1j * (phi - k * total))
     np.testing.assert_allclose(tensor.coefficients[0, 0, :, 0, 0], expected, rtol=1e-12)
@@ -137,15 +135,13 @@ def test_single_scatterer_phase_arithmetic():
         np.abs(tensor.coefficients[0, 0, :, 0, 0]), 0.5, rtol=1e-12
     )
     # Delay is the center path over c.
-    want = (view.e_len_m[0] + interior + lbs.distance_to(Position(*rx))) / C0
+    want = (view.e_len_m[0] + interior + math.dist(lbs, rx)) / C0
     assert tensor.delays[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_negative_interior_clamped_and_logged(caplog):
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
-    view = _manual_view(
-        layout, Position(15.0, 4.0, 2.0), [Position(3.0, 6.0, 5.0)], -5.0
-    )
+    view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], -5.0)
     with caplog.at_level("WARNING", logger="auramimo.coefficients"):
         tensor = synthesize(
             _single_user_views(layout, view), layout, 3.5e9, seed=5, n_scatterers=1
@@ -153,9 +149,7 @@ def test_negative_interior_clamped_and_logged(caplog):
     assert "clamped" in caplog.text
     assert np.all(tensor.delays >= 0)
     # The clamped interior contributes zero length, not a negative one.
-    zero_interior = _manual_view(
-        layout, Position(15.0, 4.0, 2.0), [Position(3.0, 6.0, 5.0)], 0.0
-    )
+    zero_interior = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 0.0)
     ref = synthesize(
         _single_user_views(layout, zero_interior), layout, 3.5e9, seed=5, n_scatterers=1
     )
@@ -234,7 +228,7 @@ def test_incomplete_views_rejected():
             OwnerViews(segment_index=0, views={}, by_user={}), layout, 3.5e9, seed=1
         )
     # A view without focal points is rejected by name.
-    bare = _manual_view(layout, Position(15.0, 4.0, 2.0), [Position(3.0, 6.0, 5.0)], 1.0)
+    bare = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
     bare = OwnerView(**{**bare.__dict__, "lbs": None})
     with pytest.raises(IncompleteViews, match="cluster 0"):
         synthesize(_single_user_views(layout, bare), layout, 3.5e9, seed=1)
@@ -244,7 +238,7 @@ def test_users_must_agree_on_cluster_count():
     layout = make_point_layout(
         {1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0
     )
-    v1 = _manual_view(layout, Position(15.0, 4.0, 2.0), [Position(3.0, 6.0, 5.0)], 1.0)
+    v1 = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
     views = OwnerViews(
         segment_index=0,
         views={(1, 0): v1, (1, 1): v1, (2, 0): v1},
@@ -260,11 +254,8 @@ def test_users_must_agree_on_cluster_count():
 
 
 def _broadside_view(layout, distance):
-    fbs = [
-        Position(s.center.x, s.center.y + distance, s.center.z)
-        for s in layout.array.subarrays
-    ]
-    return _manual_view(layout, Position(15.0, 4.0, 2.0), fbs, 1.0)
+    fbs = [(s.center.x, s.center.y + distance, s.center.z) for s in layout.array.subarrays]
+    return _manual_view(layout, (15.0, 4.0, 2.0), fbs, 1.0)
 
 
 def test_far_focal_point_is_planar():
@@ -319,7 +310,7 @@ def _scalar_planar_error(view, layout, carrier_hz):
     elements = np.array([p.as_array() for p in layout.array.element_positions])
     errors = np.zeros(len(view.fbs))
     for sub in layout.array.subarrays:
-        focal = view.fbs[sub.index].as_array()
+        focal = view.fbs[sub.index]
         center = sub.center.as_array()
         leg = focal - center
         dist = float(np.linalg.norm(leg))
@@ -390,7 +381,7 @@ def test_batched_planar_error_equals_scalar_loop():
         zero = [a for a in range(len(subs)) if rng.random() < 0.2]
         for a in zero:
             fbs[a] = subs[a].center
-        view = SimpleNamespace(fbs=tuple(fbs))
+        view = SimpleNamespace(fbs=as_matrix(fbs))
         carrier = rng.uniform(1e9, 30e9)
         got = planar_vs_spherical_error(view, layout, carrier)
         assert np.array_equal(got, _scalar_planar_error(view, layout, carrier)), trial
@@ -443,12 +434,10 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
             interior = view.interior_raw_m
             if interior < 0.0:
                 interior = 0.0
-            lbs = view.lbs.as_array()
+            lbs = view.lbs
             lbs_points = _fan_positions(anchor, lbs, rotation)
             fbs_points = _fan_positions(
-                array.subarray_centers,
-                as_matrix(view.fbs),
-                (rotation[0][perm], rotation[1][perm]),
+                array.subarray_centers, view.fbs, (rotation[0][perm], rotation[1][perm])
             )
             d_tx = norms(elements[:, None, :] - fbs_points[sub_of_element])
             d_rx = norms(rx_positions[:, None, :] - lbs_points[None, :, :])
@@ -464,7 +453,7 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
 
 def _departure_keys(views):
     return {
-        (v.cluster_id, v.fbs, 0.0 if v.interior_raw_m < 0.0 else v.interior_raw_m)
+        (v.cluster_id, v.fbs.tobytes(), 0.0 if v.interior_raw_m < 0.0 else v.interior_raw_m)
         for v in views.views.values()
     }
 
@@ -516,7 +505,7 @@ def _perturb(views, rng):
         elif r < 0.3:
             view = replace(view, interior_raw_m=float(rng.choice([0.0, -0.0])))
         elif r < 0.4:
-            view = replace(view, fbs=tuple(Position(p.x, p.y, p.z) for p in view.fbs))
+            view = replace(view, fbs=view.fbs.copy())
         changed[key] = view
     return replace(views, views=changed)
 

@@ -15,6 +15,7 @@ from auramimo import (
     parse_config,
     read_tensor_binary,
 )
+from auramimo import cli
 from auramimo.cli import main
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
@@ -167,6 +168,64 @@ def test_bad_position_shape_rejected():
 def test_workers_must_be_positive():
     with pytest.raises(ConfigError, match="workers"):
         parse_config(base_raw(workers=0))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_accepted(seed):
+    assert parse_config(base_raw(seed=seed)).seed == seed
+
+
+# A config value or a command-line override that would fail mid-run (2**64
+# in the tensor header), be truncated (1.7) or reach numpy raw ("abc", -1).
+BAD_SETTINGS = [
+    ("seed", 2**64),
+    ("seed", 1.7),
+    ("seed", "abc"),
+    ("seed", -1),
+    ("seed", True),
+    ("workers", 0),
+    ("workers", -2),
+    ("workers", 1.5),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_SETTINGS)
+def test_bad_seed_or_workers_in_config_exits_2_before_any_stage(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    cfg = write_config(tmp_path, base_raw(**{key: value}))
+    code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ConfigError: {key} must be an integer")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--seed", str(2**64)), ("--seed", "-1"), ("--workers", "0")]
+)
+def test_bad_seed_or_workers_override_exits_2_before_any_stage(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    cfg = write_config(tmp_path)
+    code = main(["run", "--config", str(cfg), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: {flag[2:]} must be")
+    if flag == "--seed":
+        monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
+        assert main(["plan", "--config", str(cfg), flag, value]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "1.7"])
+def test_non_integer_seed_override_is_a_usage_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--seed", value])
+    assert exit_info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_load_config_missing_file(tmp_path):

@@ -247,7 +247,7 @@ def test_planar_error_once_per_distinct_fbs_set(monkeypatch):
         calls.clear()
         result = run(config)
         views = [seg.views.views.values() for seg in result.segments]
-        assert len(calls) == sum(len({v.fbs for v in vs}) for vs in views)
+        assert len(calls) == sum(len({v.fbs.tobytes() for v in vs}) for vs in views)
         if separation == 0.0:
             assert len(calls) < sum(len(vs) for vs in views)
         # The max over every view, as before.

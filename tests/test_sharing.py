@@ -7,6 +7,7 @@ from auramimo import (
     MODE_GENERATOR,
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
+    IncompleteViews,
     Position,
     assemble_clusters,
     attach_focal_points,
@@ -24,14 +25,13 @@ from auramimo.geom import SPEED_OF_LIGHT_M_S
 from conftest import make_scenario, make_two_user_layout
 
 
-def _cluster_with_lbs(lbs, fbs=(), e_len_m=None, interior_raw_m=None):
+def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=None):
     return Cluster(
         cluster_id=0,
         segment_index=0,
         owner_set=(1, 2),
         generating_user=1,
         tau_s=1e-7,
-        power=0.5,
         power_raw=0.5,
         aoa_az_deg=10.0,
         aoa_el_deg=0.0,
@@ -52,7 +52,7 @@ def _cluster_with_lbs(lbs, fbs=(), e_len_m=None, interior_raw_m=None):
 )
 def test_mode_threshold_three_segment_lengths(lbs_distance, expected):
     owner = Position(0.0, 0.0, 1.5)
-    cluster = _cluster_with_lbs(Position(lbs_distance, 0.0, 1.5))
+    cluster = _cluster_with_lbs(np.array([lbs_distance, 0.0, 1.5]))
     assert choose_recalc_mode(cluster, owner, segment_length_m=5.0) == expected
 
 
@@ -71,7 +71,7 @@ def test_share_clusters_verbatim_and_power():
     for (user, cid), view in views.views.items():
         cluster = cs.clusters[cid]
         assert view.delay_s == cluster.tau_s
-        assert view.lbs == cluster.geometry.lbs
+        assert np.array_equal(view.lbs, cluster.geometry.lbs)
         assert view.power == cs.effective_power(user, cid)
         if user == cluster.generating_user:
             assert view.recalc_mode == MODE_GENERATOR
@@ -80,6 +80,17 @@ def test_share_clusters_verbatim_and_power():
     for user in (1, 2):
         total = sum(v.power for v in views.views_of_user(user))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_share_clusters_without_focal_points_is_a_typed_error():
+    layout = make_two_user_layout(2.0)
+    scenario = make_scenario()
+    table = share_table_for_segment(layout, 0, scenario.clusters_per_user)
+    lsp = draw_lsp(scenario, layout, seed=3)
+    cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
+    first = min(cs.clusters)
+    with pytest.raises(IncompleteViews, match=f"cluster {first} has no focal points"):
+        share_clusters(cs, layout)
 
 
 def _shared_nonboresight(cs):
@@ -97,6 +108,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     for cluster in _shared_nonboresight(cs):
         owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
         owner_pos = layout.segment_start_position(owner, 0)
+        owner_xyz = owner_pos.as_array()
         view = recalc_kept_parameters(cluster, owner, owner_pos, layout, 0.1)
         # Kept fields are bit-identical.
         assert view.delay_s == cluster.tau_s
@@ -105,13 +117,13 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
         assert np.array_equal(view.aod_el_deg, cluster.aod_el_deg)
         # Focal points are re-solved against the owner.
-        assert view.lbs != cluster.geometry.lbs
+        assert not np.array_equal(view.lbs, cluster.geometry.lbs)
         for sub in subs:
             d_c = total_path_length(cluster.tau_s, sub.center, owner_pos)
-            got = view.e_len_m[sub.index] + view.fbs[sub.index].distance_to(owner_pos)
+            got = view.e_len_m[sub.index] + math.dist(view.fbs[sub.index], owner_xyz)
             assert abs(got - d_c) / d_c <= 1e-9
         d_ref = total_path_length(cluster.tau_s, subs[ref].center, owner_pos)
-        got = view.g_len_m + view.lbs.distance_to(subs[ref].center)
+        got = view.g_len_m + math.dist(view.lbs, subs[ref].center.as_array())
         assert abs(got - d_ref) / d_ref <= 1e-9
 
 
@@ -121,12 +133,12 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
         owner_pos = layout.segment_start_position(owner, 0)
         view = recalc_kept_focal_point(cluster, owner, owner_pos, layout, 0.1)
-        assert view.lbs == cluster.geometry.lbs
-        assert view.fbs == cluster.geometry.fbs
+        assert np.array_equal(view.lbs, cluster.geometry.lbs)
+        assert np.array_equal(view.fbs, cluster.geometry.fbs)
         assert np.array_equal(view.e_len_m, cluster.geometry.e_len_m)
         # Arrival azimuth is the atan2 bearing from owner to the LBS.
-        dx = cluster.geometry.lbs.x - owner_pos.x
-        dy = cluster.geometry.lbs.y - owner_pos.y
+        dx = cluster.geometry.lbs[0] - owner_pos.x
+        dy = cluster.geometry.lbs[1] - owner_pos.y
         expected_az = math.degrees(math.atan2(dy, dx))
         assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
         assert view.delay_s >= 0.0
@@ -137,13 +149,14 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
     for cluster in list(cs.clusters.values())[:4]:
         gen_pos = layout.segment_start_position(cluster.generating_user, 0)
         for fn in (recalc_kept_parameters, recalc_kept_focal_point):
-            view = fn(cluster, 99, gen_pos, layout, cluster.power)
+            power = cs.effective_power(cluster.generating_user, cluster.cluster_id)
+            view = fn(cluster, 99, gen_pos, layout, power)
             assert view.delay_s == cluster.tau_s
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
-            assert view.lbs == cluster.geometry.lbs
-            assert view.fbs == cluster.geometry.fbs
+            assert np.array_equal(view.lbs, cluster.geometry.lbs)
+            assert np.array_equal(view.fbs, cluster.geometry.fbs)
             assert view.g_len_m == cluster.geometry.g_len_m
             assert view.interior_raw_m == cluster.geometry.interior_raw_m
 
@@ -152,7 +165,7 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-    to_lbs = cluster.geometry.lbs.as_array() - gen_pos.as_array()
+    to_lbs = cluster.geometry.lbs - gen_pos.as_array()
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
     owner_pos = Position(*(gen_pos.as_array() + step))
     view = recalc_kept_focal_point(cluster, 99, owner_pos, layout, 0.1)
@@ -166,8 +179,8 @@ def test_kept_focal_delay_floors_at_zero():
     layout = make_two_user_layout(2.0)
     ref_center = layout.array.reference_subarray().center
     cluster = _cluster_with_lbs(
-        Position(30.0, 0.0, 1.5),
-        fbs=tuple(Position(30.0, 0.0, 1.5) for _ in layout.array.subarrays),
+        np.array([30.0, 0.0, 1.5]),
+        fbs=np.tile([30.0, 0.0, 1.5], (len(layout.array.subarrays), 1)),
         e_len_m=np.zeros(len(layout.array.subarrays)),
         interior_raw_m=-100.0,
     )

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from auramimo.clustergen import (
     gen_arrival_angles,
     gen_departure_angles,
 )
-from auramimo.layout import ArrayGeometry
+from auramimo.layout import ArrayGeometry, as_matrix
 from auramimo.lsp import STREAM_REDRAW
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, unit_from_angles
@@ -116,7 +117,7 @@ def test_lbs_mirrors_departure_solve():
     got = solve_cluster_geometry(cluster, user, array)
     d_ref = total_path_length(cluster.tau_s, ref.center, user)
     g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
-    assert got.lbs == _solve_one(user, ref.center, g_hat, d_ref)[2]
+    assert np.array_equal(got.lbs, _solve_one(user, ref.center, g_hat, d_ref)[2].as_array())
 
 
 def _random_cases(n, rng):
@@ -204,20 +205,21 @@ def test_attach_full_set_with_four_subarrays():
         n_entries = 4 + len(c.aod_az_deg) + len(c.aod_el_deg) + 1 + len(geometry.fbs)
         assert n_entries == 5 + 3 * 4
         gen_pos = layout.segment_start_position(c.generating_user, 0)
+        gen_xyz = gen_pos.as_array()
         if c.boresight:
-            assert geometry.lbs == gen_pos
-            assert all(f == gen_pos for f in geometry.fbs)
+            assert np.array_equal(geometry.lbs, gen_xyz)
+            assert all(np.array_equal(f, gen_xyz) for f in geometry.fbs)
             assert geometry.interior_raw_m == 0.0
             assert geometry.g_len_m == 0.0
             continue
         # Departure-side closure per sub-array.
         for sub in subs:
             d_c = total_path_length(c.tau_s, sub.center, gen_pos)
-            total = geometry.e_len_m[sub.index] + geometry.fbs[sub.index].distance_to(gen_pos)
+            total = geometry.e_len_m[sub.index] + math.dist(geometry.fbs[sub.index], gen_xyz)
             assert abs(total - d_c) / d_c <= 1e-9
         # Arrival-side closure against the reference sub-array.
         d_ref = total_path_length(c.tau_s, subs[ref].center, gen_pos)
-        lbs_total = geometry.g_len_m + geometry.lbs.distance_to(subs[ref].center)
+        lbs_total = geometry.g_len_m + math.dist(geometry.lbs, subs[ref].center.as_array())
         assert abs(lbs_total - d_ref) / d_ref <= 1e-9
         assert geometry.interior_raw_m == pytest.approx(
             d_ref - geometry.e_len_m[ref] - geometry.g_len_m, abs=1e-9
@@ -255,7 +257,6 @@ def _degenerate_cluster_set():
         owner_set=(1,),
         generating_user=1,
         tau_s=0.0,
-        power=1.0,
         power_raw=1.0,
         aoa_az_deg=30.0,
         aoa_el_deg=0.0,
@@ -373,9 +374,11 @@ def test_batched_cluster_geometry_equals_scalar_loop():
         lbs, fbs, e_len, g_len, interior = _scalar_cluster_geometry(
             cluster, user, array
         )
-        assert got.lbs == lbs and got.fbs == fbs, trial
+        assert np.array_equal(got.lbs, lbs.as_array()), trial
+        assert np.array_equal(got.fbs, as_matrix(fbs)), trial
         assert np.array_equal(got.e_len_m, e_len), trial
         assert (got.g_len_m, got.interior_raw_m) == (g_len, interior), trial
+        assert not any(a.flags.writeable for a in (got.lbs, got.fbs, got.e_len_m)), trial
 
 
 def test_batched_solve_raises_on_the_same_first_subarray():
@@ -440,8 +443,10 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
     )
     assert np.array_equal(redrawn.aod_az_deg, aod_az)
     assert np.array_equal(redrawn.aod_el_deg, aod_el)
+    assert not (redrawn.aod_az_deg.flags.writeable or redrawn.aod_el_deg.flags.writeable)
     assert (redrawn.aoa_az_deg, redrawn.aoa_el_deg) == (aoa_az[0], aoa_el[0])
     gen_pos = layout.segment_start_position(victim.generating_user, 0)
     lbs, fbs, e_len, *_ = _scalar_cluster_geometry(redrawn, gen_pos, layout.array)
-    assert redrawn.geometry.lbs == lbs and redrawn.geometry.fbs == fbs
+    assert np.array_equal(redrawn.geometry.lbs, lbs.as_array())
+    assert np.array_equal(redrawn.geometry.fbs, as_matrix(fbs))
     assert np.array_equal(redrawn.geometry.e_len_m, e_len)

@@ -32,10 +32,9 @@ def _view_param_columns(view, n_subarrays):
     for a in range(n_subarrays):
         cols.append(_fmt(float(view.aod_az_deg[a])))
         cols.append(_fmt(float(view.aod_el_deg[a])))
-    cols += [_fmt(view.lbs.x), _fmt(view.lbs.y), _fmt(view.lbs.z)]
+    cols += [_fmt(float(c)) for c in view.lbs]
     for a in range(n_subarrays):
-        p = view.fbs[a]
-        cols += [_fmt(p.x), _fmt(p.y), _fmt(p.z)]
+        cols += [_fmt(float(c)) for c in view.fbs[a]]
     return cols
 
 
@@ -162,9 +161,8 @@ def _seeded_config(rng, seed):
 
 def _formatted_values(view):
     """Every value a view's parameter row formats, as stored."""
-    fbs = [c for p in view.fbs for c in (p.x, p.y, p.z)]
     return [view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg,
-            view.lbs.x, view.lbs.y, view.lbs.z, *fbs]
+            *view.lbs, *view.fbs.ravel()]
 
 
 def test_tables_equal_value_by_value_writers(tmp_path):
@@ -188,6 +186,7 @@ def test_tables_equal_value_by_value_writers(tmp_path):
             for view in seg.views.views.values():
                 assert all(isinstance(x, float) for x in _formatted_values(view)), trial
                 assert view.aod_az_deg.dtype == view.aod_el_deg.dtype == np.float64
+                assert view.lbs.dtype == view.fbs.dtype == np.float64
 
         layout = config.layout
         views = [v for seg in result.segments for v in seg.views.views.values()]
