@@ -40,7 +40,8 @@ class Cluster:
     `power_raw` is the within-group share; `ClusterSet.effective_power`
     renormalizes it for each owner. `geometry` (one LBS, A FBS and the
     path lengths) is None until `spherical.attach_focal_points` returns
-    a copy with it. The departure angle arrays are read-only.
+    a copy with it. Every array it holds, the geometry's included, is
+    read-only.
     """
 
     cluster_id: int
@@ -57,8 +58,12 @@ class Cluster:
     geometry: ClusterGeometry | None = None
 
     def __post_init__(self) -> None:
-        read_only(self.aod_az_deg)
-        read_only(self.aod_el_deg)
+        arrays = [self.aod_az_deg, self.aod_el_deg]
+        if self.geometry is not None:
+            arrays += [self.geometry.lbs, self.geometry.fbs, self.geometry.e_len_m]
+        for a in arrays:
+            if a is not None:
+                read_only(a)
 
     @property
     def n_subarrays(self) -> int:

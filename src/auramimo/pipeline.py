@@ -111,10 +111,12 @@ def _fill_sharing_and_planar_metrics(
     users = config.layout.user_ids
     for i, u in enumerate(users):
         for v in users[i + 1 :]:
-            report.shared_cluster_counts[(u, v)] = sum(
-                len(set(seg.cluster_set.by_user[u]) & set(seg.cluster_set.by_user[v]))
-                for seg in segments
-            )
+            shared = 0
+            for seg in segments:
+                ids_u = set(seg.share_table.clusters_of_user(u))
+                ids_v = set(seg.share_table.clusters_of_user(v))
+                shared += len(ids_u & ids_v)
+            report.shared_cluster_counts[(u, v)] = shared
 
     # The error depends only on the FBS set: one view per distinct set.
     worst = np.zeros(config.layout.array.n_subarrays)

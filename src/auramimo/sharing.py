@@ -204,13 +204,18 @@ def recalculate_views(
             views[(user_id, cluster_id)] = view
             continue
         owner_pos = layout.segment_start_position(user_id, shared.segment_index)
-        keep_focal = cluster.boresight or (
-            choose_recalc_mode(cluster, owner_pos, segment_length_m) == MODE_KEPT_FOCAL
-        )
-        recalc = recalc_kept_focal_point if keep_focal else recalc_kept_parameters
-        views[(user_id, cluster_id)] = recalc(
-            cluster, user_id, owner_pos, layout, view.power
-        )
+        if cluster.boresight:
+            mode = MODE_KEPT_FOCAL
+        else:
+            mode = choose_recalc_mode(cluster, owner_pos, segment_length_m)
+        if mode == MODE_KEPT_FOCAL:
+            views[(user_id, cluster_id)] = recalc_kept_focal_point(
+                cluster, user_id, owner_pos, layout, view.power
+            )
+        else:
+            views[(user_id, cluster_id)] = recalc_kept_parameters(
+                cluster, user_id, owner_pos, layout, view.power
+            )
     return OwnerViews(
         segment_index=shared.segment_index, views=views, by_user=dict(shared.by_user)
     )

@@ -34,7 +34,7 @@ from .clustergen import (
     gen_departure_angles,
 )
 from .errors import DegenerateGeometry
-from .geom import SPEED_OF_LIGHT_M_S, read_only, unit_from_angles
+from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
 from .layout import ArrayGeometry, Position, UserLayout
 from .lsp import STREAM_REDRAW, LspDraw
 
@@ -104,7 +104,7 @@ def solve_cluster_geometry(
     lbs = user + lbs_len[0] * g_hat[0]
     g_len = math.dist(user, lbs)
     interior = float(d_c[ref.index]) - float(e_len[ref.index]) - g_len
-    return ClusterGeometry(read_only(lbs), read_only(fbs), read_only(e_len), g_len, interior)
+    return ClusterGeometry(lbs, fbs, e_len, g_len, interior)
 
 
 def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> ClusterGeometry:
@@ -117,9 +117,9 @@ def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> Cluste
     # simply cannot bend the path.
     subarrays = layout.array.subarrays
     e_len = np.array([gen_pos.distance_to(s.center) for s in subarrays])
-    gen = read_only(gen_pos.as_array())
+    gen = gen_pos.as_array()
     fbs = np.broadcast_to(gen, (len(subarrays), 3))
-    return ClusterGeometry(gen, fbs, read_only(e_len), 0.0, 0.0)
+    return ClusterGeometry(gen, fbs, e_len, 0.0, 0.0)
 
 
 def _attached(
@@ -135,8 +135,11 @@ def _attached(
         if lsp_draw is None:
             raise
     lsp = lsp_draw.of(cluster.generating_user, segment_index)
-    key = (STREAM_REDRAW, segment_index, cluster.cluster_id)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            seed, spawn_key=(STREAM_REDRAW, segment_index, cluster.cluster_id)
+        )
+    )
     for _ in range(MAX_ANGLE_RETRIES):
         aod_az, aod_el = gen_departure_angles(
             cluster.n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng

@@ -14,7 +14,7 @@ from auramimo import (
     gen_powers,
     share_table_for_segment,
 )
-from auramimo.clustergen import Cluster, group_rng
+from auramimo.clustergen import Cluster, ClusterGeometry, group_rng
 from auramimo.pipeline import run
 from conftest import make_point_layout, make_scenario, make_two_user_layout
 from test_pipeline import make_run_config
@@ -174,6 +174,13 @@ def test_clusters_are_frozen():
         for a in (c.aod_az_deg, c.aod_el_deg):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
+
+    # A hand-built geometry is frozen by the cluster that holds it.
+    geometry = ClusterGeometry(np.zeros(3), np.ones((2, 3)), np.ones(2), 1.0, 0.0)
+    dataclasses.replace(cluster, geometry=geometry)
+    for a in geometry[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
     # Frozen all the way down: every array of every cluster and owner view
     # of a two-segment run is read-only, kept-focal angles included.
