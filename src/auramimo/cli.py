@@ -42,7 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default=None, help="override output directory")
     p_run.add_argument("--format", choices=FORMATS, default=None, help="tensor format")
     p_run.add_argument(
-        "--workers", type=int, default=None, help="accepted; does not change results"
+        "--workers",
+        type=int,
+        default=None,
+        help="accepted and ignored: synthesis threads share the available CPUs "
+        "with BLAS, and results are identical for any thread count",
     )
 
     p_plan = sub.add_parser("plan", help="print sharing tables without synthesis")

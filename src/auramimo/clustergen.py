@@ -29,7 +29,6 @@ class ClusterGeometry(NamedTuple):
     lbs: np.ndarray
     fbs: np.ndarray
     e_len_m: np.ndarray
-    g_len_m: float
     interior_raw_m: float
 
 

@@ -14,20 +14,25 @@ sqrt(power/20) * exp(-j*2*pi/lambda * L + j*phi_l). Scatterer positions
 are frozen per segment; only the receiver term moves with the snapshot
 (drifting). All randomness (per-cluster phases and the departure-side
 offset pairing) is keyed by cluster id, so synthesis order cannot change
-a single value. Synthesis is single-threaded: the `workers` setting is
-accepted and ignored, and results do not depend on it. The work along
-the sub-array axis (scatterer fans, planar error) runs as array code
-over all sub-arrays at once, and element distances are taken plane-wise
-(ArrayGeometry.element_distances). The departure phase depends only on
-the cluster id, the FBS set and the clamped interior length, so it is
-computed once per distinct departure geometry of a segment and shared by
-the owners that copy all three (kept-focal-point, co-located owners).
+a single value. The departure phase depends only on the cluster id, the
+FBS set and the clamped interior length, so it is computed once per
+distinct departure geometry of a segment and shared by the owners that
+copy all three (kept-focal-point, co-located owners); each geometry's
+coefficients are one matrix product of its departure phases with the
+stacked arrival phases of every owner it serves. The geometries are cut
+into blocks of at most BLOCK_VALUES departure phases, each computed in
+one pass over all sub-arrays (ArrayGeometry.element_distances), and the
+blocks run on one thread per CPU the process may use, less the threads
+BLAS may start itself (`_synthesis_threads`). Each block fills its own
+(user, cluster) slots, so results are identical for any thread count;
+the `workers` setting is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,9 @@ from .sharing import OwnerView, OwnerViews
 log = logging.getLogger(__name__)
 
 N_SCATTERERS = 20
+# Departure-phase values per block: one 1024-element geometry of 20
+# scatterers, or four 256-element ones.
+BLOCK_VALUES = 20480
 
 
 def laplacian_offsets(n: int = N_SCATTERERS) -> np.ndarray:
@@ -114,16 +122,71 @@ class ChannelTensor:
 
 def _departure_phase(
     fbs: np.ndarray,
-    interior: float,
+    interiors: np.ndarray,
     array: ArrayGeometry,
     wavenumber: float,
     rotation: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """exp(-j k (|elem_i - FBS_{a,l}| + interior)), (tx, n_sc): the
-    departure fans of one FBS set (rotated by the cluster's permuted
-    `rotation`) and the element-to-bounce-point distances."""
-    fbs_points = _fan_positions(array.subarray_centers, fbs, rotation)
-    return np.exp(-1j * wavenumber * (array.element_distances(fbs_points) + interior))
+    """exp(-j k (|elem_i - FBS_{g,a,l}| + interior_g)), (tx, g * n_sc),
+    for g departure geometries at once: FBS sets (g, A, 3), interiors
+    (g,) and each cluster's permuted rotation (g, n_sc). Geometry g owns
+    columns g * n_sc to (g + 1) * n_sc."""
+    cos, sin = rotation
+    fbs_points = _fan_positions(
+        array.subarray_centers, fbs, (cos[:, None, :], sin[:, None, :])
+    )
+    # (g, A, n_sc, 3) -> (A, g * n_sc, 3): each sub-array's bounce points.
+    points = fbs_points.transpose(1, 0, 2, 3).reshape(array.n_subarrays, -1, 3)
+    lengths = array.element_distances(points) + np.repeat(interiors, cos.shape[1])
+    return np.exp(-1j * wavenumber * lengths)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _synthesis_threads() -> int:
+    """One thread per CPU, shared with the threads BLAS may start for each
+    matrix product: CPUs // BLAS threads. BLAS takes every CPU unless its
+    own thread variable caps it (OpenBLAS, MKL, then OpenMP). On a 2-CPU
+    host, two synthesis threads beside two OpenBLAS threads made the
+    benchmark's wide run 1.7x slower than one thread; with BLAS capped at
+    one thread they made it 1.3x faster."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, _cpu_count() // int(value))
+    return 1
+
+
+def _run_blocks(fill, blocks: list) -> None:
+    """fill(block) for every block, on `_synthesis_threads()` threads (at
+    most one per block), each thread taking every n-th block; serially
+    when that is one thread."""
+    n_threads = min(_synthesis_threads(), len(blocks))
+    if n_threads <= 1:
+        for block in blocks:
+            fill(block)
+        return
+    # Imported here: `import auramimo` should not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def fill_share(first: int) -> None:
+        for block in blocks[first::n_threads]:
+            fill(block)
+
+    # The calling thread fills a share too: a pool of all n threads left
+    # it idle and raised the wide benchmark's peak RSS by 2.6 MB instead
+    # of 1.4 MB (2-CPU host).
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        futures = [pool.submit(fill_share, i) for i in range(1, n_threads)]
+        fill_share(0)
+        for future in futures:
+            future.result()  # re-raises a worker's exception
 
 
 def synthesize(
@@ -136,11 +199,12 @@ def synthesize(
     n_scatterers: int = N_SCATTERERS,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ChannelTensor | None:
-    """Synthesize the channel tensor for one segment, one user after
-    another in this thread.
+    """Synthesize the channel tensor for one segment, in blocks of
+    departure geometries on `_synthesis_threads()` threads.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
-    id), so no value depends on the order in which users are synthesized.
+    id), and each block writes only its own (user, cluster) slots, so no
+    value depends on the order in which blocks run or on the thread count.
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
     center ray). `out` takes (coefficients, delays) arrays to fill (a run
     tensor's snapshot slices); then None is returned, and the caller checks them.
@@ -186,26 +250,44 @@ def synthesize(
     rx_positions = [layout.segment_positions(u, segment) for u in user_ids]
     anchors = [layout.segment_start_position(u, segment).as_array() for u in user_ids]
 
-    for (cluster_id, _, interior), (fbs, slots) in by_geometry.items():
-        phases, perm = randomness[cluster_id]
+    def fill(block: list) -> None:
+        perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
         tx_phase = _departure_phase(
-            fbs, interior, array, wavenumber, (rotation[0][perm], rotation[1][perm])
+            np.stack([fbs for _, (fbs, _) in block]),
+            np.array([interior for (_, _, interior), _ in block]),
+            array,
+            wavenumber,
+            (rotation[0][perms], rotation[1][perms]),
         )
-        for k, c in slots:
-            view = per_user[k][c]
-            # Frozen arrival bounce points; only the receiver moves.
-            lbs_points = _fan_positions(anchors[k], view.lbs, rotation)
-            d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
-            rx_phase = np.exp(1j * (phases[None, :] - wavenumber * d_rx))
-            amp = math.sqrt(view.power / len(phases))
-            coefficients[k, 0, :, c, :] = amp * np.einsum("il,tl->it", tx_phase, rx_phase)
+        for j, ((cluster_id, _, interior), (_, slots)) in enumerate(block):
+            phases = randomness[cluster_id][0]
+            # amp * arrival phases of every slot, stacked along snapshots.
+            rx_phase = np.empty((len(slots) * n_snap, n_scatterers), complex)
+            for s, (k, c) in enumerate(slots):
+                view = per_user[k][c]
+                # Frozen arrival bounce points; only the receiver moves.
+                lbs_points = _fan_positions(anchors[k], view.lbs, rotation)
+                d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
+                np.multiply(
+                    math.sqrt(view.power / n_scatterers),
+                    np.exp(1j * (phases[None, :] - wavenumber * d_rx)),
+                    out=rx_phase[s * n_snap : (s + 1) * n_snap],
+                )
+                # Center-path delay: reference-sub-array leg + interior +
+                # moving receiver leg, all scatterer offsets at zero.
+                d_center_rx = norms(rx_positions[k] - view.lbs)
+                delays[k, c, :] = (
+                    float(view.e_len_m[ref_index]) + interior + d_center_rx
+                ) / SPEED_OF_LIGHT_M_S
+            product = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers] @ rx_phase.T
+            for s, (k, c) in enumerate(slots):
+                coefficients[k, 0, :, c, :] = product[:, s * n_snap : (s + 1) * n_snap]
 
-            # Center-path delay: reference-sub-array leg + interior + moving
-            # receiver leg, all scatterer offsets at zero.
-            d_center_rx = norms(rx_positions[k] - view.lbs)
-            delays[k, c, :] = (
-                float(view.e_len_m[ref_index]) + interior + d_center_rx
-            ) / SPEED_OF_LIGHT_M_S
+    geometries = list(by_geometry.items())
+    per_block = max(1, BLOCK_VALUES // (array.n_elements * n_scatterers))
+    _run_blocks(
+        fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
+    )
 
     clamped = sum(v.interior_raw_m < 0.0 for uv in per_user for v in uv)
     if clamped:

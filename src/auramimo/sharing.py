@@ -47,7 +47,6 @@ class OwnerView:
     lbs: np.ndarray
     fbs: np.ndarray
     e_len_m: np.ndarray
-    g_len_m: float
     interior_raw_m: float
     boresight: bool
 
@@ -162,7 +161,6 @@ def recalc_kept_focal_point(
         aoa_el_deg=aoa_el,
         aod_az_deg=aod_az,
         aod_el_deg=aod_el,
-        g_len_m=g_len,
     )
 
 

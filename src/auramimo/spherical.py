@@ -102,9 +102,8 @@ def solve_cluster_geometry(
         unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
     )
     lbs = user + lbs_len[0] * g_hat[0]
-    g_len = math.dist(user, lbs)
-    interior = float(d_c[ref.index]) - float(e_len[ref.index]) - g_len
-    return ClusterGeometry(lbs, fbs, e_len, g_len, interior)
+    interior = float(d_c[ref.index]) - float(e_len[ref.index]) - math.dist(user, lbs)
+    return ClusterGeometry(lbs, fbs, e_len, interior)
 
 
 def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> ClusterGeometry:
@@ -119,7 +118,7 @@ def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> Cluste
     e_len = np.array([gen_pos.distance_to(s.center) for s in subarrays])
     gen = gen_pos.as_array()
     fbs = np.broadcast_to(gen, (len(subarrays), 3))
-    return ClusterGeometry(gen, fbs, e_len, 0.0, 0.0)
+    return ClusterGeometry(gen, fbs, e_len, 0.0)
 
 
 def _attached(

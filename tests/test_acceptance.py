@@ -417,7 +417,6 @@ def _broadside_view(layout, distance_m):
         lbs=np.array([20.0, 0.0, 1.5]),
         fbs=fbs,
         e_len_m=e_len,
-        g_len_m=0.0,
         interior_raw_m=5.0,
         boresight=False,
     )
@@ -493,7 +492,6 @@ def test_c11_recalc_fixed_point(check):
                 np.array([3 * segment_length, 0.0, 1.5]),
                 np.zeros((0, 3)),
                 np.zeros(1),
-                0.0,
                 0.0,
             ),
         )

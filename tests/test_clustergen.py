@@ -176,7 +176,7 @@ def test_clusters_are_frozen():
                 a.flat[0] = a.flat[0]
 
     # A hand-built geometry is frozen by the cluster that holds it.
-    geometry = ClusterGeometry(np.zeros(3), np.ones((2, 3)), np.ones(2), 1.0, 0.0)
+    geometry = ClusterGeometry(np.zeros(3), np.ones((2, 3)), np.ones(2), 0.0)
     dataclasses.replace(cluster, geometry=geometry)
     for a in geometry[:3]:
         with pytest.raises(ValueError, match="read-only"):

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,7 +101,6 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
         lbs=lbs,
         fbs=fbs,
         e_len_m=e_len,
-        g_len_m=0.0,
         interior_raw_m=interior,
         boresight=False,
     )
@@ -529,7 +533,10 @@ def test_shared_departure_phases_equal_per_view_loop():
             views, layout, carrier, seed, cluster_angle_spread_deg=spread, n_scatterers=n_sc
         )
         coeff, delays = _reference_synthesize(views, layout, carrier, seed, spread, n_sc)
-        assert np.array_equal(tensor.coefficients, coeff), trial
+        # One matrix product per geometry sums in another order than the
+        # reference's einsum: a bound of 1e-12 of the tensor's largest value.
+        error = np.max(np.abs(tensor.coefficients - coeff))
+        assert error <= 1e-12 * np.max(np.abs(coeff)), trial
         assert np.array_equal(tensor.delays, delays), trial
 
         all_views = list(views.views.values())
@@ -549,19 +556,99 @@ def test_departure_phase_computed_once_per_distinct_geometry(monkeypatch):
     calls = []
     original = coefficients._departure_phase
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(fbs, *args):
+        result = original(fbs, *args)
+        calls.append((len(fbs), result.size))
+        return result
 
     monkeypatch.setattr(coefficients, "_departure_phase", spy)
     _, views, _ = _full_tensor(make_two_user_layout(0.0))
-    assert len(calls) == len(_departure_keys(views)) < len(views.views)
+    assert sum(n for n, _ in calls) == len(_departure_keys(views)) < len(views.views)
 
-    calls.clear()
-    _, views, _ = _full_tensor(make_two_user_layout(40.0))
-    assert views.user_ids == (1, 2)
-    assert not set(views.by_user[1]) & set(views.by_user[2])  # nothing shared
-    assert len(calls) == len(views.views)
+    for n_elements in (64, 250, 1000):
+        calls.clear()
+        _, views, _ = _full_tensor(make_two_user_layout(40.0, n_elements=n_elements))
+        assert views.user_ids == (1, 2)
+        assert not set(views.by_user[1]) & set(views.by_user[2])  # nothing shared
+        assert sum(n for n, _ in calls) == len(views.views)
+        # Each block stays within the value budget, and at most one is short.
+        assert all(size <= coefficients.BLOCK_VALUES for _, size in calls), calls
+        full = coefficients.BLOCK_VALUES // (n_elements * coefficients.N_SCATTERERS)
+        assert sum(n != full for n, _ in calls) <= 1, calls
+
+
+def test_outputs_independent_of_cpu_count(monkeypatch):
+    # Blocks of one geometry (1000 elements) and of four (250 elements,
+    # the last block short); both arrays end in a short sub-array.
+    original = coefficients._departure_phase
+    threads = set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(coefficients, "_departure_phase", spy)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    switch_interval = sys.getswitchinterval()
+    for n_elements in (1000, 250):
+        layout = make_two_user_layout(2.0, n_elements=n_elements)
+        tensors = []
+        for cpus in (1, 1, 2, 2, 3, 3):
+            monkeypatch.setattr(coefficients, "_cpu_count", lambda: cpus)
+            threads.clear()
+            sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+            try:
+                tensor, views, _ = _full_tensor(layout)
+            finally:
+                sys.setswitchinterval(switch_interval)
+            tensors.append(tensor)
+            # The calling thread, and with more CPUs up to cpus - 1 workers.
+            per_block = coefficients.BLOCK_VALUES // (n_elements * coefficients.N_SCATTERERS)
+            assert len(_departure_keys(views)) > 2 * per_block  # at least three blocks
+            assert threading.get_ident() in threads
+            assert (len(threads) == 1) == (cpus == 1) and len(threads) <= cpus, cpus
+        for tensor in tensors[1:]:
+            assert np.array_equal(tensor.coefficients, tensors[0].coefficients)
+            assert np.array_equal(tensor.delays, tensors[0].delays)
+
+
+def test_synthesis_threads_share_the_cpus_with_blas(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 4)
+    cases = [
+        ({}, 1),  # BLAS may take every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"MKL_NUM_THREADS": "3"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+    ]
+    for env, expected in cases:
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert coefficients._synthesis_threads() == expected, env
+
+
+def test_import_does_not_load_the_thread_pool():
+    # The pool module is imported when synthesis first runs blocks on
+    # threads, so that importing auramimo stays cheap.
+    src = str(Path(coefficients.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import auramimo, sys; assert 'concurrent.futures' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_arrays_must_have_the_segment_shape():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -226,10 +228,34 @@ def test_bad_value_in_one_segment_fails_the_run(monkeypatch, bad):
 def test_segment_synthesis_without_out_is_checked(monkeypatch):
     result = run(make_run_config())
     seg = result.segments[0]
+    # One geometry per block, on the calling thread and one worker.
+    monkeypatch.setattr(coefficients, "BLOCK_VALUES", 32 * 20)
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    original = coefficients._departure_phase
+    caller = threading.get_ident()
+
+    def in_worker(bad):
+        # The worker's blocks go bad; the calling thread's stay as they were.
+        def phase(*a):
+            return original(*a) if threading.get_ident() == caller else bad(*a)
+
+        return phase
+
     monkeypatch.setattr(
-        coefficients, "_departure_phase", lambda *a: np.full((32, 20), np.nan + 0j)
+        coefficients,
+        "_departure_phase",
+        in_worker(lambda *a: np.full_like(original(*a), np.nan)),
     )
     with pytest.raises(ValueError, match="non-finite"):
+        synthesize(seg.views, result.config.layout, 3.5e9, seed=11)
+
+    # An exception raised inside a worker reaches the caller.
+    def fail(*a):
+        raise FloatingPointError("block failed")
+
+    monkeypatch.setattr(coefficients, "_departure_phase", in_worker(fail))
+    with pytest.raises(FloatingPointError, match="block failed"):
         synthesize(seg.views, result.config.layout, 3.5e9, seed=11)
 
 

@@ -37,7 +37,7 @@ def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=No
         aoa_el_deg=0.0,
         aod_az_deg=np.array([5.0]),
         aod_el_deg=np.array([0.0]),
-        geometry=ClusterGeometry(lbs, fbs, e_len_m, 0.0, interior_raw_m),
+        geometry=ClusterGeometry(lbs, fbs, e_len_m, interior_raw_m),
     )
 
 
@@ -123,7 +123,8 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
             got = view.e_len_m[sub.index] + math.dist(view.fbs[sub.index], owner_xyz)
             assert abs(got - d_c) / d_c <= 1e-9
         d_ref = total_path_length(cluster.tau_s, subs[ref].center, owner_pos)
-        got = view.g_len_m + math.dist(view.lbs, subs[ref].center.as_array())
+        ref_xyz = subs[ref].center.as_array()
+        got = math.dist(owner_xyz, view.lbs) + math.dist(view.lbs, ref_xyz)
         assert abs(got - d_ref) / d_ref <= 1e-9
 
 
@@ -157,7 +158,6 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
             assert np.array_equal(view.lbs, cluster.geometry.lbs)
             assert np.array_equal(view.fbs, cluster.geometry.fbs)
-            assert view.g_len_m == cluster.geometry.g_len_m
             assert view.interior_raw_m == cluster.geometry.interior_raw_m
 
 

@@ -210,7 +210,7 @@ def test_attach_full_set_with_four_subarrays():
             assert np.array_equal(geometry.lbs, gen_xyz)
             assert all(np.array_equal(f, gen_xyz) for f in geometry.fbs)
             assert geometry.interior_raw_m == 0.0
-            assert geometry.g_len_m == 0.0
+            assert math.dist(gen_xyz, geometry.lbs) == 0.0
             continue
         # Departure-side closure per sub-array.
         for sub in subs:
@@ -219,10 +219,11 @@ def test_attach_full_set_with_four_subarrays():
             assert abs(total - d_c) / d_c <= 1e-9
         # Arrival-side closure against the reference sub-array.
         d_ref = total_path_length(c.tau_s, subs[ref].center, gen_pos)
-        lbs_total = geometry.g_len_m + math.dist(geometry.lbs, subs[ref].center.as_array())
+        g_len = math.dist(gen_xyz, geometry.lbs)
+        lbs_total = g_len + math.dist(geometry.lbs, subs[ref].center.as_array())
         assert abs(lbs_total - d_ref) / d_ref <= 1e-9
         assert geometry.interior_raw_m == pytest.approx(
-            d_ref - geometry.e_len_m[ref] - geometry.g_len_m, abs=1e-9
+            d_ref - geometry.e_len_m[ref] - g_len, abs=1e-9
         )
 
 
@@ -377,7 +378,8 @@ def test_batched_cluster_geometry_equals_scalar_loop():
         assert np.array_equal(got.lbs, lbs.as_array()), trial
         assert np.array_equal(got.fbs, as_matrix(fbs)), trial
         assert np.array_equal(got.e_len_m, e_len), trial
-        assert (got.g_len_m, got.interior_raw_m) == (g_len, interior), trial
+        assert math.dist(user.as_array(), got.lbs) == g_len, trial
+        assert got.interior_raw_m == interior, trial
 
 
 def test_batched_solve_raises_on_the_same_first_subarray():
