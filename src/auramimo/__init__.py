@@ -46,7 +46,6 @@ from .grouping import (
 from .layout import (
     ArrayGeometry,
     Aura,
-    Position,
     Segment,
     SubArray,
     Track,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     auramimo run --config cfg.json [--seed N] [--out-dir DIR]
-                 [--format binary|text] [--workers N]
+                 [--format binary|text]
     auramimo plan --config cfg.json [--seed N]
     auramimo metrics --tensor channel.bin
 
@@ -41,13 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p_run)
     p_run.add_argument("--out-dir", default=None, help="override output directory")
     p_run.add_argument("--format", choices=FORMATS, default=None, help="tensor format")
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted and ignored: synthesis threads share the available CPUs "
-        "with BLAS, and results are identical for any thread count",
-    )
 
     p_plan = sub.add_parser("plan", help="print sharing tables without synthesis")
     _add_config_options(p_plan)
@@ -66,8 +59,6 @@ def _load(args) -> "RunConfig":
         overrides["out_dir"] = args.out_dir
     if getattr(args, "format", None) is not None:
         overrides["out_format"] = args.format
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

@@ -88,7 +88,6 @@ def gen_delays(n: int, sigma_tau_s: float, r_tau: float, rng) -> np.ndarray:
     sorted ascending, shifted so the first is exactly 0."""
     if n < 1:
         raise ValueError("need at least one cluster")
-    rng = _as_rng(rng)
     raw = rng.exponential(scale=r_tau * sigma_tau_s, size=n)
     raw.sort()
     return raw - raw[0]
@@ -103,7 +102,6 @@ def gen_powers(
 ) -> np.ndarray:
     """Exponentially decaying powers with per-cluster log-normal shadowing,
     normalized to sum 1."""
-    rng = _as_rng(rng)
     delays = np.asarray(delays, dtype=float)
     shadow_db = rng.normal(0.0, shadow_std_db, size=delays.shape)
     p = np.exp(-delays * (r_tau - 1.0) / (r_tau * sigma_tau_s)) * 10.0 ** (
@@ -121,7 +119,6 @@ def gen_arrival_angles(
     sign, then wrap to (-180, 180]; elevations are Gaussian with std
     sigma_eoa clipped to [-90, 90].
     """
-    rng = _as_rng(rng)
     n = len(powers)
     az_mag = np.abs(rng.normal(0.0, sigma_aoa_deg, size=n))
     signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -138,12 +135,6 @@ def gen_departure_angles(
     if n_subarrays < 1:
         raise ValueError("need at least one sub-array")
     return gen_arrival_angles(np.ones(n_subarrays), sigma_aod_deg, sigma_eod_deg, rng)
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def group_rng(seed: int, segment_index: int, group_row: int) -> np.random.Generator:

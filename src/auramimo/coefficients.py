@@ -24,8 +24,7 @@ into blocks of at most BLOCK_VALUES departure phases, each computed in
 one pass over all sub-arrays (ArrayGeometry.element_distances), and the
 blocks run on one thread per CPU the process may use, less the threads
 BLAS may start itself (`_synthesis_threads`). Each block fills its own
-(user, cluster) slots, so results are identical for any thread count;
-the `workers` setting is accepted and ignored.
+(user, cluster) slots, so results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -248,7 +247,7 @@ def synthesize(
             key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
             by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
     rx_positions = [layout.segment_positions(u, segment) for u in user_ids]
-    anchors = [layout.segment_start_position(u, segment).as_array() for u in user_ids]
+    anchors = [layout.segment_start_position(u, segment) for u in user_ids]
 
     def fill(block: list) -> None:
         perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
@@ -315,7 +314,7 @@ def planar_vs_spherical_error(
     far-field linear phase along the sub-array's departure direction."""
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     array = layout.array
-    elements = array.element_matrix()
+    elements = array.element_positions
     sub = array.subarray_of_element()
     centers = array.subarray_centers
     focal = view.fbs

@@ -12,7 +12,7 @@ from numbers import Integral
 from pathlib import Path
 
 from .errors import ChannelModelError, ConfigError
-from .layout import Position, Track, UserLayout, build_layout, linear_track, uniform_linear_array
+from .layout import Track, UserLayout, build_layout, linear_track, uniform_linear_array
 from .lsp import ScenarioConfig
 
 FORMATS = ("binary", "text")
@@ -23,7 +23,6 @@ class RunConfig:
     scenario: ScenarioConfig
     layout: UserLayout
     seed: int
-    workers: int
     out_dir: str
     out_format: str
     layout_spec: dict  # normalized form, kept for round-trip serialization
@@ -32,8 +31,6 @@ class RunConfig:
         # Here, not in parse_config, so command-line overrides are checked too.
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     @property
     def total_clusters_per_user(self) -> int:
@@ -54,11 +51,11 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _position(value, context: str) -> Position:
+def _position(value, context: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
     try:
-        return Position(float(value[0]), float(value[1]), float(value[2]))
+        return float(value[0]), float(value[1]), float(value[2])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{context}: {e}") from None
 
@@ -98,7 +95,7 @@ def _parse_tracks(users: list, context: str) -> list[Track]:
     return tracks
 
 
-def _parse_elements(array_spec: dict, context: str) -> list[Position]:
+def _parse_elements(array_spec: dict, context: str):
     if "element_positions_m" in array_spec:
         return [
             _position(p, f"{context}.element_positions_m[{i}]")
@@ -166,7 +163,6 @@ def parse_config(raw: dict) -> RunConfig:
         scenario=scenario,
         layout=layout,
         seed=raw.get("seed", 0),
-        workers=raw.get("workers", 1),
         out_dir=str(output.get("dir", "out")),
         out_format=out_format,
         layout_spec=_normalize_layout_spec(layout_raw),
@@ -212,7 +208,6 @@ def config_to_dict(config: RunConfig) -> dict:
     """Normalized document; parse(config_to_dict(c)) is a fixed point."""
     return {
         "seed": config.seed,
-        "workers": config.workers,
         "scenario": config.scenario.as_dict(),
         "layout": config.layout_spec,
         "output": {"dir": config.out_dir, "format": config.out_format},

@@ -15,13 +15,14 @@ auras are circles, not spheres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ComponentTooLarge
-from .layout import Aura, Position, UserLayout
+from .layout import Aura, UserLayout
 
 # Enumeration is exponential: allow only as many cliques as one of this size has.
 MAX_CLIQUE_USERS = 20
@@ -92,19 +93,6 @@ class ShareTable:
     def cluster_ids(self) -> tuple[int, ...]:
         return tuple(sorted(c for g in self.groups for c in g.cluster_ids))
 
-    def report_rows(self) -> list[dict]:
-        """One dict per group for structured-text export."""
-        return [
-            {
-                "members": "+".join(str(u) for u in g.members),
-                "proportion": g.proportion,
-                "scaled_proportion": g.scaled_proportion,
-                "count": g.count,
-                "cluster_ids": "+".join(str(c) for c in g.cluster_ids),
-            }
-            for g in self.groups
-        ]
-
 
 def build_overlap_graph(auras: dict[int, Aura]) -> OverlapGraph:
     """Edge between two users iff their aura centers are closer than the
@@ -116,7 +104,8 @@ def build_overlap_graph(auras: dict[int, Aura]) -> OverlapGraph:
     edges = set()
     for u, v in combinations(users, 2):
         limit = auras[u].radius_m + auras[v].radius_m
-        if auras[u].center.horizontal_distance_to(auras[v].center) < limit:
+        cu, cv = auras[u].center, auras[v].center
+        if math.hypot(cu[0] - cv[0], cu[1] - cv[1]) < limit:
             edges.add((u, v))
     return OverlapGraph(vertices=users, edges=frozenset(edges))
 
@@ -148,10 +137,10 @@ def connected_components(graph: OverlapGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _centroid_and_mean_distance(
-    subset: tuple[int, ...], positions: dict[int, Position]
+    subset: tuple[int, ...], xy: dict[int, list[float]]
 ) -> tuple[float, float]:
     """Mean and max horizontal member distance to the subset centroid."""
-    pts = np.array([[positions[u].x, positions[u].y] for u in subset])
+    pts = np.array([xy[u] for u in subset])
     dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
     return float(dists.mean()), float(dists.max())
 
@@ -175,7 +164,7 @@ def _clique_count(later: list[int], cap: int) -> int:
 
 def compute_proportions(
     component: tuple[int, ...],
-    positions: dict[int, Position],
+    positions: dict[int, np.ndarray],
     radius_m: float,
 ) -> dict[tuple[int, ...], float]:
     """Raw sharing proportions for every subset of one component.
@@ -191,7 +180,8 @@ def compute_proportions(
     size, and more than MAX_CLIQUES of them raise ComponentTooLarge first.
     """
     members = tuple(sorted(component))
-    pts = np.array([[positions[u].x, positions[u].y] for u in members])
+    pts = np.array([positions[u][:2] for u in members])
+    xy = dict(zip(members, pts.tolist()))
     # The slack, far above the rounding of the centroid test, only adds pairs.
     limit = 2.0 * radius_m + 1e-9 * (2.0 * radius_m + np.abs(pts).max())
     close = np.triu(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) < limit, 1)
@@ -209,7 +199,7 @@ def compute_proportions(
     while cliques:
         cliques = [(c + (members[v],), ext & later[v]) for c, ext in cliques for v in _bits(ext)]
         for subset, _ in cliques:
-            md, far = _centroid_and_mean_distance(subset, positions)
+            md, far = _centroid_and_mean_distance(subset, xy)
             if far >= radius_m:
                 continue  # subset does not huddle: shares nothing
             p = 1.0 - md / radius_m

@@ -1,10 +1,11 @@
 """Users, tracks, segments, auras, and the base-station array.
 
-Positions are Cartesian in meters. Tracks are explicit snapshot position
-lists; the segment schedule is shared by all users (segment transitions
-must be synchronized). The base-station array is split into contiguous
-sub-arrays whose extent fits within the base-station stationarity
-interval.
+Points are read-only float64 arrays of Cartesian (x, y, z) in meters,
+converted and checked once by the constructors. Tracks are explicit
+snapshot position lists; the segment schedule is shared by all users
+(segment transitions must be synchronized). The base-station array is
+split into contiguous sub-arrays whose extent fits within the
+base-station stationarity interval.
 """
 
 from __future__ import annotations
@@ -23,49 +24,41 @@ from .geom import read_only
 GEOMETRY_TOL_M = 1e-9
 
 
-@dataclass(frozen=True)
-class Position:
-    """Cartesian point in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"position coordinates must be finite, got {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def distance_to(self, other: "Position") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-    def horizontal_distance_to(self, other: "Position") -> float:
-        """2D (x, y) distance; aura overlap is a circle test, z is ignored."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
-def as_matrix(points) -> np.ndarray:
-    """(n, 3) float array of a sequence of positions."""
-    return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
+def _points(points, what: str) -> np.ndarray:
+    """Read-only float64 copy of `points`, rows (x, y, z); ValueError
+    unless every coordinate is finite."""
+    a = np.array(points, dtype=float)
+    if a.size == 0:
+        a = a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"{what}: expected rows [x, y, z], got shape {a.shape}")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{what}: coordinates must be finite, got {a[bad[0]].tolist()} at point {bad[0]}"
+        )
+    return read_only(a)
 
 
 @dataclass(frozen=True)
 class Track:
-    """Snapshot positions of one user, equally spaced along the trajectory."""
+    """Snapshot positions (n, 3) of one user, equally spaced along the
+    trajectory; the points are a read-only copy of the input."""
 
     user_id: int
-    points: tuple[Position, ...]
+    points: np.ndarray
     snapshot_spacing_m: float
 
     def __post_init__(self) -> None:
         if len(self.points) < 1:
             raise ValueError(f"track of user {self.user_id} has no points")
+        points = _points(self.points, f"track of user {self.user_id}")
+        object.__setattr__(self, "points", points)
         if self.snapshot_spacing_m <= 0:
             raise ValueError("snapshot_spacing_m must be positive")
-        for i in range(1, len(self.points)):
-            step = self.points[i - 1].distance_to(self.points[i])
+        rows = points.tolist()
+        for i in range(1, len(rows)):
+            step = math.dist(rows[i - 1], rows[i])
             if abs(step - self.snapshot_spacing_m) > GEOMETRY_TOL_M:
                 raise ValueError(
                     f"track of user {self.user_id}: spacing {step!r} at snapshot "
@@ -78,18 +71,19 @@ class Track:
 
 def linear_track(
     user_id: int,
-    start: Position,
+    start,
     heading_deg: float,
     n_snapshots: int,
     snapshot_spacing_m: float,
 ) -> Track:
-    """Straight horizontal track starting at `start` (heading measured from +x)."""
+    """Straight horizontal track starting at `start` (x, y, z) (heading
+    measured from +x)."""
     h = math.radians(heading_deg)
     dx = math.cos(h) * snapshot_spacing_m
     dy = math.sin(h) * snapshot_spacing_m
-    points = tuple(
-        Position(start.x + i * dx, start.y + i * dy, start.z) for i in range(n_snapshots)
-    )
+    x, y, z = start
+    i = np.arange(n_snapshots)
+    points = np.column_stack([x + i * dx, y + i * dy, np.full(n_snapshots, float(z))])
     return Track(user_id=user_id, points=points, snapshot_spacing_m=snapshot_spacing_m)
 
 
@@ -105,9 +99,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class Aura:
-    """Circle around a user's segment-start position; overlap governs sharing."""
+    """Circle around a user's segment-start position (3,); overlap governs
+    sharing."""
 
-    center: Position
+    center: np.ndarray
     radius_m: float
 
     def __post_init__(self) -> None:
@@ -121,7 +116,7 @@ class SubArray:
 
     index: int
     element_range: tuple[int, int]  # [start, stop)
-    center: Position
+    center: np.ndarray  # (3,), read-only
 
     @property
     def n_elements(self) -> int:
@@ -130,11 +125,11 @@ class SubArray:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element positions and their partition into sub-arrays. The array
-    constants (element matrix, sub-array of each element, centers, runs,
-    reference sub-array) are computed once; arrays are read-only."""
+    """Element positions (n_elements, 3) and their partition into
+    sub-arrays. The array constants (sub-array of each element, centers,
+    runs, reference sub-array) are computed once; arrays are read-only."""
 
-    element_positions: tuple[Position, ...]
+    element_positions: np.ndarray
     subarrays: tuple[SubArray, ...]
     bs_stationarity_m: float
 
@@ -147,10 +142,6 @@ class ArrayGeometry:
         return len(self.subarrays)
 
     @cached_property
-    def _elements(self) -> np.ndarray:
-        return read_only(as_matrix(self.element_positions))
-
-    @cached_property
     def _subarray_of_element(self) -> np.ndarray:
         sizes = [s.n_elements for s in self.subarrays]
         return read_only(np.repeat(np.arange(self.n_subarrays), sizes))
@@ -158,7 +149,7 @@ class ArrayGeometry:
     @cached_property
     def subarray_centers(self) -> np.ndarray:
         """(n_subarrays, 3) float array of sub-array centers."""
-        return read_only(as_matrix(s.center for s in self.subarrays))
+        return read_only(np.array([s.center for s in self.subarrays]))
 
     @cached_property
     def equal_size_runs(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -175,15 +166,11 @@ class ArrayGeometry:
 
     @cached_property
     def _reference(self) -> SubArray:
-        centroid = self._elements.mean(axis=0)
+        centroid = self.element_positions.mean(axis=0)
         return min(
             self.subarrays,
-            key=lambda s: (float(np.linalg.norm(s.center.as_array() - centroid)), s.index),
+            key=lambda s: (float(np.linalg.norm(s.center - centroid)), s.index),
         )
-
-    def element_matrix(self) -> np.ndarray:
-        """(n_elements, 3) float array of element positions."""
-        return self._elements
 
     def subarray_of_element(self) -> np.ndarray:
         """Sub-array index for every element."""
@@ -196,7 +183,7 @@ class ArrayGeometry:
         geom.norms, so the bits match."""
         out = np.empty((self.n_elements, points.shape[1]))
         for a0, a1, e0, e1 in self.equal_size_runs:
-            elements = self._elements[e0:e1].reshape(a1 - a0, -1, 1, 3)
+            elements = self.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
             run = points[a0:a1, None]
             acc = (elements[..., 0] - run[..., 0]) ** 2
             for j in (1, 2):
@@ -256,9 +243,9 @@ def build_segments(tracks: list[Track], stationarity_user_m: float) -> tuple[Seg
 
 
 def partition_subarrays(
-    elements: list[Position], bs_stationarity_m: float
+    elements: np.ndarray, bs_stationarity_m: float
 ) -> tuple[SubArray, ...]:
-    """Split an ordered element list into contiguous sub-arrays.
+    """Split ordered element positions (n, 3) into contiguous sub-arrays.
 
     The per-sub-array element count is floor(stationarity / element step),
     counting each element as occupying one step, so no sub-array extends
@@ -266,7 +253,7 @@ def partition_subarrays(
     sub-array. A stationarity interval larger than the aperture yields a
     single sub-array (stationary model).
     """
-    if not elements:
+    if len(elements) == 0:
         raise EmptyArray("array has no elements")
     if bs_stationarity_m <= 0:
         raise ValueError("bs_stationarity_m must be positive")
@@ -274,9 +261,8 @@ def partition_subarrays(
     if len(elements) == 1:
         step = 0.0
     else:
-        step = max(
-            elements[i].distance_to(elements[i + 1]) for i in range(len(elements) - 1)
-        )
+        rows = elements.tolist()
+        step = max(math.dist(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
     if step <= 0:
         per_subarray = len(elements)
     else:
@@ -286,13 +272,11 @@ def partition_subarrays(
     start = 0
     while start < len(elements):
         stop = min(start + per_subarray, len(elements))
-        block = elements[start:stop]
-        center = np.mean([p.as_array() for p in block], axis=0)
         subarrays.append(
             SubArray(
                 index=len(subarrays),
                 element_range=(start, stop),
-                center=Position(*center),
+                center=read_only(elements[start:stop].mean(axis=0)),
             )
         )
         start = stop
@@ -302,17 +286,19 @@ def partition_subarrays(
 def uniform_linear_array(
     n_elements: int,
     spacing_m: float,
-    origin: Position,
+    origin,
     axis: tuple[float, float, float] = (1.0, 0.0, 0.0),
-) -> list[Position]:
-    """Element positions of a uniform linear array starting at `origin`."""
+) -> np.ndarray:
+    """Element positions (n_elements, 3), read-only, of a uniform linear
+    array starting at `origin` (x, y, z)."""
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if norm == 0:
         raise ValueError("array axis must be nonzero")
     a = a / norm
-    base = origin.as_array()
-    return [Position(*(base + i * spacing_m * a)) for i in range(n_elements)]
+    base = np.asarray(origin, dtype=float)
+    steps = np.arange(n_elements) * spacing_m
+    return _points(base + steps[:, None] * a, "array elements")
 
 
 @dataclass(frozen=True)
@@ -348,18 +334,19 @@ class UserLayout:
             )
         return self.segments[segment_index]
 
-    def segment_start_position(self, user_id: int, segment_index: int) -> Position:
-        """First position of the user in the segment (the aura anchor)."""
+    def segment_start_position(self, user_id: int, segment_index: int) -> np.ndarray:
+        """First position (3,) of the user in the segment (the aura anchor),
+        a row of the track."""
         track = self.track_of(user_id)
         seg = self.segment(segment_index)
         return track.points[seg.first_snapshot]
 
     def segment_positions(self, user_id: int, segment_index: int) -> np.ndarray:
-        """(n_snapshots, 3) rx positions of the user across the segment."""
+        """(n_snapshots, 3) rx positions of the user across the segment, a
+        slice of the track."""
         track = self.track_of(user_id)
         seg = self.segment(segment_index)
-        pts = track.points[seg.first_snapshot : seg.first_snapshot + seg.n_snapshots]
-        return as_matrix(pts)
+        return track.points[seg.first_snapshot : seg.first_snapshot + seg.n_snapshots]
 
     def aura_of(self, user_id: int, segment_index: int) -> Aura:
         return Aura(
@@ -370,15 +357,17 @@ class UserLayout:
 
 def build_layout(
     tracks: list[Track],
-    array_elements: list[Position],
+    array_elements,
     stationarity_user_m: float,
     bs_stationarity_m: float,
 ) -> UserLayout:
-    """Assemble a validated layout from tracks and array element positions."""
+    """Assemble a validated layout from tracks and array element positions
+    (n, 3)."""
     segments = build_segments(tracks, stationarity_user_m)
-    subarrays = partition_subarrays(array_elements, bs_stationarity_m)
+    elements = _points(array_elements, "array elements")
+    subarrays = partition_subarrays(elements, bs_stationarity_m)
     array = ArrayGeometry(
-        element_positions=tuple(array_elements),
+        element_positions=elements,
         subarrays=subarrays,
         bs_stationarity_m=bs_stationarity_m,
     )

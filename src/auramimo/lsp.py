@@ -175,9 +175,7 @@ def draw_lsp(scenario: ScenarioConfig, layout: UserLayout, seed: int) -> LspDraw
         for u in layout.user_ids
         for s in layout.segments
     ]
-    points = np.array(
-        [layout.segment_start_position(u, s).as_array() for (u, s) in keys]
-    )
+    points = np.array([layout.segment_start_position(u, s) for (u, s) in keys])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_LSP,)))
 
     per_field: dict[str, np.ndarray] = {}

@@ -22,20 +22,6 @@ class MetricsReport:
     shared_cluster_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     planar_error_max_rad: dict[int, float] = field(default_factory=dict)
 
-    def report_rows(self) -> list[tuple]:
-        rows: list[tuple] = []
-        for (u, v), mean in sorted(self.pair_correlation_mean.items()):
-            rows.append(("pair_correlation_mean", u, v, repr(float(mean))))
-        for (u, v), per_snap in sorted(self.pair_correlation.items()):
-            rows.append(
-                ("pair_correlation", u, v, "+".join(repr(float(x)) for x in per_snap))
-            )
-        for (u, v), count in sorted(self.shared_cluster_counts.items()):
-            rows.append(("shared_clusters", u, v, str(count)))
-        for sub, err in sorted(self.planar_error_max_rad.items()):
-            rows.append(("planar_error_max_rad", sub, "", repr(err)))
-        return rows
-
 
 def pair_correlation(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
     """|h_u^H h_v| / (|h_u| |h_v|) per snapshot for (vector, snapshot)

@@ -22,7 +22,7 @@ import numpy as np
 from .clustergen import Cluster, ClusterSet
 from .errors import IncompleteViews
 from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector, read_only
-from .layout import Position, UserLayout
+from .layout import UserLayout
 from .spherical import solve_cluster_geometry
 
 MODE_GENERATOR = "generator"
@@ -93,26 +93,26 @@ def _verbatim_view(
 
 
 def choose_recalc_mode(
-    cluster: Cluster, owner_pos: Position, segment_length_m: float
+    cluster: Cluster, owner_pos: np.ndarray, segment_length_m: float
 ) -> str:
     """Kept-focal-point iff the receiver-side focal point lies strictly
     within three segment lengths of the joining owner."""
-    distance = math.dist(cluster.geometry.lbs, owner_pos.as_array())
+    distance = math.dist(cluster.geometry.lbs, owner_pos)
     if distance < 3.0 * segment_length_m:
         return MODE_KEPT_FOCAL
     return MODE_KEPT_PARAMETERS
 
 
-def _at_generator(cluster: Cluster, owner_pos: Position, layout: UserLayout) -> bool:
+def _at_generator(cluster: Cluster, owner_pos: np.ndarray, layout: UserLayout) -> bool:
     """Whether the owner stands exactly at the generating user's position."""
     gen_pos = layout.segment_start_position(cluster.generating_user, cluster.segment_index)
-    return owner_pos == gen_pos
+    return bool(np.array_equal(owner_pos, gen_pos))
 
 
 def recalc_kept_parameters(
     cluster: Cluster,
     owner_id: int,
-    owner_pos: Position,
+    owner_pos: np.ndarray,
     layout: UserLayout,
     power: float,
 ) -> OwnerView:
@@ -127,7 +127,7 @@ def recalc_kept_parameters(
 def recalc_kept_focal_point(
     cluster: Cluster,
     owner_id: int,
-    owner_pos: Position,
+    owner_pos: np.ndarray,
     layout: UserLayout,
     power: float,
 ) -> OwnerView:
@@ -143,14 +143,13 @@ def recalc_kept_focal_point(
         return view
 
     geometry = cluster.geometry
-    owner = owner_pos.as_array()
     aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
-    aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner)
+    aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
 
     ref = layout.array.reference_subarray()
     e_ref = float(geometry.e_len_m[ref.index])
-    g_len = math.dist(owner, geometry.lbs)
-    direct = owner_pos.distance_to(ref.center)
+    g_len = math.dist(owner_pos, geometry.lbs)
+    direct = math.dist(owner_pos, ref.center)
     delay = (e_ref + geometry.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
     delay = max(0.0, delay)
 

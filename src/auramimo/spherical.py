@@ -35,19 +35,19 @@ from .clustergen import (
 )
 from .errors import DegenerateGeometry
 from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
-from .layout import ArrayGeometry, Position, UserLayout
+from .layout import ArrayGeometry, UserLayout
 from .lsp import STREAM_REDRAW, LspDraw
 
 EPSILON_M = 1e-9
 MAX_ANGLE_RETRIES = 16
 
 
-def total_path_length(tau_s: float, apos: Position, user_pos: Position) -> float:
+def total_path_length(tau_s: float, apos, user_pos) -> float:
     """Total propagation path length: excess delay times c plus the
-    direct anchor-user distance."""
+    direct anchor-user distance, of points (x, y, z)."""
     if tau_s < 0:
         raise ValueError(f"excess delay must be nonnegative, got {tau_s}")
-    return tau_s * SPEED_OF_LIGHT_M_S + apos.distance_to(user_pos)
+    return tau_s * SPEED_OF_LIGHT_M_S + math.dist(apos, user_pos)
 
 
 def solve_focal_lengths(
@@ -80,25 +80,25 @@ def solve_focal_lengths(
 
 
 def solve_cluster_geometry(
-    cluster: Cluster, user_pos: Position, array: ArrayGeometry
+    cluster: Cluster, user: np.ndarray, array: ArrayGeometry
 ) -> ClusterGeometry:
-    """Both focal points of a cluster with excess delay, from `user_pos`:
-    one departure solve over all sub-arrays, then the arrival solve
-    (anchor = user, far end = reference sub-array center, direction =
-    arrival) with the same closed form."""
+    """Both focal points of a cluster with excess delay, from the user
+    position `user` (3,): one departure solve over all sub-arrays, then
+    the arrival solve (anchor = user, far end = reference sub-array
+    center, direction = arrival) with the same closed form."""
     ref = array.reference_subarray()
     centers = array.subarray_centers
-    user = user_pos.as_array()
     tau = cluster.tau_s
     # One math.dist per sub-array: numpy has no bit-identical twin of it.
-    d_c = np.array([total_path_length(tau, s.center, user_pos) for s in array.subarrays])
+    user_xyz = user.tolist()
+    d_c = np.array([total_path_length(tau, c, user_xyz) for c in centers.tolist()])
     e_len, e_hat = solve_focal_lengths(
         d_c, user - centers, unit_from_angles(cluster.aod_az_deg, cluster.aod_el_deg)
     )
     fbs = centers + e_len[:, None] * e_hat
     lbs_len, g_hat = solve_focal_lengths(
         d_c[ref.index : ref.index + 1],
-        (ref.center.as_array() - user)[None],
+        (ref.center - user)[None],
         unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
     )
     lbs = user + lbs_len[0] * g_hat[0]
@@ -106,7 +106,7 @@ def solve_cluster_geometry(
     return ClusterGeometry(lbs, fbs, e_len, interior)
 
 
-def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> ClusterGeometry:
+def _geometry(cluster: Cluster, gen_pos: np.ndarray, layout: UserLayout) -> ClusterGeometry:
     """LBS, per-sub-array FBS and path lengths seen from the generating
     user's segment-start position."""
     if not cluster.boresight:
@@ -114,11 +114,11 @@ def _geometry(cluster: Cluster, gen_pos: Position, layout: UserLayout) -> Cluste
     # Zero excess delay: both bounce points collapse onto the generating
     # user's position. Drawn angles are kept in the table; the geometry
     # simply cannot bend the path.
-    subarrays = layout.array.subarrays
-    e_len = np.array([gen_pos.distance_to(s.center) for s in subarrays])
-    gen = gen_pos.as_array()
-    fbs = np.broadcast_to(gen, (len(subarrays), 3))
-    return ClusterGeometry(gen, fbs, e_len, 0.0)
+    centers = layout.array.subarray_centers
+    gen_xyz = gen_pos.tolist()
+    e_len = np.array([math.dist(gen_xyz, c) for c in centers.tolist()])
+    fbs = np.broadcast_to(gen_pos, centers.shape)
+    return ClusterGeometry(gen_pos, fbs, e_len, 0.0)
 
 
 def _attached(

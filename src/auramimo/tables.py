@@ -15,17 +15,40 @@ SHARE_HEADER = "segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_
 METRICS_HEADER = "metric\tkey1\tkey2\tvalue"
 
 
+def _joined(ids) -> str:
+    return "+".join(map(str, ids))
+
+
 def share_rows(table) -> list[str]:
     """One segment's share-table rows; proportions are written as plain floats."""
     return [
-        f"{table.segment_index}\t{row['members']}\t{float(row['proportion'])!r}\t"
-        f"{float(row['scaled_proportion'])!r}\t{row['count']}\t{row['cluster_ids']}"
-        for row in table.report_rows()
+        f"{table.segment_index}\t{_joined(g.members)}\t{float(g.proportion)!r}\t"
+        f"{float(g.scaled_proportion)!r}\t{g.count}\t{_joined(g.cluster_ids)}"
+        for g in table.groups
     ]
 
 
 def metrics_rows(report) -> list[str]:
-    return ["\t".join(str(x) for x in row) for row in report.report_rows()]
+    """Pair correlation means, per-snapshot correlations, shared-cluster
+    counts and planar errors, each sorted by key."""
+    return (
+        [
+            f"pair_correlation_mean\t{u}\t{v}\t{float(mean)!r}"
+            for (u, v), mean in sorted(report.pair_correlation_mean.items())
+        ]
+        + [
+            f"pair_correlation\t{u}\t{v}\t{'+'.join(repr(float(x)) for x in per_snap)}"
+            for (u, v), per_snap in sorted(report.pair_correlation.items())
+        ]
+        + [
+            f"shared_clusters\t{u}\t{v}\t{count}"
+            for (u, v), count in sorted(report.shared_cluster_counts.items())
+        ]
+        + [
+            f"planar_error_max_rad\t{sub}\t\t{err!r}"
+            for sub, err in sorted(report.planar_error_max_rad.items())
+        ]
+    )
 
 
 def param_header(n_subarrays: int) -> str:
@@ -76,7 +99,7 @@ def write_tables(result, out: Path) -> dict[str, Path]:
                     cluster = seg.cluster_set.clusters[view.cluster_id]
                     f.write(
                         f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
-                        f"{'+'.join(map(str, cluster.owner_set))}\t"
+                        f"{_joined(cluster.owner_set)}\t"
                         f"{cluster.generating_user}\t{int(view.boresight)}\t"
                         f"{seg_rows[(user, view.cluster_id)]}\n"
                     )

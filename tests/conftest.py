@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from auramimo import (
-    Position,
     ScenarioConfig,
     build_layout,
     linear_track,
@@ -51,18 +50,18 @@ def make_two_user_layout(
     """Two users on parallel tracks (heading +y), given start separation."""
     tracks = [
         linear_track(
-            1, Position(start_x, 0.0, 1.5), 90.0, n_snapshots, snapshot_spacing_m
+            1, (start_x, 0.0, 1.5), 90.0, n_snapshots, snapshot_spacing_m
         ),
         linear_track(
             2,
-            Position(start_x + separation_m, 0.0, 1.5),
+            (start_x + separation_m, 0.0, 1.5),
             90.0,
             n_snapshots,
             snapshot_spacing_m,
         ),
     ]
     elements = uniform_linear_array(
-        n_elements, element_spacing_m, Position(0.0, 0.0, 10.0)
+        n_elements, element_spacing_m, (0.0, 0.0, 10.0)
     )
     return build_layout(
         tracks,
@@ -82,11 +81,11 @@ def make_point_layout(
 ):
     """Static single-snapshot users at explicit positions (one segment)."""
     tracks = [
-        linear_track(u, Position(*xyz), 0.0, 1, 0.5)
+        linear_track(u, xyz, 0.0, 1, 0.5)
         for u, xyz in sorted(positions_by_user.items())
     ]
     elements = uniform_linear_array(
-        n_elements, element_spacing_m, Position(0.0, 0.0, 10.0)
+        n_elements, element_spacing_m, (0.0, 0.0, 10.0)
     )
     return build_layout(
         tracks,

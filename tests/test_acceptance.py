@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -25,7 +26,6 @@ import pytest
 from auramimo import (
     Aura,
     OwnerView,
-    Position,
     assemble_clusters,
     attach_focal_points,
     build_overlap_graph,
@@ -80,11 +80,9 @@ def two_user_config(
     *,
     n_elements: int = 64,
     n_snapshots: int = 1,
-    workers: int = 1,
 ):
     raw = {
         "seed": seed,
-        "workers": workers,
         "scenario": dict(SCENARIO),
         "layout": {
             "stationarity_user_m": AURA_RADIUS_M,
@@ -154,7 +152,7 @@ def test_c01_proportion_law(check):
     with check(1, "proportion-law"):
         radius = 4.0
         for d, expected in [(0.0, 1.0), (2.0, 0.75), (4.0, 0.5), (6.0, 0.25), (8.0, 0.0)]:
-            positions = {1: Position(0.0, 0.0, 1.5), 2: Position(d, 0.0, 1.5)}
+            positions = {1: (0.0, 0.0, 1.5), 2: (d, 0.0, 1.5)}
             auras = {u: Aura(p, radius) for u, p in positions.items()}
             components = connected_components(build_overlap_graph(auras))
             if d < 2 * radius:
@@ -178,7 +176,7 @@ def test_c02_count_conservation(check):
         for _ in range(500):
             n = int(rng.integers(2, 9))
             positions = {
-                u + 1: Position(float(x), float(y), 1.5)
+                u + 1: (float(x), float(y), 1.5)
                 for u, (x, y) in enumerate(rng.uniform(0.0, 30.0, size=(n, 2)))
             }
             radius = float(rng.uniform(2.0, 9.0))
@@ -206,7 +204,7 @@ def test_c03_components_oracle(check):
             xy = rng.uniform(0.0, 40.0, size=(n, 2))
             radius = float(rng.uniform(1.0, 8.0))
             auras = {
-                u + 1: Aura(Position(float(x), float(y), 1.5), radius)
+                u + 1: Aura((float(x), float(y), 1.5), radius)
                 for u, (x, y) in enumerate(xy)
             }
             got = {frozenset(c) for c in connected_components(build_overlap_graph(auras))}
@@ -231,16 +229,16 @@ def _focal(apos, user, e_hat, d_c):
     """One departure solve (solve_focal_lengths with A = 1): the
     anchor-to-bounce length and the bounce point."""
     e_len, unit = solve_focal_lengths(
-        np.array([d_c]), (user.as_array() - apos.as_array())[None], np.asarray(e_hat)[None]
+        np.array([d_c]), np.subtract(user, apos)[None], np.asarray(e_hat)[None]
     )
-    return float(e_len[0]), Position(*(apos.as_array() + e_len[0] * unit[0]).tolist())
+    return float(e_len[0]), np.add(apos, e_len[0] * unit[0])
 
 
 def test_c04_focal_closure(check):
     with check(4, "focal-closure"):
         # Worked cases: anchor at origin, user 10 m along +x, 20 m total.
-        apos = Position(0.0, 0.0, 0.0)
-        user = Position(10.0, 0.0, 0.0)
+        apos = (0.0, 0.0, 0.0)
+        user = (10.0, 0.0, 0.0)
         perp, _ = _focal(apos, user, np.array([0.0, 1.0, 0.0]), 20.0)
         assert perp == pytest.approx(7.5, rel=1e-12)
         through, _ = _focal(apos, user, np.array([1.0, 0.0, 0.0]), 20.0)
@@ -269,10 +267,10 @@ def test_c04_focal_closure(check):
         oracle = 0.5 * (lo + hi)
 
         for i in range(count):
-            a = Position(*anchors[i])
-            u = Position(*users[i])
+            a = anchors[i]
+            u = users[i]
             e_len, focal = _focal(a, u, e_hat[i], float(d_c[i]))
-            closure = e_len + focal.distance_to(u)
+            closure = e_len + math.dist(focal, u)
             assert abs(closure - d_c[i]) / d_c[i] <= 1e-9
             assert abs(e_len - oracle[i]) <= 1e-6
 
@@ -402,8 +400,8 @@ def test_c09_per_subarray_angles(check):
 def _broadside_view(layout, distance_m):
     subs = layout.array.subarrays
     center = subs[0].center
-    fbs = np.array([(center.x, distance_m, center.z) for _ in subs])
-    e_len = np.array([math.dist(s.center.as_array(), f) for s, f in zip(subs, fbs)])
+    fbs = np.array([(center[0], distance_m, center[2]) for _ in subs])
+    e_len = np.array([math.dist(s.center, f) for s, f in zip(subs, fbs)])
     return OwnerView(
         user_id=1,
         cluster_id=0,
@@ -476,7 +474,7 @@ def test_c11_recalc_fixed_point(check):
 
         # The mode flips exactly at three segment lengths, strict below.
         segment_length = 5.0
-        owner = Position(0.0, 0.0, 1.5)
+        owner = (0.0, 0.0, 1.5)
         probe = Cluster(
             cluster_id=0,
             segment_index=0,
@@ -502,11 +500,14 @@ def test_c11_recalc_fixed_point(check):
 
 
 # ---------------------------------------------------------------------------
-# 12. Determinism across runs and worker counts
+# 12. Determinism across runs and synthesis thread counts
 # ---------------------------------------------------------------------------
 
+BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
-def _cli_run(config_path, out_dir, *extra):
+
+def _cli_run(config_path, out_dir, **blas_caps):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_CAPS}
     proc = subprocess.run(
         [
             sys.executable,
@@ -519,10 +520,10 @@ def _cli_run(config_path, out_dir, *extra):
             "42",
             "--out-dir",
             str(out_dir),
-            *extra,
         ],
         capture_output=True,
         text=True,
+        env={**env, **blas_caps},
     )
     assert proc.returncode == 0, proc.stderr
     return (out_dir / "channel.bin").read_bytes()
@@ -537,7 +538,9 @@ def test_c12_determinism(check, tmp_path):
                 "stationarity_user_m": AURA_RADIUS_M,
                 "bs_stationarity_m": 0.8,
                 "array": {
-                    "n_elements": 32,
+                    # Four departure geometries per synthesis block: several
+                    # blocks, so more than one synthesis thread has work.
+                    "n_elements": 256,
                     "spacing_m": 0.05,
                     "origin_m": [0.0, 0.0, 10.0],
                 },
@@ -567,8 +570,7 @@ def test_c12_determinism(check, tmp_path):
         assert first == second
         assert read_tensor_binary(tmp_path / "r1" / "channel.bin").seed == 42
 
-        for workers in (2, 8):
-            pooled = _cli_run(
-                config_path, tmp_path / f"w{workers}", "--workers", str(workers)
-            )
-            assert pooled == first
+        # Uncapped BLAS leaves synthesis one thread; a one-thread BLAS gives
+        # it one per CPU, each filling the blocks of its own geometries.
+        capped = _cli_run(config_path, tmp_path / "capped", OPENBLAS_NUM_THREADS="1")
+        assert capped == first

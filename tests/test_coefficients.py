@@ -13,7 +13,6 @@ import scipy.stats
 
 from auramimo import (
     IncompleteViews,
-    Position,
     assemble_clusters,
     attach_focal_points,
     build_layout,
@@ -30,7 +29,7 @@ from auramimo import (
 )
 from auramimo import coefficients
 from auramimo.coefficients import _fan_positions, scatterer_randomness
-from auramimo.layout import ArrayGeometry, as_matrix
+from auramimo.layout import ArrayGeometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import make_point_layout, make_scenario, make_two_user_layout
@@ -87,7 +86,7 @@ def test_scatterer_randomness_keyed_and_valid():
 def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
     subs = layout.array.subarrays
     lbs, fbs = np.array(lbs, dtype=float), np.array(fbs, dtype=float)
-    e_len = np.array([math.dist(s.center.as_array(), f) for s, f in zip(subs, fbs)])
+    e_len = np.array([math.dist(s.center, f) for s, f in zip(subs, fbs)])
     return OwnerView(
         user_id=1,
         cluster_id=0,
@@ -125,7 +124,7 @@ def test_single_scatterer_phase_arithmetic():
 
     k = 2 * math.pi * carrier / C0
     phi = scatterer_randomness(5, 0, 1)[0][0]
-    elements = layout.array.element_matrix()
+    elements = layout.array.element_positions
     rx = np.array([20.0, 0.0, 1.5])
     total = (
         np.linalg.norm(elements - fbs[0], axis=1)
@@ -209,7 +208,7 @@ def test_generator_center_path_delay_closes():
         for c, view in enumerate(views.views_of_user(user)):
             if view.recalc_mode != "generator" or view.interior_raw_m < 0:
                 continue
-            want = view.delay_s + gen_pos.distance_to(ref_center) / C0
+            want = view.delay_s + math.dist(gen_pos, ref_center) / C0
             assert tensor.delays[k, c, 0] == pytest.approx(want, rel=1e-9)
             checked += 1
     assert checked >= 5
@@ -258,7 +257,7 @@ def test_users_must_agree_on_cluster_count():
 
 
 def _broadside_view(layout, distance):
-    fbs = [(s.center.x, s.center.y + distance, s.center.z) for s in layout.array.subarrays]
+    fbs = [(s.center[0], s.center[1] + distance, s.center[2]) for s in layout.array.subarrays]
     return _manual_view(layout, (15.0, 4.0, 2.0), fbs, 1.0)
 
 
@@ -311,11 +310,11 @@ def _scalar_fan(anchor, focal, offsets_deg):
 def _scalar_planar_error(view, layout, carrier_hz):
     # One sub-array at a time: the form the batch replaced.
     wavenumber = 2.0 * math.pi * carrier_hz / C0
-    elements = np.array([p.as_array() for p in layout.array.element_positions])
+    elements = np.array(layout.array.element_positions)
     errors = np.zeros(len(view.fbs))
     for sub in layout.array.subarrays:
         focal = view.fbs[sub.index]
-        center = sub.center.as_array()
+        center = sub.center
         leg = focal - center
         dist = float(np.linalg.norm(leg))
         if dist == 0.0:
@@ -356,14 +355,13 @@ def _random_array_layout(rng):
     if rng.random() < 0.5:
         axis = tuple(rng.normal(size=3))
         elements = uniform_linear_array(
-            n_elements, rng.uniform(0.01, 0.2), Position(*rng.uniform(-5, 5, 3)), axis
+            n_elements, rng.uniform(0.01, 0.2), rng.uniform(-5, 5, 3), axis
         )
     else:
-        points = np.cumsum(rng.normal(size=(n_elements, 3)) * 0.05, axis=0)
-        elements = [Position(*p) for p in points]
+        elements = np.cumsum(rng.normal(size=(n_elements, 3)) * 0.05, axis=0)
     stationarity = rng.uniform(0.01, 3.0)
     array = ArrayGeometry(
-        element_positions=tuple(elements),
+        element_positions=elements,
         subarrays=partition_subarrays(elements, stationarity),
         bs_stationarity_m=stationarity,
     )
@@ -378,14 +376,12 @@ def test_batched_planar_error_equals_scalar_loop():
         subs = layout.array.subarrays
         uneven += len({s.n_elements for s in subs}) > 1
         scale = 10.0 ** rng.uniform(-1, 6)
-        fbs = [
-            Position(*(s.center.as_array() + rng.normal(size=3) * scale)) for s in subs
-        ]
+        fbs = [s.center + rng.normal(size=3) * scale for s in subs]
         # Zero-length focal legs have no planar error.
         zero = [a for a in range(len(subs)) if rng.random() < 0.2]
         for a in zero:
             fbs[a] = subs[a].center
-        view = SimpleNamespace(fbs=as_matrix(fbs))
+        view = SimpleNamespace(fbs=np.array(fbs))
         carrier = rng.uniform(1e9, 30e9)
         got = planar_vs_spherical_error(view, layout, carrier)
         assert np.array_equal(got, _scalar_planar_error(view, layout, carrier)), trial
@@ -404,7 +400,7 @@ def test_element_distances_equal_gathered_norms():
         points = array.subarray_centers[:, None, :] + rng.normal(
             size=(array.n_subarrays, n, 3)
         ) * scale
-        want = norms(array.element_matrix()[:, None, :] - points[array.subarray_of_element()])
+        want = norms(array.element_positions[:, None, :] - points[array.subarray_of_element()])
         assert np.array_equal(array.element_distances(points), want), trial
     assert uneven >= 50
 
@@ -418,7 +414,7 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
     # Every view computes its own fans, gathered distances and phases: the
     # loop that per-geometry departure phases replaced.
     array = layout.array
-    elements = array.element_matrix()
+    elements = array.element_positions
     sub_of_element = array.subarray_of_element()
     ref_index = array.reference_subarray().index
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
@@ -431,7 +427,7 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
     delays = np.empty((len(user_ids), n_clusters, n_snap))
     for k, u in enumerate(user_ids):
         rx_positions = layout.segment_positions(u, segment)
-        anchor = layout.segment_start_position(u, segment).as_array()
+        anchor = layout.segment_start_position(u, segment)
         for c, view in enumerate(views.views_of_user(u)):
             phases, perm = scatterer_randomness(seed, view.cluster_id, n_scatterers)
             amp = math.sqrt(view.power / len(phases))
@@ -473,10 +469,10 @@ def _seeded_views(rng, seed):
         if starts and rng.random() < 0.3:
             starts.append(starts[int(rng.integers(len(starts)))])
         else:
-            starts.append(Position(*rng.uniform([20.0, -3.0, 1.5], [28.0, 3.0, 1.5])))
+            starts.append(rng.uniform([20.0, -3.0, 1.5], [28.0, 3.0, 1.5]))
     tracks = [linear_track(u + 1, p, 90.0, n_snap, spacing) for u, p in enumerate(starts)]
     elements = uniform_linear_array(
-        int(rng.integers(2, 41)), 0.05, Position(0.0, 0.0, 10.0)
+        int(rng.integers(2, 41)), 0.05, (0.0, 0.0, 10.0)
     )
     layout = build_layout(
         tracks,
@@ -544,7 +540,7 @@ def test_shared_departure_phases_equal_per_view_loop():
             seen[v.recalc_mode] = seen.get(v.recalc_mode, 0) + 1
             seen["clamped"] += v.interior_raw_m < 0.0
             seen["boresight"] += v.boresight
-        starts = [layout.segment_start_position(u, 0) for u in layout.user_ids]
+        starts = [tuple(layout.segment_start_position(u, 0)) for u in layout.user_ids]
         seen["colocated"] += len(set(starts)) < len(starts)
         seen["reused"] += len(_departure_keys(views)) < len(all_views)
         seen["uneven"] += len(layout.array.equal_size_runs) > 1

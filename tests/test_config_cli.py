@@ -84,7 +84,6 @@ def write_config(tmp_path, raw=None, name="cfg.json"):
 def test_parse_config_defaults_and_fields():
     config = parse_config(base_raw())
     assert config.seed == 7
-    assert config.workers == 1
     assert config.out_dir == "out"
     assert config.out_format == "binary"
     assert config.total_clusters_per_user == 5
@@ -105,7 +104,7 @@ def test_parse_config_explicit_points_and_elements():
     }
     config = parse_config(raw)
     track = config.layout.track_of(1)
-    assert track.points[1].y == pytest.approx(0.5)
+    assert track.points[1][1] == pytest.approx(0.5)
     assert len(config.layout.array.element_positions) == 2
 
 
@@ -165,9 +164,48 @@ def test_bad_position_shape_rejected():
         parse_config(raw)
 
 
-def test_workers_must_be_positive():
-    with pytest.raises(ConfigError, match="workers"):
-        parse_config(base_raw(workers=0))
+def test_config_with_retired_workers_key_still_loads():
+    # Synthesis threads follow the CPUs; a "workers" key is ignored.
+    config = parse_config(base_raw(workers=2))
+    assert config_to_dict(config) == config_to_dict(parse_config(base_raw()))
+    assert "workers" not in config_to_dict(config)
+
+
+def _with_point(key: str, value: float) -> dict:
+    raw = base_raw()
+    layout = raw["layout"]
+    if key == "start_m":
+        layout["users"][1]["start_m"] = [33.0, value, 1.5]
+    elif key == "points_m":
+        layout["users"][0] = {
+            "user_id": 1,
+            "snapshot_spacing_m": 0.5,
+            "points_m": [[30.0, 0.0, 1.5], [30.0, 0.5, value]],
+        }
+        layout["users"][1]["n_snapshots"] = 2
+    elif key == "element_positions_m":
+        layout["array"] = {"element_positions_m": [[0.0, 0.0, 10.0], [value, 0.0, 10.0]]}
+    else:
+        layout["array"]["origin_m"] = [0.0, 0.0, value]
+    return raw
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", ["start_m", "points_m", "element_positions_m", "origin_m"])
+def test_non_finite_coordinate_exits_2_with_one_line(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    raw = _with_point(key, value)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(raw)
+    # json writes NaN and Infinity literals, which load_config reads back.
+    cfg = write_config(tmp_path, raw)
+    assert ("NaN" if np.isnan(value) else "Infinity") in cfg.read_text()
+    code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: config.layout") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -183,9 +221,6 @@ BAD_SETTINGS = [
     ("seed", "abc"),
     ("seed", -1),
     ("seed", True),
-    ("workers", 0),
-    ("workers", -2),
-    ("workers", 1.5),
 ]
 
 
@@ -204,7 +239,7 @@ def test_bad_seed_or_workers_in_config_exits_2_before_any_stage(
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--seed", str(2**64)), ("--seed", "-1"), ("--workers", "0")]
+    "flag,value", [("--seed", str(2**64)), ("--seed", "-1")]
 )
 def test_bad_seed_or_workers_override_exits_2_before_any_stage(
     tmp_path, capsys, monkeypatch, flag, value
@@ -214,9 +249,8 @@ def test_bad_seed_or_workers_override_exits_2_before_any_stage(
     code = main(["run", "--config", str(cfg), flag, value])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"ConfigError: {flag[2:]} must be")
-    if flag == "--seed":
-        monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
-        assert main(["plan", "--config", str(cfg), flag, value]) == 2
+    monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
+    assert main(["plan", "--config", str(cfg), flag, value]) == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "1.7"])

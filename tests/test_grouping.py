@@ -7,7 +7,6 @@ import pytest
 from auramimo import (
     Aura,
     ComponentTooLarge,
-    Position,
     build_layout,
     build_overlap_graph,
     compute_proportions,
@@ -23,12 +22,12 @@ from conftest import make_point_layout
 
 def _auras(centers, radius):
     return {
-        u: Aura(center=Position(*c), radius_m=radius) for u, c in centers.items()
+        u: Aura(center=tuple(c), radius_m=radius) for u, c in centers.items()
     }
 
 
 def _positions(centers):
-    return {u: Position(*c) for u, c in centers.items()}
+    return {u: tuple(c) for u, c in centers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +56,8 @@ def test_overlap_ignores_height_difference():
 
 def test_overlap_requires_identical_radii():
     auras = {
-        1: Aura(center=Position(0.0, 0.0, 0.0), radius_m=2.0),
-        2: Aura(center=Position(1.0, 0.0, 0.0), radius_m=3.0),
+        1: Aura(center=(0.0, 0.0, 0.0), radius_m=2.0),
+        2: Aura(center=(1.0, 0.0, 0.0), radius_m=3.0),
     }
     with pytest.raises(ValueError):
         build_overlap_graph(auras)
@@ -195,7 +194,7 @@ def _reference_proportions(component, positions, radius_m):
     proportions = {(u,): 1.0 for u in members}
     for size in range(2, len(members) + 1):
         for subset in combinations(members, size):
-            pts = np.array([[positions[u].x, positions[u].y] for u in subset])
+            pts = np.array([[positions[u][0], positions[u][1]] for u in subset])
             dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
             md, far = float(dists.mean()), float(dists.max())
             if far >= radius_m:
@@ -241,7 +240,7 @@ def test_clique_enumeration_matches_exhaustive_reference():
         pts = _oracle_layout(rng, kinds[trial % len(kinds)], n, radius)
         # Sparse ids, so that set iteration order differs from id order.
         ids = [int(u) for u in rng.choice(100_000, size=n, replace=False)]
-        positions = {u: Position(float(x), float(y), 1.5) for u, (x, y) in zip(ids, pts)}
+        positions = {u: (float(x), float(y), 1.5) for u, (x, y) in zip(ids, pts)}
         component = tuple(ids)
         got = compute_proportions(component, positions, radius)
         want = _reference_proportions(component, positions, radius)
@@ -258,7 +257,7 @@ def test_pair_kept_by_rounding_at_2r_is_enumerated():
         a = rng.uniform(0.0, 30.0, size=2)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         b = a + 2.0 * radius * np.array([math.cos(angle), math.sin(angle)])
-        positions = {1: Position(*a, 1.5), 2: Position(*b, 1.5)}
+        positions = {1: (*a, 1.5), 2: (*b, 1.5)}
         want = _reference_proportions((1, 2), positions, radius)
         if (1, 2) in want and np.linalg.norm(a - b) >= 2.0 * radius:
             break
@@ -449,11 +448,11 @@ def test_share_table_scale_invariance():
 
 def test_share_table_independent_of_track_order():
     starts = {1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5), 3: (24.0, 0.0, 1.5)}
-    elements = uniform_linear_array(8, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(8, 0.05, (0.0, 0.0, 10.0))
 
     def table(track_order):
         tracks = [
-            linear_track(u, Position(*starts[u]), 0.0, 1, 0.5) for u in track_order
+            linear_track(u, starts[u], 0.0, 1, 0.5) for u in track_order
         ]
         layout = build_layout(
             tracks, elements, stationarity_user_m=5.0, bs_stationarity_m=10.0

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from auramimo import (
+    Aura,
     EmptyArray,
-    Position,
     Track,
     UnknownSegment,
     UnknownUser,
     UnsynchronizedTracks,
     build_layout,
+    build_overlap_graph,
     build_segments,
     linear_track,
     partition_subarrays,
@@ -18,40 +21,72 @@ from auramimo.layout import ArrayGeometry
 
 
 def test_position_distance():
-    a = Position(0.0, 0.0, 0.0)
-    b = Position(3.0, 4.0, 12.0)
-    assert a.distance_to(b) == 13.0
-    assert a.horizontal_distance_to(b) == 5.0
+    # Auras are circles: centers 13 m apart in 3D are 5 m apart in x-y,
+    # so radii summing past 5 m overlap and tangent circles do not.
+    a, b = (0.0, 0.0, 0.0), (3.0, 4.0, 12.0)
+    assert math.dist(a, b) == 13.0
+    for radius, edges in ((2.5, frozenset()), (2.51, {(1, 2)})):
+        auras = {1: Aura(a, radius), 2: Aura(b, radius)}
+        assert build_overlap_graph(auras).edges == edges
 
 
 def test_position_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Position(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Position(0.0, float("inf"), 0.0)
+    # The layout constructors check every point once, as they convert it.
+    tracks = [linear_track(1, (0.0, 0.0, 1.5), 0.0, 3, 0.5)]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            linear_track(1, (bad, 0.0, 1.5), 0.0, 3, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            Track(user_id=1, points=[(0.0, 0.0, 1.5), (0.0, bad, 1.5)], snapshot_spacing_m=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            uniform_linear_array(4, 0.05, (0.0, 0.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            build_layout(tracks, [(0.0, 0.0, 10.0), (bad, 0.0, 10.0)], 5.0, 0.8)
+
+
+def test_points_are_read_only_arrays():
+    layout = _example_layout()
+    track = layout.track_of(1)
+    array = layout.array
+    assert track.points.shape == (20, 3) and track.points.dtype == np.float64
+    assert array.element_positions.shape == (64, 3)
+    assert array.subarrays[0].center.shape == (3,)
+    for points in (track.points, array.element_positions, array.subarrays[0].center):
+        with pytest.raises(ValueError):
+            points[0] = 1.0
+    # Segment positions are rows of the track, not copies.
+    assert np.shares_memory(layout.segment_positions(1, 1), track.points)
+    assert np.shares_memory(layout.segment_start_position(1, 1), track.points)
+
+
+def test_constructors_copy_their_inputs():
+    points = np.array([[0.0, 0.0, 1.5], [0.5, 0.0, 1.5]])
+    track = Track(user_id=1, points=points, snapshot_spacing_m=0.5)
+    points[0, 0] = 9.0
+    assert track.points[0, 0] == 0.0 and points.flags.writeable
 
 
 def test_linear_track_positions_follow_heading():
-    track = linear_track(3, Position(1.0, 2.0, 1.5), 90.0, 4, 0.5)
+    track = linear_track(3, (1.0, 2.0, 1.5), 90.0, 4, 0.5)
     assert track.user_id == 3
-    xs = [p.x for p in track.points]
-    ys = [p.y for p in track.points]
+    xs = [p[0] for p in track.points]
+    ys = [p[1] for p in track.points]
     assert xs == pytest.approx([1.0] * 4, abs=1e-12)
     assert ys == pytest.approx([2.0, 2.5, 3.0, 3.5], abs=1e-12)
 
 
 def test_track_requires_uniform_spacing():
     pts = (
-        Position(0.0, 0.0, 1.5),
-        Position(0.5, 0.0, 1.5),
-        Position(1.2, 0.0, 1.5),
+        (0.0, 0.0, 1.5),
+        (0.5, 0.0, 1.5),
+        (1.2, 0.0, 1.5),
     )
     with pytest.raises(ValueError):
         Track(user_id=1, points=pts, snapshot_spacing_m=0.5)
 
 
 def _tracks(n_snapshots, spacing=0.5):
-    return [linear_track(1, Position(0.0, 0.0, 1.5), 0.0, n_snapshots, spacing)]
+    return [linear_track(1, (0.0, 0.0, 1.5), 0.0, n_snapshots, spacing)]
 
 
 def test_segments_even_split():
@@ -74,32 +109,32 @@ def test_segments_tiny_stationarity_still_one_snapshot_each():
 
 def test_unsynchronized_tracks_names_offender():
     tracks = [
-        linear_track(1, Position(0.0, 0.0, 1.5), 0.0, 4, 0.5),
-        linear_track(7, Position(5.0, 0.0, 1.5), 0.0, 3, 0.5),
+        linear_track(1, (0.0, 0.0, 1.5), 0.0, 4, 0.5),
+        linear_track(7, (5.0, 0.0, 1.5), 0.0, 3, 0.5),
     ]
-    elements = uniform_linear_array(8, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(8, 0.05, (0.0, 0.0, 10.0))
     with pytest.raises(UnsynchronizedTracks, match="7"):
         build_layout(tracks, elements, stationarity_user_m=5.0, bs_stationarity_m=0.8)
 
 
 def test_mismatched_spacing_is_unsynchronized():
     tracks = [
-        linear_track(1, Position(0.0, 0.0, 1.5), 0.0, 4, 0.5),
-        linear_track(2, Position(5.0, 0.0, 1.5), 0.0, 4, 0.25),
+        linear_track(1, (0.0, 0.0, 1.5), 0.0, 4, 0.5),
+        linear_track(2, (5.0, 0.0, 1.5), 0.0, 4, 0.25),
     ]
     with pytest.raises(UnsynchronizedTracks):
         build_segments(tracks, 5.0)
 
 
 def test_uniform_linear_array_extent():
-    elements = uniform_linear_array(64, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(64, 0.05, (0.0, 0.0, 10.0))
     assert len(elements) == 64
-    assert elements[-1].x - elements[0].x == pytest.approx(63 * 0.05)
-    assert all(e.z == 10.0 for e in elements)
+    assert elements[-1][0] - elements[0][0] == pytest.approx(63 * 0.05)
+    assert all(e[2] == 10.0 for e in elements)
 
 
 def test_partition_64_elements_into_four_subarrays():
-    elements = uniform_linear_array(64, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(64, 0.05, (0.0, 0.0, 10.0))
     subs = partition_subarrays(elements, 0.8)
     assert [s.n_elements for s in subs] == [16, 16, 16, 16]
     # Ranges tile the array without gaps.
@@ -107,13 +142,13 @@ def test_partition_64_elements_into_four_subarrays():
 
 
 def test_partition_remainder_subarray():
-    elements = uniform_linear_array(70, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(70, 0.05, (0.0, 0.0, 10.0))
     subs = partition_subarrays(elements, 0.8)
     assert [s.n_elements for s in subs] == [16, 16, 16, 16, 6]
 
 
 def test_partition_whole_array_when_stationarity_large():
-    elements = uniform_linear_array(8, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(8, 0.05, (0.0, 0.0, 10.0))
     subs = partition_subarrays(elements, 100.0)
     assert len(subs) == 1
     assert subs[0].n_elements == 8
@@ -125,19 +160,19 @@ def test_partition_empty_array_raises():
 
 
 def test_subarray_center_is_element_mean():
-    elements = uniform_linear_array(32, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(32, 0.05, (0.0, 0.0, 10.0))
     subs = partition_subarrays(elements, 0.8)
     for sub in subs:
         members = elements[sub.element_range[0] : sub.element_range[1]]
-        mean = np.mean([m.as_array() for m in members], axis=0)
-        np.testing.assert_allclose(sub.center.as_array(), mean, atol=1e-12)
+        mean = np.mean(members, axis=0)
+        np.testing.assert_allclose(sub.center, mean, atol=1e-12)
 
 
 def _array_geometry(n_elements, bs_stationarity=0.8):
-    elements = uniform_linear_array(n_elements, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(n_elements, 0.05, (0.0, 0.0, 10.0))
     subs = partition_subarrays(elements, bs_stationarity)
     return ArrayGeometry(
-        element_positions=tuple(elements),
+        element_positions=elements,
         subarrays=subs,
         bs_stationarity_m=bs_stationarity,
     )
@@ -160,10 +195,10 @@ def test_subarray_of_element_lookup():
 
 def _example_layout():
     tracks = [
-        linear_track(1, Position(30.0, 0.0, 1.5), 90.0, 20, 0.5),
-        linear_track(2, Position(34.0, 0.0, 1.5), 90.0, 20, 0.5),
+        linear_track(1, (30.0, 0.0, 1.5), 90.0, 20, 0.5),
+        linear_track(2, (34.0, 0.0, 1.5), 90.0, 20, 0.5),
     ]
-    elements = uniform_linear_array(64, 0.05, Position(0.0, 0.0, 10.0))
+    elements = uniform_linear_array(64, 0.05, (0.0, 0.0, 10.0))
     return build_layout(
         tracks, elements, stationarity_user_m=5.0, bs_stationarity_m=0.8
     )
@@ -175,11 +210,11 @@ def test_layout_segmentation_and_aura():
     assert len(layout.segments) == 2
     aura = layout.aura_of(1, 0)
     start = layout.segment_start_position(1, 0)
-    assert aura.center == start
+    assert np.array_equal(aura.center, start)
     assert aura.radius_m == 5.0
     # Aura recenters at the next segment boundary.
     aura1 = layout.aura_of(1, 1)
-    assert aura1.center.y == pytest.approx(start.y + 10 * 0.5)
+    assert aura1.center[1] == pytest.approx(start[1] + 10 * 0.5)
 
 
 def test_layout_unknown_user_and_segment():
@@ -204,7 +239,7 @@ def test_segment_positions_slice():
 def test_array_constants_are_cached_and_read_only():
     array = _array_geometry(70)  # four 16-element sub-arrays and one of 6
     for get in (
-        array.element_matrix,
+        lambda: array.element_positions,
         array.subarray_of_element,
         lambda: array.subarray_centers,
     ):
@@ -215,10 +250,7 @@ def test_array_constants_are_cached_and_read_only():
             first[0] = first[1]
     assert array.reference_subarray() is array.reference_subarray()
     np.testing.assert_array_equal(
-        array.element_matrix(), [p.as_array() for p in array.element_positions]
-    )
-    np.testing.assert_array_equal(
-        array.subarray_centers, [s.center.as_array() for s in array.subarrays]
+        array.subarray_centers, [s.center for s in array.subarrays]
     )
 
 

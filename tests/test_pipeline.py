@@ -40,7 +40,6 @@ SCENARIO = {
 def make_run_config(
     *,
     seed=11,
-    workers=1,
     n_snapshots=4,
     separation_m=3.0,
     n_elements=32,
@@ -48,7 +47,6 @@ def make_run_config(
 ):
     raw = {
         "seed": seed,
-        "workers": workers,
         "scenario": dict(SCENARIO),
         "output": {"format": out_format},
         "layout": {
@@ -112,12 +110,6 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert paths_a.keys() == paths_b.keys()
     for kind in paths_a:
         assert paths_a[kind].read_bytes() == paths_b[kind].read_bytes(), kind
-
-
-def test_worker_count_does_not_change_results(tmp_path):
-    serial = write_outputs(run(make_run_config(workers=1)), tmp_path / "w1")
-    pooled = write_outputs(run(make_run_config(workers=3)), tmp_path / "w3")
-    assert serial["tensor"].read_bytes() == pooled["tensor"].read_bytes()
 
 
 def test_multi_segment_run_concatenates_snapshots(tmp_path):

@@ -8,7 +8,6 @@ from auramimo import (
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
     IncompleteViews,
-    Position,
     assemble_clusters,
     attach_focal_points,
     choose_recalc_mode,
@@ -51,7 +50,7 @@ def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=No
     ],
 )
 def test_mode_threshold_three_segment_lengths(lbs_distance, expected):
-    owner = Position(0.0, 0.0, 1.5)
+    owner = (0.0, 0.0, 1.5)
     cluster = _cluster_with_lbs(np.array([lbs_distance, 0.0, 1.5]))
     assert choose_recalc_mode(cluster, owner, segment_length_m=5.0) == expected
 
@@ -108,7 +107,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     for cluster in _shared_nonboresight(cs):
         owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
         owner_pos = layout.segment_start_position(owner, 0)
-        owner_xyz = owner_pos.as_array()
+        owner_xyz = owner_pos
         view = recalc_kept_parameters(cluster, owner, owner_pos, layout, 0.1)
         # Kept fields are bit-identical.
         assert view.delay_s == cluster.tau_s
@@ -123,7 +122,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
             got = view.e_len_m[sub.index] + math.dist(view.fbs[sub.index], owner_xyz)
             assert abs(got - d_c) / d_c <= 1e-9
         d_ref = total_path_length(cluster.tau_s, subs[ref].center, owner_pos)
-        ref_xyz = subs[ref].center.as_array()
+        ref_xyz = subs[ref].center
         got = math.dist(owner_xyz, view.lbs) + math.dist(view.lbs, ref_xyz)
         assert abs(got - d_ref) / d_ref <= 1e-9
 
@@ -138,8 +137,8 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         assert np.array_equal(view.fbs, cluster.geometry.fbs)
         assert np.array_equal(view.e_len_m, cluster.geometry.e_len_m)
         # Arrival azimuth is the atan2 bearing from owner to the LBS.
-        dx = cluster.geometry.lbs[0] - owner_pos.x
-        dy = cluster.geometry.lbs[1] - owner_pos.y
+        dx = cluster.geometry.lbs[0] - owner_pos[0]
+        dy = cluster.geometry.lbs[1] - owner_pos[1]
         expected_az = math.degrees(math.atan2(dy, dx))
         assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
         assert view.delay_s >= 0.0
@@ -165,9 +164,9 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-    to_lbs = cluster.geometry.lbs - gen_pos.as_array()
+    to_lbs = cluster.geometry.lbs - gen_pos
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
-    owner_pos = Position(*(gen_pos.as_array() + step))
+    owner_pos = gen_pos + step
     view = recalc_kept_focal_point(cluster, 99, owner_pos, layout, 0.1)
     assert view.delay_s < cluster.tau_s
     assert cluster.tau_s - view.delay_s > 1e-15
@@ -184,7 +183,7 @@ def test_kept_focal_delay_floors_at_zero():
         e_len_m=np.zeros(len(layout.array.subarrays)),
         interior_raw_m=-100.0,
     )
-    owner_pos = Position(35.0, 0.0, 1.5)
+    owner_pos = (35.0, 0.0, 1.5)
     view = recalc_kept_focal_point(cluster, 2, owner_pos, layout, 0.1)
     assert view.delay_s == 0.0
 

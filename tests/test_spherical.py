@@ -7,7 +7,6 @@ import pytest
 import auramimo.spherical as spherical
 from auramimo import (
     DegenerateGeometry,
-    Position,
     assemble_clusters,
     attach_focal_points,
     draw_lsp,
@@ -23,7 +22,7 @@ from auramimo.clustergen import (
     gen_arrival_angles,
     gen_departure_angles,
 )
-from auramimo.layout import ArrayGeometry, as_matrix
+from auramimo.layout import ArrayGeometry
 from auramimo.lsp import STREAM_REDRAW
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, unit_from_angles
@@ -37,16 +36,16 @@ def _solve_one(apos, far_end, direction, d_c):
     direction, bounce point)."""
     length, unit = solve_focal_lengths(
         np.array([d_c], dtype=float),
-        (far_end.as_array() - apos.as_array())[None],
+        np.subtract(far_end, apos)[None],
         np.asarray(direction, dtype=float)[None],
     )
-    point = apos.as_array() + length[0] * unit[0]
-    return float(length[0]), unit[0], Position(*point.tolist())
+    point = np.add(apos, length[0] * unit[0])
+    return float(length[0]), unit[0], point
 
 
 def test_total_path_length_is_excess_plus_direct():
-    apos = Position(0.0, 0.0, 10.0)
-    user = Position(20.0, 0.0, 1.5)
+    apos = (0.0, 0.0, 10.0)
+    user = (20.0, 0.0, 1.5)
     direct = np.sqrt(20.0**2 + 8.5**2)
     assert total_path_length(0.0, apos, user) == pytest.approx(direct)
     assert total_path_length(1e-7, apos, user) == pytest.approx(
@@ -66,18 +65,18 @@ def test_total_path_length_is_excess_plus_direct():
     ],
 )
 def test_focal_solve_worked_examples(e_hat, expected_len, expected_focal):
-    apos = Position(0.0, 0.0, 0.0)
-    user = Position(10.0, 0.0, 0.0)
+    apos = (0.0, 0.0, 0.0)
+    user = (10.0, 0.0, 0.0)
     e_len, _, focal = _solve_one(apos, user, e_hat, 20.0)
     assert e_len == pytest.approx(expected_len, rel=1e-12)
-    np.testing.assert_allclose(focal.as_array(), expected_focal, atol=1e-9)
+    np.testing.assert_allclose(focal, expected_focal, atol=1e-9)
     # Closure: anchor->focal->user equals the prescribed total length.
-    assert e_len + focal.distance_to(user) == pytest.approx(20.0, rel=1e-12)
+    assert e_len + math.dist(focal, user) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_zero_excess_delay_is_degenerate():
-    apos = Position(0.0, 0.0, 0.0)
-    user = Position(10.0, 0.0, 0.0)
+    apos = (0.0, 0.0, 0.0)
+    user = (10.0, 0.0, 0.0)
     d_direct = 10.0
     with pytest.raises(DegenerateGeometry, match="no excess path"):
         _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct)
@@ -86,14 +85,14 @@ def test_zero_excess_delay_is_degenerate():
         _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct + 1e-10)
     # A direction within 1e-12 of unit length is used as given; pointed
     # at a far user it can overshoot an excess path of a few nanometres.
-    far = Position(1e4, 0.0, 0.0)
+    far = (1e4, 0.0, 0.0)
     with pytest.raises(DegenerateGeometry, match="direction inconsistent with delay"):
         _solve_one(apos, far, [1.0 + 9e-13, 0.0, 0.0], 1e4 + 2e-9)
 
 
 def test_unnormalized_direction_is_normalized():
-    apos = Position(0.0, 0.0, 0.0)
-    user = Position(10.0, 0.0, 0.0)
+    apos = (0.0, 0.0, 0.0)
+    user = (10.0, 0.0, 0.0)
     a_len, a_dir, _ = _solve_one(apos, user, [0.0, 2.0, 0.0], 20.0)
     b_len, b_dir, _ = _solve_one(apos, user, [0.0, 1.0, 0.0], 20.0)
     assert a_len == pytest.approx(b_len, rel=1e-15)
@@ -101,12 +100,12 @@ def test_unnormalized_direction_is_normalized():
 
 
 def test_lbs_mirrors_departure_solve():
-    user = Position(10.0, 0.0, 0.0)
-    apos = Position(0.0, 0.0, 0.0)
+    user = np.array([10.0, 0.0, 0.0])
+    apos = (0.0, 0.0, 0.0)
     g_hat = unit_from_angles(137.0, 12.0)
     _, _, lbs = _solve_one(user, apos, g_hat, 20.0)
     # The arrival-side closure holds.
-    assert user.distance_to(lbs) + lbs.distance_to(apos) == pytest.approx(
+    assert math.dist(user, lbs) + math.dist(lbs, apos) == pytest.approx(
         20.0, rel=1e-12
     )
     # The cluster solve's LBS is the same closed form with the roles
@@ -117,7 +116,7 @@ def test_lbs_mirrors_departure_solve():
     got = solve_cluster_geometry(cluster, user, array)
     d_ref = total_path_length(cluster.tau_s, ref.center, user)
     g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
-    assert np.array_equal(got.lbs, _solve_one(user, ref.center, g_hat, d_ref)[2].as_array())
+    assert np.array_equal(got.lbs, _solve_one(user, ref.center, g_hat, d_ref)[2])
 
 
 def _random_cases(n, rng):
@@ -141,10 +140,10 @@ def _random_cases(n, rng):
 def test_closure_holds_over_random_geometries(rng):
     apos, user, e_hat, d_c = _random_cases(2000, rng)
     for i in range(len(d_c)):
-        a = Position(*apos[i])
-        u = Position(*user[i])
+        a = apos[i]
+        u = user[i]
         e_len, _, focal = _solve_one(a, u, e_hat[i], float(d_c[i]))
-        total = e_len + focal.distance_to(u)
+        total = e_len + math.dist(focal, u)
         assert abs(total - d_c[i]) / d_c[i] <= 1e-9
         assert e_len > 0
 
@@ -167,7 +166,7 @@ def test_solver_matches_bisection_oracle(rng):
 
     for i in range(len(d_c)):
         e_len, _, _ = _solve_one(
-            Position(*apos[i]), Position(*user[i]), e_hat[i], float(d_c[i])
+            apos[i], user[i], e_hat[i], float(d_c[i])
         )
         assert abs(e_len - oracle[i]) <= 1e-6
 
@@ -175,9 +174,9 @@ def test_solver_matches_bisection_oracle(rng):
 def test_focal_point_lies_along_departure_direction(rng):
     apos, user, e_hat, d_c = _random_cases(200, rng)
     for i in range(len(d_c)):
-        a = Position(*apos[i])
-        e_len, _, focal = _solve_one(a, Position(*user[i]), e_hat[i], float(d_c[i]))
-        direction = (focal.as_array() - apos[i]) / e_len
+        a = apos[i]
+        e_len, _, focal = _solve_one(a, user[i], e_hat[i], float(d_c[i]))
+        direction = (focal - apos[i]) / e_len
         np.testing.assert_allclose(direction, e_hat[i], atol=1e-9)
 
 
@@ -205,7 +204,7 @@ def test_attach_full_set_with_four_subarrays():
         n_entries = 4 + len(c.aod_az_deg) + len(c.aod_el_deg) + 1 + len(geometry.fbs)
         assert n_entries == 5 + 3 * 4
         gen_pos = layout.segment_start_position(c.generating_user, 0)
-        gen_xyz = gen_pos.as_array()
+        gen_xyz = gen_pos
         if c.boresight:
             assert np.array_equal(geometry.lbs, gen_xyz)
             assert all(np.array_equal(f, gen_xyz) for f in geometry.fbs)
@@ -220,7 +219,7 @@ def test_attach_full_set_with_four_subarrays():
         # Arrival-side closure against the reference sub-array.
         d_ref = total_path_length(c.tau_s, subs[ref].center, gen_pos)
         g_len = math.dist(gen_xyz, geometry.lbs)
-        lbs_total = g_len + math.dist(geometry.lbs, subs[ref].center.as_array())
+        lbs_total = g_len + math.dist(geometry.lbs, subs[ref].center)
         assert abs(lbs_total - d_ref) / d_ref <= 1e-9
         assert geometry.interior_raw_m == pytest.approx(
             d_ref - geometry.e_len_m[ref] - g_len, abs=1e-9
@@ -306,7 +305,7 @@ def _scalar_departure(apos, user_pos, e_hat, d_c):
     norm = float(np.linalg.norm(e_hat))
     if abs(norm - 1.0) > 1e-12:
         e_hat = e_hat / norm
-    r0 = user_pos.as_array() - apos.as_array()
+    r0 = np.subtract(user_pos, apos)
     r0_norm = float(np.linalg.norm(r0))
     if d_c <= r0_norm + spherical.EPSILON_M:
         raise DegenerateGeometry(f"no excess path: d_c={d_c!r} vs direct {r0_norm!r}")
@@ -316,8 +315,7 @@ def _scalar_departure(apos, user_pos, e_hat, d_c):
             f"direction inconsistent with delay: denominator {denom!r}"
         )
     e_len = (d_c * d_c - r0_norm * r0_norm) / denom
-    p = apos.as_array() + e_len * e_hat
-    return e_len, Position(float(p[0]), float(p[1]), float(p[2]))
+    return e_len, apos + e_len * e_hat
 
 
 def _scalar_cluster_geometry(cluster, user_pos, array):
@@ -336,7 +334,7 @@ def _scalar_cluster_geometry(cluster, user_pos, array):
     d_c_ref = total_path_length(cluster.tau_s, ref_center, user_pos)
     g_hat = _scalar_unit(cluster.aoa_az_deg, cluster.aoa_el_deg)
     _, lbs = _scalar_departure(user_pos, ref_center, g_hat, d_c_ref)
-    g_len = user_pos.distance_to(lbs)
+    g_len = math.dist(user_pos, lbs)
     interior = d_c_ref - float(e_len[ref_index]) - g_len
     return lbs, tuple(fbs), e_len, g_len, interior
 
@@ -344,11 +342,11 @@ def _scalar_cluster_geometry(cluster, user_pos, array):
 def _random_array(rng):
     n_elements = int(rng.integers(1, 300))
     axis = tuple(rng.normal(size=3))
-    origin = Position(*rng.uniform([-20, -20, 0], [20, 20, 30]))
+    origin = rng.uniform([-20, -20, 0], [20, 20, 30])
     elements = uniform_linear_array(n_elements, rng.uniform(0.01, 0.2), origin, axis)
     stationarity = rng.uniform(0.01, 5.0)
     return ArrayGeometry(
-        element_positions=tuple(elements),
+        element_positions=elements,
         subarrays=partition_subarrays(elements, stationarity),
         bs_stationarity_m=stationarity,
     )
@@ -368,17 +366,17 @@ def test_batched_cluster_geometry_equals_scalar_loop():
     rng = np.random.default_rng(31)
     for trial in range(250):
         array = _random_array(rng)
-        user = Position(*rng.uniform([-200, -200, 0], [200, 200, 3]))
+        user = rng.uniform([-200, -200, 0], [200, 200, 3])
         tau = float(10.0 ** rng.uniform(-10, -5))
         cluster = _random_cluster(rng, array.n_subarrays, tau)
         got = solve_cluster_geometry(cluster, user, array)
         lbs, fbs, e_len, g_len, interior = _scalar_cluster_geometry(
             cluster, user, array
         )
-        assert np.array_equal(got.lbs, lbs.as_array()), trial
-        assert np.array_equal(got.fbs, as_matrix(fbs)), trial
+        assert np.array_equal(got.lbs, lbs), trial
+        assert np.array_equal(got.fbs, np.array(fbs)), trial
         assert np.array_equal(got.e_len_m, e_len), trial
-        assert math.dist(user.as_array(), got.lbs) == g_len, trial
+        assert math.dist(user, got.lbs) == g_len, trial
         assert got.interior_raw_m == interior, trial
 
 
@@ -389,7 +387,7 @@ def test_batched_solve_raises_on_the_same_first_subarray():
     outcomes = {"raised_first": 0, "raised_later": 0, "solved": 0}
     for _ in range(300):
         array = _random_array(rng)
-        user = Position(*rng.uniform([-100, -100, 0], [100, 100, 3]))
+        user = rng.uniform([-100, -100, 0], [100, 100, 3])
         excess = spherical.EPSILON_M + rng.normal() * 2e-14
         cluster = _random_cluster(rng, array.n_subarrays, excess / C0)
         try:
@@ -448,6 +446,6 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
     assert (redrawn.aoa_az_deg, redrawn.aoa_el_deg) == (aoa_az[0], aoa_el[0])
     gen_pos = layout.segment_start_position(victim.generating_user, 0)
     lbs, fbs, e_len, *_ = _scalar_cluster_geometry(redrawn, gen_pos, layout.array)
-    assert np.array_equal(redrawn.geometry.lbs, lbs.as_array())
-    assert np.array_equal(redrawn.geometry.fbs, as_matrix(fbs))
+    assert np.array_equal(redrawn.geometry.lbs, lbs)
+    assert np.array_equal(redrawn.geometry.fbs, np.array(fbs))
     assert np.array_equal(redrawn.geometry.e_len_m, e_len)

@@ -64,11 +64,13 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
     with open(paths["share_table"], "w") as f:
         f.write("segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids\n")
         for seg in result.segments:
-            for row in seg.share_table.report_rows():
+            for g in seg.share_table.groups:
+                members = "+".join(str(u) for u in g.members)
+                cluster_ids = "+".join(str(c) for c in g.cluster_ids)
                 f.write(
-                    f"{seg.share_table.segment_index}\t{row['members']}\t"
-                    f"{_fmt(row['proportion'])}\t{_fmt(row['scaled_proportion'])}\t"
-                    f"{row['count']}\t{row['cluster_ids']}\n"
+                    f"{seg.share_table.segment_index}\t{members}\t"
+                    f"{_fmt(g.proportion)}\t{_fmt(g.scaled_proportion)}\t"
+                    f"{g.count}\t{cluster_ids}\n"
                 )
 
     header = _param_header(n_subarrays)
@@ -108,8 +110,15 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
     paths["metrics"] = out / "metrics.tsv"
     with open(paths["metrics"], "w") as f:
         f.write("metric\tkey1\tkey2\tvalue\n")
-        for row in result.metrics.report_rows():
-            f.write("\t".join(str(x) for x in row) + "\n")
+        metrics = result.metrics
+        for (u, v), mean in sorted(metrics.pair_correlation_mean.items()):
+            f.write(f"pair_correlation_mean\t{u}\t{v}\t{_fmt(mean)}\n")
+        for (u, v), per_snap in sorted(metrics.pair_correlation.items()):
+            f.write(f"pair_correlation\t{u}\t{v}\t" + "+".join(map(_fmt, per_snap)) + "\n")
+        for (u, v), count in sorted(metrics.shared_cluster_counts.items()):
+            f.write(f"shared_clusters\t{u}\t{v}\t{count}\n")
+        for sub, err in sorted(metrics.planar_error_max_rad.items()):
+            f.write(f"planar_error_max_rad\t{sub}\t\t{_fmt(err)}\n")
     return paths
 
 
@@ -194,7 +203,7 @@ def test_tables_equal_value_by_value_writers(tmp_path):
         seen["kept-focal"] += MODE_KEPT_FOCAL in modes
         seen["kept-parameters"] += MODE_KEPT_PARAMETERS in modes
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
-        starts = [layout.segment_start_position(u, 0) for u in layout.user_ids]
+        starts = [tuple(layout.segment_start_position(u, 0)) for u in layout.user_ids]
         seen["colocated"] += len(set(starts)) < len(starts)
         sizes = [s.n_elements for s in layout.array.subarrays]
         seen["one-subarray"] += len(sizes) == 1
