@@ -18,7 +18,7 @@ from .coefficients import (
     planar_vs_spherical_error,
     synthesize,
 )
-from .config import RunConfig, config_to_dict, dump_config, load_config, parse_config
+from .config import RunConfig, load_config, parse_config
 from .errors import (
     ChannelModelError,
     ComponentTooLarge,

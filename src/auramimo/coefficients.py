@@ -196,17 +196,17 @@ def synthesize(
     *,
     cluster_angle_spread_deg: float = 3.0,
     n_scatterers: int = N_SCATTERERS,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ChannelTensor | None:
-    """Synthesize the channel tensor for one segment, in blocks of
-    departure geometries on `_synthesis_threads()` threads.
+    out: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Fill `out`, the caller's (coefficients, delays) arrays, with one
+    segment's channel, in blocks of departure geometries on
+    `_synthesis_threads()` threads; the caller checks the values.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
     id), and each block writes only its own (user, cluster) slots, so no
     value depends on the order in which blocks run or on the thread count.
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
-    center ray). `out` takes (coefficients, delays) arrays to fill (a run
-    tensor's snapshot slices); then None is returned, and the caller checks them.
+    center ray).
     """
     user_ids = views.user_ids
     if not user_ids:
@@ -234,7 +234,7 @@ def synthesize(
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     shape = (n_users, 1, array.n_elements, n_clusters, n_snap)
-    coefficients, delays = out or (np.empty(shape, complex), np.empty(shape[:1] + shape[3:]))
+    coefficients, delays = out
     if coefficients.shape != shape or delays.shape != shape[:1] + shape[3:]:
         raise ValueError(f"output arrays do not have the segment's shape {shape}")
     ref_index = array.reference_subarray().index
@@ -294,15 +294,6 @@ def synthesize(
             "segment %d: interior path length clamped to 0 for %d cluster view(s)",
             segment,
             clamped,
-        )
-
-    if out is None:
-        return ChannelTensor(
-            user_ids=user_ids,
-            coefficients=coefficients,
-            delays=delays,
-            carrier_hz=carrier_hz,
-            seed=seed,
         )
 
 

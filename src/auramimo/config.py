@@ -7,6 +7,7 @@ parsed config is always runnable."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -25,7 +26,6 @@ class RunConfig:
     seed: int
     out_dir: str
     out_format: str
-    layout_spec: dict  # normalized form, kept for round-trip serialization
 
     def __post_init__(self) -> None:
         # Here, not in parse_config, so command-line overrides are checked too.
@@ -55,9 +55,12 @@ def _position(value, context: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
     try:
-        return float(value[0]), float(value[1]), float(value[2])
+        point = float(value[0]), float(value[1]), float(value[2])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{context}: {e}") from None
+    if not all(map(math.isfinite, point)):
+        raise ConfigError(f"{context}: coordinates must be finite, got {list(point)}")
+    return point
 
 
 def _parse_tracks(users: list, context: str) -> list[Track]:
@@ -165,53 +168,7 @@ def parse_config(raw: dict) -> RunConfig:
         seed=raw.get("seed", 0),
         out_dir=str(output.get("dir", "out")),
         out_format=out_format,
-        layout_spec=_normalize_layout_spec(layout_raw),
     )
-
-
-def _normalize_layout_spec(layout_raw: dict) -> dict:
-    """Canonical layout sub-document (floats coerced, defaults filled)."""
-    users = []
-    for spec in layout_raw["users"]:
-        entry = {
-            "user_id": int(spec["user_id"]),
-            "snapshot_spacing_m": float(spec["snapshot_spacing_m"]),
-        }
-        if "points_m" in spec:
-            entry["points_m"] = [[float(c) for c in p] for p in spec["points_m"]]
-        else:
-            entry["start_m"] = [float(c) for c in spec["start_m"]]
-            entry["heading_deg"] = float(spec.get("heading_deg", 0.0))
-            entry["n_snapshots"] = int(spec["n_snapshots"])
-        users.append(entry)
-    arr = layout_raw["array"]
-    if "element_positions_m" in arr:
-        array = {
-            "element_positions_m": [[float(c) for c in p] for p in arr["element_positions_m"]]
-        }
-    else:
-        array = {
-            "n_elements": int(arr["n_elements"]),
-            "spacing_m": float(arr["spacing_m"]),
-            "origin_m": [float(c) for c in arr["origin_m"]],
-            "axis": [float(c) for c in arr.get("axis", [1.0, 0.0, 0.0])],
-        }
-    return {
-        "stationarity_user_m": float(layout_raw["stationarity_user_m"]),
-        "bs_stationarity_m": float(layout_raw["bs_stationarity_m"]),
-        "array": array,
-        "users": users,
-    }
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Normalized document; parse(config_to_dict(c)) is a fixed point."""
-    return {
-        "seed": config.seed,
-        "scenario": config.scenario.as_dict(),
-        "layout": config.layout_spec,
-        "output": {"dir": config.out_dir, "format": config.out_format},
-    }
 
 
 def load_config(path) -> RunConfig:
@@ -223,7 +180,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from None
     return parse_config(raw)
-
-
-def dump_config(config: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")

@@ -131,7 +131,6 @@ class ArrayGeometry:
 
     element_positions: np.ndarray
     subarrays: tuple[SubArray, ...]
-    bs_stationarity_m: float
 
     @property
     def n_elements(self) -> int:
@@ -365,11 +364,9 @@ def build_layout(
     (n, 3)."""
     segments = build_segments(tracks, stationarity_user_m)
     elements = _points(array_elements, "array elements")
-    subarrays = partition_subarrays(elements, bs_stationarity_m)
     array = ArrayGeometry(
         element_positions=elements,
-        subarrays=subarrays,
-        bs_stationarity_m=bs_stationarity_m,
+        subarrays=partition_subarrays(elements, bs_stationarity_m),
     )
     return UserLayout(
         tracks=tuple(tracks),

@@ -85,9 +85,6 @@ class ScenarioConfig:
         if not math.isfinite(self.carrier_hz):
             raise InvalidScenario("carrier_hz must be finite")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class LspValues:
@@ -150,7 +147,9 @@ def correlated_normals(
     eigval, eigvec = np.linalg.eigh(cov)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     z = rng.standard_normal((n_draws, m))
-    return (z @ factor.T)[:, inverse.ravel()]
+    # One vector-matrix product per draw: a single (n_draws, m) product
+    # rounds differently from drawing the fields one at a time.
+    return (z[:, None, :] @ factor.T)[:, 0, inverse.ravel()]
 
 
 _FIELD_SPECS = (
@@ -167,8 +166,9 @@ def draw_lsp(scenario: ScenarioConfig, layout: UserLayout, seed: int) -> LspDraw
 
     Sample points are the segment-start positions in (user, segment)
     order; each LSP field uses an independent correlated Gaussian field,
-    drawn in a fixed field order from a dedicated RNG stream so results
-    do not depend on evaluation order.
+    one row of a single `correlated_normals` call (the covariance is
+    factored once), drawn in a fixed field order from a dedicated RNG
+    stream so results do not depend on evaluation order.
     """
     keys = [
         (u, s.index)
@@ -178,9 +178,11 @@ def draw_lsp(scenario: ScenarioConfig, layout: UserLayout, seed: int) -> LspDraw
     points = np.array([layout.segment_start_position(u, s) for (u, s) in keys])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_LSP,)))
 
+    draws = correlated_normals(
+        points, scenario.correlation_distance_m, rng, n_draws=len(_FIELD_SPECS)
+    )
     per_field: dict[str, np.ndarray] = {}
-    for field_name, median_name, std_name in _FIELD_SPECS:
-        g = correlated_normals(points, scenario.correlation_distance_m, rng)[0]
+    for (field_name, median_name, std_name), g in zip(_FIELD_SPECS, draws):
         median = getattr(scenario, median_name)
         log_std = getattr(scenario, std_name)
         per_field[field_name] = median * np.exp(log_std * g)

@@ -109,14 +109,14 @@ def _fill_sharing_and_planar_metrics(
     report: MetricsReport, segments: list[SegmentResult], config: RunConfig
 ) -> None:
     users = config.layout.user_ids
+    per_segment = [
+        {u: set(ids) for u, ids in seg.cluster_set.by_user.items()} for seg in segments
+    ]
     for i, u in enumerate(users):
         for v in users[i + 1 :]:
-            shared = 0
-            for seg in segments:
-                ids_u = set(seg.share_table.clusters_of_user(u))
-                ids_v = set(seg.share_table.clusters_of_user(v))
-                shared += len(ids_u & ids_v)
-            report.shared_cluster_counts[(u, v)] = shared
+            report.shared_cluster_counts[(u, v)] = sum(
+                len(ids[u] & ids[v]) for ids in per_segment
+            )
 
     # The error depends only on the FBS set: one view per distinct set.
     worst = np.zeros(config.layout.array.n_subarrays)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from auramimo import (
+    ChannelTensor,
     ScenarioConfig,
     build_layout,
     linear_track,
+    synthesize,
     uniform_linear_array,
 )
 
@@ -92,6 +94,26 @@ def make_point_layout(
         elements,
         stationarity_user_m=stationarity_m,
         bs_stationarity_m=bs_stationarity_m,
+    )
+
+
+def synthesize_segment(views, layout, carrier_hz, seed, **kwargs) -> ChannelTensor:
+    """One segment's channel: allocates the (coefficients, delays) arrays,
+    has `synthesize` fill them and returns them as a checked tensor."""
+    users = views.user_ids
+    n_clusters = max((len(views.views_of_user(u)) for u in users), default=0)
+    n_snap = layout.segments[views.segment_index].n_snapshots
+    coefficients = np.empty(
+        (len(users), 1, layout.array.n_elements, n_clusters, n_snap), complex
+    )
+    delays = np.empty((len(users), n_clusters, n_snap))
+    synthesize(views, layout, carrier_hz, seed, out=(coefficients, delays), **kwargs)
+    return ChannelTensor(
+        user_ids=users,
+        coefficients=coefficients,
+        delays=delays,
+        carrier_hz=carrier_hz,
+        seed=seed,
     )
 
 

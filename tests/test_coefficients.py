@@ -32,7 +32,12 @@ from auramimo.coefficients import _fan_positions, scatterer_randomness
 from auramimo.layout import ArrayGeometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms
 from auramimo.sharing import OwnerView, OwnerViews
-from conftest import make_point_layout, make_scenario, make_two_user_layout
+from conftest import (
+    make_point_layout,
+    make_scenario,
+    make_two_user_layout,
+    synthesize_segment,
+)
 
 C0 = SPEED_OF_LIGHT_M_S
 
@@ -118,7 +123,7 @@ def test_single_scatterer_phase_arithmetic():
     interior = 11.0
     view = _manual_view(layout, lbs, fbs, interior, power=0.25)
     carrier = 3.5e9
-    tensor = synthesize(
+    tensor = synthesize_segment(
         _single_user_views(layout, view), layout, carrier, seed=5, n_scatterers=1
     )
 
@@ -146,14 +151,14 @@ def test_negative_interior_clamped_and_logged(caplog):
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
     view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], -5.0)
     with caplog.at_level("WARNING", logger="auramimo.coefficients"):
-        tensor = synthesize(
+        tensor = synthesize_segment(
             _single_user_views(layout, view), layout, 3.5e9, seed=5, n_scatterers=1
         )
     assert "clamped" in caplog.text
     assert np.all(tensor.delays >= 0)
     # The clamped interior contributes zero length, not a negative one.
     zero_interior = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 0.0)
-    ref = synthesize(
+    ref = synthesize_segment(
         _single_user_views(layout, zero_interior), layout, 3.5e9, seed=5, n_scatterers=1
     )
     np.testing.assert_array_equal(tensor.coefficients, ref.coefficients)
@@ -168,7 +173,7 @@ def _full_tensor(layout, seed=3, total=7):
     views = recalculate_views(
         share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
     )
-    tensor = synthesize(views, layout, scenario.carrier_hz, seed=seed)
+    tensor = synthesize_segment(views, layout, scenario.carrier_hz, seed=seed)
     return tensor, views, layout
 
 
@@ -227,14 +232,14 @@ def test_drifting_delay_steps_bounded_by_snapshot_spacing():
 def test_incomplete_views_rejected():
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
     with pytest.raises(IncompleteViews):
-        synthesize(
+        synthesize_segment(
             OwnerViews(segment_index=0, views={}, by_user={}), layout, 3.5e9, seed=1
         )
     # A view without focal points is rejected by name.
     bare = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
     bare = OwnerView(**{**bare.__dict__, "lbs": None})
     with pytest.raises(IncompleteViews, match="cluster 0"):
-        synthesize(_single_user_views(layout, bare), layout, 3.5e9, seed=1)
+        synthesize_segment(_single_user_views(layout, bare), layout, 3.5e9, seed=1)
 
 
 def test_users_must_agree_on_cluster_count():
@@ -248,7 +253,7 @@ def test_users_must_agree_on_cluster_count():
         by_user={1: (0, 1), 2: (0,)},
     )
     with pytest.raises(IncompleteViews, match="disagree"):
-        synthesize(views, layout, 3.5e9, seed=1)
+        synthesize_segment(views, layout, 3.5e9, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +368,6 @@ def _random_array_layout(rng):
     array = ArrayGeometry(
         element_positions=elements,
         subarrays=partition_subarrays(elements, stationarity),
-        bs_stationarity_m=stationarity,
     )
     return SimpleNamespace(array=array)
 
@@ -525,7 +529,7 @@ def test_shared_departure_phases_equal_per_view_loop():
         n_sc = 1 if rng.random() < 0.15 else 20
         spread = rng.uniform(0.5, 10.0)
         carrier = rng.uniform(1e9, 30e9)
-        tensor = synthesize(
+        tensor = synthesize_segment(
             views, layout, carrier, seed, cluster_angle_spread_deg=spread, n_scatterers=n_sc
         )
         coeff, delays = _reference_synthesize(views, layout, carrier, seed, spread, n_sc)

@@ -174,7 +174,6 @@ def _array_geometry(n_elements, bs_stationarity=0.8):
     return ArrayGeometry(
         element_positions=elements,
         subarrays=subs,
-        bs_stationarity_m=bs_stationarity,
     )
 
 

@@ -101,3 +101,53 @@ def test_correlated_normals_degenerate_cases(rng):
         np.array([[0.0, 0.0, 1.5], [400.0, 0.0, 1.5]]), float("inf"), rng
     )
     assert z_inf[0, 0] == z_inf[0, 1]
+
+
+def _five_call_draw_lsp(scenario, layout, seed):
+    """Reference: the covariance built, factored and sampled once per
+    field, one (1, m) draw per call."""
+    from auramimo.lsp import _FIELD_SPECS, STREAM_LSP
+
+    keys = [(u, s.index) for u in layout.user_ids for s in layout.segments]
+    points = np.array([layout.segment_start_position(u, s) for (u, s) in keys])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_LSP,)))
+    dc = scenario.correlation_distance_m
+    per_field = {}
+    for field_name, median_name, std_name in _FIELD_SPECS:
+        if np.isinf(dc):
+            g = np.repeat(rng.standard_normal((1, 1)), len(points), axis=1)[0]
+        else:
+            unique, inverse = np.unique(points, axis=0, return_inverse=True)
+            dist = np.linalg.norm(unique[:, None, :] - unique[None, :, :], axis=2)
+            eigval, eigvec = np.linalg.eigh(np.exp(-dist / dc))
+            factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+            z = rng.standard_normal((1, unique.shape[0]))
+            g = (z @ factor.T)[:, inverse.ravel()][0]
+        median, log_std = getattr(scenario, median_name), getattr(scenario, std_name)
+        per_field[field_name] = median * np.exp(log_std * g)
+    return {
+        key: {name: float(values[i]) for name, values in per_field.items()}
+        for i, key in enumerate(keys)
+    }
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_draw_lsp_matches_one_factorization_per_field_bit_for_bit(case):
+    rng = np.random.default_rng(700 + case)
+    # Cases 0 and 1 put both users on one track (every point duplicated);
+    # case 2 has an infinite correlation distance.
+    separation = 0.0 if case < 2 else float(rng.uniform(0.5, 60.0))
+    dc = float("inf") if case == 2 else float(rng.uniform(1.0, 80.0))
+    scenario = make_scenario(correlation_distance_m=dc)
+    layout = make_two_user_layout(
+        separation,
+        stationarity_m=float(rng.uniform(0.5, 3.0)),
+        n_snapshots=int(rng.integers(1, 40)),
+        start_x=float(rng.uniform(5.0, 50.0)),
+    )
+    seed = int(rng.integers(2**32))
+    draw = draw_lsp(scenario, layout, seed)
+    expected = _five_call_draw_lsp(scenario, layout, seed)
+    assert draw.values.keys() == expected.keys()
+    for key, fields in expected.items():
+        assert vars(draw.values[key]) == fields

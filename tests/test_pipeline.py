@@ -16,6 +16,7 @@ from auramimo import (
     synthesize,
 )
 from auramimo.pipeline import run, write_outputs
+from conftest import synthesize_segment
 
 SCENARIO = {
     "delay_spread_median_s": 1e-7,
@@ -44,6 +45,7 @@ def make_run_config(
     separation_m=3.0,
     n_elements=32,
     out_format="binary",
+    n_users=2,
 ):
     raw = {
         "seed": seed,
@@ -59,19 +61,13 @@ def make_run_config(
             },
             "users": [
                 {
-                    "user_id": 1,
-                    "start_m": [30.0, 0.0, 1.5],
+                    "user_id": k + 1,
+                    "start_m": [30.0 + k * separation_m, 0.0, 1.5],
                     "heading_deg": 90.0,
                     "n_snapshots": n_snapshots,
                     "snapshot_spacing_m": 0.5,
-                },
-                {
-                    "user_id": 2,
-                    "start_m": [30.0 + separation_m, 0.0, 1.5],
-                    "heading_deg": 90.0,
-                    "n_snapshots": n_snapshots,
-                    "snapshot_spacing_m": 0.5,
-                },
+                }
+                for k in range(n_users)
             ],
         },
     }
@@ -165,11 +161,35 @@ def test_written_tensor_round_trips_through_reader(tmp_path):
     np.testing.assert_array_equal(tensor.delays, result.tensor.delays)
 
 
+def test_shared_cluster_counts_match_the_share_table(tmp_path):
+    config = make_run_config(n_snapshots=30, separation_m=2.5, n_users=3)
+    paths = write_outputs(run(config), tmp_path / "out")
+    # Each user's cluster ids per segment, read back from share_table.tsv.
+    ids: dict[tuple[str, str], set[str]] = {}
+    for line in paths["share_table"].read_text().splitlines()[1:]:
+        segment, members, *_, cluster_ids = line.split("\t")
+        for user in members.split("+"):
+            key = (segment, user)
+            ids.setdefault(key, set()).update(filter(None, cluster_ids.split("+")))
+    segments = {segment for segment, _ in ids}
+    assert len(segments) == 3
+
+    rows = [
+        line.split("\t")[1:]
+        for line in paths["metrics"].read_text().splitlines()
+        if line.startswith("shared_clusters\t")
+    ]
+    assert [(u, v) for u, v, _ in rows] == [("1", "2"), ("1", "3"), ("2", "3")]
+    for u, v, count in rows:
+        assert int(count) == sum(len(ids[s, u] & ids[s, v]) for s in segments)
+    assert len({count for _, _, count in rows}) > 1
+
+
 def test_run_tensor_equals_concatenated_segment_tensors():
     config = make_run_config(n_snapshots=20)  # two 10-snapshot segments
     result = run(config)
     parts = [
-        synthesize(
+        synthesize_segment(
             seg.views,
             config.layout,
             config.carrier_hz,
@@ -203,23 +223,22 @@ def test_run_checks_every_coefficient_once(monkeypatch):
 def test_bad_value_in_one_segment_fails_the_run(monkeypatch, bad):
     original = pipeline.synthesize
 
-    def poisoned(views, *args, out=None, **kwargs):
-        filled = original(views, *args, out=out, **kwargs)
+    def poisoned(views, *args, out, **kwargs):
+        original(views, *args, out=out, **kwargs)
         if views.segment_index == 1:
             if bad == "nan coefficient":
                 out[0][1, 0, 5, 2, 3] = np.nan
             else:
                 out[1][0, 4, 0] = -1e-9
-        return filled
 
     monkeypatch.setattr(pipeline, "synthesize", poisoned)
     with pytest.raises(ValueError, match="non-finite|nonnegative"):
         run(make_run_config(n_snapshots=20))
 
 
-def test_segment_synthesis_without_out_is_checked(monkeypatch):
+def test_segment_synthesis_fills_out_from_every_thread(monkeypatch):
     result = run(make_run_config())
-    seg = result.segments[0]
+    seg, layout = result.segments[0], result.config.layout
     # One geometry per block, on the calling thread and one worker.
     monkeypatch.setattr(coefficients, "BLOCK_VALUES", 32 * 20)
     monkeypatch.setattr(coefficients, "_cpu_count", lambda: 2)
@@ -234,13 +253,18 @@ def test_segment_synthesis_without_out_is_checked(monkeypatch):
 
         return phase
 
+    # Each thread writes its blocks into the caller's arrays, unchecked:
+    # the run's tensor check is the one that rejects bad values.
     monkeypatch.setattr(
         coefficients,
         "_departure_phase",
         in_worker(lambda *a: np.full_like(original(*a), np.nan)),
     )
-    with pytest.raises(ValueError, match="non-finite"):
-        synthesize(seg.views, result.config.layout, 3.5e9, seed=11)
+    out = (np.zeros_like(result.tensor.coefficients), np.zeros_like(result.tensor.delays))
+    assert synthesize(seg.views, layout, 3.5e9, seed=11, out=out) is None
+    finite = np.isfinite(out[0]).all(axis=(1, 2, 4))
+    assert finite.any() and not finite.all()
+    assert np.all(out[1] > 0)
 
     # An exception raised inside a worker reaches the caller.
     def fail(*a):
@@ -248,7 +272,7 @@ def test_segment_synthesis_without_out_is_checked(monkeypatch):
 
     monkeypatch.setattr(coefficients, "_departure_phase", in_worker(fail))
     with pytest.raises(FloatingPointError, match="block failed"):
-        synthesize(seg.views, result.config.layout, 3.5e9, seed=11)
+        synthesize(seg.views, layout, 3.5e9, seed=11, out=out)
 
 
 def test_planar_error_once_per_distinct_fbs_set(monkeypatch):

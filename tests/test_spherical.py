@@ -348,7 +348,6 @@ def _random_array(rng):
     return ArrayGeometry(
         element_positions=elements,
         subarrays=partition_subarrays(elements, stationarity),
-        bs_stationarity_m=stationarity,
     )
 
 
