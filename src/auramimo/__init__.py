@@ -57,7 +57,7 @@ from .layout import (
     uniform_linear_array,
 )
 from .lsp import LspDraw, LspValues, ScenarioConfig, draw_lsp
-from .metrics import MetricsReport, correlation_metrics, pair_correlation
+from .metrics import MetricsReport, correlation_metrics
 from .pipeline import RunResult, run, run_segment, share_tables, write_outputs
 from .sharing import (
     MODE_GENERATOR,

@@ -198,8 +198,8 @@ def synthesize(
     n_scatterers: int = N_SCATTERERS,
     out: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Fill `out`, the caller's (coefficients, delays) arrays, with one
-    segment's channel, in blocks of departure geometries on
+    """Fill `out`, the caller's complex128 coefficients and float64 delays
+    arrays, with one segment's channel, in blocks of departure geometries on
     `_synthesis_threads()` threads; the caller checks the values.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
@@ -237,6 +237,9 @@ def synthesize(
     coefficients, delays = out
     if coefficients.shape != shape or delays.shape != shape[:1] + shape[3:]:
         raise ValueError(f"output arrays do not have the segment's shape {shape}")
+    if (coefficients.dtype, delays.dtype) != (np.complex128, np.float64):
+        got = f"{coefficients.dtype} and {delays.dtype}"
+        raise ValueError(f"output arrays must be complex128 and float64, got {got}")
     ref_index = array.reference_subarray().index
 
     # Views by departure geometry, with its FBS and the (user, cluster)

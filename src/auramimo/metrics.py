@@ -10,24 +10,20 @@ import numpy as np
 from .coefficients import ChannelTensor
 
 
+_CHUNK_BYTES = 1 << 20  # X and conj(X) together; a chunk holds at least one snapshot
+
+
 @dataclass
 class MetricsReport:
-    """pair_correlation holds per-snapshot normalized inner products of
-    the stacked (tx element x cluster) channel vectors; means are over
-    snapshots. Sharing counts and planar errors are filled by the run
-    pipeline (they need cluster tables, not just the tensor)."""
+    """pair_correlation: per-snapshot |h_u^H h_v| / (|h_u| |h_v|) of the
+    stacked channel vectors, 0 where a norm is 0, read off each snapshot's
+    Gram matrix; means are over snapshots. Sharing counts and planar errors
+    are filled by the run pipeline (they need cluster tables, not a tensor)."""
 
     pair_correlation: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     pair_correlation_mean: dict[tuple[int, int], float] = field(default_factory=dict)
     shared_cluster_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     planar_error_max_rad: dict[int, float] = field(default_factory=dict)
-
-
-def pair_correlation(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
-    """|h_u^H h_v| / (|h_u| |h_v|) per snapshot for (vector, snapshot)
-    matrices; zero-norm snapshots give 0."""
-    num = np.abs(np.sum(np.conj(h_u) * h_v, axis=0))
-    return _normalized(num, np.linalg.norm(h_u, axis=0) * np.linalg.norm(h_v, axis=0))
 
 
 def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -36,24 +32,25 @@ def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def correlation_metrics(tensor: ChannelTensor) -> MetricsReport:
-    """pair_correlation of every user pair of a tensor; each user's norms
-    and each pair's product are taken in one reused user-sized buffer."""
-    n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
-    # Stack rx antennas alongside tx x cluster; rx is 1 in practice.
-    shape = (n_rx * n_tx * n_clusters, n_snap)
-    h = [tensor.coefficients[i].reshape(shape) for i in range(n_users)]
-    product = np.empty(shape, dtype=np.complex128)
-    norm = []  # np.linalg.norm(h_i, axis=0), its arithmetic without its temporaries
-    for h_i in h:
-        np.multiply(np.conj(h_i, out=product), h_i, out=product)
-        norm.append(np.sqrt(np.add.reduce(product.real, axis=0)))
-    report = MetricsReport()
-    for i in range(n_users - 1):
-        for j in range(i + 1, n_users):
-            np.multiply(np.conj(h[i], out=product), h[j], out=product)
-            num = np.abs(np.sum(product, axis=0))
-            corr = _normalized(num, norm[i] * norm[j])
-            key = (tensor.user_ids[i], tensor.user_ids[j])
-            report.pair_correlation[key] = corr
-            report.pair_correlation_mean[key] = float(corr.mean())
-    return report
+    """pair_correlation of every user pair of a tensor. Each chunk of
+    snapshots is copied into a reused contiguous (snapshot, user, stacked
+    length) buffer X; one batched conj(X) X^T gives every pair's h_u^H h_v,
+    and its real diagonal every user's squared norm. Each snapshot's Gram
+    matrix is its own BLAS product, so no value depends on the chunk size."""
+    n_users, *_, n_snap = tensor.coefficients.shape
+    h = tensor.coefficients.reshape(n_users, -1, n_snap)
+    chunk = max(1, min(n_snap, _CHUNK_BYTES // (2 * h[..., 0].nbytes)))
+    x, x_conj = np.empty((2, chunk, *h.shape[:2]), dtype=np.complex128)
+    gram = np.empty((n_snap, n_users, n_users), dtype=np.complex128)
+    for start in range(0, n_snap, chunk):
+        k = min(chunk, n_snap - start)
+        np.copyto(x[:k], h[..., start : start + k].transpose(2, 0, 1))
+        np.conj(x[:k], out=x_conj[:k])
+        np.matmul(x_conj[:k], x[:k].transpose(0, 2, 1), out=gram[start : start + k])
+    gram = gram.transpose(1, 2, 0)  # (user, user, snapshot)
+    norm = np.sqrt(gram[range(n_users), range(n_users)].real)
+    first, second = np.triu_indices(n_users, 1)
+    corr = _normalized(np.abs(gram[first, second]), norm[first] * norm[second])
+    keys = [(tensor.user_ids[i], tensor.user_ids[j]) for i, j in zip(first, second)]
+    means = (float(c.mean()) for c in corr)
+    return MetricsReport(dict(zip(keys, corr)), dict(zip(keys, means)))

@@ -526,7 +526,7 @@ def _cli_run(config_path, out_dir, **blas_caps):
         env={**env, **blas_caps},
     )
     assert proc.returncode == 0, proc.stderr
-    return (out_dir / "channel.bin").read_bytes()
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
 def test_c12_determinism(check, tmp_path):
@@ -565,7 +565,10 @@ def test_c12_determinism(check, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(raw))
 
+        # Every written file, metrics.tsv too: its correlations come from
+        # BLAS Gram products.
         first = _cli_run(config_path, tmp_path / "r1")
+        assert {"channel.bin", "metrics.tsv", "share_table.tsv"} <= first.keys()
         second = _cli_run(config_path, tmp_path / "r2")
         assert first == second
         assert read_tensor_binary(tmp_path / "r1" / "channel.bin").seed == 42

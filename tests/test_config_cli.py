@@ -15,6 +15,7 @@ from auramimo import (
 )
 from auramimo import cli
 from auramimo.cli import main
+from auramimo.tables import METRICS_HEADER
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 SCENARIO = {
@@ -312,15 +313,41 @@ def test_cli_plan_prints_share_rows(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _correlation_rows(lines, kind):
+    rows = (line.split("\t") for line in lines)
+    return {(r[1], r[2]): [float(x) for x in r[3].split("+")] for r in rows if r[0] == kind}
+
+
 def test_cli_metrics_reads_tensor_back(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+    # The tensor holds users in id order but no ids: `metrics` keys pairs
+    # by tensor position 0..U-1.
+    raw = base_raw()
+    users = raw["layout"]["users"]
+    users.insert(1, dict(users[0], user_id=9, start_m=[36.0, 0.0, 1.5]))
+    cfg = write_config(tmp_path, raw)
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     assert main(["metrics", "--tensor", str(out_dir / "channel.bin")]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("metric\t")
-    assert "pair_correlation" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == METRICS_HEADER
+    assert {line.split("\t")[0] for line in out[1:]} == {
+        "pair_correlation_mean",
+        "pair_correlation",
+    }
+    written = (out_dir / "metrics.tsv").read_text().splitlines()
+    position = {"1": "0", "2": "1", "9": "2"}
+    for kind in ("pair_correlation_mean", "pair_correlation"):
+        want = {
+            (position[u], position[v]): values
+            for (u, v), values in _correlation_rows(written, kind).items()
+        }
+        got = _correlation_rows(out, kind)
+        assert got.keys() == want.keys() == {("0", "1"), ("0", "2"), ("1", "2")}
+        for key, values in want.items():
+            assert len(got[key]) == len(values) == (1 if kind.endswith("mean") else 4)
+            # The tensor file stores float32 coefficients.
+            assert np.max(np.abs(np.subtract(got[key], values))) <= 1e-6, (kind, key)
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -4,11 +4,11 @@ import pytest
 from auramimo import (
     ChannelTensor,
     correlation_metrics,
-    pair_correlation,
     read_tensor_binary,
     write_tensor_binary,
     write_tensor_text,
 )
+from auramimo import metrics
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 
@@ -45,7 +45,7 @@ def test_orthogonal_channels_uncorrelated():
 
 def test_zero_channel_reports_zero_not_nan():
     h = np.zeros((2, 1, 4, 2, 3), dtype=np.complex128)
-    corr = pair_correlation(h[0].reshape(8, 3), h[1].reshape(8, 3))
+    corr = correlation_metrics(_tensor(h)).pair_correlation[(0, 1)]
     np.testing.assert_array_equal(corr, np.zeros(3))
 
 
@@ -53,12 +53,10 @@ def test_gaussian_channels_match_known_mean(rng):
     # For iid complex Gaussian vectors of length n the expected normalized
     # inner product is ~ sqrt(pi)/(2 sqrt(n)).  n = 448 mirrors a 64-element,
     # 7-cluster configuration.
-    n = 448
-    trials = 400
-    h_u = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
-    h_v = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
-    corr = pair_correlation(h_u, h_v)
-    expected = np.sqrt(np.pi) / 2 / np.sqrt(n)
+    shape = (2, 1, 64, 7, 400)  # 400 trials as snapshots
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    corr = correlation_metrics(_tensor(h)).pair_correlation[(0, 1)]
+    expected = np.sqrt(np.pi) / 2 / np.sqrt(64 * 7)
     assert corr.mean() == pytest.approx(expected, rel=0.15)
 
 
@@ -124,8 +122,8 @@ def test_tensor_validation():
 
 
 def _per_pair_correlation(tensor):
-    # Both users' matrices and norms formed anew for every pair: the loop
-    # that per-user norms replaced.
+    # One elementwise product and reduction per pair, with both users'
+    # norms formed anew: the loop that the Gram products replaced.
     n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
     corr = {}
     for i in range(n_users):
@@ -139,27 +137,74 @@ def _per_pair_correlation(tensor):
     return corr
 
 
-def test_correlation_metrics_equal_per_pair_reference():
+def _chunk_bytes(shape, n_snapshots):
+    """metrics._CHUNK_BYTES that gives chunks of n_snapshots snapshots."""
+    u, r, t, c, _ = shape
+    return 2 * np.dtype(np.complex128).itemsize * u * r * t * c * n_snapshots
+
+
+def _random_tensor(rng, shape):
+    coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # Zero-norm snapshots of single users and of every user, and a shared
+    # channel.
+    coeff[rng.random(shape[0]) < 0.3, ..., 0] = 0.0
+    if rng.random() < 0.3:
+        coeff[..., -1] = 0.0
+    coeff[-1] = coeff[0]
+    return _tensor(coeff, user_ids=tuple(range(10, 10 + shape[0])))
+
+
+def test_correlation_metrics_equal_per_pair_reference(monkeypatch):
+    # The Gram products sum in another order than the per-pair loop; the
+    # tolerance is a few thousand float64 roundings of values <= 1.
     rng = np.random.default_rng(31)
     for trial in range(60):
         u = int(rng.integers(2, 7))
         shape = (u, int(rng.integers(1, 3)), int(rng.integers(1, 20)),
-                 int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-        coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        # Zero-norm snapshots of single users, and a shared channel.
-        coeff[rng.random(u) < 0.3, ..., 0] = 0.0
-        coeff[-1] = coeff[0]
-        tensor = _tensor(coeff, user_ids=tuple(range(10, 10 + u)))
+                 int(rng.integers(1, 5)), int(rng.integers(1, 12)))
+        tensor = _random_tensor(rng, shape)
+        # Chunks of 1-4 snapshots: most snapshot counts end off a boundary.
+        chunk = int(rng.integers(1, 5))
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", _chunk_bytes(shape, chunk))
         report = correlation_metrics(tensor)
         want = _per_pair_correlation(tensor)
         assert list(report.pair_correlation) == list(want)
         for key, corr in want.items():
-            assert np.array_equal(report.pair_correlation[key], corr), trial
-            assert report.pair_correlation_mean[key] == float(corr.mean())
-            i, j = key[0] - 10, key[1] - 10
-            h_i = coeff[i].reshape(-1, shape[4])
-            h_j = coeff[j].reshape(-1, shape[4])
-            assert np.array_equal(pair_correlation(h_i, h_j), corr)
+            got = report.pair_correlation[key]
+            assert got.shape == corr.shape
+            assert np.max(np.abs(got - corr)) <= 1e-12, trial
+            assert abs(report.pair_correlation_mean[key] - corr.mean()) <= 1e-12
+            assert np.all((got >= 0.0) & (got <= 1.0)), trial
+
+
+def test_correlation_metrics_do_not_depend_on_chunk_size(monkeypatch):
+    shape = (5, 1, 8, 3, 7)
+    tensor = _random_tensor(np.random.default_rng(5), shape)
+    want = correlation_metrics(tensor)  # 7 snapshots fit in one chunk
+    for budget in (1, _chunk_bytes(shape, 1), _chunk_bytes(shape, 3), _chunk_bytes(shape, 7)):
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+        got = correlation_metrics(tensor)
+        assert got.pair_correlation.keys() == want.pair_correlation.keys()
+        for key, corr in want.pair_correlation.items():
+            assert got.pair_correlation[key].tobytes() == corr.tobytes(), budget
+            assert got.pair_correlation_mean[key] == want.pair_correlation_mean[key]
+
+
+def test_snapshot_where_both_users_are_zero_reports_zero():
+    rng = np.random.default_rng(2)
+    h = rng.normal(size=(2, 1, 6, 2, 4)) + 1j * rng.normal(size=(2, 1, 6, 2, 4))
+    h[..., 2] = 0.0
+    tensor = _tensor(h)
+    corr = correlation_metrics(tensor).pair_correlation[(0, 1)]
+    assert corr[2] == 0.0
+    assert np.max(np.abs(corr - _per_pair_correlation(tensor)[(0, 1)])) <= 1e-12
+
+
+def test_one_user_tensor_reports_no_pairs():
+    h = np.ones((1, 1, 4, 2, 3), dtype=np.complex128)
+    report = correlation_metrics(_tensor(h))
+    assert report.pair_correlation == {}
+    assert report.pair_correlation_mean == {}
 
 
 def test_binary_body_is_the_whole_tensor_in_float32(tmp_path, rng):
