@@ -10,9 +10,6 @@ import numpy as np
 from .coefficients import ChannelTensor
 
 
-_CHUNK_BYTES = 1 << 20  # X and conj(X) together; a chunk holds at least one snapshot
-
-
 @dataclass
 class MetricsReport:
     """pair_correlation: per-snapshot |h_u^H h_v| / (|h_u| |h_v|) of the
@@ -32,25 +29,23 @@ def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def correlation_metrics(tensor: ChannelTensor) -> MetricsReport:
-    """pair_correlation of every user pair of a tensor. Each chunk of
-    snapshots is copied into a reused contiguous (snapshot, user, stacked
-    length) buffer X; one batched conj(X) X^T gives every pair's h_u^H h_v,
-    and its real diagonal every user's squared norm. Each snapshot's Gram
-    matrix is its own BLAS product, so no value depends on the chunk size."""
-    n_users, *_, n_snap = tensor.coefficients.shape
-    h = tensor.coefficients.reshape(n_users, -1, n_snap)
-    chunk = max(1, min(n_snap, _CHUNK_BYTES // (2 * h[..., 0].nbytes)))
-    x, x_conj = np.empty((2, chunk, *h.shape[:2]), dtype=np.complex128)
+    """pair_correlation of every user pair of a tensor. Each snapshot is
+    copied into a reused contiguous (user, stacked length) buffer X; one
+    BLAS product conj(X) X^T gives every pair's h_u^H h_v, and its real
+    diagonal every user's squared norm. A tensor without snapshots
+    reports means of 0."""
+    n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
+    h = tensor.coefficients.reshape(n_users, n_rx * n_tx * n_clusters, n_snap)
+    x, x_conj = np.empty((2, *h.shape[:2]), dtype=np.complex128)
     gram = np.empty((n_snap, n_users, n_users), dtype=np.complex128)
-    for start in range(0, n_snap, chunk):
-        k = min(chunk, n_snap - start)
-        np.copyto(x[:k], h[..., start : start + k].transpose(2, 0, 1))
-        np.conj(x[:k], out=x_conj[:k])
-        np.matmul(x_conj[:k], x[:k].transpose(0, 2, 1), out=gram[start : start + k])
+    for s in range(n_snap):
+        np.copyto(x, h[..., s])
+        np.conj(x, out=x_conj)
+        np.matmul(x_conj, x.T, out=gram[s])
     gram = gram.transpose(1, 2, 0)  # (user, user, snapshot)
     norm = np.sqrt(gram[range(n_users), range(n_users)].real)
     first, second = np.triu_indices(n_users, 1)
     corr = _normalized(np.abs(gram[first, second]), norm[first] * norm[second])
     keys = [(tensor.user_ids[i], tensor.user_ids[j]) for i, j in zip(first, second)]
-    means = (float(c.mean()) for c in corr)
+    means = (float(c.mean()) if n_snap else 0.0 for c in corr)
     return MetricsReport(dict(zip(keys, corr)), dict(zip(keys, means)))

@@ -396,6 +396,27 @@ def test_cli_tensor_header_larger_than_file_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize(
+    "dims, rows",
+    [
+        # No snapshots: empty per-snapshot rows and means of 0.
+        ((2, 1, 4, 3, 0), ["pair_correlation_mean\t0\t1\t0.0", "pair_correlation\t0\t1\t"]),
+        # No clusters: zero-norm channels correlate 0.
+        ((2, 1, 4, 0, 2), ["pair_correlation_mean\t0\t1\t0.0", "pair_correlation\t0\t1\t0.0+0.0"]),
+        ((0, 1, 4, 3, 2), []),
+    ],
+)
+def test_cli_metrics_on_header_only_tensor(tmp_path, capsys, dims, rows):
+    header = np.zeros(1, dtype=_HEADER_DTYPE)
+    header["dims"][0] = dims
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(MAGIC + header.tobytes())
+    assert main(["metrics", "--tensor", str(empty)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [METRICS_HEADER, *rows]
+    assert captured.err == ""
+
+
 def test_cli_plan_prints_the_written_share_table(tmp_path, capsys):
     raw = base_raw()
     for user in raw["layout"]["users"]:

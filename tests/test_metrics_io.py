@@ -8,7 +8,6 @@ from auramimo import (
     write_tensor_binary,
     write_tensor_text,
 )
-from auramimo import metrics
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 
@@ -47,6 +46,12 @@ def test_zero_channel_reports_zero_not_nan():
     h = np.zeros((2, 1, 4, 2, 3), dtype=np.complex128)
     corr = correlation_metrics(_tensor(h)).pair_correlation[(0, 1)]
     np.testing.assert_array_equal(corr, np.zeros(3))
+    # Both users zero in one snapshot only.
+    h[...] = np.random.default_rng(2).normal(size=h.shape)
+    h[..., 1] = 0.0
+    corr = correlation_metrics(_tensor(h)).pair_correlation[(0, 1)]
+    assert corr[1] == 0.0
+    assert np.all(corr[[0, 2]] > 0.0)
 
 
 def test_gaussian_channels_match_known_mean(rng):
@@ -137,12 +142,6 @@ def _per_pair_correlation(tensor):
     return corr
 
 
-def _chunk_bytes(shape, n_snapshots):
-    """metrics._CHUNK_BYTES that gives chunks of n_snapshots snapshots."""
-    u, r, t, c, _ = shape
-    return 2 * np.dtype(np.complex128).itemsize * u * r * t * c * n_snapshots
-
-
 def _random_tensor(rng, shape):
     coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # Zero-norm snapshots of single users and of every user, and a shared
@@ -154,7 +153,7 @@ def _random_tensor(rng, shape):
     return _tensor(coeff, user_ids=tuple(range(10, 10 + shape[0])))
 
 
-def test_correlation_metrics_equal_per_pair_reference(monkeypatch):
+def test_correlation_metrics_equal_per_pair_reference():
     # The Gram products sum in another order than the per-pair loop; the
     # tolerance is a few thousand float64 roundings of values <= 1.
     rng = np.random.default_rng(31)
@@ -163,9 +162,6 @@ def test_correlation_metrics_equal_per_pair_reference(monkeypatch):
         shape = (u, int(rng.integers(1, 3)), int(rng.integers(1, 20)),
                  int(rng.integers(1, 5)), int(rng.integers(1, 12)))
         tensor = _random_tensor(rng, shape)
-        # Chunks of 1-4 snapshots: most snapshot counts end off a boundary.
-        chunk = int(rng.integers(1, 5))
-        monkeypatch.setattr(metrics, "_CHUNK_BYTES", _chunk_bytes(shape, chunk))
         report = correlation_metrics(tensor)
         want = _per_pair_correlation(tensor)
         assert list(report.pair_correlation) == list(want)
@@ -175,29 +171,6 @@ def test_correlation_metrics_equal_per_pair_reference(monkeypatch):
             assert np.max(np.abs(got - corr)) <= 1e-12, trial
             assert abs(report.pair_correlation_mean[key] - corr.mean()) <= 1e-12
             assert np.all((got >= 0.0) & (got <= 1.0)), trial
-
-
-def test_correlation_metrics_do_not_depend_on_chunk_size(monkeypatch):
-    shape = (5, 1, 8, 3, 7)
-    tensor = _random_tensor(np.random.default_rng(5), shape)
-    want = correlation_metrics(tensor)  # 7 snapshots fit in one chunk
-    for budget in (1, _chunk_bytes(shape, 1), _chunk_bytes(shape, 3), _chunk_bytes(shape, 7)):
-        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
-        got = correlation_metrics(tensor)
-        assert got.pair_correlation.keys() == want.pair_correlation.keys()
-        for key, corr in want.pair_correlation.items():
-            assert got.pair_correlation[key].tobytes() == corr.tobytes(), budget
-            assert got.pair_correlation_mean[key] == want.pair_correlation_mean[key]
-
-
-def test_snapshot_where_both_users_are_zero_reports_zero():
-    rng = np.random.default_rng(2)
-    h = rng.normal(size=(2, 1, 6, 2, 4)) + 1j * rng.normal(size=(2, 1, 6, 2, 4))
-    h[..., 2] = 0.0
-    tensor = _tensor(h)
-    corr = correlation_metrics(tensor).pair_correlation[(0, 1)]
-    assert corr[2] == 0.0
-    assert np.max(np.abs(corr - _per_pair_correlation(tensor)[(0, 1)])) <= 1e-12
 
 
 def test_one_user_tensor_reports_no_pairs():
