@@ -22,9 +22,11 @@ from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 
 class ClusterGeometry(NamedTuple):
     """Focal points and path lengths of one cluster seen from one user
-    position (solved by `spherical.solve_cluster_geometry`) as read-only
-    arrays: the LBS (3,), one FBS per sub-array (A, 3) and the departure
-    leg lengths (A,). The field names are those of `sharing.OwnerView`."""
+    position, one per cluster of a `spherical.solve_cluster_geometry`
+    call, as read-only arrays: the LBS (3,), one FBS per sub-array (A, 3),
+    the departure leg lengths (A,) and the signed interior leg. A boresight
+    cluster has both focal points at the user, direct-path legs and no
+    interior. The field names are those of `sharing.OwnerView`."""
 
     lbs: np.ndarray
     fbs: np.ndarray

@@ -51,6 +51,18 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _typed(mapping: dict, key: str, context: str, kind: type):
+    """mapping[key] as `kind`: an int key takes an integer, a float key an
+    integer or a finite float; a bool is neither."""
+    value = _require(mapping, key, context)
+    real = kind is float and isinstance(value, float) and math.isfinite(value)
+    if not (_is_int(value) or real):
+        raise ConfigError(
+            f"{context}.{key}: expected finite {kind.__name__}, got {value!r}"
+        )
+    return kind(value)
+
+
 def _position(value, context: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
@@ -71,8 +83,8 @@ def _parse_tracks(users: list, context: str) -> list[Track]:
         ctx = f"{context}.users[{idx}]"
         if not isinstance(spec, dict):
             raise ConfigError(f"{ctx}: expected an object")
-        user_id = int(_require(spec, "user_id", ctx))
-        spacing = float(_require(spec, "snapshot_spacing_m", ctx))
+        user_id = _typed(spec, "user_id", ctx, int)
+        spacing = _typed(spec, "snapshot_spacing_m", ctx, float)
         try:
             if "points_m" in spec:
                 points = tuple(
@@ -84,12 +96,13 @@ def _parse_tracks(users: list, context: str) -> list[Track]:
                 )
             else:
                 start = _position(_require(spec, "start_m", ctx), f"{ctx}.start_m")
+                spec = {"heading_deg": 0.0, **spec}
                 tracks.append(
                     linear_track(
                         user_id=user_id,
                         start=start,
-                        heading_deg=float(spec.get("heading_deg", 0.0)),
-                        n_snapshots=int(_require(spec, "n_snapshots", ctx)),
+                        heading_deg=_typed(spec, "heading_deg", ctx, float),
+                        n_snapshots=_typed(spec, "n_snapshots", ctx, int),
                         snapshot_spacing_m=spacing,
                     )
                 )
@@ -108,10 +121,12 @@ def _parse_elements(array_spec: dict, context: str):
     axis = array_spec.get("axis", [1.0, 0.0, 0.0])
     if not isinstance(axis, (list, tuple)) or len(axis) != 3:
         raise ConfigError(f"{context}.axis: expected [x, y, z]")
+    n_elements = _typed(array_spec, "n_elements", context, int)
+    spacing = _typed(array_spec, "spacing_m", context, float)
     try:
         return uniform_linear_array(
-            n_elements=int(_require(array_spec, "n_elements", context)),
-            spacing_m=float(_require(array_spec, "spacing_m", context)),
+            n_elements=n_elements,
+            spacing_m=spacing,
             origin=origin,
             axis=tuple(float(a) for a in axis),
         )
@@ -139,16 +154,14 @@ def parse_config(raw: dict) -> RunConfig:
     elements = _parse_elements(
         _require(layout_raw, "array", "config.layout"), "config.layout.array"
     )
+    stationarity_user_m = _typed(layout_raw, "stationarity_user_m", "config.layout", float)
+    bs_stationarity_m = _typed(layout_raw, "bs_stationarity_m", "config.layout", float)
     try:
         layout = build_layout(
             tracks=tracks,
             array_elements=elements,
-            stationarity_user_m=float(
-                _require(layout_raw, "stationarity_user_m", "config.layout")
-            ),
-            bs_stationarity_m=float(
-                _require(layout_raw, "bs_stationarity_m", "config.layout")
-            ),
+            stationarity_user_m=stationarity_user_m,
+            bs_stationarity_m=bs_stationarity_m,
         )
     except (ChannelModelError, ValueError) as e:
         raise ConfigError(f"config.layout: {e}") from None

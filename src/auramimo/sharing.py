@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustergen import Cluster, ClusterSet
-from .errors import IncompleteViews
+from .errors import DegenerateGeometry, IncompleteViews
 from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector, read_only
 from .layout import UserLayout
 from .spherical import solve_cluster_geometry
@@ -121,7 +121,14 @@ def recalc_kept_parameters(
     view = _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
     if _at_generator(cluster, owner_pos, layout):
         return view
-    return replace(view, **solve_cluster_geometry(cluster, owner_pos, layout.array)._asdict())
+    (geometry,), (degenerate,) = solve_cluster_geometry(
+        [cluster], owner_pos[None], layout.array
+    )
+    if degenerate:
+        raise DegenerateGeometry(
+            f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
+        )
+    return replace(view, **geometry._asdict())
 
 
 def recalc_kept_focal_point(
@@ -194,25 +201,16 @@ def recalculate_views(
     to distribute), and the focal points are the physically meaningful
     part of such a cluster.
     """
-    views: dict[tuple[int, int], OwnerView] = {}
+    views = dict(shared.views)
     for (user_id, cluster_id), view in shared.views.items():
         cluster = cluster_set.clusters[cluster_id]
         if user_id == cluster.generating_user:
-            views[(user_id, cluster_id)] = view
             continue
         owner_pos = layout.segment_start_position(user_id, shared.segment_index)
-        if cluster.boresight:
-            mode = MODE_KEPT_FOCAL
-        else:
-            mode = choose_recalc_mode(cluster, owner_pos, segment_length_m)
-        if mode == MODE_KEPT_FOCAL:
-            views[(user_id, cluster_id)] = recalc_kept_focal_point(
-                cluster, user_id, owner_pos, layout, view.power
-            )
-        else:
-            views[(user_id, cluster_id)] = recalc_kept_parameters(
-                cluster, user_id, owner_pos, layout, view.power
-            )
-    return OwnerViews(
-        segment_index=shared.segment_index, views=views, by_user=dict(shared.by_user)
-    )
+        kept_focal = (
+            cluster.boresight
+            or choose_recalc_mode(cluster, owner_pos, segment_length_m) == MODE_KEPT_FOCAL
+        )
+        recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
+        views[user_id, cluster_id] = recalc(cluster, user_id, owner_pos, layout, view.power)
+    return replace(shared, views=views)

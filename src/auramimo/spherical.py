@@ -13,10 +13,10 @@ with r0 the anchor-to-far-end vector, which always satisfies the closure
 len + |focal - far_end| = d_c. It degenerates only when there is no
 excess path (d_c -> |r0|, i.e. zero excess delay).
 
-Zero-excess-delay clusters (one per sharing group by construction) are
-handled by collapsing both focal points onto the generating user's
-segment-start position, which reproduces the direct-path length for
-every element without inventing geometry the delay cannot support.
+A segment's clusters are solved in one call, which flags degenerate
+clusters for redrawing. Zero-excess-delay (boresight) clusters, one per
+sharing group, collapse both focal points onto the user position: the
+direct path for every element, without geometry the delay cannot support.
 """
 
 from __future__ import annotations
@@ -52,91 +52,73 @@ def total_path_length(tau_s: float, apos, user_pos) -> float:
 
 def solve_focal_lengths(
     d_c: np.ndarray, r0: np.ndarray, directions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The closed form for A anchors at once, from float arrays d_c (A,),
-    anchor-to-far-end vectors r0 (A, 3) and directions (A, 3) (normalized
-    unless unit to 1e-12). Returns (anchor-to-bounce distances (A,), unit
-    directions (A, 3)); raises DegenerateGeometry for the first solve in
-    index order that has no excess path or a direction inconsistent with
-    the delay.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form for any leading shape S, from float arrays d_c S,
+    anchor-to-far-end vectors r0 S + (3,) and directions S + (3,)
+    (normalized unless unit to 1e-12). Returns (anchor-to-bounce
+    distances S, unit directions S + (3,), degenerate S): a degenerate
+    solve has no excess path or a direction inconsistent with the delay,
+    and its distance is 0.
     """
     norm = np.sqrt(np.vecdot(directions, directions))
     rescale = np.abs(norm - 1.0) > 1e-12
-    directions = np.where(rescale[:, None], directions / norm[:, None], directions)
+    directions = np.where(rescale[..., None], directions / norm[..., None], directions)
     r0_norm = np.sqrt(np.vecdot(r0, r0))
-    no_excess = d_c <= r0_norm + EPSILON_M
     denom = 2.0 * (d_c - np.vecdot(r0, directions))
-    bad = np.flatnonzero(no_excess | (denom <= EPSILON_M))
-    if bad.size:
-        a = bad[0]
-        if no_excess[a]:
-            raise DegenerateGeometry(
-                f"no excess path: d_c={float(d_c[a])!r} vs direct {float(r0_norm[a])!r}"
-            )
-        raise DegenerateGeometry(
-            f"direction inconsistent with delay: denominator {float(denom[a])!r}"
-        )
-    return (d_c * d_c - r0_norm * r0_norm) / denom, directions
+    degenerate = (d_c <= r0_norm + EPSILON_M) | (denom <= EPSILON_M)
+    lengths = np.divide(
+        d_c * d_c - r0_norm * r0_norm, denom, out=np.zeros_like(denom), where=~degenerate
+    )
+    return lengths, directions, degenerate
 
 
 def solve_cluster_geometry(
-    cluster: Cluster, user: np.ndarray, array: ArrayGeometry
-) -> ClusterGeometry:
-    """Both focal points of a cluster with excess delay, from the user
-    position `user` (3,): one departure solve over all sub-arrays, then
-    the arrival solve (anchor = user, far end = reference sub-array
-    center, direction = arrival) with the same closed form."""
-    ref = array.reference_subarray()
+    clusters: list[Cluster], users: np.ndarray, array: ArrayGeometry
+) -> tuple[list[ClusterGeometry], np.ndarray]:
+    """Both focal points of n clusters, each seen from its row of `users`
+    (n, 3): one departure solve over every (cluster, sub-array) row, then
+    one arrival solve (anchor = user, far end = reference sub-array
+    center, direction = arrival) with the same closed form. Returns (the
+    geometries, degenerate (n,)); a degenerate cluster's geometry is
+    meaningless. A boresight cluster has both focal points at its user."""
+    ref = array.reference_subarray().index
     centers = array.subarray_centers
-    tau = cluster.tau_s
-    # One math.dist per sub-array: numpy has no bit-identical twin of it.
-    user_xyz = user.tolist()
-    d_c = np.array([total_path_length(tau, c, user_xyz) for c in centers.tolist()])
-    e_len, e_hat = solve_focal_lengths(
-        d_c, user - centers, unit_from_angles(cluster.aod_az_deg, cluster.aod_el_deg)
+    # One math.dist per row: numpy has no bit-identical twin of it.
+    xyz, pairs = centers.tolist(), zip(clusters, users.tolist())
+    d_c = np.array(
+        [total_path_length(c.tau_s, x, u) for c, u in pairs for x in xyz]
+    ).reshape(len(clusters), -1)
+    aod = np.array([(c.aod_az_deg, c.aod_el_deg) for c in clusters])  # (n, 2, A)
+    aoa = np.array([(c.aoa_az_deg, c.aoa_el_deg) for c in clusters])  # (n, 2)
+    e_len, e_hat, e_degenerate = solve_focal_lengths(
+        d_c, users[:, None] - centers, unit_from_angles(aod[:, 0], aod[:, 1])
     )
-    fbs = centers + e_len[:, None] * e_hat
-    lbs_len, g_hat = solve_focal_lengths(
-        d_c[ref.index : ref.index + 1],
-        (ref.center - user)[None],
-        unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
+    lbs_len, g_hat, g_degenerate = solve_focal_lengths(
+        d_c[:, ref], centers[ref] - users, unit_from_angles(aoa[:, 0], aoa[:, 1])
     )
-    lbs = user + lbs_len[0] * g_hat[0]
-    interior = float(d_c[ref.index]) - float(e_len[ref.index]) - math.dist(user, lbs)
-    return ClusterGeometry(lbs, fbs, e_len, interior)
+    lbs = users + lbs_len[:, None] * g_hat
+    g_len = np.array([math.dist(u, b) for u, b in zip(users.tolist(), lbs.tolist())])
+    interior = d_c[:, ref] - e_len[:, ref] - g_len
+    boresight = np.array([c.boresight for c in clusters])
+    fbs = centers + e_len[..., None] * e_hat
+    lbs = np.where(boresight[:, None], users, lbs)
+    fbs = np.where(boresight[:, None, None], users[:, None], fbs)
+    e_len = np.where(boresight[:, None], d_c, e_len)
+    interior = np.where(boresight, 0.0, interior).tolist()
+    geometries = list(map(ClusterGeometry, lbs, fbs, e_len, interior))
+    return geometries, (e_degenerate.any(axis=1) | g_degenerate) & ~boresight
 
 
-def _geometry(cluster: Cluster, gen_pos: np.ndarray, layout: UserLayout) -> ClusterGeometry:
-    """LBS, per-sub-array FBS and path lengths seen from the generating
-    user's segment-start position."""
-    if not cluster.boresight:
-        return solve_cluster_geometry(cluster, gen_pos, layout.array)
-    # Zero excess delay: both bounce points collapse onto the generating
-    # user's position. Drawn angles are kept in the table; the geometry
-    # simply cannot bend the path.
-    centers = layout.array.subarray_centers
-    gen_xyz = gen_pos.tolist()
-    e_len = np.array([math.dist(gen_xyz, c) for c in centers.tolist()])
-    fbs = np.broadcast_to(gen_pos, centers.shape)
-    return ClusterGeometry(gen_pos, fbs, e_len, 0.0)
-
-
-def _attached(
-    cluster: Cluster, layout: UserLayout, lsp_draw: LspDraw | None, seed: int
+def _redrawn(
+    cluster: Cluster, user: np.ndarray, layout: UserLayout, lsp_draw: LspDraw, seed: int
 ) -> Cluster:
-    """A copy of `cluster` with its geometry, after angle redraws if the
-    drawn angles make the solve degenerate."""
-    segment_index = cluster.segment_index
-    gen_pos = layout.segment_start_position(cluster.generating_user, segment_index)
-    try:
-        return replace(cluster, geometry=_geometry(cluster, gen_pos, layout))
-    except DegenerateGeometry:
-        if lsp_draw is None:
-            raise
-    lsp = lsp_draw.of(cluster.generating_user, segment_index)
+    """A copy of a degenerate `cluster` with angles redrawn from its own
+    (seed, segment, cluster id) stream until the solve from `user` (3,)
+    succeeds."""
+    lsp = lsp_draw.of(cluster.generating_user, cluster.segment_index)
     rng = np.random.default_rng(
         np.random.SeedSequence(
-            seed, spawn_key=(STREAM_REDRAW, segment_index, cluster.cluster_id)
+            seed, spawn_key=(STREAM_REDRAW, cluster.segment_index, cluster.cluster_id)
         )
     )
     for _ in range(MAX_ANGLE_RETRIES):
@@ -153,10 +135,11 @@ def _attached(
             aoa_az_deg=float(aoa_az[0]),
             aoa_el_deg=float(aoa_el[0]),
         )
-        try:
-            return replace(redrawn, geometry=_geometry(redrawn, gen_pos, layout))
-        except DegenerateGeometry:
-            pass
+        (geometry,), (degenerate,) = solve_cluster_geometry(
+            [redrawn], user[None], layout.array
+        )
+        if not degenerate:
+            return replace(redrawn, geometry=geometry)
     raise DegenerateGeometry(
         f"cluster {cluster.cluster_id}: geometry still degenerate after "
         f"{MAX_ANGLE_RETRIES} angle redraws"
@@ -164,22 +147,23 @@ def _attached(
 
 
 def attach_focal_points(
-    cluster_set: ClusterSet,
-    layout: UserLayout,
-    lsp_draw: LspDraw | None = None,
-    seed: int = 0,
+    cluster_set: ClusterSet, layout: UserLayout, lsp_draw: LspDraw, seed: int
 ) -> ClusterSet:
-    """A new set whose clusters carry one LBS and A FBS each; the input
-    set is left as it is.
+    """A new set whose clusters carry one LBS and A FBS each, seen from
+    their generating users' segment-start positions; the input set is
+    left as it is.
 
-    On a degenerate solve the cluster's arrival and departure angles are
-    redrawn from a dedicated per-cluster stream (up to
-    MAX_ANGLE_RETRIES, needs lsp_draw); delays make degeneracy
-    unreachable for nonzero excess delay, so this is a safety net, not a
-    hot path.
+    The whole segment is one `solve_cluster_geometry` call. Only a
+    cluster whose drawn angles make it degenerate has its angles redrawn,
+    from its own stream (up to MAX_ANGLE_RETRIES); delays make degeneracy
+    unreachable for nonzero excess delay, so this is a safety net.
     """
-    clusters = {
-        cluster_id: _attached(cluster_set.clusters[cluster_id], layout, lsp_draw, seed)
-        for cluster_id in sorted(cluster_set.clusters)
-    }
-    return replace(cluster_set, clusters=clusters)
+    clusters = [cluster_set.clusters[c] for c in sorted(cluster_set.clusters)]
+    position = layout.segment_start_position
+    users = np.array([position(c.generating_user, c.segment_index) for c in clusters])
+    geometries, degenerate = solve_cluster_geometry(clusters, users, layout.array)
+    attached = [
+        _redrawn(c, u, layout, lsp_draw, seed) if bad else replace(c, geometry=g)
+        for c, u, g, bad in zip(clusters, users, geometries, degenerate)
+    ]
+    return replace(cluster_set, clusters={c.cluster_id: c for c in attached})

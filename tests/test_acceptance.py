@@ -226,11 +226,12 @@ def test_c03_components_oracle(check):
 
 
 def _focal(apos, user, e_hat, d_c):
-    """One departure solve (solve_focal_lengths with A = 1): the
-    anchor-to-bounce length and the bounce point."""
-    e_len, unit = solve_focal_lengths(
+    """One departure solve (solve_focal_lengths with A = 1), which must
+    not be degenerate: the anchor-to-bounce length and the bounce point."""
+    e_len, unit, degenerate = solve_focal_lengths(
         np.array([d_c]), np.subtract(user, apos)[None], np.asarray(e_hat)[None]
     )
+    assert not degenerate[0]
     return float(e_len[0]), np.add(apos, e_len[0] * unit[0])
 
 

@@ -255,6 +255,50 @@ def test_bad_seed_or_workers_override_exits_2_before_any_stage(
     assert main(["plan", "--config", str(cfg), flag, value]) == 2
 
 
+# Integer keys were truncated by int() (1.7, 20.9, 64.5) or read a bool as
+# 1 (true); non-numeric values reached int()/float() raw ("abc", "x").
+BAD_KEYS = [
+    (("users", 0, "user_id"), 1.7, "int"),
+    (("users", 0, "user_id"), True, "int"),
+    (("users", 0, "user_id"), "abc", "int"),
+    (("users", 1, "n_snapshots"), 20.9, "int"),
+    (("array", "n_elements"), 64.5, "int"),
+    (("array", "n_elements"), "64", "int"),
+    (("users", 0, "snapshot_spacing_m"), "x", "float"),
+    (("users", 1, "heading_deg"), None, "float"),
+    (("array", "spacing_m"), False, "float"),
+    (("stationarity_user_m",), "5", "float"),
+    (("bs_stationarity_m",), [0.8], "float"),
+    # Infinity reached int() in partition_subarrays as an OverflowError.
+    (("bs_stationarity_m",), float("inf"), "float"),
+    (("stationarity_user_m",), float("nan"), "float"),
+    (("users", 0, "snapshot_spacing_m"), -float("inf"), "float"),
+]
+
+
+@pytest.mark.parametrize("path,value,expected", BAD_KEYS)
+def test_bad_typed_key_exits_2_naming_its_path(
+    tmp_path, capsys, monkeypatch, path, value, expected
+):
+    monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
+    raw = base_raw()
+    spec = raw["layout"]
+    for step in path[:-1]:
+        spec = spec[step]
+    spec[path[-1]] = value
+    key_path = "config.layout" + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in path
+    )
+    message = f"{key_path}: expected finite {expected}, got {value!r}"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value) == message
+    code = main(["plan", "--config", str(write_config(tmp_path, raw))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"ConfigError: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "1.7"])
 def test_non_integer_seed_override_is_a_usage_error(tmp_path, capsys, value):
     cfg = write_config(tmp_path)

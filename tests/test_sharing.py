@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from auramimo import (
     MODE_GENERATOR,
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
+    DegenerateGeometry,
     IncompleteViews,
     assemble_clusters,
     attach_focal_points,
@@ -127,6 +129,17 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         assert abs(got - d_ref) / d_ref <= 1e-9
 
 
+def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
+    # No excess delay without the boresight marker cannot be re-solved.
+    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    cluster = replace(_shared_nonboresight(cs)[0], tau_s=0.0)
+    owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
+    owner_pos = layout.segment_start_position(owner, 0)
+    match = f"cluster {cluster.cluster_id}: no focal points from owner {owner}"
+    with pytest.raises(DegenerateGeometry, match=match):
+        recalc_kept_parameters(cluster, owner, owner_pos, layout, 0.1)
+
+
 def test_kept_focal_point_keeps_geometry_and_reads_angles():
     cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
     for cluster in _shared_nonboresight(cs):
@@ -190,24 +203,29 @@ def test_kept_focal_delay_floors_at_zero():
 
 def test_recalculate_views_modes_and_power():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    seg_len = layout.segments[0].length_m
-    final = recalculate_views(shared, cs, layout, seg_len)
-    assert final.user_ids == (1, 2)
-    for (user, cid), view in final.views.items():
-        cluster = cs.clusters[cid]
-        if user == cluster.generating_user:
-            assert view.recalc_mode == MODE_GENERATOR
-        elif cluster.boresight:
-            # No excess path to re-solve; geometry must be kept.
-            assert view.recalc_mode == MODE_KEPT_FOCAL
-        else:
-            assert view.recalc_mode in (MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL)
-            owner_pos = layout.segment_start_position(user, 0)
-            expected = choose_recalc_mode(cluster, owner_pos, seg_len)
-            assert view.recalc_mode == expected
-    for user in (1, 2):
-        total = sum(v.power for v in final.views_of_user(user))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    # A 1 mm segment puts every focal point beyond three segment lengths,
+    # so only the boresight rule keeps a shared boresight view's focal points.
+    for seg_len in (layout.segments[0].length_m, 1e-3):
+        final = recalculate_views(shared, cs, layout, seg_len)
+        assert final.user_ids == (1, 2)
+        modes = set()
+        for (user, cid), view in final.views.items():
+            cluster = cs.clusters[cid]
+            modes.add((cluster.boresight, view.recalc_mode))
+            if user == cluster.generating_user:
+                assert view.recalc_mode == MODE_GENERATOR
+            elif cluster.boresight:
+                # No excess path to re-solve; geometry must be kept.
+                assert view.recalc_mode == MODE_KEPT_FOCAL
+            else:
+                assert view.recalc_mode in (MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL)
+                owner_pos = layout.segment_start_position(user, 0)
+                expected = choose_recalc_mode(cluster, owner_pos, seg_len)
+                assert view.recalc_mode == expected
+        for user in (1, 2):
+            total = sum(v.power for v in final.views_of_user(user))
+            assert total == pytest.approx(1.0, abs=1e-12)
+    assert {(True, MODE_KEPT_FOCAL), (False, MODE_KEPT_PARAMETERS)} <= modes
 
 
 def test_recalculated_views_are_deterministic():

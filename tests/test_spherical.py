@@ -32,13 +32,14 @@ C0 = SPEED_OF_LIGHT_M_S
 
 
 def _solve_one(apos, far_end, direction, d_c):
-    """solve_focal_lengths with A = 1: (anchor-to-bounce length, unit
-    direction, bounce point)."""
-    length, unit = solve_focal_lengths(
+    """solve_focal_lengths with A = 1, which must not be degenerate:
+    (anchor-to-bounce length, unit direction, bounce point)."""
+    length, unit, degenerate = solve_focal_lengths(
         np.array([d_c], dtype=float),
         np.subtract(far_end, apos)[None],
         np.asarray(direction, dtype=float)[None],
     )
+    assert not degenerate[0]
     point = np.add(apos, length[0] * unit[0])
     return float(length[0]), unit[0], point
 
@@ -75,19 +76,27 @@ def test_focal_solve_worked_examples(e_hat, expected_len, expected_focal):
 
 
 def test_zero_excess_delay_is_degenerate():
-    apos = (0.0, 0.0, 0.0)
-    user = (10.0, 0.0, 0.0)
-    d_direct = 10.0
-    with pytest.raises(DegenerateGeometry, match="no excess path"):
-        _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct)
-    # Excess below the geometric tolerance is degenerate too.
-    with pytest.raises(DegenerateGeometry, match="no excess path"):
-        _solve_one(apos, user, [0.0, 1.0, 0.0], d_direct + 1e-10)
-    # A direction within 1e-12 of unit length is used as given; pointed
-    # at a far user it can overshoot an excess path of a few nanometres.
-    far = (1e4, 0.0, 0.0)
-    with pytest.raises(DegenerateGeometry, match="direction inconsistent with delay"):
-        _solve_one(apos, far, [1.0 + 9e-13, 0.0, 0.0], 1e4 + 2e-9)
+    # Rows: no excess path; excess below the geometric tolerance; a
+    # direction within 1e-12 of unit length, used as given, pointed at a
+    # far user so it overshoots an excess path of a few nanometres; and
+    # one solvable row.
+    near, far = (10.0, 0.0, 0.0), (1e4, 0.0, 0.0)
+    d_c = np.array([10.0, 10.0 + 1e-10, 1e4 + 2e-9, 20.0])
+    r0 = np.array([near, near, far, near])
+    directions = np.array(
+        [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0 + 9e-13, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    )
+    lengths, units, degenerate = solve_focal_lengths(d_c, r0, directions)
+    assert degenerate.tolist() == [True, True, True, False]
+    # The third row has an excess path; its direction makes it degenerate.
+    assert d_c[2] > np.linalg.norm(r0[2]) + spherical.EPSILON_M
+    assert lengths.tolist() == [0.0, 0.0, 0.0, 7.5]
+    # Any leading shape gives the same rows.
+    grid = solve_focal_lengths(
+        d_c.reshape(2, 2), r0.reshape(2, 2, 3), directions.reshape(2, 2, 3)
+    )
+    for got, want in zip(grid, (lengths, units, degenerate)):
+        assert np.array_equal(got.reshape(want.shape), want)
 
 
 def test_unnormalized_direction_is_normalized():
@@ -113,7 +122,8 @@ def test_lbs_mirrors_departure_solve():
     array = make_two_user_layout(2.0).array
     ref = array.reference_subarray()
     cluster = _random_cluster(np.random.default_rng(5), array.n_subarrays, 2e-8)
-    got = solve_cluster_geometry(cluster, user, array)
+    (got,), (degenerate,) = solve_cluster_geometry([cluster], user[None], array)
+    assert not degenerate
     d_ref = total_path_length(cluster.tau_s, ref.center, user)
     g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
     assert np.array_equal(got.lbs, _solve_one(user, ref.center, g_hat, d_ref)[2])
@@ -272,12 +282,6 @@ def _degenerate_cluster_set():
     )
 
 
-def test_degenerate_cluster_raises_without_redraw_source():
-    layout = make_two_user_layout(2.0)
-    with pytest.raises(DegenerateGeometry):
-        attach_focal_points(_degenerate_cluster_set(), layout)
-
-
 def test_degenerate_cluster_exhausts_retries():
     layout = make_two_user_layout(2.0)
     lsp = draw_lsp(make_scenario(), layout, seed=1)
@@ -287,9 +291,52 @@ def test_degenerate_cluster_exhausts_retries():
         attach_focal_points(_degenerate_cluster_set(), layout, lsp_draw=lsp, seed=1)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Batched departure solve against the per-sub-array scalar solve
+# Batched segment solve against the per-cluster and per-sub-array solves
 # ---------------------------------------------------------------------------
+
+
+def _per_cluster_focal_lengths(d_c, r0, directions):
+    # The closed form over one cluster's A rows as it was before the
+    # segment batch: raises on the first degenerate row.
+    norm = np.sqrt(np.vecdot(directions, directions))
+    rescale = np.abs(norm - 1.0) > 1e-12
+    directions = np.where(rescale[:, None], directions / norm[:, None], directions)
+    r0_norm = np.sqrt(np.vecdot(r0, r0))
+    no_excess = d_c <= r0_norm + spherical.EPSILON_M
+    denom = 2.0 * (d_c - np.vecdot(r0, directions))
+    bad = np.flatnonzero(no_excess | (denom <= spherical.EPSILON_M))
+    if bad.size:
+        raise DegenerateGeometry(f"row {bad[0]}")
+    return (d_c * d_c - r0_norm * r0_norm) / denom, directions
+
+
+def _per_cluster_geometry(cluster, user, array):
+    # One cluster's geometry as it was before the segment batch: the
+    # boresight collapse, else one departure solve over the sub-arrays
+    # and one arrival solve; (lbs, fbs, e_len, interior).
+    centers = array.subarray_centers
+    user_xyz = user.tolist()
+    if cluster.boresight:
+        e_len = np.array([math.dist(user_xyz, c) for c in centers.tolist()])
+        return user, np.broadcast_to(user, centers.shape), e_len, 0.0
+    ref = array.reference_subarray()
+    tau = cluster.tau_s
+    d_c = np.array([total_path_length(tau, c, user_xyz) for c in centers.tolist()])
+    e_len, e_hat = _per_cluster_focal_lengths(
+        d_c, user - centers, unit_from_angles(cluster.aod_az_deg, cluster.aod_el_deg)
+    )
+    fbs = centers + e_len[:, None] * e_hat
+    lbs_len, g_hat = _per_cluster_focal_lengths(
+        d_c[ref.index : ref.index + 1],
+        (ref.center - user)[None],
+        unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
+    )
+    lbs = user + lbs_len[0] * g_hat[0]
+    interior = float(d_c[ref.index]) - float(e_len[ref.index]) - math.dist(user, lbs)
+    return lbs, fbs, e_len, interior
 
 
 def _scalar_unit(az_deg, el_deg):
@@ -299,7 +346,7 @@ def _scalar_unit(az_deg, el_deg):
 
 
 def _scalar_departure(apos, user_pos, e_hat, d_c):
-    # One sub-array's solve, as it was before the batch: returns the
+    # One sub-array's solve, as it was before any batch: returns the
     # anchor-to-bounce length and the bounce point.
     e_hat = np.asarray(e_hat, dtype=float)
     norm = float(np.linalg.norm(e_hat))
@@ -336,7 +383,7 @@ def _scalar_cluster_geometry(cluster, user_pos, array):
     _, lbs = _scalar_departure(user_pos, ref_center, g_hat, d_c_ref)
     g_len = math.dist(user_pos, lbs)
     interior = d_c_ref - float(e_len[ref_index]) - g_len
-    return lbs, tuple(fbs), e_len, g_len, interior
+    return lbs, np.array(fbs), e_len, interior
 
 
 def _random_array(rng):
@@ -351,63 +398,88 @@ def _random_array(rng):
     )
 
 
-def _random_cluster(rng, n_sub, tau_s):
+def _random_cluster(rng, n_sub, tau_s, boresight=False):
     return SimpleNamespace(
         tau_s=tau_s,
         aod_az_deg=rng.uniform(-180.0, 180.0, size=n_sub),
         aod_el_deg=rng.uniform(-90.0, 90.0, size=n_sub),
         aoa_az_deg=float(rng.uniform(-180.0, 180.0)),
         aoa_el_deg=float(rng.uniform(-90.0, 90.0)),
+        boresight=boresight,
     )
+
+
+def _assert_same_geometry(got, want, label):
+    lbs, fbs, e_len, interior = want
+    assert np.array_equal(got.lbs, lbs), label
+    assert np.array_equal(got.fbs, fbs), label
+    assert np.array_equal(got.e_len_m, e_len), label
+    assert got.interior_raw_m == interior, label
 
 
 def test_batched_cluster_geometry_equals_scalar_loop():
     rng = np.random.default_rng(31)
+    seen = {"one subarray": 0, "uneven last": 0, "boresight": 0, "solved": 0}
     for trial in range(250):
         array = _random_array(rng)
-        user = rng.uniform([-200, -200, 0], [200, 200, 3])
-        tau = float(10.0 ** rng.uniform(-10, -5))
-        cluster = _random_cluster(rng, array.n_subarrays, tau)
-        got = solve_cluster_geometry(cluster, user, array)
-        lbs, fbs, e_len, g_len, interior = _scalar_cluster_geometry(
-            cluster, user, array
-        )
-        assert np.array_equal(got.lbs, lbs), trial
-        assert np.array_equal(got.fbs, np.array(fbs)), trial
-        assert np.array_equal(got.e_len_m, e_len), trial
-        assert math.dist(user, got.lbs) == g_len, trial
-        assert got.interior_raw_m == interior, trial
+        sizes = [sub.n_elements for sub in array.subarrays]
+        seen["one subarray"] += array.n_subarrays == 1
+        seen["uneven last"] += sizes[-1] != sizes[0]
+        n = int(rng.integers(1, 13))
+        users = rng.uniform([-200, -200, 0], [200, 200, 3], size=(n, 3))
+        boresight = rng.random(n) < 0.25
+        clusters = [
+            _random_cluster(
+                rng, array.n_subarrays, 0.0 if b else float(10.0 ** rng.uniform(-10, -5)), b
+            )
+            for b in boresight
+        ]
+        geometries, degenerate = solve_cluster_geometry(clusters, users, array)
+        assert len(geometries) == n and not degenerate.any(), trial
+        for i, (cluster, user, got) in enumerate(zip(clusters, users, geometries)):
+            label = (trial, i)
+            _assert_same_geometry(got, _per_cluster_geometry(cluster, user, array), label)
+            if cluster.boresight:
+                seen["boresight"] += 1
+                continue
+            seen["solved"] += 1
+            _assert_same_geometry(got, _scalar_cluster_geometry(cluster, user, array), label)
+    assert min(seen.values()) >= 10, seen
 
 
-def test_batched_solve_raises_on_the_same_first_subarray():
+def test_batched_solve_masks_exactly_where_the_per_cluster_solve_raises():
     # An excess path of ~1e-9 m sits on the degeneracy threshold, so
-    # rounding makes some sub-arrays degenerate and others not.
+    # rounding makes some clusters degenerate and others not.
     rng = np.random.default_rng(32)
-    outcomes = {"raised_first": 0, "raised_later": 0, "solved": 0}
-    for _ in range(300):
+    outcomes = {"degenerate": 0, "solved": 0}
+    for trial in range(60):
         array = _random_array(rng)
-        user = rng.uniform([-100, -100, 0], [100, 100, 3])
-        excess = spherical.EPSILON_M + rng.normal() * 2e-14
-        cluster = _random_cluster(rng, array.n_subarrays, excess / C0)
-        try:
-            _scalar_cluster_geometry(cluster, user, array)
-        except DegenerateGeometry as scalar_error:
-            with pytest.raises(DegenerateGeometry) as batched_error:
-                solve_cluster_geometry(cluster, user, array)
-            assert str(batched_error.value) == str(scalar_error)
-            first = array.subarrays[0]
-            d_c0 = total_path_length(cluster.tau_s, first.center, user)
-            at_first = f"d_c={d_c0!r}" in str(scalar_error)
-            outcomes["raised_first" if at_first else "raised_later"] += 1
-        else:
-            solve_cluster_geometry(cluster, user, array)
-            outcomes["solved"] += 1
+        n = int(rng.integers(1, 13))
+        users = rng.uniform([-100, -100, 0], [100, 100, 3], size=(n, 3))
+        clusters = [
+            _random_cluster(
+                rng, array.n_subarrays, (spherical.EPSILON_M + rng.normal() * 2e-14) / C0
+            )
+            for _ in range(n)
+        ]
+        geometries, degenerate = solve_cluster_geometry(clusters, users, array)
+        for i, (cluster, user, got) in enumerate(zip(clusters, users, geometries)):
+            try:
+                want = _per_cluster_geometry(cluster, user, array)
+            except DegenerateGeometry:
+                assert degenerate[i], (trial, i)
+                outcomes["degenerate"] += 1
+            else:
+                assert not degenerate[i], (trial, i)
+                _assert_same_geometry(got, want, (trial, i))
+                outcomes["solved"] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
-    # The first solve of one cluster fails; its angles must be redrawn
-    # from the (seed, segment, cluster id) redraw stream and re-solved.
+    # The segment solve flags one cluster as degenerate; only its angles
+    # are redrawn from the (seed, segment, cluster id) redraw stream and
+    # re-solved, and every other cluster keeps its first solve.
     layout = make_two_user_layout(2.0)
     scenario = make_scenario()
     table = share_table_for_segment(layout, 0, 7)
@@ -415,19 +487,23 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
     victim = next(c for _, c in sorted(cs.clusters.items()) if not c.boresight)
     real_solve = spherical.solve_cluster_geometry
-    failed = []
+    calls = []
 
-    def fail_once(cluster, user_pos, array):
-        if cluster is victim and not failed:
-            failed.append(True)
-            raise DegenerateGeometry("forced")
-        return real_solve(cluster, user_pos, array)
+    def flag_victim(clusters, users, array):
+        geometries, degenerate = real_solve(clusters, users, array)
+        calls.append(len(clusters))
+        if len(calls) == 1:
+            degenerate = degenerate | [c is victim for c in clusters]
+        return geometries, degenerate
 
-    monkeypatch.setattr(spherical, "solve_cluster_geometry", fail_once)
+    monkeypatch.setattr(spherical, "solve_cluster_geometry", flag_victim)
     attached = attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
-    assert failed
+    assert calls == [len(cs.clusters), 1]
     redrawn = attached.clusters[victim.cluster_id]
     assert redrawn is not victim and victim.geometry is None
+    for cluster_id, cluster in attached.clusters.items():
+        if cluster_id != victim.cluster_id:
+            assert cluster.aoa_az_deg == cs.clusters[cluster_id].aoa_az_deg
 
     rng = np.random.default_rng(
         np.random.SeedSequence(3, spawn_key=(STREAM_REDRAW, 0, victim.cluster_id))
@@ -444,7 +520,6 @@ def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
     assert not (redrawn.aod_az_deg.flags.writeable or redrawn.aod_el_deg.flags.writeable)
     assert (redrawn.aoa_az_deg, redrawn.aoa_el_deg) == (aoa_az[0], aoa_el[0])
     gen_pos = layout.segment_start_position(victim.generating_user, 0)
-    lbs, fbs, e_len, *_ = _scalar_cluster_geometry(redrawn, gen_pos, layout.array)
-    assert np.array_equal(redrawn.geometry.lbs, lbs)
-    assert np.array_equal(redrawn.geometry.fbs, np.array(fbs))
-    assert np.array_equal(redrawn.geometry.e_len_m, e_len)
+    _assert_same_geometry(
+        redrawn.geometry, _per_cluster_geometry(redrawn, gen_pos, layout.array), "redraw"
+    )
