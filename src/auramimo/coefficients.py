@@ -19,7 +19,9 @@ FBS set and the clamped interior length, so it is computed once per
 distinct departure geometry of a segment and shared by the owners that
 copy all three (kept-focal-point, co-located owners); each geometry's
 coefficients are one matrix product of its departure phases with the
-stacked arrival phases of every owner it serves. The geometries are cut
+stacked arrival phases of every owner it serves. The arrival side (fans,
+receiver distances, phases, amplitudes and center-path delays) of every
+(user, cluster) slot is one array pass per segment. The geometries are cut
 into blocks of at most BLOCK_VALUES departure phases, each computed in
 one pass over all sub-arrays (ArrayGeometry.element_distances), and the
 blocks run on one thread per CPU the process may use, less the threads
@@ -37,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteViews
-from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms, rotate_azimuth
+from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, distances, rotate_azimuth
 from .layout import ArrayGeometry, UserLayout
 from .lsp import STREAM_SCATTERERS
-from .sharing import OwnerView, OwnerViews
+from .sharing import OwnerViews
 
 log = logging.getLogger(__name__)
 
@@ -222,10 +224,12 @@ def synthesize(
                     f"view (user {u}, cluster {v.cluster_id}) has no focal points"
                 )
 
+    # Slot k * C + c holds user k's view of its c-th cluster.
+    slot_views = [v for user_views in per_user for v in user_views]
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * cluster_angle_spread_deg)
-    all_cluster_ids = sorted({v.cluster_id for uv in per_user for v in uv})
     randomness = {
-        cid: scatterer_randomness(seed, cid, n_scatterers) for cid in all_cluster_ids
+        cid: scatterer_randomness(seed, cid, n_scatterers)
+        for cid in sorted({v.cluster_id for v in slot_views})
     }
 
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
@@ -242,15 +246,37 @@ def synthesize(
         raise ValueError(f"output arrays must be complex128 and float64, got {got}")
     ref_index = array.reference_subarray().index
 
-    # Views by departure geometry, with its FBS and the (user, cluster)
-    # slots it fills: one departure phase serves them all.
-    by_geometry: dict[tuple, tuple[np.ndarray, list[tuple[int, int]]]] = {}
-    for k, user_views in enumerate(per_user):
-        for c, v in enumerate(user_views):
-            key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
-            by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
-    rx_positions = [layout.segment_positions(u, segment) for u in user_ids]
-    anchors = [layout.segment_start_position(u, segment) for u in user_ids]
+    # The arrival side of every slot at once, in (user, cluster, snapshot,
+    # scatterer) arrays: the frozen arrival bounce points (only the
+    # receiver moves), amp * exp(j(phi - k d_rx)), and the center-path
+    # delay (reference-sub-array leg + interior + moving receiver leg, all
+    # scatterer offsets at zero).
+    interiors = [max(v.interior_raw_m, 0.0) for v in slot_views]
+    lbs = np.stack([v.lbs for v in slot_views]).reshape(n_users, n_clusters, 3)
+    rx = np.stack([layout.segment_positions(u, segment) for u in user_ids])[:, None]
+    anchors = np.stack([layout.segment_start_position(u, segment) for u in user_ids])
+    lbs_points = _fan_positions(anchors[:, None], lbs, rotation)
+    phases = np.stack([randomness[v.cluster_id][0] for v in slot_views])
+    rx_phase = 1j * (
+        phases.reshape(n_users, n_clusters, 1, n_scatterers)
+        - wavenumber * distances(rx[..., None, :], lbs_points[:, :, None])
+    )
+    np.exp(rx_phase, out=rx_phase)
+    amplitudes = [math.sqrt(v.power / n_scatterers) for v in slot_views]
+    rx_phase *= np.reshape(amplitudes, (n_users, n_clusters, 1, 1))
+    rx_phase = rx_phase.reshape(-1, n_snap, n_scatterers)
+    e_ref = [float(v.e_len_m[ref_index]) for v in slot_views]
+    delays[...] = (
+        np.add(e_ref, interiors).reshape(n_users, n_clusters, 1)
+        + distances(rx, lbs[:, :, None])
+    ) / SPEED_OF_LIGHT_M_S
+
+    # Slots by departure geometry, with its FBS: one departure phase
+    # serves them all.
+    by_geometry: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for s, (v, interior) in enumerate(zip(slot_views, interiors)):
+        key = (v.cluster_id, v.fbs.tobytes(), interior)
+        by_geometry.setdefault(key, (v.fbs, []))[1].append(s)
 
     def fill(block: list) -> None:
         perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
@@ -261,29 +287,13 @@ def synthesize(
             wavenumber,
             (rotation[0][perms], rotation[1][perms]),
         )
-        for j, ((cluster_id, _, interior), (_, slots)) in enumerate(block):
-            phases = randomness[cluster_id][0]
-            # amp * arrival phases of every slot, stacked along snapshots.
-            rx_phase = np.empty((len(slots) * n_snap, n_scatterers), complex)
-            for s, (k, c) in enumerate(slots):
-                view = per_user[k][c]
-                # Frozen arrival bounce points; only the receiver moves.
-                lbs_points = _fan_positions(anchors[k], view.lbs, rotation)
-                d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
-                np.multiply(
-                    math.sqrt(view.power / n_scatterers),
-                    np.exp(1j * (phases[None, :] - wavenumber * d_rx)),
-                    out=rx_phase[s * n_snap : (s + 1) * n_snap],
-                )
-                # Center-path delay: reference-sub-array leg + interior +
-                # moving receiver leg, all scatterer offsets at zero.
-                d_center_rx = norms(rx_positions[k] - view.lbs)
-                delays[k, c, :] = (
-                    float(view.e_len_m[ref_index]) + interior + d_center_rx
-                ) / SPEED_OF_LIGHT_M_S
-            product = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers] @ rx_phase.T
-            for s, (k, c) in enumerate(slots):
-                coefficients[k, 0, :, c, :] = product[:, s * n_snap : (s + 1) * n_snap]
+        for j, (_, (_, slots)) in enumerate(block):
+            columns = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers]
+            product = columns @ rx_phase[slots].reshape(-1, n_scatterers).T
+            ks, cs = np.divmod(slots, n_clusters)
+            coefficients[ks, 0, :, cs, :] = product.reshape(
+                array.n_elements, len(slots), n_snap
+            ).transpose(1, 0, 2)
 
     geometries = list(by_geometry.items())
     per_block = max(1, BLOCK_VALUES // (array.n_elements * n_scatterers))
@@ -291,7 +301,7 @@ def synthesize(
         fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
     )
 
-    clamped = sum(v.interior_raw_m < 0.0 for uv in per_user for v in uv)
+    clamped = sum(v.interior_raw_m < 0.0 for v in slot_views)
     if clamped:
         log.warning(
             "segment %d: interior path length clamped to 0 for %d cluster view(s)",
@@ -301,34 +311,34 @@ def synthesize(
 
 
 def planar_vs_spherical_error(
-    view: OwnerView, layout: UserLayout, carrier_hz: float
+    fbs: np.ndarray, layout: UserLayout, carrier_hz: float
 ) -> np.ndarray:
-    """Max absolute per-element phase deviation (radians) per sub-array
-    between spherical distances to the departure focal point and the
-    far-field linear phase along the sub-array's departure direction."""
+    """Max absolute per-element phase deviation (radians), (n, A), of n
+    FBS sets (n, A, 3): per sub-array, between the spherical distances to
+    its departure focal point and the far-field linear phase along the
+    sub-array's departure direction."""
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     array = layout.array
-    elements = array.element_positions
     sub = array.subarray_of_element()
     centers = array.subarray_centers
-    focal = view.fbs
-    leg = focal - centers
+    leg = fbs - centers
     dist = np.sqrt(np.vecdot(leg, leg))
-    direction = leg / np.where(dist == 0.0, 1.0, dist)[:, None]
-    d_spherical = array.element_distances(focal[:, None, :])[:, 0]
+    direction = leg / np.where(dist == 0.0, 1.0, dist)[..., None]
+    d_spherical = array.element_distances(fbs.transpose(1, 0, 2)).T
     # Stacked matrix-vector products over runs of equal-size sub-arrays:
     # per-element dot products (vecdot, einsum) round differently.
-    local = elements - centers[sub]
+    local = array.element_positions - centers[sub]
     projection = np.concatenate(
         [
             np.matmul(
-                local[e0:e1].reshape(a1 - a0, -1, 3), direction[a0:a1, :, None]
-            ).ravel()
+                local[e0:e1].reshape(a1 - a0, -1, 3), direction[:, a0:a1, :, None]
+            ).reshape(len(fbs), -1)
             for a0, a1, e0, e1 in array.equal_size_runs
-        ]
+        ],
+        axis=1,
     )
-    deviation = np.abs(d_spherical - (dist[sub] - projection))
+    deviation = np.abs(d_spherical - (dist[:, sub] - projection))
     starts = [s.element_range[0] for s in array.subarrays]
-    errors = np.maximum.reduceat(deviation, starts) * wavenumber
+    errors = np.maximum.reduceat(deviation, starts, axis=1) * wavenumber
     errors[dist == 0.0] = 0.0
     return errors

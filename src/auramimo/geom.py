@@ -18,11 +18,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis: the arithmetic of
-    np.linalg.norm(x, axis=-1) (square, add.reduce, sqrt), so the bits
-    match, without its per-call overhead."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| of broadcast points (..., 3), plane by plane: x^2 + y^2 +
+    z^2, then sqrt: the bits of np.linalg.norm(a - b, axis=-1) without its
+    (..., 3) temporary."""
+    acc = (a[..., 0] - b[..., 0]) ** 2
+    for j in (1, 2):
+        acc += (a[..., j] - b[..., j]) ** 2
+    return np.sqrt(acc, out=acc)
 
 
 def wrap_azimuth_deg(angle):

@@ -18,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import EmptyArray, UnknownSegment, UnknownUser, UnsynchronizedTracks
-from .geom import read_only
+from .geom import distances, read_only
 
 # Spacing / center agreement tolerance, meters.
 GEOMETRY_TOL_M = 1e-9
@@ -38,6 +38,13 @@ def _points(points, what: str) -> np.ndarray:
             f"{what}: coordinates must be finite, got {a[bad[0]].tolist()} at point {bad[0]}"
         )
     return read_only(a)
+
+
+def _require_finite(**values) -> None:
+    """ValueError naming the first argument with a non-finite value."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,7 @@ def linear_track(
 ) -> Track:
     """Straight horizontal track starting at `start` (x, y, z) (heading
     measured from +x)."""
+    _require_finite(heading_deg=heading_deg, snapshot_spacing_m=snapshot_spacing_m)
     h = math.radians(heading_deg)
     dx = math.cos(h) * snapshot_spacing_m
     dy = math.sin(h) * snapshot_spacing_m
@@ -177,17 +185,12 @@ class ArrayGeometry:
 
     def element_distances(self, points: np.ndarray) -> np.ndarray:
         """Distances (n_elements, n) from each element to the n points
-        (n_subarrays, n, 3) of its sub-array, plane by plane per run of
-        equal-size sub-arrays: x^2 + y^2 + z^2, then sqrt, the arithmetic of
-        geom.norms, so the bits match."""
+        (n_subarrays, n, 3) of its sub-array, by `geom.distances` per run
+        of equal-size sub-arrays."""
         out = np.empty((self.n_elements, points.shape[1]))
         for a0, a1, e0, e1 in self.equal_size_runs:
             elements = self.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
-            run = points[a0:a1, None]
-            acc = (elements[..., 0] - run[..., 0]) ** 2
-            for j in (1, 2):
-                acc += (elements[..., j] - run[..., j]) ** 2
-            np.sqrt(acc, out=out[e0:e1].reshape(acc.shape))
+            out[e0:e1] = distances(elements, points[a0:a1, None]).reshape(e1 - e0, -1)
         return out
 
     def reference_subarray(self) -> SubArray:
@@ -290,6 +293,7 @@ def uniform_linear_array(
 ) -> np.ndarray:
     """Element positions (n_elements, 3), read-only, of a uniform linear
     array starting at `origin` (x, y, z)."""
+    _require_finite(spacing_m=spacing_m, axis=axis)
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if norm == 0:

@@ -23,7 +23,6 @@ from .layout import UserLayout
 STREAM_LSP = 0
 STREAM_CLUSTERS = 1
 STREAM_SCATTERERS = 2
-STREAM_REDRAW = 3
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def run_segment(config: RunConfig, lsp_draw, table: ShareTable) -> SegmentResult
     of `table`."""
     layout = config.layout
     clusters = assemble_clusters(table, lsp_draw, layout, config.scenario, config.seed)
-    clusters = attach_focal_points(clusters, layout, lsp_draw, config.seed)
+    clusters = attach_focal_points(clusters, layout)
     shared = share_clusters(clusters, layout)
     views = recalculate_views(
         shared, clusters, layout, layout.segments[table.segment_index].length_m
@@ -118,12 +118,11 @@ def _fill_sharing_and_planar_metrics(
                 len(ids[u] & ids[v]) for ids in per_segment
             )
 
-    # The error depends only on the FBS set: one view per distinct set.
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
-        for view in {v.fbs.tobytes(): v for v in seg.views.views.values()}.values():
-            errors = planar_vs_spherical_error(view, config.layout, config.carrier_hz)
-            worst = np.maximum(worst, errors)
+        fbs = np.stack([v.fbs for v in seg.views.views.values()])
+        errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
+        worst = np.maximum(worst, errors.max(axis=0))
     report.planar_error_max_rad.update(enumerate(worst.tolist()))
 
 

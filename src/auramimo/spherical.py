@@ -14,9 +14,12 @@ len + |focal - far_end| = d_c. It degenerates only when there is no
 excess path (d_c -> |r0|, i.e. zero excess delay).
 
 A segment's clusters are solved in one call, which flags degenerate
-clusters for redrawing. Zero-excess-delay (boresight) clusters, one per
-sharing group, collapse both focal points onto the user position: the
-direct path for every element, without geometry the delay cannot support.
+clusters; a flagged cluster is an error, since only an excess path of
+at most EPSILON_M flags a row and no angle redraw can add excess path.
+Zero-excess-delay (boresight) clusters, one per sharing group, are
+exempt: they collapse both focal points onto the user position, the
+direct path for every element, without geometry the delay cannot
+support.
 """
 
 from __future__ import annotations
@@ -26,20 +29,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .clustergen import (
-    Cluster,
-    ClusterGeometry,
-    ClusterSet,
-    gen_arrival_angles,
-    gen_departure_angles,
-)
+from .clustergen import Cluster, ClusterGeometry, ClusterSet
 from .errors import DegenerateGeometry
 from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
 from .layout import ArrayGeometry, UserLayout
-from .lsp import STREAM_REDRAW, LspDraw
 
 EPSILON_M = 1e-9
-MAX_ANGLE_RETRIES = 16
 
 
 def total_path_length(tau_s: float, apos, user_pos) -> float:
@@ -109,61 +104,25 @@ def solve_cluster_geometry(
     return geometries, (e_degenerate.any(axis=1) | g_degenerate) & ~boresight
 
 
-def _redrawn(
-    cluster: Cluster, user: np.ndarray, layout: UserLayout, lsp_draw: LspDraw, seed: int
-) -> Cluster:
-    """A copy of a degenerate `cluster` with angles redrawn from its own
-    (seed, segment, cluster id) stream until the solve from `user` (3,)
-    succeeds."""
-    lsp = lsp_draw.of(cluster.generating_user, cluster.segment_index)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            seed, spawn_key=(STREAM_REDRAW, cluster.segment_index, cluster.cluster_id)
-        )
-    )
-    for _ in range(MAX_ANGLE_RETRIES):
-        aod_az, aod_el = gen_departure_angles(
-            cluster.n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng
-        )
-        aoa_az, aoa_el = gen_arrival_angles(
-            np.ones(1), lsp.sigma_aoa_deg, lsp.sigma_eoa_deg, rng
-        )
-        redrawn = replace(
-            cluster,
-            aod_az_deg=aod_az,
-            aod_el_deg=aod_el,
-            aoa_az_deg=float(aoa_az[0]),
-            aoa_el_deg=float(aoa_el[0]),
-        )
-        (geometry,), (degenerate,) = solve_cluster_geometry(
-            [redrawn], user[None], layout.array
-        )
-        if not degenerate:
-            return replace(redrawn, geometry=geometry)
-    raise DegenerateGeometry(
-        f"cluster {cluster.cluster_id}: geometry still degenerate after "
-        f"{MAX_ANGLE_RETRIES} angle redraws"
-    )
-
-
-def attach_focal_points(
-    cluster_set: ClusterSet, layout: UserLayout, lsp_draw: LspDraw, seed: int
-) -> ClusterSet:
+def attach_focal_points(cluster_set: ClusterSet, layout: UserLayout) -> ClusterSet:
     """A new set whose clusters carry one LBS and A FBS each, seen from
     their generating users' segment-start positions; the input set is
     left as it is.
 
-    The whole segment is one `solve_cluster_geometry` call. Only a
-    cluster whose drawn angles make it degenerate has its angles redrawn,
-    from its own stream (up to MAX_ANGLE_RETRIES); delays make degeneracy
-    unreachable for nonzero excess delay, so this is a safety net.
+    The whole segment is one `solve_cluster_geometry` call. A degenerate
+    cluster raises DegenerateGeometry: for rows under about 2 500 km the
+    mask is the angle-free term d_c <= |r0| + EPSILON_M (no excess path),
+    which no other angles could clear.
     """
     clusters = [cluster_set.clusters[c] for c in sorted(cluster_set.clusters)]
     position = layout.segment_start_position
     users = np.array([position(c.generating_user, c.segment_index) for c in clusters])
     geometries, degenerate = solve_cluster_geometry(clusters, users, layout.array)
-    attached = [
-        _redrawn(c, u, layout, lsp_draw, seed) if bad else replace(c, geometry=g)
-        for c, u, g, bad in zip(clusters, users, geometries, degenerate)
-    ]
+    if degenerate.any():
+        bad = clusters[int(np.argmax(degenerate))]
+        raise DegenerateGeometry(
+            f"cluster {bad.cluster_id}: no focal points from generating user "
+            f"{bad.generating_user}"
+        )
+    attached = [replace(c, geometry=g) for c, g in zip(clusters, geometries)]
     return replace(cluster_set, clusters={c.cluster_id: c for c in attached})

@@ -25,7 +25,6 @@ import pytest
 
 from auramimo import (
     Aura,
-    OwnerView,
     assemble_clusters,
     attach_focal_points,
     build_overlap_graph,
@@ -293,7 +292,7 @@ def test_c05_parameter_count(check):
             assert clusters.clusters
             for cluster in clusters.clusters.values():
                 assert len(cluster.aod_az_deg) == len(cluster.aod_el_deg) == n_subarrays
-            clusters = attach_focal_points(clusters, layout, lsp, config.seed)
+            clusters = attach_focal_points(clusters, layout)
             for cluster in clusters.clusters.values():
                 assert len(cluster.aod_az_deg) == len(cluster.geometry.fbs) == n_subarrays
             # Table columns: 4 + 2A scalars (delay, power, AoA az/el, AoD
@@ -398,26 +397,12 @@ def test_c09_per_subarray_angles(check):
 # ---------------------------------------------------------------------------
 
 
-def _broadside_view(layout, distance_m):
-    subs = layout.array.subarrays
-    center = subs[0].center
-    fbs = np.array([(center[0], distance_m, center[2]) for _ in subs])
-    e_len = np.array([math.dist(s.center, f) for s, f in zip(subs, fbs)])
-    return OwnerView(
-        user_id=1,
-        cluster_id=0,
-        recalc_mode="generator",
-        delay_s=1e-7,
-        power=1.0,
-        aoa_az_deg=0.0,
-        aoa_el_deg=0.0,
-        aod_az_deg=np.zeros(len(subs)),
-        aod_el_deg=np.zeros(len(subs)),
-        lbs=np.array([20.0, 0.0, 1.5]),
-        fbs=fbs,
-        e_len_m=e_len,
-        interior_raw_m=5.0,
-        boresight=False,
+def _broadside_fbs(layout, distances_m):
+    """One FBS set (A, 3) per distance, stacked (n, A, 3): every sub-array's
+    focal point on the broadside line through the first sub-array."""
+    center = layout.array.subarrays[0].center
+    return np.array(
+        [[(center[0], d, center[2])] * layout.array.n_subarrays for d in distances_m]
     )
 
 
@@ -432,11 +417,8 @@ def test_c10_spherical_limit(check):
             bs_stationarity_m=1.1,
         )
         assert layout.array.n_subarrays == 1
-        far = planar_vs_spherical_error(
-            _broadside_view(layout, 1e6), layout, carrier_hz=3.5e9
-        )
-        near = planar_vs_spherical_error(
-            _broadside_view(layout, 2.0), layout, carrier_hz=3.5e9
+        far, near = planar_vs_spherical_error(
+            _broadside_fbs(layout, [1e6, 2.0]), layout, carrier_hz=3.5e9
         )
         assert far[0] < 1e-3
         assert near[0] > 0.5
@@ -454,7 +436,7 @@ def test_c11_recalc_fixed_point(check):
         lsp = draw_lsp(config.scenario, layout, config.seed)
         table = share_table_for_segment(layout, 0, config.total_clusters_per_user)
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
-        clusters = attach_focal_points(clusters, layout, lsp, config.seed)
+        clusters = attach_focal_points(clusters, layout)
         views = share_clusters(clusters, layout)
 
         shared = [c for c in clusters.clusters.values() if len(c.owner_set) == 2]

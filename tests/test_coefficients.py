@@ -30,7 +30,7 @@ from auramimo import (
 from auramimo import coefficients
 from auramimo.coefficients import _fan_positions, scatterer_randomness
 from auramimo.layout import ArrayGeometry
-from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, norms
+from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import (
     make_point_layout,
@@ -40,6 +40,12 @@ from conftest import (
 )
 
 C0 = SPEED_OF_LIGHT_M_S
+
+
+def norms(x):
+    """Euclidean norms along the last axis, as synthesis formed them before
+    plane-by-plane distances."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def _full_tensor(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
+    cs = attach_focal_points(cs, layout)
     views = recalculate_views(
         share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
     )
@@ -261,23 +267,24 @@ def test_users_must_agree_on_cluster_count():
 # ---------------------------------------------------------------------------
 
 
-def _broadside_view(layout, distance):
-    fbs = [(s.center[0], s.center[1] + distance, s.center[2]) for s in layout.array.subarrays]
-    return _manual_view(layout, (15.0, 4.0, 2.0), fbs, 1.0)
+def _broadside_fbs(layout, distances):
+    """FBS sets (n, A, 3), one per distance: each sub-array's focal point
+    that far from its center along +y."""
+    return np.array(
+        [[s.center + (0.0, d, 0.0) for s in layout.array.subarrays] for d in distances]
+    )
 
 
 def test_far_focal_point_is_planar():
     layout = make_two_user_layout(2.0)
-    view = _broadside_view(layout, 1e6)
-    err = planar_vs_spherical_error(view, layout, 3.5e9)
-    assert err.shape == (4,)
+    err = planar_vs_spherical_error(_broadside_fbs(layout, [1e6, 1e7]), layout, 3.5e9)
+    assert err.shape == (2, 4)
     assert np.all(err < 1e-3)
 
 
 def test_near_focal_point_is_not_planar():
     layout = make_two_user_layout(2.0)
-    view = _broadside_view(layout, 2.0)
-    err = planar_vs_spherical_error(view, layout, 3.5e9)
+    err = planar_vs_spherical_error(_broadside_fbs(layout, [1.5, 2.0]), layout, 3.5e9)
     assert np.all(err > 0.5)
 
 
@@ -285,9 +292,8 @@ def test_single_element_subarrays_have_no_deviation():
     layout = make_two_user_layout(2.0, n_elements=4, bs_stationarity_m=0.05)
     assert layout.array.n_subarrays == 4
     assert all(s.n_elements == 1 for s in layout.array.subarrays)
-    view = _broadside_view(layout, 2.0)
-    err = planar_vs_spherical_error(view, layout, 3.5e9)
-    np.testing.assert_array_equal(err, np.zeros(4))
+    err = planar_vs_spherical_error(_broadside_fbs(layout, [2.0, 7.0]), layout, 3.5e9)
+    np.testing.assert_array_equal(err, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +318,13 @@ def _scalar_fan(anchor, focal, offsets_deg):
     return anchor + dist * np.array([_scalar_rotate(direction, d) for d in offsets_deg])
 
 
-def _scalar_planar_error(view, layout, carrier_hz):
-    # One sub-array at a time: the form the batch replaced.
+def _scalar_planar_error(fbs, layout, carrier_hz):
+    # One FBS set and one sub-array at a time: the form the batch replaced.
     wavenumber = 2.0 * math.pi * carrier_hz / C0
     elements = np.array(layout.array.element_positions)
-    errors = np.zeros(len(view.fbs))
+    errors = np.zeros(len(fbs))
     for sub in layout.array.subarrays:
-        focal = view.fbs[sub.index]
+        focal = fbs[sub.index]
         center = sub.center
         leg = focal - center
         dist = float(np.linalg.norm(leg))
@@ -377,18 +383,20 @@ def test_batched_planar_error_equals_scalar_loop():
     uneven = 0
     for trial in range(250):
         layout = _random_array_layout(rng)
-        subs = layout.array.subarrays
-        uneven += len({s.n_elements for s in subs}) > 1
-        scale = 10.0 ** rng.uniform(-1, 6)
-        fbs = [s.center + rng.normal(size=3) * scale for s in subs]
+        centers = layout.array.subarray_centers
+        uneven += len(layout.array.equal_size_runs) > 1
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-1, 6, size=(n, 1, 1))
+        fbs = centers + rng.normal(size=(n, *centers.shape)) * scale
         # Zero-length focal legs have no planar error.
-        zero = [a for a in range(len(subs)) if rng.random() < 0.2]
-        for a in zero:
-            fbs[a] = subs[a].center
-        view = SimpleNamespace(fbs=np.array(fbs))
+        zero = rng.random(fbs.shape[:2]) < 0.2
+        fbs[zero] = np.broadcast_to(centers, fbs.shape)[zero]
         carrier = rng.uniform(1e9, 30e9)
-        got = planar_vs_spherical_error(view, layout, carrier)
-        assert np.array_equal(got, _scalar_planar_error(view, layout, carrier)), trial
+        got = planar_vs_spherical_error(fbs, layout, carrier)
+        assert got.shape == fbs.shape[:2], trial
+        for i in range(n):
+            want = _scalar_planar_error(fbs[i], layout, carrier)
+            assert np.array_equal(got[i], want), (trial, i)
         assert np.all(got[zero] == 0.0)
     assert uneven >= 50  # runs of unequal sub-array sizes are exercised
 
@@ -489,7 +497,7 @@ def _seeded_views(rng, seed):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
+    cs = attach_focal_points(cs, layout)
     views = recalculate_views(
         share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
     )
@@ -674,3 +682,166 @@ def test_output_arrays_must_have_full_precision_dtypes(coeff_dtype, delay_dtype,
     with pytest.raises(ValueError, match=f"got {got}$"):
         synthesize(views, layout, 3.5e9, seed=3, out=(coeff, delays))
     assert not coeff.any() and not delays.any()  # no block ran
+
+
+# ---------------------------------------------------------------------------
+# The segment-wide arrival pass against the per-slot arrival loop
+# ---------------------------------------------------------------------------
+
+
+def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatterers, out):
+    # Synthesis as it was with one arrival side per (user, cluster) slot,
+    # computed inside each block, on the same blocks and threads.
+    per_user = [views.views_of_user(u) for u in views.user_ids]
+    rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
+    randomness = {
+        v.cluster_id: scatterer_randomness(seed, v.cluster_id, n_scatterers)
+        for user_views in per_user
+        for v in user_views
+    }
+    wavenumber = 2.0 * math.pi * carrier_hz / C0
+    array = layout.array
+    segment = views.segment_index
+    n_snap = layout.segments[segment].n_snapshots
+    coeff, delays = out
+    ref_index = array.reference_subarray().index
+    by_geometry = {}
+    for k, user_views in enumerate(per_user):
+        for c, v in enumerate(user_views):
+            key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
+            by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
+    rx_positions = [layout.segment_positions(u, segment) for u in views.user_ids]
+    anchors = [layout.segment_start_position(u, segment) for u in views.user_ids]
+
+    def fill(block):
+        perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
+        tx_phase = coefficients._departure_phase(
+            np.stack([fbs for _, (fbs, _) in block]),
+            np.array([interior for (_, _, interior), _ in block]),
+            array,
+            wavenumber,
+            (rotation[0][perms], rotation[1][perms]),
+        )
+        for j, ((cluster_id, _, interior), (_, slots)) in enumerate(block):
+            phases = randomness[cluster_id][0]
+            rx_phase = np.empty((len(slots) * n_snap, n_scatterers), complex)
+            for s, (k, c) in enumerate(slots):
+                view = per_user[k][c]
+                lbs_points = _fan_positions(anchors[k], view.lbs, rotation)
+                d_rx = norms(rx_positions[k][:, None, :] - lbs_points[None, :, :])
+                np.multiply(
+                    math.sqrt(view.power / n_scatterers),
+                    np.exp(1j * (phases[None, :] - wavenumber * d_rx)),
+                    out=rx_phase[s * n_snap : (s + 1) * n_snap],
+                )
+                d_center_rx = norms(rx_positions[k] - view.lbs)
+                delays[k, c, :] = (
+                    float(view.e_len_m[ref_index]) + interior + d_center_rx
+                ) / C0
+            product = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers] @ rx_phase.T
+            for s, (k, c) in enumerate(slots):
+                coeff[k, 0, :, c, :] = product[:, s * n_snap : (s + 1) * n_snap]
+
+    geometries = list(by_geometry.items())
+    per_block = max(1, coefficients.BLOCK_VALUES // (array.n_elements * n_scatterers))
+    coefficients._run_blocks(
+        fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
+    )
+
+
+def _two_segment_views(rng, seed):
+    """A random multi-user layout of two segments (the second one often
+    short) and each segment's owner views, run through the real stages;
+    some users share a start position."""
+    n_users = int(rng.integers(2, 5))
+    spacing = rng.uniform(0.3, 2.0)
+    first = int(rng.integers(1, 4))
+    n_snap = first + int(rng.integers(1, first + 1))
+    stationarity = first * spacing + 1e-6
+    starts = []
+    for _ in range(n_users):
+        if starts and rng.random() < 0.3:
+            starts.append(starts[int(rng.integers(len(starts)))])
+        else:
+            starts.append(rng.uniform([20.0, -1.0, 1.5], [20.0 + stationarity, 1.0, 1.5]))
+    tracks = [linear_track(u + 1, p, 90.0, n_snap, spacing) for u, p in enumerate(starts)]
+    n_elements = int(rng.integers(1, 41))
+    elements = uniform_linear_array(n_elements, 0.05, (0.0, 0.0, 10.0))
+    layout = build_layout(
+        tracks,
+        elements,
+        stationarity_user_m=stationarity,
+        bs_stationarity_m=rng.choice([rng.uniform(0.1, 1.0), 5.0]),
+    )
+    total = int(rng.integers(3, 7))
+    scenario = make_scenario(clusters_per_user=total)
+    lsp = draw_lsp(scenario, layout, seed=seed)
+    segments, id_base = [], 0
+    for segment in layout.segments:
+        table = share_table_for_segment(layout, segment.index, total, id_base=id_base)
+        id_base = max(table.cluster_ids) + 1
+        cs = attach_focal_points(assemble_clusters(table, lsp, layout, scenario, seed), layout)
+        segments.append(
+            recalculate_views(share_clusters(cs, layout), cs, layout, segment.length_m)
+        )
+    return segments, layout, total
+
+
+def test_arrival_pass_equals_per_slot_loop(monkeypatch):
+    rng = np.random.default_rng(25)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    seen = dict.fromkeys(
+        "colocated kept-focal-point kept-parameters clamped one-subarray uneven single"
+        " 1-thread 2-threads".split(),
+        0,
+    )
+    original = coefficients._departure_phase
+    threads = set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(coefficients, "_departure_phase", spy)
+    for trial in range(40):
+        seed = 2000 + trial
+        segments, layout, total = _two_segment_views(rng, seed)
+        assert len(segments) == 2, trial
+        n_sc = 1 if trial % 5 == 0 else 20
+        spread = rng.uniform(0.5, 10.0)
+        carrier = rng.uniform(1e9, 30e9)
+        cpus = 1 + trial % 2
+        monkeypatch.setattr(coefficients, "_cpu_count", lambda: cpus)
+        # Small blocks give a second thread blocks to take.
+        monkeypatch.setattr(coefficients, "BLOCK_VALUES", [1, 20480][trial % 4 // 2])
+        shape = (len(layout.user_ids), 1, layout.array.n_elements, total)
+        n_snap = sum(s.n_snapshots for s in layout.segments)
+        got = np.empty((*shape, n_snap), complex), np.empty((shape[0], total, n_snap))
+        want = np.empty_like(got[0]), np.empty_like(got[1])
+        n_threads = 0
+        for views, span in zip(segments, layout.segments):
+            snapshots = slice(span.first_snapshot, span.first_snapshot + span.n_snapshots)
+            kwargs = dict(cluster_angle_spread_deg=spread, n_scatterers=n_sc)
+            threads.clear()
+            synthesize(
+                views, layout, carrier, seed, **kwargs, out=tuple(a[..., snapshots] for a in got)
+            )
+            n_threads = max(n_threads, len(threads))
+            _per_slot_synthesize(
+                views, layout, carrier, seed, spread, n_sc, tuple(a[..., snapshots] for a in want)
+            )
+        assert np.array_equal(got[0], want[0]), trial
+        assert np.array_equal(got[1], want[1]), trial
+
+        all_views = [v for views in segments for v in views.views.values()]
+        for mode in ("kept-focal-point", "kept-parameters"):
+            seen[mode] += any(v.recalc_mode == mode for v in all_views)
+        seen["clamped"] += any(v.interior_raw_m < 0.0 for v in all_views)
+        starts = [tuple(p) for p in (t.points[0] for t in layout.tracks)]
+        seen["colocated"] += len(set(starts)) < len(starts)
+        seen["one-subarray"] += layout.array.n_subarrays == 1
+        sizes = [s.n_elements for s in layout.array.subarrays]
+        seen["uneven"] += sizes[-1] != sizes[0]
+        seen["single"] += n_sc == 1
+        seen[f"{n_threads}-thread" + "s" * (n_threads > 1)] += 1
+    assert min(seen.values()) >= 5, seen

@@ -4,7 +4,7 @@ import pytest
 from auramimo.geom import (
     angles_from_vector,
     clip_elevation_deg,
-    norms,
+    distances,
     rotate_azimuth,
     unit_from_angles,
     wrap_azimuth_deg,
@@ -117,6 +117,10 @@ def test_angles_from_vector_array_equals_scalar_form():
 
 
 def test_norms_equal_linalg_norm():
+    # Plane-by-plane distances of broadcast points keep the bits of the
+    # norms of their differences.
     rng = np.random.default_rng(14)
-    x = rng.normal(size=(64, 20, 3)) * 50.0
-    assert np.array_equal(norms(x), np.linalg.norm(x, axis=2))
+    a = rng.normal(size=(64, 1, 3)) * 50.0
+    b = rng.normal(size=(20, 3)) * 50.0
+    want = np.linalg.norm(a - b, axis=2)
+    assert np.array_equal(distances(a, b), want)

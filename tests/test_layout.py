@@ -44,6 +44,20 @@ def test_position_rejects_non_finite():
             build_layout(tracks, [(0.0, 0.0, 10.0), (bad, 0.0, 10.0)], 5.0, 0.8)
 
 
+def test_layout_arguments_must_be_finite():
+    # A non-finite spacing, heading or axis is named before any arithmetic,
+    # so no "invalid value" RuntimeWarning or math domain error comes first.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^snapshot_spacing_m must be finite"):
+            linear_track(1, (0.0, 0.0, 1.5), 0.0, 3, bad)
+        with pytest.raises(ValueError, match="^heading_deg must be finite"):
+            linear_track(1, (0.0, 0.0, 1.5), bad, 3, 0.5)
+        with pytest.raises(ValueError, match="^spacing_m must be finite"):
+            uniform_linear_array(4, bad, (0.0, 0.0, 10.0))
+        with pytest.raises(ValueError, match="^axis must be finite"):
+            uniform_linear_array(4, 0.05, (0.0, 0.0, 10.0), (1.0, bad, 0.0))
+
+
 def test_points_are_read_only_arrays():
     layout = _example_layout()
     track = layout.track_of(1)

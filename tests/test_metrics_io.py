@@ -142,6 +142,20 @@ def _per_pair_correlation(tensor):
     return corr
 
 
+def _one_snapshot_gram(tensor):
+    # One snapshot copied out of the tensor at a time: the copy that the
+    # blocks of snapshots replaced, with the same products.
+    n_users, n_rx, n_tx, n_clusters, n_snap = tensor.coefficients.shape
+    h = tensor.coefficients.reshape(n_users, n_rx * n_tx * n_clusters, n_snap)
+    x, x_conj = np.empty((2, *h.shape[:2]), dtype=np.complex128)
+    gram = np.empty((n_snap, n_users, n_users), dtype=np.complex128)
+    for s in range(n_snap):
+        np.copyto(x, h[..., s])
+        np.conj(x, out=x_conj)
+        np.matmul(x_conj, x.T, out=gram[s])
+    return gram
+
+
 def _random_tensor(rng, shape):
     coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # Zero-norm snapshots of single users and of every user, and a shared
@@ -165,6 +179,13 @@ def test_correlation_metrics_equal_per_pair_reference():
         report = correlation_metrics(tensor)
         want = _per_pair_correlation(tensor)
         assert list(report.pair_correlation) == list(want)
+        # Copying snapshots in blocks keeps every bit of the products.
+        gram = _one_snapshot_gram(tensor)
+        i, j = np.triu_indices(u, 1)
+        norm = np.sqrt(gram[:, range(u), range(u)].real)
+        num, den = np.abs(gram[:, i, j]), norm[:, i] * norm[:, j]
+        exact = np.minimum(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 1.0)
+        assert np.array_equal(np.array(list(report.pair_correlation.values())), exact.T)
         for key, corr in want.items():
             got = report.pair_correlation[key]
             assert got.shape == corr.shape

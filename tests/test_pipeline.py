@@ -275,28 +275,29 @@ def test_segment_synthesis_fills_out_from_every_thread(monkeypatch):
         synthesize(seg.views, layout, 3.5e9, seed=11, out=out)
 
 
-def test_planar_error_once_per_distinct_fbs_set(monkeypatch):
+def test_planar_error_once_per_segment(monkeypatch):
     calls = []
     original = pipeline.planar_vs_spherical_error
 
-    def spy(view, layout, carrier_hz):
-        calls.append(view.fbs)
-        return original(view, layout, carrier_hz)
+    def spy(fbs, layout, carrier_hz):
+        calls.append(fbs)
+        return original(fbs, layout, carrier_hz)
 
     monkeypatch.setattr(pipeline, "planar_vs_spherical_error", spy)
     for separation in (0.0, 3.0):  # co-located owners share every FBS set
         config = make_run_config(separation_m=separation, n_snapshots=20)
         calls.clear()
         result = run(config)
-        views = [seg.views.views.values() for seg in result.segments]
-        assert len(calls) == sum(len({v.fbs.tobytes() for v in vs}) for vs in views)
-        if separation == 0.0:
-            assert len(calls) < sum(len(vs) for vs in views)
-        # The max over every view, as before.
+        assert len(calls) == len(result.segments) == 2
+        # One call stacks the FBS sets of every view of its segment.
+        for fbs, seg in zip(calls, result.segments):
+            assert np.array_equal(fbs, [v.fbs for v in seg.views.views.values()])
+        # The max over every view, one view at a time, as before.
         worst = np.zeros(config.layout.array.n_subarrays)
-        for vs in views:
-            for v in vs:
-                worst = np.maximum(worst, original(v, config.layout, config.carrier_hz))
+        for seg in result.segments:
+            for v in seg.views.views.values():
+                errors = original(v.fbs[None], config.layout, config.carrier_hz)[0]
+                worst = np.maximum(worst, errors)
         assert result.metrics.planar_error_max_rad == dict(enumerate(worst.tolist()))
 
 

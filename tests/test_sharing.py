@@ -62,7 +62,7 @@ def _full_pipeline(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed)
+    cs = attach_focal_points(cs, layout)
     views = share_clusters(cs, layout)
     return cs, views, layout
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,16 +17,10 @@ from auramimo import (
     total_path_length,
     uniform_linear_array,
 )
-from auramimo.clustergen import (
-    Cluster,
-    ClusterSet,
-    gen_arrival_angles,
-    gen_departure_angles,
-)
+from auramimo.clustergen import Cluster, ClusterSet
 from auramimo.layout import ArrayGeometry
-from auramimo.lsp import STREAM_REDRAW
 from auramimo.spherical import solve_cluster_geometry
-from auramimo.geom import SPEED_OF_LIGHT_M_S, unit_from_angles
+from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, unit_from_angles
 from conftest import make_scenario, make_two_user_layout
 
 C0 = SPEED_OF_LIGHT_M_S
@@ -200,7 +195,7 @@ def _attached(layout, seed=3):
     table = share_table_for_segment(layout, 0, 7)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    return attach_focal_points(cs, layout, lsp_draw=lsp, seed=seed), layout
+    return attach_focal_points(cs, layout), layout
 
 
 def test_attach_full_set_with_four_subarrays():
@@ -245,7 +240,7 @@ def test_attach_returns_a_new_set_and_leaves_the_input_alone():
     # Clusters carry no focal points until they are attached.
     assert all(c.geometry is None for c in cs.clusters.values())
     before = dict(cs.clusters)
-    attached = attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
+    attached = attach_focal_points(cs, layout)
     assert attached is not cs
     assert attached.segment_index == cs.segment_index
     assert attached.by_user == cs.by_user
@@ -280,17 +275,6 @@ def _degenerate_cluster_set():
         by_user={1: (0,)},
         power_denominator={1: 1.0},
     )
-
-
-def test_degenerate_cluster_exhausts_retries():
-    layout = make_two_user_layout(2.0)
-    lsp = draw_lsp(make_scenario(), layout, seed=1)
-    # Redrawn angles cannot fix a zero excess delay; the retry loop must
-    # give up with a descriptive error rather than spin forever.
-    with pytest.raises(DegenerateGeometry, match="redraws"):
-        attach_focal_points(_degenerate_cluster_set(), layout, lsp_draw=lsp, seed=1)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -476,50 +460,60 @@ def test_batched_solve_masks_exactly_where_the_per_cluster_solve_raises():
     assert min(outcomes.values()) >= 10, outcomes
 
 
-def test_degenerate_solve_redraws_from_the_cluster_stream(monkeypatch):
-    # The segment solve flags one cluster as degenerate; only its angles
-    # are redrawn from the (seed, segment, cluster id) redraw stream and
-    # re-solved, and every other cluster keeps its first solve.
+def test_degenerate_mask_is_the_excess_path_term():
+    # The segment solve flags a cluster only where a sub-array row has no
+    # excess path, d_c <= |r0| + EPSILON_M: a term free of the angles, so
+    # other angles could never clear it. Excess paths around the
+    # threshold and directions along r0 (the smallest denominators) are
+    # where the mask and the term could part.
+    rng = np.random.default_rng(33)
+    seen = dict.fromkeys(["one subarray", "uneven last", "along r0", "masked", "solved"], 0)
+    for trial in range(300):
+        array = _random_array(rng)
+        centers = array.subarray_centers
+        ref = array.reference_subarray().index
+        sizes = [sub.n_elements for sub in array.subarrays]
+        seen["one subarray"] += array.n_subarrays == 1
+        seen["uneven last"] += sizes[-1] != sizes[0]
+        n = int(rng.integers(1, 13))
+        users = rng.uniform([-200, -200, 0], [200, 200, 3], size=(n, 3))
+        clusters = []
+        for user in users:
+            excess = spherical.EPSILON_M * rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 1e6])
+            excess *= 1.0 + rng.normal() * 1e-6
+            cluster = _random_cluster(rng, array.n_subarrays, excess / C0, rng.random() < 0.1)
+            if rng.random() < 0.25:
+                seen["along r0"] += 1
+                cluster.aod_az_deg, cluster.aod_el_deg = angles_from_vector(user - centers)
+                cluster.aoa_az_deg, cluster.aoa_el_deg = angles_from_vector(
+                    centers[ref] - user
+                )
+            clusters.append(cluster)
+        _, degenerate = solve_cluster_geometry(clusters, users, array)
+        d_c = np.array(
+            [[total_path_length(c.tau_s, x, u) for x in centers.tolist()]
+             for c, u in zip(clusters, users.tolist())]
+        )
+        r0 = users[:, None] - centers
+        no_excess = (d_c <= np.sqrt(np.vecdot(r0, r0)) + spherical.EPSILON_M).any(axis=1)
+        boresight = np.array([c.boresight for c in clusters])
+        assert np.array_equal(degenerate, no_excess & ~boresight), trial
+        seen["masked"] += int(degenerate.sum())
+        seen["solved"] += int((~no_excess).sum())
+    assert min(seen.values()) >= 10, seen
+
+    # A masked cluster stops the attach, naming itself and its user.
     layout = make_two_user_layout(2.0)
+    with pytest.raises(DegenerateGeometry, match="^cluster 0: .* generating user 1$"):
+        attach_focal_points(_degenerate_cluster_set(), layout)
     scenario = make_scenario()
     table = share_table_for_segment(layout, 0, 7)
     lsp = draw_lsp(scenario, layout, seed=3)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
-    victim = next(c for _, c in sorted(cs.clusters.items()) if not c.boresight)
-    real_solve = spherical.solve_cluster_geometry
-    calls = []
-
-    def flag_victim(clusters, users, array):
-        geometries, degenerate = real_solve(clusters, users, array)
-        calls.append(len(clusters))
-        if len(calls) == 1:
-            degenerate = degenerate | [c is victim for c in clusters]
-        return geometries, degenerate
-
-    monkeypatch.setattr(spherical, "solve_cluster_geometry", flag_victim)
-    attached = attach_focal_points(cs, layout, lsp_draw=lsp, seed=3)
-    assert calls == [len(cs.clusters), 1]
-    redrawn = attached.clusters[victim.cluster_id]
-    assert redrawn is not victim and victim.geometry is None
-    for cluster_id, cluster in attached.clusters.items():
-        if cluster_id != victim.cluster_id:
-            assert cluster.aoa_az_deg == cs.clusters[cluster_id].aoa_az_deg
-
-    rng = np.random.default_rng(
-        np.random.SeedSequence(3, spawn_key=(STREAM_REDRAW, 0, victim.cluster_id))
-    )
-    values = lsp.of(victim.generating_user, 0)
-    aod_az, aod_el = gen_departure_angles(
-        layout.array.n_subarrays, values.sigma_aod_deg, values.sigma_eod_deg, rng
-    )
-    aoa_az, aoa_el = gen_arrival_angles(
-        np.ones(1), values.sigma_aoa_deg, values.sigma_eoa_deg, rng
-    )
-    assert np.array_equal(redrawn.aod_az_deg, aod_az)
-    assert np.array_equal(redrawn.aod_el_deg, aod_el)
-    assert not (redrawn.aod_az_deg.flags.writeable or redrawn.aod_el_deg.flags.writeable)
-    assert (redrawn.aoa_az_deg, redrawn.aoa_el_deg) == (aoa_az[0], aoa_el[0])
-    gen_pos = layout.segment_start_position(victim.generating_user, 0)
-    _assert_same_geometry(
-        redrawn.geometry, _per_cluster_geometry(redrawn, gen_pos, layout.array), "redraw"
-    )
+    victim = [c for _, c in sorted(cs.clusters.items()) if not c.boresight][-1]
+    clusters = {**cs.clusters, victim.cluster_id: replace(victim, tau_s=0.0)}
+    with pytest.raises(
+        DegenerateGeometry,
+        match=f"^cluster {victim.cluster_id}: .* generating user {victim.generating_user}$",
+    ):
+        attach_focal_points(replace(cs, clusters=clusters), layout)
