@@ -66,14 +66,11 @@ class Cluster:
             if a is not None:
                 read_only(a)
 
-    @property
-    def n_subarrays(self) -> int:
-        return len(self.aod_az_deg)
-
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """All clusters of one segment plus per-user ordered membership."""
+    """All clusters of one segment. `by_user` maps each user to its
+    cluster ids, ascending: the one record of who owns which cluster."""
 
     segment_index: int
     clusters: dict[int, Cluster] = field(repr=False, default_factory=dict)
@@ -164,8 +161,11 @@ def assemble_clusters(
     n_subarrays = layout.array.n_subarrays
     segment_index = share_table.segment_index
     clusters: dict[int, Cluster] = {}
+    members: dict[int, list[int]] = {}
 
     for group_row, group in enumerate(share_table.groups):
+        for u in group.members:
+            members.setdefault(u, []).extend(group.cluster_ids)
         if group.count == 0:
             continue
         rng = group_rng(seed, segment_index, group_row)
@@ -200,9 +200,8 @@ def assemble_clusters(
                 boresight=(delays[k] == 0.0),
             )
 
-    by_user = {
-        u: tuple(sorted(share_table.clusters_of_user(u))) for u in share_table.users
-    }
+    # Ascending ids: each denominator is summed in that order.
+    by_user = {u: tuple(sorted(ids)) for u, ids in sorted(members.items())}
     denominator = {
         u: float(sum(clusters[c].power_raw for c in ids)) for u, ids in by_user.items()
     }

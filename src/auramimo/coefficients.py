@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,22 +211,19 @@ def synthesize(
     `n_scatterers` exists as a test hook (1 collapses the cluster to its
     center ray).
     """
-    user_ids = views.user_ids
-    if not user_ids:
+    # Slot k * C + c holds user k's view of its c-th cluster.
+    keys = sorted(views.views)
+    if not keys:
         raise IncompleteViews("no owner views to synthesize")
-    per_user = [views.views_of_user(u) for u in user_ids]
-    counts = {len(v) for v in per_user}
+    per_user = Counter(u for u, _ in keys)
+    counts = set(per_user.values())
     if len(counts) != 1:
         raise IncompleteViews(f"users disagree on cluster count: {sorted(counts)}")
-    for u, user_views in zip(user_ids, per_user):
-        for v in user_views:
-            if v.lbs is None or v.fbs is None or v.e_len_m is None:
-                raise IncompleteViews(
-                    f"view (user {u}, cluster {v.cluster_id}) has no focal points"
-                )
-
-    # Slot k * C + c holds user k's view of its c-th cluster.
-    slot_views = [v for user_views in per_user for v in user_views]
+    slot_views = [views.views[key] for key in keys]
+    for (u, c), v in zip(keys, slot_views):
+        if v.lbs is None or v.fbs is None or v.e_len_m is None:
+            raise IncompleteViews(f"view (user {u}, cluster {c}) has no focal points")
+    user_ids = tuple(per_user)
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * cluster_angle_spread_deg)
     randomness = {
         cid: scatterer_randomness(seed, cid, n_scatterers)
@@ -244,7 +242,7 @@ def synthesize(
     if (coefficients.dtype, delays.dtype) != (np.complex128, np.float64):
         got = f"{coefficients.dtype} and {delays.dtype}"
         raise ValueError(f"output arrays must be complex128 and float64, got {got}")
-    ref_index = array.reference_subarray().index
+    ref_index = array.reference_subarray.index
 
     # The arrival side of every slot at once, in (user, cluster, snapshot,
     # scatterer) arrays: the frozen arrival bounce points (only the
@@ -319,7 +317,7 @@ def planar_vs_spherical_error(
     sub-array's departure direction."""
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     array = layout.array
-    sub = array.subarray_of_element()
+    sub = array.subarray_of_element
     centers = array.subarray_centers
     leg = fbs - centers
     dist = np.sqrt(np.vecdot(leg, leg))

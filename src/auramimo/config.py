@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 from pathlib import Path
 
@@ -53,10 +53,14 @@ def _require(mapping: dict, key: str, context: str):
 
 def _typed(mapping: dict, key: str, context: str, kind: type):
     """mapping[key] as `kind`: an int key takes an integer, a float key an
-    integer or a finite float; a bool is neither."""
+    integer or a float that is finite as a float; a bool is neither."""
     value = _require(mapping, key, context)
-    real = kind is float and isinstance(value, float) and math.isfinite(value)
-    if not (_is_int(value) or real):
+    ok = _is_int(value) or (kind is float and isinstance(value, float))
+    try:
+        ok = ok and (kind is int or math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(
             f"{context}.{key}: expected finite {kind.__name__}, got {value!r}"
         )
@@ -68,7 +72,7 @@ def _position(value, context: str) -> tuple[float, float, float]:
         raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
     try:
         point = float(value[0]), float(value[1]), float(value[2])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{context}: {e}") from None
     if not all(map(math.isfinite, point)):
         raise ConfigError(f"{context}: coordinates must be finite, got {list(point)}")
@@ -118,9 +122,7 @@ def _parse_elements(array_spec: dict, context: str):
             for i, p in enumerate(array_spec["element_positions_m"])
         ]
     origin = _position(_require(array_spec, "origin_m", context), f"{context}.origin_m")
-    axis = array_spec.get("axis", [1.0, 0.0, 0.0])
-    if not isinstance(axis, (list, tuple)) or len(axis) != 3:
-        raise ConfigError(f"{context}.axis: expected [x, y, z]")
+    axis = _position(array_spec.get("axis", [1.0, 0.0, 0.0]), f"{context}.axis")
     n_elements = _typed(array_spec, "n_elements", context, int)
     spacing = _typed(array_spec, "spacing_m", context, float)
     try:
@@ -128,7 +130,7 @@ def _parse_elements(array_spec: dict, context: str):
             n_elements=n_elements,
             spacing_m=spacing,
             origin=origin,
-            axis=tuple(float(a) for a in axis),
+            axis=axis,
         )
     except ValueError as e:
         raise ConfigError(f"{context}: {e}") from None
@@ -140,6 +142,9 @@ def parse_config(raw: dict) -> RunConfig:
     scen_raw = _require(raw, "scenario", "config")
     if not isinstance(scen_raw, dict):
         raise ConfigError("config.scenario must be an object")
+    for f in fields(ScenarioConfig):
+        if f.name in scen_raw:
+            _typed(scen_raw, f.name, "config.scenario", int if f.type == "int" else float)
     try:
         scenario = ScenarioConfig(**scen_raw)
     except TypeError as e:

@@ -74,13 +74,13 @@ def azimuth_rotation(delta_deg):
     return np.cos(d), np.sin(d)
 
 
-def rotate_azimuth(vec, delta_deg=None, *, rotation=None) -> np.ndarray:
-    """Rotate 3-vector(s) about the z axis by delta_deg (right-handed).
+def rotate_azimuth(vec, *, rotation) -> np.ndarray:
+    """Rotate 3-vector(s) about the z axis by the angle(s) of `rotation`,
+    an `azimuth_rotation(delta_deg)` (right-handed).
 
     Broadcasts: vectors (..., 3) against angles (...) give (..., 3).
-    `rotation` takes a precomputed azimuth_rotation(delta_deg) instead.
     """
-    c, s = azimuth_rotation(delta_deg) if rotation is None else rotation
+    c, s = rotation
     vec = np.asarray(vec, dtype=float)
     x, y = vec[..., 0], vec[..., 1]
     out = np.empty(np.broadcast_shapes(vec.shape, np.shape(c) + (3,)))

@@ -85,10 +85,6 @@ class ShareTable:
     def users(self) -> tuple[int, ...]:
         return tuple(sorted({u for g in self.groups for u in g.members}))
 
-    def clusters_of_user(self, user: int) -> tuple[int, ...]:
-        ids = [c for g in self.groups if user in g.members for c in g.cluster_ids]
-        return tuple(sorted(ids))
-
     @property
     def cluster_ids(self) -> tuple[int, ...]:
         return tuple(sorted(c for g in self.groups for c in g.cluster_ids))

@@ -149,7 +149,8 @@ class ArrayGeometry:
         return len(self.subarrays)
 
     @cached_property
-    def _subarray_of_element(self) -> np.ndarray:
+    def subarray_of_element(self) -> np.ndarray:
+        """Sub-array index for every element."""
         sizes = [s.n_elements for s in self.subarrays]
         return read_only(np.repeat(np.arange(self.n_subarrays), sizes))
 
@@ -172,16 +173,17 @@ class ArrayGeometry:
         return tuple(runs)
 
     @cached_property
-    def _reference(self) -> SubArray:
+    def reference_subarray(self) -> SubArray:
+        """Sub-array whose center is closest to the whole-array centroid.
+
+        Used as the anchor for receiver-side focal points and interior
+        path lengths; ties resolve to the lowest index.
+        """
         centroid = self.element_positions.mean(axis=0)
         return min(
             self.subarrays,
             key=lambda s: (float(np.linalg.norm(s.center - centroid)), s.index),
         )
-
-    def subarray_of_element(self) -> np.ndarray:
-        """Sub-array index for every element."""
-        return self._subarray_of_element
 
     def element_distances(self, points: np.ndarray) -> np.ndarray:
         """Distances (n_elements, n) from each element to the n points
@@ -192,14 +194,6 @@ class ArrayGeometry:
             elements = self.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
             out[e0:e1] = distances(elements, points[a0:a1, None]).reshape(e1 - e0, -1)
         return out
-
-    def reference_subarray(self) -> SubArray:
-        """Sub-array whose center is closest to the whole-array centroid.
-
-        Used as the anchor for receiver-side focal points and interior
-        path lengths; ties resolve to the lowest index.
-        """
-        return self._reference
 
 
 def build_segments(tracks: list[Track], stationarity_user_m: float) -> tuple[Segment, ...]:

@@ -1,10 +1,11 @@
 """Seeded end-to-end orchestration.
 
 Per segment, in order: sharing proportions and counts, initial cluster
-parameters, focal points, per-owner duplication, recalculation; then
-coefficient synthesis and metrics. Cluster ids are unique across the
-whole run (each segment's allocation starts where the previous ended),
-which keys the per-cluster scatterer randomness globally.
+parameters with their owners, focal points, the generator views, then
+one recalculated view per joining owner; then coefficient synthesis and
+metrics. Cluster ids are unique across the whole run (each segment's
+allocation starts where the previous ended), which keys the per-cluster
+scatterer randomness globally.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import RunConfig
 from .grouping import ShareTable, share_table_for_segment
 from .lsp import draw_lsp
 from .metrics import MetricsReport, correlation_metrics
-from .sharing import OwnerViews, recalculate_views, share_clusters
+from .sharing import MODE_KEPT_PARAMETERS, OwnerViews, recalculate_views, share_clusters
 from .spherical import attach_focal_points
 from .tables import write_tables
 from .tensorio import write_tensor_binary, write_tensor_text
@@ -62,9 +63,7 @@ def run_segment(config: RunConfig, lsp_draw, table: ShareTable) -> SegmentResult
     clusters = assemble_clusters(table, lsp_draw, layout, config.scenario, config.seed)
     clusters = attach_focal_points(clusters, layout)
     shared = share_clusters(clusters, layout)
-    views = recalculate_views(
-        shared, clusters, layout, layout.segments[table.segment_index].length_m
-    )
+    views = recalculate_views(shared, clusters, layout)
     return SegmentResult(share_table=table, cluster_set=clusters, views=views)
 
 
@@ -118,9 +117,17 @@ def _fill_sharing_and_planar_metrics(
                 len(ids[u] & ids[v]) for ids in per_segment
             )
 
+    # Every other view departs from its cluster's FBS set.
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
-        fbs = np.stack([v.fbs for v in seg.views.views.values()])
+        fbs = np.stack(
+            [c.geometry.fbs for c in seg.cluster_set.clusters.values()]
+            + [
+                v.fbs
+                for v in seg.views.views.values()
+                if v.recalc_mode == MODE_KEPT_PARAMETERS
+            ]
+        )
         errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
         worst = np.maximum(worst, errors.max(axis=0))
     report.planar_error_max_rad.update(enumerate(worst.tolist()))

@@ -1,11 +1,12 @@
 """Per-owner materialization of shared clusters.
 
-Every cluster is duplicated into one view per owner. The generating
-user's view is a verbatim copy. Other owners either keep the generated
-parameters and re-solve both focal points from their own position
-(kept-parameters, for far clusters), or keep the focal points and read
-angles and delay off the fixed geometry (kept-focal-point, for clusters
-within three segment lengths of the joining owner).
+Every cluster has one view per owner (`ClusterSet.by_user`), each built
+once. `share_clusters` copies every cluster verbatim for its generating
+user. `recalculate_views` adds the joining owners' views: they either
+keep the generated parameters and re-solve both focal points from their
+own position (kept-parameters, for far clusters), or keep the focal
+points and read angles and delay off the fixed geometry (kept-focal-point,
+for clusters within three segment lengths of the joining owner).
 
 A joining owner standing exactly at the generating user's position gets
 a verbatim copy in either mode: both rules are fixed points there, and
@@ -58,18 +59,11 @@ class OwnerView:
 
 @dataclass(frozen=True)
 class OwnerViews:
-    """All owner views of one segment, indexed (user, cluster)."""
+    """All owner views of one segment, keyed (user, cluster) in sorted
+    order; which user owns which cluster is `ClusterSet.by_user`."""
 
     segment_index: int
     views: dict[tuple[int, int], OwnerView] = field(repr=False, default_factory=dict)
-    by_user: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
-
-    def views_of_user(self, user_id: int) -> list[OwnerView]:
-        return [self.views[(user_id, c)] for c in self.by_user[user_id]]
-
-    @property
-    def user_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_user))
 
 
 def _verbatim_view(
@@ -153,7 +147,7 @@ def recalc_kept_focal_point(
     aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
     aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
 
-    ref = layout.array.reference_subarray()
+    ref = layout.array.reference_subarray
     e_ref = float(geometry.e_len_m[ref.index])
     g_len = math.dist(owner_pos, geometry.lbs)
     direct = math.dist(owner_pos, ref.center)
@@ -171,46 +165,48 @@ def recalc_kept_focal_point(
 
 
 def share_clusters(cluster_set: ClusterSet, layout: UserLayout) -> OwnerViews:
-    """One view per (owner, cluster), all verbatim copies of the stored
-    parameters; non-generators still carry their own normalized power."""
-    views: dict[tuple[int, int], OwnerView] = {}
-    for user_id, cluster_ids in cluster_set.by_user.items():
-        for cluster_id in cluster_ids:
-            cluster = cluster_set.clusters[cluster_id]
-            mode = MODE_GENERATOR if user_id == cluster.generating_user else "shared"
-            views[(user_id, cluster_id)] = _verbatim_view(
-                cluster, user_id, mode, cluster_set.effective_power(user_id, cluster_id)
-            )
-    return OwnerViews(
-        segment_index=cluster_set.segment_index,
-        views=views,
-        by_user=dict(cluster_set.by_user),
-    )
+    """Every cluster's generator view: a verbatim copy of the stored
+    parameters with the generating user's normalized power."""
+    keys = sorted((c.generating_user, c.cluster_id) for c in cluster_set.clusters.values())
+    views = {
+        (user_id, cluster_id): _verbatim_view(
+            cluster_set.clusters[cluster_id],
+            user_id,
+            MODE_GENERATOR,
+            cluster_set.effective_power(user_id, cluster_id),
+        )
+        for user_id, cluster_id in keys
+    }
+    return OwnerViews(segment_index=cluster_set.segment_index, views=views)
 
 
 def recalculate_views(
-    shared: OwnerViews,
-    cluster_set: ClusterSet,
-    layout: UserLayout,
-    segment_length_m: float,
+    shared: OwnerViews, cluster_set: ClusterSet, layout: UserLayout
 ) -> OwnerViews:
-    """Resolve every non-generating view through its recalculation mode.
+    """The generator views of `shared` plus one view for every joining
+    (owner, cluster) pair of `cluster_set.by_user`, through its
+    recalculation mode.
 
     Zero-excess-delay clusters always keep their focal points: their
     collapsed geometry cannot support a re-solve (there is no excess path
     to distribute), and the focal points are the physically meaningful
     part of such a cluster.
     """
-    views = dict(shared.views)
-    for (user_id, cluster_id), view in shared.views.items():
-        cluster = cluster_set.clusters[cluster_id]
-        if user_id == cluster.generating_user:
-            continue
-        owner_pos = layout.segment_start_position(user_id, shared.segment_index)
-        kept_focal = (
-            cluster.boresight
-            or choose_recalc_mode(cluster, owner_pos, segment_length_m) == MODE_KEPT_FOCAL
-        )
-        recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
-        views[user_id, cluster_id] = recalc(cluster, user_id, owner_pos, layout, view.power)
-    return replace(shared, views=views)
+    segment = layout.segments[cluster_set.segment_index]
+    views: dict[tuple[int, int], OwnerView] = {}
+    for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
+        owner_pos = layout.segment_start_position(user_id, segment.index)
+        for cluster_id in cluster_ids:
+            view = shared.views.get((user_id, cluster_id))
+            if view is None:
+                cluster = cluster_set.clusters[cluster_id]
+                kept_focal = (
+                    cluster.boresight
+                    or choose_recalc_mode(cluster, owner_pos, segment.length_m)
+                    == MODE_KEPT_FOCAL
+                )
+                recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
+                power = cluster_set.effective_power(user_id, cluster_id)
+                view = recalc(cluster, user_id, owner_pos, layout, power)
+            views[user_id, cluster_id] = view
+    return OwnerViews(segment_index=shared.segment_index, views=views)

@@ -95,13 +95,13 @@ def write_tables(result, out: Path) -> dict[str, Path]:
             f.write("segment\tcluster_id\tmembers\tgenerating_user\tboresight\t")
             f.write(header + "\n")
             for seg, seg_rows in zip(segments, rows):
-                for view in seg.views.views_of_user(user):
-                    cluster = seg.cluster_set.clusters[view.cluster_id]
+                for cluster_id in seg.cluster_set.by_user[user]:
+                    cluster = seg.cluster_set.clusters[cluster_id]
                     f.write(
-                        f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
+                        f"{seg.share_table.segment_index}\t{cluster_id}\t"
                         f"{_joined(cluster.owner_set)}\t"
-                        f"{cluster.generating_user}\t{int(view.boresight)}\t"
-                        f"{seg_rows[(user, view.cluster_id)]}\n"
+                        f"{cluster.generating_user}\t{int(cluster.boresight)}\t"
+                        f"{seg_rows[(user, cluster_id)]}\n"
                     )
 
     paths["cluster_views"] = out / "cluster_views.tsv"

@@ -97,11 +97,22 @@ def make_point_layout(
     )
 
 
+def view_users(views) -> tuple[int, ...]:
+    """The users of an `OwnerViews`, ascending."""
+    return tuple(sorted({u for u, _ in views.views}))
+
+
+def user_views(views, user: int) -> list:
+    """One user's views, by ascending cluster id: the user's slot order
+    in synthesis."""
+    return [v for (u, _), v in sorted(views.views.items()) if u == user]
+
+
 def synthesize_segment(views, layout, carrier_hz, seed, **kwargs) -> ChannelTensor:
     """One segment's channel: allocates the (coefficients, delays) arrays,
     has `synthesize` fill them and returns them as a checked tensor."""
-    users = views.user_ids
-    n_clusters = max((len(views.views_of_user(u)) for u in users), default=0)
+    users = view_users(views)
+    n_clusters = max((len(user_views(views, u)) for u in users), default=0)
     n_snap = layout.segments[views.segment_index].n_snapshots
     coefficients = np.empty(
         (len(users), 1, layout.array.n_elements, n_clusters, n_snap), complex

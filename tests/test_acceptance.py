@@ -337,9 +337,8 @@ def test_c07_separation_limit(check):
         correlations = []
         for seed in range(100):
             result = run(two_user_config(separation, seed))
-            table = result.segments[0].share_table
-            ids_1 = set(table.clusters_of_user(1))
-            ids_2 = set(table.clusters_of_user(2))
+            by_user = result.segments[0].cluster_set.by_user
+            ids_1, ids_2 = set(by_user[1]), set(by_user[2])
             assert ids_1 and ids_2 and ids_1.isdisjoint(ids_2)
             correlations.append(result.metrics.pair_correlation_mean[(1, 2)])
         assert float(np.mean(correlations)) < 0.15

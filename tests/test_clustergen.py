@@ -161,7 +161,7 @@ def test_pre_focal_parameter_count_tracks_subarrays():
         make_point_layout({1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0)
     )
     assert all(n_scalars(c) == 6 for c in narrow.clusters.values())
-    assert all(c.n_subarrays == 1 for c in narrow.clusters.values())
+    assert all(len(c.aod_az_deg) == 1 for c in narrow.clusters.values())
 
 
 def test_clusters_are_frozen():

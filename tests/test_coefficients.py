@@ -37,6 +37,8 @@ from conftest import (
     make_scenario,
     make_two_user_layout,
     synthesize_segment,
+    user_views,
+    view_users,
 )
 
 C0 = SPEED_OF_LIGHT_M_S
@@ -117,7 +119,7 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
 
 
 def _single_user_views(layout, view):
-    return OwnerViews(segment_index=0, views={(1, 0): view}, by_user={1: (0,)})
+    return OwnerViews(segment_index=0, views={(1, 0): view})
 
 
 def test_single_scatterer_phase_arithmetic():
@@ -176,9 +178,7 @@ def _full_tensor(layout, seed=3, total=7):
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
     cs = attach_focal_points(cs, layout)
-    views = recalculate_views(
-        share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
-    )
+    views = recalculate_views(share_clusters(cs, layout), cs, layout)
     tensor = synthesize_segment(views, layout, scenario.carrier_hz, seed=seed)
     return tensor, views, layout
 
@@ -195,7 +195,7 @@ def test_magnitude_bounded_by_coherent_sum():
     # inequality caps the row magnitude at sqrt(20 P).
     tensor, views, layout = _full_tensor(make_two_user_layout(2.0))
     for k, user in enumerate(tensor.user_ids):
-        for c, view in enumerate(views.views_of_user(user)):
+        for c, view in enumerate(user_views(views, user)):
             cap = math.sqrt(20.0 * view.power) * (1 + 1e-12)
             assert np.all(np.abs(tensor.coefficients[k, 0, :, c, :]) <= cap)
 
@@ -212,11 +212,11 @@ def test_generator_center_path_delay_closes():
     # For an unclamped generator view the snapshot-0 delay is the excess
     # delay plus the direct reference distance over c.
     tensor, views, layout = _full_tensor(make_two_user_layout(2.0))
-    ref_center = layout.array.reference_subarray().center
+    ref_center = layout.array.reference_subarray.center
     checked = 0
     for k, user in enumerate(tensor.user_ids):
         gen_pos = layout.segment_start_position(user, 0)
-        for c, view in enumerate(views.views_of_user(user)):
+        for c, view in enumerate(user_views(views, user)):
             if view.recalc_mode != "generator" or view.interior_raw_m < 0:
                 continue
             want = view.delay_s + math.dist(gen_pos, ref_center) / C0
@@ -239,7 +239,7 @@ def test_incomplete_views_rejected():
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
     with pytest.raises(IncompleteViews):
         synthesize_segment(
-            OwnerViews(segment_index=0, views={}, by_user={}), layout, 3.5e9, seed=1
+            OwnerViews(segment_index=0, views={}), layout, 3.5e9, seed=1
         )
     # A view without focal points is rejected by name.
     bare = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
@@ -256,7 +256,6 @@ def test_users_must_agree_on_cluster_count():
     views = OwnerViews(
         segment_index=0,
         views={(1, 0): v1, (1, 1): v1, (2, 0): v1},
-        by_user={1: (0, 1), 2: (0,)},
     )
     with pytest.raises(IncompleteViews, match="disagree"):
         synthesize_segment(views, layout, 3.5e9, seed=1)
@@ -412,7 +411,7 @@ def test_element_distances_equal_gathered_norms():
         points = array.subarray_centers[:, None, :] + rng.normal(
             size=(array.n_subarrays, n, 3)
         ) * scale
-        want = norms(array.element_positions[:, None, :] - points[array.subarray_of_element()])
+        want = norms(array.element_positions[:, None, :] - points[array.subarray_of_element])
         assert np.array_equal(array.element_distances(points), want), trial
     assert uneven >= 50
 
@@ -427,20 +426,20 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
     # loop that per-geometry departure phases replaced.
     array = layout.array
     elements = array.element_positions
-    sub_of_element = array.subarray_of_element()
-    ref_index = array.reference_subarray().index
+    sub_of_element = array.subarray_of_element
+    ref_index = array.reference_subarray.index
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
     wavenumber = 2.0 * math.pi * carrier_hz / C0
     segment = views.segment_index
-    user_ids = views.user_ids
-    n_clusters = len(views.views_of_user(user_ids[0]))
+    user_ids = view_users(views)
+    n_clusters = len(user_views(views, user_ids[0]))
     n_snap = layout.segments[segment].n_snapshots
     coeff = np.empty((len(user_ids), 1, array.n_elements, n_clusters, n_snap), complex)
     delays = np.empty((len(user_ids), n_clusters, n_snap))
     for k, u in enumerate(user_ids):
         rx_positions = layout.segment_positions(u, segment)
         anchor = layout.segment_start_position(u, segment)
-        for c, view in enumerate(views.views_of_user(u)):
+        for c, view in enumerate(user_views(views, u)):
             phases, perm = scatterer_randomness(seed, view.cluster_id, n_scatterers)
             amp = math.sqrt(view.power / len(phases))
             interior = view.interior_raw_m
@@ -498,9 +497,7 @@ def _seeded_views(rng, seed):
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
     cs = attach_focal_points(cs, layout)
-    views = recalculate_views(
-        share_clusters(cs, layout), cs, layout, layout.segments[0].length_m
-    )
+    views = recalculate_views(share_clusters(cs, layout), cs, layout)
     return views, layout
 
 
@@ -576,8 +573,9 @@ def test_departure_phase_computed_once_per_distinct_geometry(monkeypatch):
     for n_elements in (64, 250, 1000):
         calls.clear()
         _, views, _ = _full_tensor(make_two_user_layout(40.0, n_elements=n_elements))
-        assert views.user_ids == (1, 2)
-        assert not set(views.by_user[1]) & set(views.by_user[2])  # nothing shared
+        assert view_users(views) == (1, 2)
+        owned = [{c for u, c in views.views if u == user} for user in (1, 2)]
+        assert not owned[0] & owned[1]  # nothing shared
         assert sum(n for n, _ in calls) == len(views.views)
         # Each block stays within the value budget, and at most one is short.
         assert all(size <= coefficients.BLOCK_VALUES for _, size in calls), calls
@@ -692,26 +690,26 @@ def test_output_arrays_must_have_full_precision_dtypes(coeff_dtype, delay_dtype,
 def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatterers, out):
     # Synthesis as it was with one arrival side per (user, cluster) slot,
     # computed inside each block, on the same blocks and threads.
-    per_user = [views.views_of_user(u) for u in views.user_ids]
+    per_user = [user_views(views, u) for u in view_users(views)]
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
     randomness = {
         v.cluster_id: scatterer_randomness(seed, v.cluster_id, n_scatterers)
-        for user_views in per_user
-        for v in user_views
+        for slots in per_user
+        for v in slots
     }
     wavenumber = 2.0 * math.pi * carrier_hz / C0
     array = layout.array
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     coeff, delays = out
-    ref_index = array.reference_subarray().index
+    ref_index = array.reference_subarray.index
     by_geometry = {}
-    for k, user_views in enumerate(per_user):
-        for c, v in enumerate(user_views):
+    for k, slots in enumerate(per_user):
+        for c, v in enumerate(slots):
             key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
             by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
-    rx_positions = [layout.segment_positions(u, segment) for u in views.user_ids]
-    anchors = [layout.segment_start_position(u, segment) for u in views.user_ids]
+    rx_positions = [layout.segment_positions(u, segment) for u in view_users(views)]
+    anchors = [layout.segment_start_position(u, segment) for u in view_users(views)]
 
     def fill(block):
         perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
@@ -782,7 +780,7 @@ def _two_segment_views(rng, seed):
         id_base = max(table.cluster_ids) + 1
         cs = attach_focal_points(assemble_clusters(table, lsp, layout, scenario, seed), layout)
         segments.append(
-            recalculate_views(share_clusters(cs, layout), cs, layout, segment.length_m)
+            recalculate_views(share_clusters(cs, layout), cs, layout)
         )
     return segments, layout, total
 

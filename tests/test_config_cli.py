@@ -273,6 +273,10 @@ BAD_KEYS = [
     (("bs_stationarity_m",), float("inf"), "float"),
     (("stationarity_user_m",), float("nan"), "float"),
     (("users", 0, "snapshot_spacing_m"), -float("inf"), "float"),
+    # An integer literal beyond the float range reached float() as an
+    # OverflowError.
+    pytest.param(("users", 0, "snapshot_spacing_m"), 10**400, "float", id="spacing-huge-int"),
+    pytest.param(("stationarity_user_m",), 10**400, "float", id="stationarity-huge-int"),
 ]
 
 
@@ -297,6 +301,58 @@ def test_bad_typed_key_exits_2_naming_its_path(
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"ConfigError: {message}\n"
+
+
+# An integer literal beyond the float range in a coordinate or a scenario
+# key crashed float() with an OverflowError; a fractional or boolean
+# cluster count reached the scenario raw (a TypeError, or true read as 1
+# cluster).
+BAD_NUMBERS = [
+    pytest.param(
+        ("layout", "users", 1, "start_m"), [33.0, 10**400, 1.5], "int too large",
+        id="start-huge-int",
+    ),
+    pytest.param(
+        ("layout", "array", "axis"), [1.0, 10**400, 0.0], "int too large",
+        id="axis-huge-int",
+    ),
+    pytest.param(
+        ("scenario", "carrier_hz"), 10**400, "expected finite float",
+        id="carrier-huge-int",
+    ),
+    pytest.param(
+        ("scenario", "clusters_per_user"), 7.5, "expected finite int, got 7.5",
+        id="clusters-fraction",
+    ),
+    pytest.param(
+        ("scenario", "clusters_per_user"), True, "expected finite int, got True",
+        id="clusters-bool",
+    ),
+]
+
+
+@pytest.mark.parametrize("path,value,fragment", BAD_NUMBERS)
+def test_out_of_range_number_exits_2_naming_its_path(
+    tmp_path, capsys, monkeypatch, path, value, fragment
+):
+    monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
+    raw = base_raw()
+    spec = raw
+    for step in path[:-1]:
+        spec = spec[step]
+    spec[path[-1]] = value
+    key_path = "config" + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in path
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith(f"{key_path}: ")
+    assert fragment in str(excinfo.value)
+    code = main(["plan", "--config", str(write_config(tmp_path, raw))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: {key_path}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "1.7"])

@@ -3,6 +3,7 @@ import pytest
 
 from auramimo.geom import (
     angles_from_vector,
+    azimuth_rotation,
     clip_elevation_deg,
     distances,
     rotate_azimuth,
@@ -52,11 +53,11 @@ def test_angles_from_zero_vector():
 
 def test_rotate_azimuth_quarter_turn():
     np.testing.assert_allclose(
-        rotate_azimuth(np.array([1.0, 0.0, 2.0]), 90.0), [0, 1, 2], atol=1e-15
+        rotate_azimuth(np.array([1.0, 0.0, 2.0]), rotation=azimuth_rotation(90.0)), [0, 1, 2], atol=1e-15
     )
     # Rotation preserves length and z.
     v = np.array([3.0, -4.0, 5.0])
-    w = rotate_azimuth(v, 37.0)
+    w = rotate_azimuth(v, rotation=azimuth_rotation(37.0))
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v))
     assert w[2] == v[2]
 
@@ -81,10 +82,13 @@ def test_rotate_azimuth_array_equals_scalar_calls():
         n_vec, n_ang = rng.integers(1, 8, size=2)
         vecs = rng.normal(size=(n_vec, 1, 3)) * rng.uniform(1e-3, 300.0)
         angles = rng.uniform(-20.0, 20.0, size=n_ang)
-        got = rotate_azimuth(vecs, angles)
+        got = rotate_azimuth(vecs, rotation=azimuth_rotation(angles))
         assert got.shape == (n_vec, n_ang, 3)
         want = np.array(
-            [[rotate_azimuth(v[0], float(a)) for a in angles] for v in vecs]
+            [
+                [rotate_azimuth(v[0], rotation=azimuth_rotation(float(a))) for a in angles]
+                for v in vecs
+            ]
         )
         assert np.array_equal(got, want)
         # Precomputed cos/sin give the same bits as the angles.

@@ -194,14 +194,14 @@ def _array_geometry(n_elements, bs_stationarity=0.8):
 def test_reference_subarray_is_central():
     # 48 elements -> 3 sub-arrays; the middle one sits on the centroid.
     array = _array_geometry(48)
-    assert array.reference_subarray().index == 1
+    assert array.reference_subarray.index == 1
     # Single sub-array -> trivially the reference.
-    assert _array_geometry(8, bs_stationarity=100.0).reference_subarray().index == 0
+    assert _array_geometry(8, bs_stationarity=100.0).reference_subarray.index == 0
 
 
 def test_subarray_of_element_lookup():
     array = _array_geometry(64)
-    idx = array.subarray_of_element()
+    idx = array.subarray_of_element
     assert idx.shape == (64,)
     assert idx[0] == 0 and idx[15] == 0 and idx[16] == 1 and idx[63] == 3
 
@@ -253,7 +253,7 @@ def test_array_constants_are_cached_and_read_only():
     array = _array_geometry(70)  # four 16-element sub-arrays and one of 6
     for get in (
         lambda: array.element_positions,
-        array.subarray_of_element,
+        lambda: array.subarray_of_element,
         lambda: array.subarray_centers,
     ):
         first = get()
@@ -261,7 +261,7 @@ def test_array_constants_are_cached_and_read_only():
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = first[1]
-    assert array.reference_subarray() is array.reference_subarray()
+    assert array.reference_subarray is array.reference_subarray
     np.testing.assert_array_equal(
         array.subarray_centers, [s.center for s in array.subarrays]
     )

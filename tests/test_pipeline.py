@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from auramimo import (
+    MODE_KEPT_PARAMETERS,
     ChannelTensor,
     coefficients,
     parse_config,
@@ -134,8 +135,8 @@ def test_colocated_users_get_identical_outputs(tmp_path):
     result = run(config)
 
     # a single fully shared set of clusters, seen identically by both users
-    table = result.segments[0].share_table
-    assert table.clusters_of_user(1) == table.clusters_of_user(2)
+    by_user = result.segments[0].cluster_set.by_user
+    assert by_user[1] == by_user[2]
     np.testing.assert_array_equal(
         result.tensor.coefficients[0], result.tensor.coefficients[1]
     )
@@ -289,9 +290,16 @@ def test_planar_error_once_per_segment(monkeypatch):
         calls.clear()
         result = run(config)
         assert len(calls) == len(result.segments) == 2
-        # One call stacks the FBS sets of every view of its segment.
+        # One call stacks every cluster's FBS set and those of the
+        # kept-parameters views: every other view copies its cluster's.
         for fbs, seg in zip(calls, result.segments):
-            assert np.array_equal(fbs, [v.fbs for v in seg.views.views.values()])
+            want = [c.geometry.fbs for c in seg.cluster_set.clusters.values()] + [
+                v.fbs
+                for v in seg.views.views.values()
+                if v.recalc_mode == MODE_KEPT_PARAMETERS
+            ]
+            assert np.array_equal(fbs, want)
+            assert len(fbs) < len(seg.views.views)
         # The max over every view, one view at a time, as before.
         worst = np.zeros(config.layout.array.n_subarrays)
         for seg in result.segments:

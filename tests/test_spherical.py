@@ -115,7 +115,7 @@ def test_lbs_mirrors_departure_solve():
     # The cluster solve's LBS is the same closed form with the roles
     # swapped (anchor = user, far end = reference sub-array center).
     array = make_two_user_layout(2.0).array
-    ref = array.reference_subarray()
+    ref = array.reference_subarray
     cluster = _random_cluster(np.random.default_rng(5), array.n_subarrays, 2e-8)
     (got,), (degenerate,) = solve_cluster_geometry([cluster], user[None], array)
     assert not degenerate
@@ -201,7 +201,7 @@ def _attached(layout, seed=3):
 def test_attach_full_set_with_four_subarrays():
     cs, layout = _attached(make_two_user_layout(2.0))
     subs = layout.array.subarrays
-    ref = layout.array.reference_subarray().index
+    ref = layout.array.reference_subarray.index
     for c in cs.clusters.values():
         geometry = c.geometry
         assert geometry.lbs is not None and len(geometry.fbs) == 4
@@ -306,7 +306,7 @@ def _per_cluster_geometry(cluster, user, array):
     if cluster.boresight:
         e_len = np.array([math.dist(user_xyz, c) for c in centers.tolist()])
         return user, np.broadcast_to(user, centers.shape), e_len, 0.0
-    ref = array.reference_subarray()
+    ref = array.reference_subarray
     tau = cluster.tau_s
     d_c = np.array([total_path_length(tau, c, user_xyz) for c in centers.tolist()])
     e_len, e_hat = _per_cluster_focal_lengths(
@@ -351,7 +351,7 @@ def _scalar_departure(apos, user_pos, e_hat, d_c):
 
 def _scalar_cluster_geometry(cluster, user_pos, array):
     subarrays = array.subarrays
-    ref_index = array.reference_subarray().index
+    ref_index = array.reference_subarray.index
     e_len = np.empty(len(subarrays))
     fbs = []
     for sub in subarrays:
@@ -471,7 +471,7 @@ def test_degenerate_mask_is_the_excess_path_term():
     for trial in range(300):
         array = _random_array(rng)
         centers = array.subarray_centers
-        ref = array.reference_subarray().index
+        ref = array.reference_subarray.index
         sizes = [sub.n_elements for sub in array.subarrays]
         seen["one subarray"] += array.n_subarrays == 1
         seen["uneven last"] += sizes[-1] != sizes[0]

@@ -83,8 +83,9 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
                 + "\n"
             )
             for seg in result.segments:
-                for view in seg.views.views_of_user(user):
-                    cluster = seg.cluster_set.clusters[view.cluster_id]
+                for cluster_id in seg.cluster_set.by_user[user]:
+                    view = seg.views.views[(user, cluster_id)]
+                    cluster = seg.cluster_set.clusters[cluster_id]
                     members = "+".join(str(u) for u in cluster.owner_set)
                     f.write(
                         f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
