@@ -66,8 +66,6 @@ from .sharing import (
     OwnerView,
     OwnerViews,
     choose_recalc_mode,
-    recalc_kept_focal_point,
-    recalc_kept_parameters,
     recalculate_views,
     share_clusters,
 )

@@ -68,11 +68,15 @@ def _typed(mapping: dict, key: str, context: str, kind: type):
 
 
 def _position(value, context: str) -> tuple[float, float, float]:
+    """[x, y, z] as floats: integers or floats that are finite as floats;
+    a bool or a string is not a coordinate."""
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
+    if not all(_is_int(v) or isinstance(v, float) for v in value):
+        raise ConfigError(f"{context}: coordinates must be numbers, got {value!r}")
     try:
         point = float(value[0]), float(value[1]), float(value[2])
-    except (TypeError, ValueError, OverflowError) as e:
+    except OverflowError as e:  # an integer beyond the float range
         raise ConfigError(f"{context}: {e}") from None
     if not all(map(math.isfinite, point)):
         raise ConfigError(f"{context}: coordinates must be finite, got {list(point)}")

@@ -7,6 +7,7 @@ import pytest
 
 from auramimo import (
     ChannelTensor,
+    RunConfig,
     ScenarioConfig,
     build_layout,
     linear_track,
@@ -94,6 +95,45 @@ def make_point_layout(
         elements,
         stationarity_user_m=stationarity_m,
         bs_stationarity_m=bs_stationarity_m,
+    )
+
+
+def make_random_config(seed: int) -> RunConfig:
+    """One random layout of 2-4 segments, the last one shorter in most:
+    2-5 users, some exactly co-located with an earlier user, the others
+    within 1.6 aura radii of one; half of the layouts have segments of
+    0.5-1.5 m, short enough that joining owners re-solve
+    (kept-parameters)."""
+    rng = np.random.default_rng([7, seed])
+    spacing = 0.5
+    stationarity = float(rng.choice([0.5, 1.0, 1.5, 3.0, 5.0, 8.0]))
+    per_segment = max(1, int(stationarity / spacing))
+    n_snapshots = per_segment * int(rng.integers(2, 4)) + int(rng.integers(per_segment))
+    starts = [(rng.uniform(15.0, 60.0), rng.uniform(-20.0, 20.0))]
+    for _ in range(int(rng.integers(1, 5))):
+        x, y = starts[int(rng.integers(len(starts)))]
+        if rng.random() >= 0.3:
+            radius, bearing = rng.uniform(0.0, 1.6 * stationarity), rng.uniform(0, 2 * np.pi)
+            x, y = x + radius * np.cos(bearing), y + radius * np.sin(bearing)
+        starts.append((x, y))
+    heading = float(rng.uniform(-180.0, 180.0))
+    tracks = [
+        linear_track(u + 1, (x, y, 1.5), heading, n_snapshots, spacing)
+        for u, (x, y) in enumerate(starts)
+    ]
+    elements = uniform_linear_array(int(rng.integers(4, 40)), 0.05, (0.0, 0.0, 10.0))
+    layout = build_layout(
+        tracks,
+        elements,
+        stationarity_user_m=stationarity,
+        bs_stationarity_m=float(rng.uniform(0.1, 1.0)),
+    )
+    return RunConfig(
+        scenario=make_scenario(clusters_per_user=int(rng.integers(2, 8))),
+        layout=layout,
+        seed=seed,
+        out_dir="unused",
+        out_format="binary",
     )
 
 

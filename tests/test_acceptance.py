@@ -45,8 +45,7 @@ from auramimo.sharing import (
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
     choose_recalc_mode,
-    recalc_kept_focal_point,
-    recalc_kept_parameters,
+    recalculate_views,
     share_clusters,
 )
 from conftest import make_point_layout, make_scenario
@@ -430,21 +429,28 @@ def test_c10_spherical_limit(check):
 
 def test_c11_recalc_fixed_point(check):
     with check(11, "recalc-fixed-point"):
-        config = two_user_config(3.0, seed=11, n_elements=32)
+        config = two_user_config(0.0, seed=11, n_elements=32)  # co-located owners
         layout = config.layout
         lsp = draw_lsp(config.scenario, layout, config.seed)
         table = share_table_for_segment(layout, 0, config.total_clusters_per_user)
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
         clusters = attach_focal_points(clusters, layout)
-        views = share_clusters(clusters, layout)
+        shared_views = share_clusters(clusters, layout)
 
         shared = [c for c in clusters.clusters.values() if len(c.owner_set) == 2]
         assert shared
-        for cluster in shared:
-            generator_view = views.views[(cluster.generating_user, cluster.cluster_id)]
-            owner_pos = layout.segment_start_position(cluster.generating_user, 0)
-            for fn in (recalc_kept_parameters, recalc_kept_focal_point):
-                view = fn(cluster, 99, owner_pos, layout, generator_view.power)
+        modes = set()
+        # Tiny segments re-solve every non-boresight view, huge ones keep
+        # every focal point: both rules must be fixed points here.
+        for length_m in (1e-6, 1e6):
+            segments = tuple(replace(s, length_m=length_m) for s in layout.segments)
+            probe_layout = replace(layout, segments=segments)
+            views = recalculate_views(shared_views, clusters, probe_layout).views
+            for cluster in shared:
+                generator_view = views[(cluster.generating_user, cluster.cluster_id)]
+                owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
+                view = views[(owner, cluster.cluster_id)]
+                modes.add(view.recalc_mode)
                 assert view.delay_s == generator_view.delay_s
                 assert view.aoa_az_deg == generator_view.aoa_az_deg
                 assert view.aoa_el_deg == generator_view.aoa_el_deg
@@ -453,6 +459,7 @@ def test_c11_recalc_fixed_point(check):
                 assert np.array_equal(view.lbs, generator_view.lbs)
                 assert np.array_equal(view.fbs, generator_view.fbs)
                 assert np.array_equal(view.e_len_m, generator_view.e_len_m)
+        assert modes == {MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL}
 
         # The mode flips exactly at three segment lengths, strict below.
         segment_length = 5.0

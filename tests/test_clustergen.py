@@ -187,11 +187,12 @@ def test_clusters_are_frozen():
     result = run(make_run_config(n_snapshots=20))
     assert len(result.segments) == 2
     views = [v for seg in result.segments for v in seg.views.views.values()]
-    assert any(v.recalc_mode == MODE_KEPT_FOCAL and not v.boresight for v in views)
+    clusters = [c for seg in result.segments for c in seg.cluster_set.clusters.values()]
+    boresight = {c.cluster_id for c in clusters if c.boresight}  # ids are run-unique
+    assert any(v.recalc_mode == MODE_KEPT_FOCAL and v.cluster_id not in boresight for v in views)
     arrays = [
         a
-        for seg in result.segments
-        for c in seg.cluster_set.clusters.values()
+        for c in clusters
         for a in (c.aod_az_deg, c.aod_el_deg, *c.geometry[:3])
     ]
     arrays += [

@@ -114,7 +114,6 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
         fbs=fbs,
         e_len_m=e_len,
         interior_raw_m=interior,
-        boresight=False,
     )
 
 
@@ -470,8 +469,9 @@ def _departure_keys(views):
 
 
 def _seeded_views(rng, seed):
-    """Owner views of one segment of a random multi-user layout, run
-    through the real stages; some users share a start position."""
+    """Owner views, layout and cluster set of one segment of a random
+    multi-user layout, run through the real stages; some users share a
+    start position."""
     n_users = int(rng.integers(2, 5))
     n_snap = int(rng.integers(1, 4))
     spacing = rng.uniform(0.3, 4.0)
@@ -498,7 +498,7 @@ def _seeded_views(rng, seed):
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
     cs = attach_focal_points(cs, layout)
     views = recalculate_views(share_clusters(cs, layout), cs, layout)
-    return views, layout
+    return views, layout, cs
 
 
 def _perturb(views, rng):
@@ -528,7 +528,7 @@ def test_shared_departure_phases_equal_per_view_loop():
     )
     for trial in range(220):
         seed = 1000 + trial
-        views, layout = _seeded_views(rng, seed)
+        views, layout, cs = _seeded_views(rng, seed)
         if trial % 2:
             views = _perturb(views, rng)
         n_sc = 1 if rng.random() < 0.15 else 20
@@ -548,7 +548,7 @@ def test_shared_departure_phases_equal_per_view_loop():
         for v in all_views:
             seen[v.recalc_mode] = seen.get(v.recalc_mode, 0) + 1
             seen["clamped"] += v.interior_raw_m < 0.0
-            seen["boresight"] += v.boresight
+            seen["boresight"] += cs.clusters[v.cluster_id].boresight
         starts = [tuple(layout.segment_start_position(u, 0)) for u in layout.user_ids]
         seen["colocated"] += len(set(starts)) < len(starts)
         seen["reused"] += len(_departure_keys(views)) < len(all_views)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -328,7 +329,44 @@ BAD_NUMBERS = [
         ("scenario", "clusters_per_user"), True, "expected finite int, got True",
         id="clusters-bool",
     ),
+    pytest.param(
+        ("layout", "users", 1, "start_m"), [True, 0.0, 1.5], "must be numbers",
+        id="start-bool",
+    ),
+    pytest.param(
+        ("layout", "users", 1, "start_m"), [33.0, "0.5", 1.5], "must be numbers",
+        id="start-string",
+    ),
+    pytest.param(
+        ("layout", "users", 1, "points_m", 1), [True, 0.5, 1.5], "must be numbers",
+        id="points-bool",
+    ),
+    pytest.param(
+        ("layout", "array", "origin_m"), ["0", 0.0, 10.0], "must be numbers",
+        id="origin-string",
+    ),
+    pytest.param(
+        ("layout", "array", "element_positions_m", 1), [0.042, False, 10.0],
+        "must be numbers", id="elements-bool",
+    ),
+    pytest.param(
+        ("layout", "array", "axis"), [True, False, False], "must be numbers",
+        id="axis-bool",
+    ),
 ]
+
+
+def _explicit_points(raw: dict) -> dict:
+    """`raw` with user 2's track and the array given as point lists."""
+    raw["layout"]["users"][1] = {
+        "user_id": 2,
+        "points_m": [[33.0, 0.5 * i, 1.5] for i in range(4)],
+        "snapshot_spacing_m": 0.5,
+    }
+    raw["layout"]["array"] = {
+        "element_positions_m": [[0.042 * i, 0.0, 10.0] for i in range(32)]
+    }
+    return raw
 
 
 @pytest.mark.parametrize("path,value,fragment", BAD_NUMBERS)
@@ -337,6 +375,9 @@ def test_out_of_range_number_exits_2_naming_its_path(
 ):
     monkeypatch.setattr(cli, "share_tables", lambda config: pytest.fail("a stage ran"))
     raw = base_raw()
+    if {"points_m", "element_positions_m"} & set(path):
+        raw = _explicit_points(raw)
+        assert parse_config(copy.deepcopy(raw)).layout.user_ids == (1, 2)
     spec = raw
     for step in path[:-1]:
         spec = spec[step]

@@ -11,13 +11,14 @@ from auramimo import (
     MODE_KEPT_PARAMETERS,
     ChannelTensor,
     coefficients,
+    correlation_metrics,
     parse_config,
     pipeline,
     read_tensor_binary,
     synthesize,
 )
 from auramimo.pipeline import run, write_outputs
-from conftest import synthesize_segment
+from conftest import make_random_config, synthesize_segment
 
 SCENARIO = {
     "delay_spread_median_s": 1e-7,
@@ -323,3 +324,49 @@ def test_share_tables_start_each_segment_after_the_last(monkeypatch):
     assert [t.segment_index for t in tables] == [0, 1]
     assert bases == [0, max(tables[0].cluster_ids) + 1]
     assert [seg.share_table for seg in run(config).segments] == tables
+
+
+def _tsv_rows(path):
+    return [line.split("\t") for line in path.read_text().splitlines()[1:]]
+
+
+def test_random_runs_write_consistent_files(tmp_path):
+    # Seeded random layouts with co-located owners and short segments,
+    # so that kept-parameters views occur. The tables against the tensor
+    # (delays) are not compared: views with a clamped interior disagree.
+    seen = {"kept-parameters": 0, "co-located": 0}
+    for seed in range(20):
+        config = make_random_config(seed)
+        users = config.layout.user_ids
+        dirs = [tmp_path / f"seed{seed}-{i}" for i in range(2)]
+        for out in dirs:
+            result = run(config)
+            write_outputs(result, out)
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), (seed, name)
+
+        totals = {(s.index, u): 0 for s in config.layout.segments for u in users}
+        for row in _tsv_rows(dirs[0] / "share_table.tsv"):
+            for u in row[1].split("+"):
+                totals[int(row[0]), int(u)] += int(row[4])
+        assert set(totals.values()) == {config.total_clusters_per_user}, (seed, totals)
+
+        # The reader numbers users by tensor position, in ascending id order.
+        reread = correlation_metrics(read_tensor_binary(dirs[0] / "channel.bin"))
+        reread = {(users[i], users[j]): v for (i, j), v in reread.pair_correlation_mean.items()}
+        written = {
+            (int(r[1]), int(r[2])): float(r[3])
+            for r in _tsv_rows(dirs[0] / "metrics.tsv")
+            if r[0] == "pair_correlation_mean"
+        }
+        assert sorted(reread) == sorted(written), seed
+        for pair, value in written.items():
+            assert abs(reread[pair] - value) <= 1e-6, (seed, pair)
+
+        modes = {v.recalc_mode for seg in result.segments for v in seg.views.views.values()}
+        seen["kept-parameters"] += MODE_KEPT_PARAMETERS in modes
+        starts = [tuple(config.layout.segment_start_position(u, 0)) for u in users]
+        seen["co-located"] += len(set(starts)) < len(starts)
+    assert seen["kept-parameters"] >= 5 and seen["co-located"] >= 5, seen

@@ -11,26 +11,23 @@ from auramimo import (
     MODE_KEPT_PARAMETERS,
     DegenerateGeometry,
     IncompleteViews,
-    RunConfig,
     assemble_clusters,
     attach_focal_points,
-    build_layout,
     choose_recalc_mode,
     draw_lsp,
     linear_track,
-    recalc_kept_focal_point,
-    recalc_kept_parameters,
     recalculate_views,
     share_clusters,
     share_table_for_segment,
     share_tables,
     total_path_length,
-    uniform_linear_array,
 )
-from auramimo.clustergen import Cluster, ClusterGeometry
-from auramimo.sharing import OwnerView, _verbatim_view
-from auramimo.geom import SPEED_OF_LIGHT_M_S
-from conftest import make_scenario, make_two_user_layout
+from auramimo import sharing
+from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
+from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector
+from auramimo.sharing import OwnerView
+from auramimo.spherical import solve_cluster_geometry
+from conftest import make_random_config, make_scenario, make_two_user_layout
 
 
 def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=None):
@@ -49,18 +46,28 @@ def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=No
     )
 
 
+def _mode_case(lbs_distance, expected, boresight=False):
+    tag = "-boresight" if boresight else ""
+    return pytest.param(
+        lbs_distance, boresight, expected, id=f"{lbs_distance}{tag}-{expected}"
+    )
+
+
 @pytest.mark.parametrize(
-    "lbs_distance,expected",
+    "lbs_distance,boresight,expected",
     [
-        (5.0, MODE_KEPT_FOCAL),
-        (14.999999, MODE_KEPT_FOCAL),
-        (15.0, MODE_KEPT_PARAMETERS),  # boundary is strict
-        (20.0, MODE_KEPT_PARAMETERS),
+        _mode_case(5.0, MODE_KEPT_FOCAL),
+        _mode_case(14.999999, MODE_KEPT_FOCAL),
+        _mode_case(15.0, MODE_KEPT_PARAMETERS),  # boundary is strict
+        _mode_case(20.0, MODE_KEPT_PARAMETERS),
+        # No excess path to re-solve: the focal points are kept at any range.
+        _mode_case(20.0, MODE_KEPT_FOCAL, boresight=True),
     ],
 )
-def test_mode_threshold_three_segment_lengths(lbs_distance, expected):
+def test_mode_threshold_three_segment_lengths(lbs_distance, boresight, expected):
     owner = (0.0, 0.0, 1.5)
     cluster = _cluster_with_lbs(np.array([lbs_distance, 0.0, 1.5]))
+    cluster = replace(cluster, boresight=boresight)
     assert choose_recalc_mode(cluster, owner, segment_length_m=5.0) == expected
 
 
@@ -107,15 +114,34 @@ def _shared_nonboresight(cs):
     ]
 
 
+def _with_segment_length(layout, length_m):
+    """`layout` with every segment `length_m` long: the mode rule then
+    keeps every non-boresight cluster's parameters (tiny lengths) or its
+    focal points (huge ones)."""
+    segments = tuple(replace(s, length_m=length_m) for s in layout.segments)
+    return replace(layout, segments=segments)
+
+
+KEEP_PARAMETERS_M, KEEP_FOCAL_M = 1e-6, 1e6
+
+
+def _joining(cluster):
+    return next(u for u in cluster.owner_set if u != cluster.generating_user)
+
+
 def test_kept_parameters_keeps_scalars_and_resolves_geometry():
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
+    views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
     subs = layout.array.subarrays
     ref = layout.array.reference_subarray.index
-    for cluster in _shared_nonboresight(cs):
-        owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
+    clusters = _shared_nonboresight(cs)
+    assert clusters
+    for cluster in clusters:
+        owner = _joining(cluster)
         owner_pos = layout.segment_start_position(owner, 0)
         owner_xyz = owner_pos
-        view = recalc_kept_parameters(cluster, owner, owner_pos, layout, 0.1)
+        view = views.views[owner, cluster.cluster_id]
+        assert view.recalc_mode == MODE_KEPT_PARAMETERS
         # Kept fields are bit-identical.
         assert view.delay_s == cluster.tau_s
         assert view.aoa_az_deg == cluster.aoa_az_deg
@@ -136,21 +162,25 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
 
 def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
     # No excess delay without the boresight marker cannot be re-solved.
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = replace(_shared_nonboresight(cs)[0], tau_s=0.0)
-    owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
-    owner_pos = layout.segment_start_position(owner, 0)
+    cs = replace(cs, clusters={**cs.clusters, cluster.cluster_id: cluster})
+    owner = _joining(cluster)
     match = f"cluster {cluster.cluster_id}: no focal points from owner {owner}"
     with pytest.raises(DegenerateGeometry, match=match):
-        recalc_kept_parameters(cluster, owner, owner_pos, layout, 0.1)
+        recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
 
 
 def test_kept_focal_point_keeps_geometry_and_reads_angles():
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
-    for cluster in _shared_nonboresight(cs):
-        owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
+    views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_FOCAL_M))
+    clusters = _shared_nonboresight(cs)
+    assert clusters
+    for cluster in clusters:
+        owner = _joining(cluster)
         owner_pos = layout.segment_start_position(owner, 0)
-        view = recalc_kept_focal_point(cluster, owner, owner_pos, layout, 0.1)
+        view = views.views[owner, cluster.cluster_id]
+        assert view.recalc_mode == MODE_KEPT_FOCAL
         assert np.array_equal(view.lbs, cluster.geometry.lbs)
         assert np.array_equal(view.fbs, cluster.geometry.fbs)
         assert np.array_equal(view.e_len_m, cluster.geometry.e_len_m)
@@ -163,12 +193,15 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
 
 
 def test_colocated_owner_gets_bit_identical_view_in_both_modes():
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
-    for cluster in list(cs.clusters.values())[:4]:
-        gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-        for fn in (recalc_kept_parameters, recalc_kept_focal_point):
-            power = cs.effective_power(cluster.generating_user, cluster.cluster_id)
-            view = fn(cluster, 99, gen_pos, layout, power)
+    cs, shared, layout = _full_pipeline(make_two_user_layout(0.0))
+    modes = set()
+    for length_m in (KEEP_PARAMETERS_M, KEEP_FOCAL_M):
+        views = recalculate_views(shared, cs, _with_segment_length(layout, length_m))
+        for cluster in cs.clusters.values():
+            if len(cluster.owner_set) < 2:
+                continue
+            view = views.views[_joining(cluster), cluster.cluster_id]
+            modes.add(view.recalc_mode)
             assert view.delay_s == cluster.tau_s
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
@@ -176,33 +209,53 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             assert np.array_equal(view.lbs, cluster.geometry.lbs)
             assert np.array_equal(view.fbs, cluster.geometry.fbs)
             assert view.interior_raw_m == cluster.geometry.interior_raw_m
+    assert modes == {MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL}
+
+
+def _move_user(layout, user_id, start):
+    """`layout` with `user_id`'s track restarted at `start`."""
+    track = layout.track_of(user_id)
+    spacing = track.snapshot_spacing_m
+    moved = linear_track(user_id, start, 90.0, len(track), spacing)
+    tracks = tuple(moved if t.user_id == user_id else t for t in layout.tracks)
+    return replace(layout, tracks=tracks)
 
 
 def test_moving_toward_lbs_shortens_kept_focal_delay():
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
     to_lbs = cluster.geometry.lbs - gen_pos
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
-    owner_pos = gen_pos + step
-    view = recalc_kept_focal_point(cluster, 99, owner_pos, layout, 0.1)
+    owner = _joining(cluster)
+    moved = _move_user(_with_segment_length(layout, KEEP_FOCAL_M), owner, gen_pos + step)
+    view = recalculate_views(shared, cs, moved).views[owner, cluster.cluster_id]
+    assert view.recalc_mode == MODE_KEPT_FOCAL
     assert view.delay_s < cluster.tau_s
     assert cluster.tau_s - view.delay_s > 1e-15
 
 
 def test_kept_focal_delay_floors_at_zero():
     # A synthetic geometry where the frozen interior is so negative that
-    # the reconstructed delay would dip below zero.
-    layout = make_two_user_layout(2.0)
-    ref_center = layout.array.reference_subarray.center
+    # the reconstructed delay would dip below zero; user 2 joins from
+    # (35, 0, 1.5).
+    layout = make_two_user_layout(5.0)
+    n_sub = len(layout.array.subarrays)
     cluster = _cluster_with_lbs(
         np.array([30.0, 0.0, 1.5]),
-        fbs=np.tile([30.0, 0.0, 1.5], (len(layout.array.subarrays), 1)),
-        e_len_m=np.zeros(len(layout.array.subarrays)),
+        fbs=np.tile([30.0, 0.0, 1.5], (n_sub, 1)),
+        e_len_m=np.zeros(n_sub),
         interior_raw_m=-100.0,
     )
-    owner_pos = (35.0, 0.0, 1.5)
-    view = recalc_kept_focal_point(cluster, 2, owner_pos, layout, 0.1)
+    cs = ClusterSet(
+        segment_index=0,
+        clusters={0: cluster},
+        by_user={1: (0,), 2: (0,)},
+        power_denominator={1: 0.5, 2: 0.5},
+    )
+    layout = _with_segment_length(layout, KEEP_FOCAL_M)
+    view = recalculate_views(share_clusters(cs, layout), cs, layout).views[2, 0]
+    assert view.recalc_mode == MODE_KEPT_FOCAL
     assert view.delay_s == 0.0
 
 
@@ -251,96 +304,146 @@ def test_recalculated_views_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Seeded random layouts: one-pass sharing against the two-pass code, and
-# the view invariants
+# Seeded random layouts: the one-pass recalculation against the per-view
+# code, and the view invariants
 # ---------------------------------------------------------------------------
 
 
 def _random_segments(seed):
-    """(layout, attached cluster set) of every segment of one random
-    layout of 2-4 segments, the last one shorter in most: 2-5 users, some
-    exactly co-located with an earlier user, the others within 1.6 aura
-    radii of one; half of the layouts have segments of 0.5-1.5 m, short
-    enough that joining owners re-solve (kept-parameters)."""
-    rng = np.random.default_rng([7, seed])
-    spacing = 0.5
-    stationarity = float(rng.choice([0.5, 1.0, 1.5, 3.0, 5.0, 8.0]))
-    per_segment = max(1, int(stationarity / spacing))
-    n_snapshots = per_segment * int(rng.integers(2, 4)) + int(rng.integers(per_segment))
-    starts = [(rng.uniform(15.0, 60.0), rng.uniform(-20.0, 20.0))]
-    for _ in range(int(rng.integers(1, 5))):
-        x, y = starts[int(rng.integers(len(starts)))]
-        if rng.random() >= 0.3:
-            radius, bearing = rng.uniform(0.0, 1.6 * stationarity), rng.uniform(0, 2 * np.pi)
-            x, y = x + radius * np.cos(bearing), y + radius * np.sin(bearing)
-        starts.append((x, y))
-    heading = float(rng.uniform(-180.0, 180.0))
-    tracks = [
-        linear_track(u + 1, (x, y, 1.5), heading, n_snapshots, spacing)
-        for u, (x, y) in enumerate(starts)
-    ]
-    elements = uniform_linear_array(int(rng.integers(4, 40)), 0.05, (0.0, 0.0, 10.0))
-    layout = build_layout(
-        tracks,
-        elements,
-        stationarity_user_m=stationarity,
-        bs_stationarity_m=float(rng.uniform(0.1, 1.0)),
-    )
-    config = RunConfig(
-        scenario=make_scenario(clusters_per_user=int(rng.integers(2, 8))),
-        layout=layout,
-        seed=seed,
-        out_dir="unused",
-        out_format="binary",
-    )
+    """(layout, attached cluster set) of every segment of
+    `make_random_config(seed)`."""
+    config = make_random_config(seed)
+    layout = config.layout
     lsp = draw_lsp(config.scenario, layout, seed)
     for table in share_tables(config):
         cs = assemble_clusters(table, lsp, layout, config.scenario, seed)
         yield layout, attach_focal_points(cs, layout)
 
 
-def _two_pass_views(cluster_set, layout, segment_length_m):
-    # Sharing as it was: every (owner, cluster) pair copied verbatim in a
-    # throw-away mode, then every non-generator copy rebuilt.
-    views = {}
-    for user_id, cluster_ids in cluster_set.by_user.items():
-        for cluster_id in cluster_ids:
-            cluster = cluster_set.clusters[cluster_id]
-            mode = MODE_GENERATOR if user_id == cluster.generating_user else "shared"
-            views[(user_id, cluster_id)] = _verbatim_view(
-                cluster, user_id, mode, cluster_set.effective_power(user_id, cluster_id)
-            )
-    shared = dict(views)
-    for (user_id, cluster_id), view in shared.items():
-        cluster = cluster_set.clusters[cluster_id]
-        if user_id == cluster.generating_user:
-            continue
-        owner_pos = layout.segment_start_position(user_id, cluster_set.segment_index)
-        kept_focal = (
-            cluster.boresight
-            or choose_recalc_mode(cluster, owner_pos, segment_length_m) == MODE_KEPT_FOCAL
+# The per-view recalculation as it was before the one-pass rewrite, kept
+# here as the reference of the gate below.
+
+
+def _verbatim_view(cluster, user_id, mode, power):
+    return OwnerView(
+        user_id=user_id,
+        cluster_id=cluster.cluster_id,
+        recalc_mode=mode,
+        delay_s=cluster.tau_s,
+        power=power,
+        aoa_az_deg=cluster.aoa_az_deg,
+        aoa_el_deg=cluster.aoa_el_deg,
+        aod_az_deg=cluster.aod_az_deg,
+        aod_el_deg=cluster.aod_el_deg,
+        **cluster.geometry._asdict(),
+    )
+
+
+def _at_generator(cluster, owner_pos, layout):
+    """Whether the owner stands exactly at the generating user's position."""
+    gen_pos = layout.segment_start_position(cluster.generating_user, cluster.segment_index)
+    return bool(np.array_equal(owner_pos, gen_pos))
+
+
+def recalc_kept_parameters(cluster, owner_id, owner_pos, layout, power):
+    """Keep delay/power/angles; re-solve both focal points from the
+    owner's position with the owner's own total path length."""
+    view = _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
+    if _at_generator(cluster, owner_pos, layout):
+        return view
+    (geometry,), (degenerate,) = solve_cluster_geometry(
+        [cluster], owner_pos[None], layout.array
+    )
+    if degenerate:
+        raise DegenerateGeometry(
+            f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
         )
-        recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
-        views[user_id, cluster_id] = recalc(cluster, user_id, owner_pos, layout, view.power)
+    return replace(view, **geometry._asdict())
+
+
+def recalc_kept_focal_point(cluster, owner_id, owner_pos, layout, power):
+    """Keep both focal points; recompute angles from the frozen geometry
+    and the delay from the owner's own end-to-end path length.
+
+    The delay reuses the cluster's signed interior length so that the
+    generating position is an exact fixed point; the result is floored
+    at zero.
+    """
+    view = _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
+    if _at_generator(cluster, owner_pos, layout):
+        return view
+
+    geometry = cluster.geometry
+    aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
+    aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
+
+    ref = layout.array.reference_subarray
+    e_ref = float(geometry.e_len_m[ref.index])
+    g_len = math.dist(owner_pos, geometry.lbs)
+    direct = math.dist(owner_pos, ref.center)
+    delay = (e_ref + geometry.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
+    delay = max(0.0, delay)
+
+    return replace(
+        view,
+        delay_s=delay,
+        aoa_az_deg=aoa_az,
+        aoa_el_deg=aoa_el,
+        aod_az_deg=aod_az,
+        aod_el_deg=aod_el,
+    )
+
+
+def _per_view_views(shared, cluster_set, layout):
+    segment = layout.segments[cluster_set.segment_index]
+    views = {}
+    for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
+        owner_pos = layout.segment_start_position(user_id, segment.index)
+        for cluster_id in cluster_ids:
+            view = shared.views.get((user_id, cluster_id))
+            if view is None:
+                cluster = cluster_set.clusters[cluster_id]
+                kept_focal = (
+                    cluster.boresight
+                    or math.dist(cluster.geometry.lbs, owner_pos) < 3.0 * segment.length_m
+                )
+                recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
+                power = cluster_set.effective_power(user_id, cluster_id)
+                view = recalc(cluster, user_id, owner_pos, layout, power)
+            views[user_id, cluster_id] = view
     return views
 
 
-def test_one_pass_views_equal_two_pass_views():
+def _moved_kept_parameters(views, cs, layout):
+    """How many kept-parameters views belong to an owner off the
+    generating user's position."""
+    position = layout.segment_start_position
+    return sum(
+        view.recalc_mode == MODE_KEPT_PARAMETERS
+        and not np.array_equal(
+            position(user, cs.segment_index),
+            position(cs.clusters[cid].generating_user, cs.segment_index),
+        )
+        for (user, cid), view in views.views.items()
+    )
+
+
+def test_recalculate_views_equal_per_view_reference():
     seen = {"layouts": 0, "kept-parameters": 0, "co-located": 0}
-    for seed in range(60):
+    for seed in [*range(60), *range(100, 140)]:
         kept_parameters = co_located = False
         for layout, cs in _random_segments(seed):
-            segment = layout.segments[cs.segment_index]
-            new = recalculate_views(share_clusters(cs, layout), cs, layout)
-            old = _two_pass_views(cs, layout, segment.length_m)
+            shared = share_clusters(cs, layout)
+            new = recalculate_views(shared, cs, layout)
+            old = _per_view_views(shared, cs, layout)
             assert new.segment_index == cs.segment_index
-            assert list(new.views) == sorted(old)
+            assert list(new.views) == list(old) == sorted(old)
             for key, view in new.views.items():
                 want = old[key]
                 for f in dataclasses.fields(OwnerView):
                     a, b = getattr(view, f.name), getattr(want, f.name)
                     same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                    assert same, (seed, key, f.name)
+                    assert same and type(a) is type(b), (seed, key, f.name)
                 cluster = cs.clusters[key[1]]
                 kept_parameters |= view.recalc_mode == MODE_KEPT_PARAMETERS
                 co_located |= key[0] != cluster.generating_user and np.array_equal(
@@ -350,8 +453,30 @@ def test_one_pass_views_equal_two_pass_views():
         seen["layouts"] += 1
         seen["kept-parameters"] += kept_parameters
         seen["co-located"] += co_located
-    assert seen["layouts"] >= 50, seen
+    assert seen["layouts"] == 100, seen
     assert seen["kept-parameters"] >= 10 and seen["co-located"] >= 10, seen
+
+
+def test_one_solve_per_segment(monkeypatch):
+    calls = []
+    original = sharing.solve_cluster_geometry
+
+    def spy(clusters, users, array):
+        calls.append(len(clusters))
+        return original(clusters, users, array)
+
+    monkeypatch.setattr(sharing, "solve_cluster_geometry", spy)
+    seen = {"none": 0, "several": 0}
+    for seed in range(40):
+        for layout, cs in _random_segments(seed):
+            calls.clear()
+            views = recalculate_views(share_clusters(cs, layout), cs, layout)
+            moved = _moved_kept_parameters(views, cs, layout)
+            # Every moved kept-parameters view is a row of the one call.
+            assert calls == ([moved] if moved else []), (seed, cs.segment_index)
+            seen["none"] += not moved
+            seen["several"] += moved > 1
+    assert seen["none"] >= 10 and seen["several"] >= 10, seen
 
 
 def test_every_owned_cluster_has_one_view_and_each_user_full_power():

@@ -90,7 +90,7 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
                     f.write(
                         f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
                         f"{members}\t{cluster.generating_user}\t"
-                        f"{int(view.boresight)}\t"
+                        f"{int(cluster.boresight)}\t"
                         + "\t".join(_view_param_columns(view, n_subarrays))
                         + "\n"
                     )
