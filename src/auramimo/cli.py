@@ -51,17 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "RunConfig":
-    config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        overrides["out_dir"] = args.out_dir
-    if getattr(args, "format", None) is not None:
-        overrides["out_format"] = args.format
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {
+        "seed": args.seed,
+        "out_dir": getattr(args, "out_dir", None),
+        "out_format": getattr(args, "format", None),
+    }
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -83,8 +79,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    tensor = read_tensor_binary(args.tensor)
-    report = correlation_metrics(tensor)
+    report = correlation_metrics(read_tensor_binary(args.tensor))
     print(METRICS_HEADER, *metrics_rows(report), sep="\n")
     return 0
 
@@ -94,12 +89,9 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "plan": _cmd_plan, "metrics": _cmd_metrics}
     try:
         return handlers[args.command](args)
-    except ChannelModelError as e:
+    except (ChannelModelError, OSError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, ChannelModelError) else 3
 
 
 if __name__ == "__main__":

@@ -104,9 +104,9 @@ def _fan_positions(
 class ChannelTensor:
     """Synthesized coefficients and path delays.
 
-    coefficients: complex, (user, rx antenna, tx element, cluster,
-    snapshot); delays: seconds, (user, cluster, snapshot). Users are
-    ordered by id along the first axis.
+    coefficients: complex64 (computed in complex128, stored at channel.bin's
+    precision), (user, rx antenna, tx element, cluster, snapshot); delays:
+    float64 seconds, (user, cluster, snapshot). Users are in id order.
     """
 
     user_ids: tuple[int, ...]
@@ -201,9 +201,10 @@ def synthesize(
     n_scatterers: int = N_SCATTERERS,
     out: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Fill `out`, the caller's complex128 coefficients and float64 delays
-    arrays, with one segment's channel, in blocks of departure geometries on
-    `_synthesis_threads()` threads; the caller checks the values.
+    """Fill `out`, the caller's complex64 or complex128 coefficients and
+    float64 delays arrays, with one segment's channel, in blocks of departure
+    geometries on `_synthesis_threads()` threads, each computed in complex128
+    and rounded to the coefficients' dtype as stored; the caller checks values.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
     id), and each block writes only its own (user, cluster) slots, so no
@@ -239,9 +240,9 @@ def synthesize(
     coefficients, delays = out
     if coefficients.shape != shape or delays.shape != shape[:1] + shape[3:]:
         raise ValueError(f"output arrays do not have the segment's shape {shape}")
-    if (coefficients.dtype, delays.dtype) != (np.complex128, np.float64):
+    if coefficients.dtype not in (np.complex64, np.complex128) or delays.dtype != np.float64:
         got = f"{coefficients.dtype} and {delays.dtype}"
-        raise ValueError(f"output arrays must be complex128 and float64, got {got}")
+        raise ValueError(f"output arrays must be complex64/128 and float64, got {got}")
     ref_index = array.reference_subarray.index
 
     # The arrival side of every slot at once, in (user, cluster, snapshot,

@@ -45,6 +45,17 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _object(value, context: str, known) -> dict:
+    """`value` if it is an object whose keys are all in `known`: no typo
+    silently takes a default."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be an object")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{context}.{key}: unknown key (known: {', '.join(known)})")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key '{key}'")
@@ -89,12 +100,13 @@ def _parse_tracks(users: list, context: str) -> list[Track]:
     tracks = []
     for idx, spec in enumerate(users):
         ctx = f"{context}.users[{idx}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{ctx}: expected an object")
+        listed = isinstance(spec, dict) and "points_m" in spec
+        form = ("points_m",) if listed else ("start_m", "heading_deg", "n_snapshots")
+        _object(spec, ctx, ("user_id", "snapshot_spacing_m", *form))
         user_id = _typed(spec, "user_id", ctx, int)
         spacing = _typed(spec, "snapshot_spacing_m", ctx, float)
         try:
-            if "points_m" in spec:
+            if listed:
                 points = tuple(
                     _position(p, f"{ctx}.points_m[{i}]")
                     for i, p in enumerate(spec["points_m"])
@@ -120,7 +132,10 @@ def _parse_tracks(users: list, context: str) -> list[Track]:
 
 
 def _parse_elements(array_spec: dict, context: str):
-    if "element_positions_m" in array_spec:
+    explicit = isinstance(array_spec, dict) and "element_positions_m" in array_spec
+    ula = ("origin_m", "axis", "n_elements", "spacing_m")
+    _object(array_spec, context, ("element_positions_m",) if explicit else ula)
+    if explicit:
         return [
             _position(p, f"{context}.element_positions_m[{i}]")
             for i, p in enumerate(array_spec["element_positions_m"])
@@ -131,34 +146,28 @@ def _parse_elements(array_spec: dict, context: str):
     spacing = _typed(array_spec, "spacing_m", context, float)
     try:
         return uniform_linear_array(
-            n_elements=n_elements,
-            spacing_m=spacing,
-            origin=origin,
-            axis=axis,
+            n_elements=n_elements, spacing_m=spacing, origin=origin, axis=axis
         )
     except ValueError as e:
         raise ConfigError(f"{context}: {e}") from None
 
 
 def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    # "workers" is retired: synthesis threads follow the CPUs.
+    _object(raw, "config", ("seed", "scenario", "layout", "output", "workers"))
     scen_raw = _require(raw, "scenario", "config")
-    if not isinstance(scen_raw, dict):
-        raise ConfigError("config.scenario must be an object")
+    _object(scen_raw, "config.scenario", [f.name for f in fields(ScenarioConfig)])
     for f in fields(ScenarioConfig):
         if f.name in scen_raw:
             _typed(scen_raw, f.name, "config.scenario", int if f.type == "int" else float)
     try:
         scenario = ScenarioConfig(**scen_raw)
-    except TypeError as e:
-        raise ConfigError(f"config.scenario: {e}") from None
-    except ChannelModelError as e:
+    except (TypeError, ChannelModelError) as e:  # a missing key, an invalid scenario
         raise ConfigError(f"config.scenario: {e}") from None
 
     layout_raw = _require(raw, "layout", "config")
-    if not isinstance(layout_raw, dict):
-        raise ConfigError("config.layout must be an object")
+    layout_keys = ("users", "array", "stationarity_user_m", "bs_stationarity_m")
+    _object(layout_raw, "config.layout", layout_keys)
     tracks = _parse_tracks(_require(layout_raw, "users", "config.layout"), "config.layout")
     elements = _parse_elements(
         _require(layout_raw, "array", "config.layout"), "config.layout.array"
@@ -175,9 +184,7 @@ def parse_config(raw: dict) -> RunConfig:
     except (ChannelModelError, ValueError) as e:
         raise ConfigError(f"config.layout: {e}") from None
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("config.output must be an object")
+    output = _object(raw.get("output", {}), "config.output", ("format", "dir"))
     out_format = output.get("format", "binary")
     if out_format not in FORMATS:
         raise ConfigError(

@@ -72,11 +72,11 @@ def run(config: RunConfig) -> RunResult:
     lsp_draw = draw_lsp(config.scenario, layout, config.seed)
     segments = [run_segment(config, lsp_draw, table) for table in share_tables(config)]
 
-    # One run tensor; each segment fills its own snapshot slice.
+    # One run tensor, complex64 as in channel.bin; segments fill its snapshot slices.
     n_users, n_clusters = len(layout.user_ids), config.total_clusters_per_user
     n_snap = sum(s.n_snapshots for s in layout.segments)
     coefficients = np.empty(
-        (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex128
+        (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex64
     )
     delays = np.empty((n_users, n_clusters, n_snap))
     for seg in segments:

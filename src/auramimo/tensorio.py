@@ -10,6 +10,9 @@ Binary layout (all little-endian):
               snapshot) row-major
     delays    float64, (user, cluster, snapshot) row-major
 
+A run computes its tensor in complex128 and holds it in complex64, the
+body's precision: it is written without conversion and reads back bit-equal.
+
 The text mode is a plain TSV for small runs: one row per tensor entry.
 """
 
@@ -36,12 +39,9 @@ def write_tensor_binary(tensor: ChannelTensor, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(header.tobytes())
-        # One user at a time through one float32 buffer: no whole-tensor
-        # copy, no fresh copy per user.
-        block = np.empty(tensor.coefficients.shape[1:], dtype="<c8")
+        # One user at a time: a complex64 tensor is written without a copy.
         for user_block in tensor.coefficients:
-            np.copyto(block, user_block)
-            f.write(block)
+            f.write(np.ascontiguousarray(user_block, dtype="<c8"))
         f.write(np.ascontiguousarray(tensor.delays, dtype="<f8").tobytes())
 
 
@@ -63,16 +63,14 @@ def read_tensor_binary(path) -> ChannelTensor:
             raise ValueError("truncated delay block")
         if body > size:
             raise ValueError(f"trailing bytes: {body - size} beyond the {size}-byte body")
-        coeff = np.empty(dims, dtype=np.complex128)
-        block = np.empty(dims[1:], dtype="<c8")  # one user at a time, as written
-        for user_block in coeff:
-            f.readinto(block)
-            user_block[...] = block
-        delays = np.frombuffer(f.read(8 * n_delay), dtype="<f8")
+        coeff, delays = np.empty(dims, "<c8"), np.empty(delay_dims, "<f8")
+        for name, block in (("coefficient", coeff), ("delay", delays)):
+            if (n := f.readinto(block)) != block.nbytes:  # cut short since fstat
+                raise ValueError(f"truncated {name} block: {n} of {block.nbytes} bytes")
     return ChannelTensor(
         user_ids=tuple(range(dims[0])),
         coefficients=coeff,
-        delays=delays.reshape(delay_dims).copy(),
+        delays=delays,
         carrier_hz=float(header["carrier_hz"]),
         seed=int(header["seed"]),
     )

@@ -165,6 +165,61 @@ def test_config_with_retired_workers_key_still_loads():
     )
 
 
+# A misspelled optional key took its default: "heading" ran the track
+# along +x, "outptu" wrote binary. Keys of the other form of a track or an
+# array were ignored the same way.
+UNKNOWN_KEYS = [
+    pytest.param((), "outptu", {"format": "text"}, id="root"),
+    pytest.param(("scenario",), "carrier_ghz", 3.5, id="scenario"),
+    pytest.param(("layout",), "stationarity_m", 5.0, id="layout"),
+    pytest.param(("layout", "array"), "n_element", 32, id="array"),
+    pytest.param(("layout", "users", 1), "heading", 90.0, id="user"),
+    pytest.param(("output",), "fromat", "text", id="output"),
+    pytest.param(("layout", "users", 1), "points_m", [[33.0, 0.0, 1.5]], id="user-both-forms"),
+    pytest.param(
+        ("layout", "array"), "element_positions_m", [[0.0, 0.0, 10.0]], id="array-both-forms"
+    ),
+]
+
+
+@pytest.mark.parametrize("path,key,value", UNKNOWN_KEYS)
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, path, key, value):
+    raw = base_raw(output={"format": "binary"})
+    spec = raw
+    for step in path:
+        spec = spec[step]
+    spec[key] = value
+    # Beside a point list the first key of the linear form is the unknown one.
+    bad = {"points_m": "start_m", "element_positions_m": "n_elements"}.get(key, key)
+    key_path = "config" + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in (*path, bad)
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert str(excinfo.value).startswith(f"{key_path}: unknown key (known: ")
+    assert main(["plan", "--config", str(write_config(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: {key_path}: unknown key")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("layout",), ("layout", "array"), ("layout", "users", 0), ("output",)],
+    ids=["layout", "array", "user", "output"],
+)
+def test_non_object_exits_2_naming_its_path(tmp_path, capsys, path):
+    # A number as the array ended in a TypeError traceback.
+    raw = base_raw(output={"format": "binary"})
+    spec = raw
+    for step in path[:-1]:
+        spec = spec[step]
+    spec[path[-1]] = 5
+    key_path = "config" + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in path
+    )
+    assert main(["plan", "--config", str(write_config(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err == f"ConfigError: {key_path} must be an object\n"
+
+
 def _with_point(key: str, value: float) -> dict:
     raw = base_raw()
     layout = raw["layout"]
@@ -487,8 +542,8 @@ def test_cli_metrics_reads_tensor_back(tmp_path, capsys):
         assert got.keys() == want.keys() == {("0", "1"), ("0", "2"), ("1", "2")}
         for key, values in want.items():
             assert len(got[key]) == len(values) == (1 if kind.endswith("mean") else 4)
-            # The tensor file stores float32 coefficients.
-            assert np.max(np.abs(np.subtract(got[key], values))) <= 1e-6, (kind, key)
+            # The run holds the complex64 values the tensor file stores.
+            assert got[key] == values, (kind, key)
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from auramimo import (
     write_tensor_binary,
     write_tensor_text,
 )
+from auramimo import tensorio
+from auramimo.cli import main
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 
@@ -215,6 +220,53 @@ def test_binary_body_is_the_whole_tensor_in_float32(tmp_path, rng):
     assert len(data) == head + len(body) + tensor.delays.nbytes
     back = read_tensor_binary(path)
     assert np.array_equal(back.coefficients, coeff.astype(np.complex64))
+
+
+def test_complex128_and_its_complex64_rounding_write_the_same_bytes(tmp_path, rng):
+    coeff = rng.normal(size=(3, 1, 5, 2, 4)) + 1j * rng.normal(size=(3, 1, 5, 2, 4))
+    delays = np.abs(rng.normal(size=(3, 2, 4))) * 1e-7
+    full = _tensor(coeff, delays)
+    rounded = dataclasses.replace(full, coefficients=coeff.astype(np.complex64))
+    write_tensor_binary(full, tmp_path / "full.bin")
+    write_tensor_binary(rounded, tmp_path / "rounded.bin")
+    assert (tmp_path / "full.bin").read_bytes() == (tmp_path / "rounded.bin").read_bytes()
+    back = read_tensor_binary(tmp_path / "rounded.bin")
+    assert back.coefficients.dtype == np.complex64
+    assert back.coefficients.tobytes() == rounded.coefficients.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cut, block",
+    [(8, "delay"), (8 * 64 + 4, "coefficient")],  # 64 delays
+)
+def test_binary_cut_short_after_the_size_check_raises(
+    tmp_path, monkeypatch, capsys, rng, cut, block
+):
+    # The file shrinks between fstat and the reads: a short readinto must
+    # raise, not hand back the uninitialised rest of the array. 32 KiB of
+    # coefficients: more than the reader buffers when it reads the header.
+    shape = (2, 1, 64, 2, 16)
+    coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    path = tmp_path / "t.bin"
+    write_tensor_binary(_tensor(coeff), path)
+    whole = path.read_bytes()
+    real_fstat = os.fstat
+
+    def fstat_then_cut(fd):
+        stat = real_fstat(fd)
+        os.truncate(path, stat.st_size - cut)
+        return stat
+
+    def cut_short(read):
+        path.write_bytes(whole)
+        with monkeypatch.context() as patch:
+            patch.setattr(tensorio.os, "fstat", fstat_then_cut)
+            return read(path)
+
+    with pytest.raises(ValueError, match=f"^truncated {block} block: "):
+        cut_short(read_tensor_binary)
+    assert cut_short(lambda p: main(["metrics", "--tensor", str(p)])) == 3
+    assert capsys.readouterr().err.startswith(f"ValueError: truncated {block} block: ")
 
 
 def test_binary_rejects_truncated_coefficients(tmp_path, rng):
