@@ -1,8 +1,8 @@
 """Initial cluster parameters: delays, powers, arrival and per-sub-array
 departure angles, generated per sharing group from one member's LSPs.
 
-Shared clusters are single objects referenced from every owner's list;
-per-user parameter views are materialized later by the sharing module.
+Each cluster is built once and holds what was drawn for it; its focal
+points belong to the owner views the sharing module builds from it.
 RNG streams are keyed by (segment, group) so groups can be generated in
 any order or in parallel without changing a single draw.
 """
@@ -23,10 +23,10 @@ from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 class ClusterGeometry(NamedTuple):
     """Focal points and path lengths of one cluster seen from one user
     position, one per cluster of a `spherical.solve_cluster_geometry`
-    call, as read-only arrays: the LBS (3,), one FBS per sub-array (A, 3),
-    the departure leg lengths (A,) and the signed interior leg. A boresight
-    cluster has both focal points at the user, direct-path legs and no
-    interior. The field names are those of `sharing.OwnerView`."""
+    call: the LBS (3,), one FBS per sub-array (A, 3), the departure leg
+    lengths (A,) and the signed interior leg. A boresight cluster has both
+    focal points at the user, direct-path legs and no interior. The owner
+    view that holds it (same field names) makes its arrays read-only."""
 
     lbs: np.ndarray
     fbs: np.ndarray
@@ -39,10 +39,10 @@ class Cluster:
     """One multipath cluster with per-sub-array departure parameters.
 
     `power_raw` is the within-group share; `ClusterSet.effective_power`
-    renormalizes it for each owner. `geometry` (one LBS, A FBS and the
-    path lengths) is None until `spherical.attach_focal_points` returns
-    a copy with it. Every array it holds, the geometry's included, is
-    read-only.
+    renormalizes it for each owner. Its focal points depend on where the
+    cluster is seen from, so they are held by its owner views
+    (`sharing.OwnerView`), not by the cluster. Its departure angle arrays
+    are read-only.
     """
 
     cluster_id: int
@@ -56,15 +56,10 @@ class Cluster:
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
     boresight: bool = False
-    geometry: ClusterGeometry | None = None
 
     def __post_init__(self) -> None:
-        arrays = [self.aod_az_deg, self.aod_el_deg]
-        if self.geometry is not None:
-            arrays += [self.geometry.lbs, self.geometry.fbs, self.geometry.e_len_m]
-        for a in arrays:
-            if a is not None:
-                read_only(a)
+        read_only(self.aod_az_deg)
+        read_only(self.aod_el_deg)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .grouping import ShareTable, share_table_for_segment
 from .lsp import draw_lsp
 from .metrics import MetricsReport, correlation_metrics
-from .sharing import MODE_KEPT_PARAMETERS, OwnerViews, recalculate_views, share_clusters
+from .sharing import MODE_KEPT_FOCAL, OwnerViews, recalculate_views, share_clusters
 from .spherical import attach_focal_points
 from .tables import write_tables
 from .tensorio import write_tensor_binary, write_tensor_text
@@ -61,8 +61,8 @@ def run_segment(config: RunConfig, lsp_draw, table: ShareTable) -> SegmentResult
     of `table`."""
     layout = config.layout
     clusters = assemble_clusters(table, lsp_draw, layout, config.scenario, config.seed)
-    clusters = attach_focal_points(clusters, layout)
-    shared = share_clusters(clusters, layout)
+    geometries = attach_focal_points(clusters, layout)
+    shared = share_clusters(clusters, geometries)
     views = recalculate_views(shared, clusters, layout)
     return SegmentResult(share_table=table, cluster_set=clusters, views=views)
 
@@ -117,16 +117,11 @@ def _fill_sharing_and_planar_metrics(
                 len(ids[u] & ids[v]) for ids in per_segment
             )
 
-    # Every other view departs from its cluster's FBS set.
+    # A kept-focal-point view departs from its generator view's FBS set.
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
         fbs = np.stack(
-            [c.geometry.fbs for c in seg.cluster_set.clusters.values()]
-            + [
-                v.fbs
-                for v in seg.views.views.values()
-                if v.recalc_mode == MODE_KEPT_PARAMETERS
-            ]
+            [v.fbs for v in seg.views.views.values() if v.recalc_mode != MODE_KEPT_FOCAL]
         )
         errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
         worst = np.maximum(worst, errors.max(axis=0))

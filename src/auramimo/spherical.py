@@ -19,13 +19,12 @@ at most EPSILON_M flags a row and no angle redraw can add excess path.
 Zero-excess-delay (boresight) clusters, one per sharing group, are
 exempt: they collapse both focal points onto the user position, the
 direct path for every element, without geometry the delay cannot
-support.
+support. The owner views, not the clusters, hold the focal points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -104,10 +103,12 @@ def solve_cluster_geometry(
     return geometries, (e_degenerate.any(axis=1) | g_degenerate) & ~boresight
 
 
-def attach_focal_points(cluster_set: ClusterSet, layout: UserLayout) -> ClusterSet:
-    """A new set whose clusters carry one LBS and A FBS each, seen from
-    their generating users' segment-start positions; the input set is
-    left as it is.
+def attach_focal_points(
+    cluster_set: ClusterSet, layout: UserLayout
+) -> dict[int, ClusterGeometry]:
+    """Every cluster's geometry (one LBS and A FBS) by cluster id, seen
+    from its generating user's segment-start position, for the generator
+    views of `sharing.share_clusters`; the clusters are left as they are.
 
     The whole segment is one `solve_cluster_geometry` call. A degenerate
     cluster raises DegenerateGeometry: for rows under about 2 500 km the
@@ -124,5 +125,4 @@ def attach_focal_points(cluster_set: ClusterSet, layout: UserLayout) -> ClusterS
             f"cluster {bad.cluster_id}: no focal points from generating user "
             f"{bad.generating_user}"
         )
-    attached = [replace(c, geometry=g) for c, g in zip(clusters, geometries)]
-    return replace(cluster_set, clusters={c.cluster_id: c for c in attached})
+    return {c.cluster_id: g for c, g in zip(clusters, geometries)}

@@ -38,7 +38,7 @@ from auramimo import (
     share_table_for_segment,
     solve_focal_lengths,
 )
-from auramimo.clustergen import Cluster, ClusterGeometry
+from auramimo.clustergen import Cluster
 from auramimo.pipeline import run, write_outputs
 from auramimo.tables import param_header
 from auramimo.sharing import (
@@ -291,9 +291,10 @@ def test_c05_parameter_count(check):
             assert clusters.clusters
             for cluster in clusters.clusters.values():
                 assert len(cluster.aod_az_deg) == len(cluster.aod_el_deg) == n_subarrays
-            clusters = attach_focal_points(clusters, layout)
+            geometries = attach_focal_points(clusters, layout)
             for cluster in clusters.clusters.values():
-                assert len(cluster.aod_az_deg) == len(cluster.geometry.fbs) == n_subarrays
+                fbs = geometries[cluster.cluster_id].fbs
+                assert len(cluster.aod_az_deg) == len(fbs) == n_subarrays
             # Table columns: 4 + 2A scalars (delay, power, AoA az/el, AoD
             # az/el per sub-array), then the LBS and A FBS positions.
             columns = param_header(n_subarrays).split("\t")
@@ -434,8 +435,7 @@ def test_c11_recalc_fixed_point(check):
         lsp = draw_lsp(config.scenario, layout, config.seed)
         table = share_table_for_segment(layout, 0, config.total_clusters_per_user)
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
-        clusters = attach_focal_points(clusters, layout)
-        shared_views = share_clusters(clusters, layout)
+        shared_views = share_clusters(clusters, attach_focal_points(clusters, layout))
 
         shared = [c for c in clusters.clusters.values() if len(c.owner_set) == 2]
         assert shared
@@ -475,17 +475,11 @@ def test_c11_recalc_fixed_point(check):
             aoa_el_deg=0.0,
             aod_az_deg=np.array([5.0]),
             aod_el_deg=np.array([0.0]),
-            geometry=ClusterGeometry(
-                np.array([3 * segment_length, 0.0, 1.5]),
-                np.zeros((0, 3)),
-                np.zeros(1),
-                0.0,
-            ),
         )
-        assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_PARAMETERS
+        at = np.array([3 * segment_length, 0.0, 1.5])
+        assert choose_recalc_mode(probe, at, owner, segment_length) == MODE_KEPT_PARAMETERS
         inside = np.array([3 * segment_length - 1e-9, 0.0, 1.5])
-        probe = replace(probe, geometry=probe.geometry._replace(lbs=inside))
-        assert choose_recalc_mode(probe, owner, segment_length) == MODE_KEPT_FOCAL
+        assert choose_recalc_mode(probe, inside, owner, segment_length) == MODE_KEPT_FOCAL
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from auramimo import MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, pipeline
+from auramimo import MODE_GENERATOR, MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, pipeline
 from test_pipeline import make_run_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -62,8 +62,12 @@ def test_counters_read_the_run_result(tmp_path):
     assert counts["sharing.views_kept_focal"] == modes.count(MODE_KEPT_FOCAL) > 0
     assert counts["sharing.views_kept_parameters"] == modes.count(MODE_KEPT_PARAMETERS) > 0
     assert counts["sharing.clamped_views"] == sum(v.interior_raw_m < 0.0 for v in views) > 0
-    # One FBS solve per sub-array and one LBS solve per cluster with excess delay.
-    solves = sum(len(c.geometry.fbs) + 1 for c in clusters if not c.boresight)
+    # One FBS solve per sub-array and one LBS solve per cluster with excess
+    # delay, each cluster's FBS set read from its generator view.
+    generators = {v.cluster_id: v for v in views if v.recalc_mode == MODE_GENERATOR}
+    solves = sum(
+        len(generators[c.cluster_id].fbs) + 1 for c in clusters if not c.boresight
+    )
     assert counts["spherical.focal_solves"] == solves > 0
 
 

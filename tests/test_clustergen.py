@@ -12,6 +12,7 @@ from auramimo import (
     gen_delays,
     gen_departure_angles,
     gen_powers,
+    share_clusters,
     share_table_for_segment,
 )
 from auramimo.clustergen import Cluster, ClusterGeometry, group_rng
@@ -175,32 +176,46 @@ def test_clusters_are_frozen():
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
-    # A hand-built geometry is frozen by the cluster that holds it.
+    # A hand-built geometry is frozen by the generator view that holds it.
     geometry = ClusterGeometry(np.zeros(3), np.ones((2, 3)), np.ones(2), 0.0)
-    dataclasses.replace(cluster, geometry=geometry)
+    share_clusters(assembled, dict.fromkeys(assembled.clusters, geometry))
     for a in geometry[:3]:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
 
     # Frozen all the way down: every array of every cluster and owner view
-    # of a two-segment run is read-only, kept-focal angles included.
+    # of a two-segment run is read-only, kept-focal angles included; the
+    # focal points are the views' arrays.
     result = run(make_run_config(n_snapshots=20))
     assert len(result.segments) == 2
     views = [v for seg in result.segments for v in seg.views.views.values()]
     clusters = [c for seg in result.segments for c in seg.cluster_set.clusters.values()]
     boresight = {c.cluster_id for c in clusters if c.boresight}  # ids are run-unique
     assert any(v.recalc_mode == MODE_KEPT_FOCAL and v.cluster_id not in boresight for v in views)
-    arrays = [
-        a
-        for c in clusters
-        for a in (c.aod_az_deg, c.aod_el_deg, *c.geometry[:3])
-    ]
+    arrays = [a for c in clusters for a in (c.aod_az_deg, c.aod_el_deg)]
     arrays += [
         a for v in views for a in (v.aod_az_deg, v.aod_el_deg, v.lbs, v.fbs, v.e_len_m)
     ]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+
+
+def test_each_cluster_is_built_once(monkeypatch):
+    # Focal points go into the owner views, so a run builds each of its
+    # clusters once: no second, attached copy of any cluster.
+    built = []
+    original = Cluster.__post_init__
+
+    def counting(self):
+        built.append(self.cluster_id)
+        original(self)
+
+    monkeypatch.setattr(Cluster, "__post_init__", counting)
+    result = run(make_run_config(n_snapshots=20))
+    clusters = [c for seg in result.segments for c in seg.cluster_set.clusters.values()]
+    assert len(result.segments) == 2 and clusters
+    assert sorted(built) == sorted(c.cluster_id for c in clusters)
 
 
 def test_generating_user_uniform_over_members():

@@ -176,8 +176,8 @@ def _full_tensor(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout)
-    views = recalculate_views(share_clusters(cs, layout), cs, layout)
+    shared = share_clusters(cs, attach_focal_points(cs, layout))
+    views = recalculate_views(shared, cs, layout)
     tensor = synthesize_segment(views, layout, scenario.carrier_hz, seed=seed)
     return tensor, views, layout
 
@@ -496,8 +496,8 @@ def _seeded_views(rng, seed):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout)
-    views = recalculate_views(share_clusters(cs, layout), cs, layout)
+    shared = share_clusters(cs, attach_focal_points(cs, layout))
+    views = recalculate_views(shared, cs, layout)
     return views, layout, cs
 
 
@@ -786,10 +786,9 @@ def _two_segment_views(rng, seed):
     for segment in layout.segments:
         table = share_table_for_segment(layout, segment.index, total, id_base=id_base)
         id_base = max(table.cluster_ids) + 1
-        cs = attach_focal_points(assemble_clusters(table, lsp, layout, scenario, seed), layout)
-        segments.append(
-            recalculate_views(share_clusters(cs, layout), cs, layout)
-        )
+        cs = assemble_clusters(table, lsp, layout, scenario, seed)
+        shared = share_clusters(cs, attach_focal_points(cs, layout))
+        segments.append(recalculate_views(shared, cs, layout))
     return segments, layout, total
 
 

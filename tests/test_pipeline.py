@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from auramimo import (
+    MODE_GENERATOR,
     MODE_KEPT_PARAMETERS,
     ChannelTensor,
     coefficients,
@@ -309,14 +310,18 @@ def test_planar_error_once_per_segment(monkeypatch):
         calls.clear()
         result = run(config)
         assert len(calls) == len(result.segments) == 2
-        # One call stacks every cluster's FBS set and those of the
-        # kept-parameters views: every other view copies its cluster's.
+        # One call stacks the FBS sets of the generator and
+        # kept-parameters views: a kept-focal-point view copies its
+        # generator view's.
         for fbs, seg in zip(calls, result.segments):
-            want = [c.geometry.fbs for c in seg.cluster_set.clusters.values()] + [
+            want = [
                 v.fbs
                 for v in seg.views.views.values()
-                if v.recalc_mode == MODE_KEPT_PARAMETERS
+                if v.recalc_mode in (MODE_GENERATOR, MODE_KEPT_PARAMETERS)
             ]
+            assert len(want) == len(seg.cluster_set.clusters) + sum(
+                v.recalc_mode == MODE_KEPT_PARAMETERS for v in seg.views.views.values()
+            )
             assert np.array_equal(fbs, want)
             assert len(fbs) < len(seg.views.views)
         # The max over every view, one view at a time, as before.

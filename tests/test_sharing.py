@@ -30,7 +30,7 @@ from auramimo.spherical import solve_cluster_geometry
 from conftest import make_random_config, make_scenario, make_two_user_layout
 
 
-def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=None):
+def _cluster():
     return Cluster(
         cluster_id=0,
         segment_index=0,
@@ -42,7 +42,6 @@ def _cluster_with_lbs(lbs, fbs=np.zeros((0, 3)), e_len_m=None, interior_raw_m=No
         aoa_el_deg=0.0,
         aod_az_deg=np.array([5.0]),
         aod_el_deg=np.array([0.0]),
-        geometry=ClusterGeometry(lbs, fbs, e_len_m, interior_raw_m),
     )
 
 
@@ -66,9 +65,9 @@ def _mode_case(lbs_distance, expected, boresight=False):
 )
 def test_mode_threshold_three_segment_lengths(lbs_distance, boresight, expected):
     owner = (0.0, 0.0, 1.5)
-    cluster = _cluster_with_lbs(np.array([lbs_distance, 0.0, 1.5]))
-    cluster = replace(cluster, boresight=boresight)
-    assert choose_recalc_mode(cluster, owner, segment_length_m=5.0) == expected
+    lbs = np.array([lbs_distance, 0.0, 1.5])
+    cluster = replace(_cluster(), boresight=boresight)
+    assert choose_recalc_mode(cluster, lbs, owner, segment_length_m=5.0) == expected
 
 
 def _full_pipeline(layout, seed=3, total=7):
@@ -76,13 +75,18 @@ def _full_pipeline(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    cs = attach_focal_points(cs, layout)
-    views = share_clusters(cs, layout)
+    views = share_clusters(cs, attach_focal_points(cs, layout))
     return cs, views, layout
+
+
+def _generator(views, cluster):
+    """The generator view of `cluster` in `views`."""
+    return views.views[cluster.generating_user, cluster.cluster_id]
 
 
 def test_share_clusters_verbatim_and_power():
     cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    geometries = attach_focal_points(cs, layout)
     # Only the generator views, in sorted (user, cluster) order.
     assert list(views.views) == sorted(
         (c.generating_user, c.cluster_id) for c in cs.clusters.values()
@@ -91,7 +95,7 @@ def test_share_clusters_verbatim_and_power():
         cluster = cs.clusters[cid]
         assert view.recalc_mode == MODE_GENERATOR
         assert view.delay_s == cluster.tau_s
-        assert np.array_equal(view.lbs, cluster.geometry.lbs)
+        assert np.array_equal(view.lbs, geometries[cid].lbs)
         assert view.power == cs.effective_power(user, cid)
 
 
@@ -103,7 +107,13 @@ def test_share_clusters_without_focal_points_is_a_typed_error():
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
     first = min(cs.clusters)
     with pytest.raises(IncompleteViews, match=f"cluster {first} has no focal points"):
-        share_clusters(cs, layout)
+        share_clusters(cs, {})
+    # One missing geometry is named, whichever cluster it is.
+    geometries = attach_focal_points(cs, layout)
+    last = max(cs.clusters)
+    del geometries[last]
+    with pytest.raises(IncompleteViews, match=f"cluster {last} has no focal points"):
+        share_clusters(cs, geometries)
 
 
 def _shared_nonboresight(cs):
@@ -149,7 +159,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
         assert np.array_equal(view.aod_el_deg, cluster.aod_el_deg)
         # Focal points are re-solved against the owner.
-        assert not np.array_equal(view.lbs, cluster.geometry.lbs)
+        assert not np.array_equal(view.lbs, _generator(shared, cluster).lbs)
         for sub in subs:
             d_c = total_path_length(cluster.tau_s, sub.center, owner_pos)
             got = view.e_len_m[sub.index] + math.dist(view.fbs[sub.index], owner_xyz)
@@ -180,13 +190,14 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         owner = _joining(cluster)
         owner_pos = layout.segment_start_position(owner, 0)
         view = views.views[owner, cluster.cluster_id]
+        generator = _generator(shared, cluster)
         assert view.recalc_mode == MODE_KEPT_FOCAL
-        assert np.array_equal(view.lbs, cluster.geometry.lbs)
-        assert np.array_equal(view.fbs, cluster.geometry.fbs)
-        assert np.array_equal(view.e_len_m, cluster.geometry.e_len_m)
+        assert np.array_equal(view.lbs, generator.lbs)
+        assert np.array_equal(view.fbs, generator.fbs)
+        assert np.array_equal(view.e_len_m, generator.e_len_m)
         # Arrival azimuth is the atan2 bearing from owner to the LBS.
-        dx = cluster.geometry.lbs[0] - owner_pos[0]
-        dy = cluster.geometry.lbs[1] - owner_pos[1]
+        dx = generator.lbs[0] - owner_pos[0]
+        dy = generator.lbs[1] - owner_pos[1]
         expected_az = math.degrees(math.atan2(dy, dx))
         assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
         assert view.delay_s >= 0.0
@@ -201,14 +212,15 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             if len(cluster.owner_set) < 2:
                 continue
             view = views.views[_joining(cluster), cluster.cluster_id]
+            generator = _generator(shared, cluster)
             modes.add(view.recalc_mode)
             assert view.delay_s == cluster.tau_s
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
-            assert np.array_equal(view.lbs, cluster.geometry.lbs)
-            assert np.array_equal(view.fbs, cluster.geometry.fbs)
-            assert view.interior_raw_m == cluster.geometry.interior_raw_m
+            assert np.array_equal(view.lbs, generator.lbs)
+            assert np.array_equal(view.fbs, generator.fbs)
+            assert view.interior_raw_m == generator.interior_raw_m
     assert modes == {MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL}
 
 
@@ -225,14 +237,15 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-    to_lbs = cluster.geometry.lbs - gen_pos
+    generator = _generator(shared, cluster)
+    to_lbs = generator.lbs - gen_pos
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
     owner = _joining(cluster)
     moved = _move_user(_with_segment_length(layout, KEEP_FOCAL_M), owner, gen_pos + step)
     view = recalculate_views(shared, cs, moved).views[owner, cluster.cluster_id]
     assert view.recalc_mode == MODE_KEPT_FOCAL
-    assert view.delay_s < cluster.tau_s
-    assert cluster.tau_s - view.delay_s > 1e-15
+    assert view.delay_s < generator.delay_s
+    assert generator.delay_s - view.delay_s > 1e-15
 
 
 def test_kept_focal_delay_floors_at_zero():
@@ -241,20 +254,20 @@ def test_kept_focal_delay_floors_at_zero():
     # (35, 0, 1.5).
     layout = make_two_user_layout(5.0)
     n_sub = len(layout.array.subarrays)
-    cluster = _cluster_with_lbs(
-        np.array([30.0, 0.0, 1.5]),
+    geometry = ClusterGeometry(
+        lbs=np.array([30.0, 0.0, 1.5]),
         fbs=np.tile([30.0, 0.0, 1.5], (n_sub, 1)),
         e_len_m=np.zeros(n_sub),
         interior_raw_m=-100.0,
     )
     cs = ClusterSet(
         segment_index=0,
-        clusters={0: cluster},
+        clusters={0: _cluster()},
         by_user={1: (0,), 2: (0,)},
         power_denominator={1: 0.5, 2: 0.5},
     )
     layout = _with_segment_length(layout, KEEP_FOCAL_M)
-    view = recalculate_views(share_clusters(cs, layout), cs, layout).views[2, 0]
+    view = recalculate_views(share_clusters(cs, {0: geometry}), cs, layout).views[2, 0]
     assert view.recalc_mode == MODE_KEPT_FOCAL
     assert view.delay_s == 0.0
 
@@ -283,7 +296,8 @@ def test_recalculate_views_modes_and_power():
             else:
                 assert view.recalc_mode in (MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL)
                 owner_pos = layout.segment_start_position(user, 0)
-                expected = choose_recalc_mode(cluster, owner_pos, seg_len)
+                lbs = _generator(final, cluster).lbs
+                expected = choose_recalc_mode(cluster, lbs, owner_pos, seg_len)
                 assert view.recalc_mode == expected
         for user in (1, 2):
             total = sum(v.power for (u, _), v in final.views.items() if u == user)
@@ -310,21 +324,21 @@ def test_recalculated_views_are_deterministic():
 
 
 def _random_segments(seed):
-    """(layout, attached cluster set) of every segment of
-    `make_random_config(seed)`."""
+    """(layout, cluster set, geometries by cluster id) of every segment
+    of `make_random_config(seed)`."""
     config = make_random_config(seed)
     layout = config.layout
     lsp = draw_lsp(config.scenario, layout, seed)
     for table in share_tables(config):
         cs = assemble_clusters(table, lsp, layout, config.scenario, seed)
-        yield layout, attach_focal_points(cs, layout)
+        yield layout, cs, attach_focal_points(cs, layout)
 
 
 # The per-view recalculation as it was before the one-pass rewrite, kept
 # here as the reference of the gate below.
 
 
-def _verbatim_view(cluster, user_id, mode, power):
+def _verbatim_view(cluster, geometry, user_id, mode, power):
     return OwnerView(
         user_id=user_id,
         cluster_id=cluster.cluster_id,
@@ -335,7 +349,7 @@ def _verbatim_view(cluster, user_id, mode, power):
         aoa_el_deg=cluster.aoa_el_deg,
         aod_az_deg=cluster.aod_az_deg,
         aod_el_deg=cluster.aod_el_deg,
-        **cluster.geometry._asdict(),
+        **geometry._asdict(),
     )
 
 
@@ -345,23 +359,23 @@ def _at_generator(cluster, owner_pos, layout):
     return bool(np.array_equal(owner_pos, gen_pos))
 
 
-def recalc_kept_parameters(cluster, owner_id, owner_pos, layout, power):
+def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power):
     """Keep delay/power/angles; re-solve both focal points from the
     owner's position with the owner's own total path length."""
-    view = _verbatim_view(cluster, owner_id, MODE_KEPT_PARAMETERS, power)
+    view = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_PARAMETERS, power)
     if _at_generator(cluster, owner_pos, layout):
         return view
-    (geometry,), (degenerate,) = solve_cluster_geometry(
+    (solved,), (degenerate,) = solve_cluster_geometry(
         [cluster], owner_pos[None], layout.array
     )
     if degenerate:
         raise DegenerateGeometry(
             f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
         )
-    return replace(view, **geometry._asdict())
+    return replace(view, **solved._asdict())
 
 
-def recalc_kept_focal_point(cluster, owner_id, owner_pos, layout, power):
+def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power):
     """Keep both focal points; recompute angles from the frozen geometry
     and the delay from the owner's own end-to-end path length.
 
@@ -369,11 +383,10 @@ def recalc_kept_focal_point(cluster, owner_id, owner_pos, layout, power):
     generating position is an exact fixed point; the result is floored
     at zero.
     """
-    view = _verbatim_view(cluster, owner_id, MODE_KEPT_FOCAL, power)
+    view = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_FOCAL, power)
     if _at_generator(cluster, owner_pos, layout):
         return view
 
-    geometry = cluster.geometry
     aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
     aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
 
@@ -394,7 +407,7 @@ def recalc_kept_focal_point(cluster, owner_id, owner_pos, layout, power):
     )
 
 
-def _per_view_views(shared, cluster_set, layout):
+def _per_view_views(shared, cluster_set, geometries, layout):
     segment = layout.segments[cluster_set.segment_index]
     views = {}
     for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
@@ -403,13 +416,14 @@ def _per_view_views(shared, cluster_set, layout):
             view = shared.views.get((user_id, cluster_id))
             if view is None:
                 cluster = cluster_set.clusters[cluster_id]
+                geometry = geometries[cluster_id]
                 kept_focal = (
                     cluster.boresight
-                    or math.dist(cluster.geometry.lbs, owner_pos) < 3.0 * segment.length_m
+                    or math.dist(geometry.lbs, owner_pos) < 3.0 * segment.length_m
                 )
                 recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
                 power = cluster_set.effective_power(user_id, cluster_id)
-                view = recalc(cluster, user_id, owner_pos, layout, power)
+                view = recalc(cluster, geometry, user_id, owner_pos, layout, power)
             views[user_id, cluster_id] = view
     return views
 
@@ -432,10 +446,10 @@ def test_recalculate_views_equal_per_view_reference():
     seen = {"layouts": 0, "kept-parameters": 0, "co-located": 0}
     for seed in [*range(60), *range(100, 140)]:
         kept_parameters = co_located = False
-        for layout, cs in _random_segments(seed):
-            shared = share_clusters(cs, layout)
+        for layout, cs, geometries in _random_segments(seed):
+            shared = share_clusters(cs, geometries)
             new = recalculate_views(shared, cs, layout)
-            old = _per_view_views(shared, cs, layout)
+            old = _per_view_views(shared, cs, geometries, layout)
             assert new.segment_index == cs.segment_index
             assert list(new.views) == list(old) == sorted(old)
             for key, view in new.views.items():
@@ -468,9 +482,9 @@ def test_one_solve_per_segment(monkeypatch):
     monkeypatch.setattr(sharing, "solve_cluster_geometry", spy)
     seen = {"none": 0, "several": 0}
     for seed in range(40):
-        for layout, cs in _random_segments(seed):
+        for layout, cs, geometries in _random_segments(seed):
             calls.clear()
-            views = recalculate_views(share_clusters(cs, layout), cs, layout)
+            views = recalculate_views(share_clusters(cs, geometries), cs, layout)
             moved = _moved_kept_parameters(views, cs, layout)
             # Every moved kept-parameters view is a row of the one call.
             assert calls == ([moved] if moved else []), (seed, cs.segment_index)
@@ -483,8 +497,8 @@ def test_every_owned_cluster_has_one_view_and_each_user_full_power():
     modes = {MODE_GENERATOR, MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS}
     seen = {mode: 0 for mode in modes}
     for seed in range(100, 140):
-        for layout, cs in _random_segments(seed):
-            views = recalculate_views(share_clusters(cs, layout), cs, layout)
+        for layout, cs, geometries in _random_segments(seed):
+            views = recalculate_views(share_clusters(cs, geometries), cs, layout)
             pairs = [(u, c) for u, ids in cs.by_user.items() for c in ids]
             assert sorted(views.views) == sorted(pairs)
             assert len(set(pairs)) == len(pairs)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +17,7 @@ from auramimo import (
     total_path_length,
     uniform_linear_array,
 )
-from auramimo.clustergen import Cluster, ClusterSet
+from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
 from auramimo.layout import ArrayGeometry
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, unit_from_angles
@@ -195,15 +195,16 @@ def _attached(layout, seed=3):
     table = share_table_for_segment(layout, 0, 7)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    return attach_focal_points(cs, layout), layout
+    return cs, attach_focal_points(cs, layout), layout
 
 
 def test_attach_full_set_with_four_subarrays():
-    cs, layout = _attached(make_two_user_layout(2.0))
+    cs, geometries, layout = _attached(make_two_user_layout(2.0))
     subs = layout.array.subarrays
     ref = layout.array.reference_subarray.index
+    assert sorted(geometries) == sorted(cs.clusters)
     for c in cs.clusters.values():
-        geometry = c.geometry
+        geometry = geometries[c.cluster_id]
         assert geometry.lbs is not None and len(geometry.fbs) == 4
         # delay, power, arrival az/el, A departure az/el pairs, LBS, A FBS
         n_entries = 4 + len(c.aod_az_deg) + len(c.aod_el_deg) + 1 + len(geometry.fbs)
@@ -237,21 +238,20 @@ def test_attach_returns_a_new_set_and_leaves_the_input_alone():
     table = share_table_for_segment(layout, 0, 7)
     lsp = draw_lsp(scenario, layout, seed=3)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
-    # Clusters carry no focal points until they are attached.
-    assert all(c.geometry is None for c in cs.clusters.values())
+    # Clusters hold no focal points: those belong to the owner views.
+    assert "geometry" not in {f.name for f in fields(Cluster)}
     before = dict(cs.clusters)
+    by_user, denominator = dict(cs.by_user), dict(cs.power_denominator)
     attached = attach_focal_points(cs, layout)
-    assert attached is not cs
-    assert attached.segment_index == cs.segment_index
-    assert attached.by_user == cs.by_user
-    assert attached.power_denominator == cs.power_denominator
+    # A new mapping, one geometry per cluster id; the set is as it was.
+    assert type(attached) is dict
+    assert sorted(attached) == sorted(cs.clusters)
     assert cs.clusters.keys() == before.keys()
     assert all(cs.clusters[k] is c for k, c in before.items())
-    assert all(c.geometry is None for c in cs.clusters.values())
-    assert sorted(attached.clusters) == sorted(cs.clusters)
-    for cluster_id, c in attached.clusters.items():
-        assert c.geometry is not None
-        assert c.tau_s == cs.clusters[cluster_id].tau_s
+    assert cs.by_user == by_user and cs.power_denominator == denominator
+    for geometry in attached.values():
+        assert isinstance(geometry, ClusterGeometry)
+        assert geometry.fbs.shape == (layout.array.n_subarrays, 3)
 
 
 def _degenerate_cluster_set():
