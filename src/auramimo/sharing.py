@@ -68,6 +68,12 @@ class OwnerViews:
     views: dict[tuple[int, int], OwnerView] = field(repr=False, default_factory=dict)
 
 
+def _synthesized_delay(tau_s: float, interior_raw_m: float) -> float:
+    """The delay of a path solved for excess delay `tau_s`, as synthesized:
+    a negative interior leg is clamped to 0, which lengthens the path."""
+    return tau_s + max(0.0, -interior_raw_m) / SPEED_OF_LIGHT_M_S
+
+
 def choose_recalc_mode(
     cluster: Cluster, lbs: np.ndarray, owner_pos: np.ndarray, segment_length_m: float
 ) -> str:
@@ -92,18 +98,18 @@ def share_clusters(
     ):
         if cluster_id not in geometries:
             raise IncompleteViews(f"cluster {cluster_id} has no focal points")
-        cluster = cluster_set.clusters[cluster_id]
+        cluster, geometry = cluster_set.clusters[cluster_id], geometries[cluster_id]
         views[user_id, cluster_id] = OwnerView(
             user_id=user_id,
             cluster_id=cluster_id,
             recalc_mode=MODE_GENERATOR,
-            delay_s=cluster.tau_s,
+            delay_s=_synthesized_delay(cluster.tau_s, geometry.interior_raw_m),
             power=cluster_set.effective_power(user_id, cluster_id),
             aoa_az_deg=cluster.aoa_az_deg,
             aoa_el_deg=cluster.aoa_el_deg,
             aod_az_deg=cluster.aod_az_deg,
             aod_el_deg=cluster.aod_el_deg,
-            **geometries[cluster_id]._asdict(),
+            **geometry._asdict(),
         )
     return OwnerViews(segment_index=cluster_set.segment_index, views=views)
 
@@ -119,9 +125,9 @@ def recalculate_views(
     the generating user's position are recalculated: every
     kept-parameters pair in one `solve_cluster_geometry` call, every
     kept-focal-point pair in one angle pass, its delay from its own
-    end-to-end path length. That delay reuses the generator view's signed
-    interior length, so that the generating position is an exact fixed
-    point, and is floored at zero.
+    end-to-end path length. That delay reuses the generator view's
+    interior length, clamped at 0 as synthesis does, so that the
+    generating position is an exact fixed point, and is floored at zero.
     """
     segment = layout.segments[cluster_set.segment_index]
     position = layout.segment_start_position
@@ -154,7 +160,8 @@ def recalculate_views(
                 f"{joining[i][0]}"
             )
         for i, g in zip(resolve, geometries):
-            fields[i].update(g._asdict())
+            delay = _synthesized_delay(clusters[i].tau_s, g.interior_raw_m)
+            fields[i].update(g._asdict(), delay_s=delay)
 
     if refocus:
         kept = [generator_views[i] for i in refocus]
@@ -165,7 +172,8 @@ def recalculate_views(
         ref = layout.array.reference_subarray
         for j, (i, g) in enumerate(zip(refocus, kept)):
             owner = owners[i]
-            path = float(g.e_len_m[ref.index]) + g.interior_raw_m + math.dist(owner, g.lbs)
+            interior = max(g.interior_raw_m, 0.0)
+            path = float(g.e_len_m[ref.index]) + interior + math.dist(owner, g.lbs)
             delay = (path - math.dist(owner, ref.center)) / SPEED_OF_LIGHT_M_S
             fields[i].update(
                 delay_s=max(0.0, delay),

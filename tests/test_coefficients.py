@@ -208,20 +208,21 @@ def test_colocated_users_get_identical_rows():
 
 
 def test_generator_center_path_delay_closes():
-    # For an unclamped generator view the snapshot-0 delay is the excess
-    # delay plus the direct reference distance over c.
+    # For every view, clamped interiors and joining owners included, the
+    # snapshot-0 delay is the view's delay plus the direct reference
+    # distance over c, to within 1e-9 m of path.
     tensor, views, layout = _full_tensor(make_two_user_layout(2.0))
     ref_center = layout.array.reference_subarray.center
-    checked = 0
+    checked = []
     for k, user in enumerate(tensor.user_ids):
-        gen_pos = layout.segment_start_position(user, 0)
+        rx0 = layout.segment_start_position(user, 0)
         for c, view in enumerate(user_views(views, user)):
-            if view.recalc_mode != "generator" or view.interior_raw_m < 0:
-                continue
-            want = view.delay_s + math.dist(gen_pos, ref_center) / C0
-            assert tensor.delays[k, c, 0] == pytest.approx(want, rel=1e-9)
-            checked += 1
-    assert checked >= 5
+            want = view.delay_s * C0 + math.dist(rx0, ref_center)
+            assert abs(tensor.delays[k, c, 0] * C0 - want) <= 1e-9, (user, c)
+            checked.append((view.recalc_mode, view.interior_raw_m < 0.0))
+    assert len(checked) == 14
+    want = {("generator", True), ("kept-focal-point", False), ("kept-parameters", False)}
+    assert want <= set(checked), checked
 
 
 def test_drifting_delay_steps_bounded_by_snapshot_spacing():

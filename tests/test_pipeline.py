@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -18,6 +19,7 @@ from auramimo import (
     read_tensor_binary,
     synthesize,
 )
+from auramimo.geom import SPEED_OF_LIGHT_M_S
 from auramimo.pipeline import run, write_outputs
 from conftest import make_random_config, synthesize_segment
 
@@ -355,9 +357,8 @@ def _tsv_rows(path):
 
 def test_random_runs_write_consistent_files(tmp_path):
     # Seeded random layouts with co-located owners and short segments,
-    # so that kept-parameters views occur. The tables against the tensor
-    # (delays) are not compared: views with a clamped interior disagree.
-    seen = {"kept-parameters": 0, "co-located": 0}
+    # so that kept-parameters views occur.
+    seen = {"kept-parameters": 0, "co-located": 0, "clamped": 0}
     for seed in range(20):
         config = make_random_config(seed)
         users = config.layout.user_ids
@@ -377,8 +378,9 @@ def test_random_runs_write_consistent_files(tmp_path):
         assert set(totals.values()) == {config.total_clusters_per_user}, (seed, totals)
 
         # The reader numbers users by tensor position, in ascending id order.
-        reread = correlation_metrics(read_tensor_binary(dirs[0] / "channel.bin"))
-        reread = {(users[i], users[j]): v for (i, j), v in reread.pair_correlation_mean.items()}
+        tensor = read_tensor_binary(dirs[0] / "channel.bin")
+        reread = correlation_metrics(tensor).pair_correlation_mean
+        reread = {(users[i], users[j]): v for (i, j), v in reread.items()}
         written = {
             (int(r[1]), int(r[2])): float(r[3])
             for r in _tsv_rows(dirs[0] / "metrics.tsv")
@@ -387,8 +389,24 @@ def test_random_runs_write_consistent_files(tmp_path):
         # The run and the file hold the same complex64 values.
         assert reread == written, seed
 
+        # Every table row's delay is the path the tensor synthesizes: at a
+        # segment's start, delay_s + |rx0 - reference centre| / c. A user's
+        # rows of a segment are its cluster slots, in order.
+        ref_center = config.layout.array.reference_subarray.center
+        for k, user in enumerate(users):
+            slots = {}
+            for row in _tsv_rows(dirs[0] / f"clusters_user{user}.tsv"):
+                segment = config.layout.segments[int(row[0])]
+                c = slots[segment.index] = slots.get(segment.index, -1) + 1
+                rx0 = config.layout.segment_start_position(user, segment.index)
+                want = float(row[5]) * SPEED_OF_LIGHT_M_S + math.dist(rx0, ref_center)
+                got = tensor.delays[k, c, segment.first_snapshot] * SPEED_OF_LIGHT_M_S
+                assert abs(got - want) <= 1e-9, (seed, user, row[:2])
+        views = [v for seg in result.segments for v in seg.views.views.values()]
+        seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
+
         modes = {v.recalc_mode for seg in result.segments for v in seg.views.views.values()}
         seen["kept-parameters"] += MODE_KEPT_PARAMETERS in modes
         starts = [tuple(config.layout.segment_start_position(u, 0)) for u in users]
         seen["co-located"] += len(set(starts)) < len(starts)
-    assert seen["kept-parameters"] >= 5 and seen["co-located"] >= 5, seen
+    assert min(seen.values()) >= 5, seen

@@ -30,6 +30,12 @@ from auramimo.spherical import solve_cluster_geometry
 from conftest import make_random_config, make_scenario, make_two_user_layout
 
 
+def _synthesized_delay(tau_s, interior_raw_m):
+    """The excess delay, lengthened by a negative interior leg that
+    synthesis clamps to 0."""
+    return tau_s + max(0.0, -interior_raw_m) / SPEED_OF_LIGHT_M_S
+
+
 def _cluster():
     return Cluster(
         cluster_id=0,
@@ -94,9 +100,12 @@ def test_share_clusters_verbatim_and_power():
     for (user, cid), view in views.views.items():
         cluster = cs.clusters[cid]
         assert view.recalc_mode == MODE_GENERATOR
-        assert view.delay_s == cluster.tau_s
+        # The excess delay, verbatim unless the interior leg is clamped.
+        assert view.delay_s == _synthesized_delay(cluster.tau_s, view.interior_raw_m)
+        assert (view.delay_s == cluster.tau_s) == (view.interior_raw_m >= 0.0)
         assert np.array_equal(view.lbs, geometries[cid].lbs)
         assert view.power == cs.effective_power(user, cid)
+    assert any(v.interior_raw_m < 0.0 for v in views.views.values())
 
 
 def test_share_clusters_without_focal_points_is_a_typed_error():
@@ -152,8 +161,9 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         owner_xyz = owner_pos
         view = views.views[owner, cluster.cluster_id]
         assert view.recalc_mode == MODE_KEPT_PARAMETERS
-        # Kept fields are bit-identical.
-        assert view.delay_s == cluster.tau_s
+        # Kept fields are bit-identical; the delay is the kept excess delay,
+        # lengthened by the re-solved interior leg if synthesis clamps it.
+        assert view.delay_s == _synthesized_delay(cluster.tau_s, view.interior_raw_m)
         assert view.aoa_az_deg == cluster.aoa_az_deg
         assert view.aoa_el_deg == cluster.aoa_el_deg
         assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
@@ -214,7 +224,7 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             view = views.views[_joining(cluster), cluster.cluster_id]
             generator = _generator(shared, cluster)
             modes.add(view.recalc_mode)
-            assert view.delay_s == cluster.tau_s
+            assert view.delay_s == generator.delay_s
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
@@ -343,7 +353,7 @@ def _verbatim_view(cluster, geometry, user_id, mode, power):
         user_id=user_id,
         cluster_id=cluster.cluster_id,
         recalc_mode=mode,
-        delay_s=cluster.tau_s,
+        delay_s=_synthesized_delay(cluster.tau_s, geometry.interior_raw_m),
         power=power,
         aoa_az_deg=cluster.aoa_az_deg,
         aoa_el_deg=cluster.aoa_el_deg,
@@ -372,16 +382,17 @@ def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power
         raise DegenerateGeometry(
             f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
         )
-    return replace(view, **solved._asdict())
+    delay = _synthesized_delay(cluster.tau_s, solved.interior_raw_m)
+    return replace(view, delay_s=delay, **solved._asdict())
 
 
 def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power):
     """Keep both focal points; recompute angles from the frozen geometry
     and the delay from the owner's own end-to-end path length.
 
-    The delay reuses the cluster's signed interior length so that the
-    generating position is an exact fixed point; the result is floored
-    at zero.
+    The delay reuses the cluster's interior length, clamped at 0 as in
+    synthesis, so that the generating position is an exact fixed point;
+    the result is floored at zero.
     """
     view = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_FOCAL, power)
     if _at_generator(cluster, owner_pos, layout):
@@ -394,7 +405,8 @@ def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, powe
     e_ref = float(geometry.e_len_m[ref.index])
     g_len = math.dist(owner_pos, geometry.lbs)
     direct = math.dist(owner_pos, ref.center)
-    delay = (e_ref + geometry.interior_raw_m + g_len - direct) / SPEED_OF_LIGHT_M_S
+    interior = max(geometry.interior_raw_m, 0.0)
+    delay = (e_ref + interior + g_len - direct) / SPEED_OF_LIGHT_M_S
     delay = max(0.0, delay)
 
     return replace(
