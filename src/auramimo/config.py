@@ -31,6 +31,10 @@ class RunConfig:
         # Here, not in parse_config, so command-line overrides are checked too.
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(
+                f"config.output.dir must be a non-empty string, got {self.out_dir!r}"
+            )
 
     @property
     def total_clusters_per_user(self) -> int:
@@ -195,7 +199,7 @@ def parse_config(raw: dict) -> RunConfig:
         scenario=scenario,
         layout=layout,
         seed=raw.get("seed", 0),
-        out_dir=str(output.get("dir", "out")),
+        out_dir=output.get("dir", "out"),
         out_format=out_format,
     )
 

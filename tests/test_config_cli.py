@@ -131,6 +131,33 @@ def test_bad_output_format_rejected():
         parse_config(raw)
 
 
+# str() turned null into ./None and ["a"] into ./['a'], and "" wrote
+# into the working directory.
+@pytest.mark.parametrize("value", [None, ["a"], "", 5, {"dir": "out"}, True])
+def test_bad_output_dir_exits_2_before_any_stage(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    raw = base_raw(output={"format": "binary", "dir": value})
+    with pytest.raises(ConfigError, match=r"^config\.output\.dir must be a non-empty string"):
+        parse_config(raw)
+    assert main(["run", "--config", str(write_config(tmp_path, raw))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ConfigError: config.output.dir must be")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert list(work.iterdir()) == []
+
+
+def test_empty_out_dir_override_exits_2_before_any_stage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out-dir", ""]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: config.output.dir must be")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
+
+
 def test_scenario_errors_wrapped_with_context():
     raw = base_raw()
     raw["scenario"]["r_tau"] = 0.5
