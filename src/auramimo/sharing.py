@@ -37,7 +37,9 @@ MODE_KEPT_FOCAL = "kept-focal-point"
 @dataclass(frozen=True)
 class OwnerView:
     """Effective cluster parameters as seen by one owner; the geometry
-    fields are those of `ClusterGeometry`, and every array is read-only."""
+    fields are those of `ClusterGeometry`, and every array is read-only.
+    `delay_s` is the delay of the path synthesis uses, whose interior leg
+    is never negative."""
 
     user_id: int
     cluster_id: int
