@@ -34,12 +34,10 @@ from __future__ import annotations
 import logging
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteViews
 from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, distances, rotate_azimuth
 from .layout import ArrayGeometry, UserLayout
 from .lsp import STREAM_SCATTERERS
@@ -205,6 +203,8 @@ def synthesize(
     float64 delays arrays, with one segment's channel, in blocks of departure
     geometries on `_synthesis_threads()` threads, each computed in complex128
     and rounded to the coefficients' dtype as stored; the caller checks values.
+    `views` checked itself when built, so the users and the cluster count
+    are read off its keys.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
     id), and each block writes only its own (user, cluster) slots, so no
@@ -214,17 +214,8 @@ def synthesize(
     """
     # Slot k * C + c holds user k's view of its c-th cluster.
     keys = sorted(views.views)
-    if not keys:
-        raise IncompleteViews("no owner views to synthesize")
-    per_user = Counter(u for u, _ in keys)
-    counts = set(per_user.values())
-    if len(counts) != 1:
-        raise IncompleteViews(f"users disagree on cluster count: {sorted(counts)}")
     slot_views = [views.views[key] for key in keys]
-    for (u, c), v in zip(keys, slot_views):
-        if v.lbs is None or v.fbs is None or v.e_len_m is None:
-            raise IncompleteViews(f"view (user {u}, cluster {c}) has no focal points")
-    user_ids = tuple(per_user)
+    user_ids = tuple(dict.fromkeys(u for u, _ in keys))
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * cluster_angle_spread_deg)
     randomness = {
         cid: scatterer_randomness(seed, cid, n_scatterers)
@@ -233,7 +224,7 @@ def synthesize(
 
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     array = layout.array
-    n_users, n_clusters = len(user_ids), counts.pop()
+    n_users, n_clusters = len(user_ids), len(keys) // len(user_ids)
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     shape = (n_users, 1, array.n_elements, n_clusters, n_snap)

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .grouping import ShareTable, share_table_for_segment
 from .lsp import draw_lsp
 from .metrics import MetricsReport, correlation_metrics
-from .sharing import MODE_KEPT_FOCAL, OwnerViews, recalculate_views, share_clusters
+from .sharing import OwnerViews, recalculate_views, share_clusters
 from .spherical import attach_focal_points
 from .tables import write_tables
 from .tensorio import write_tensor_binary, write_tensor_text
@@ -117,12 +117,9 @@ def _fill_sharing_and_planar_metrics(
                 len(ids[u] & ids[v]) for ids in per_segment
             )
 
-    # A kept-focal-point view departs from its generator view's FBS set.
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
-        fbs = np.stack(
-            [v.fbs for v in seg.views.views.values() if v.recalc_mode != MODE_KEPT_FOCAL]
-        )
+        fbs = np.unique(np.stack([v.fbs for v in seg.views.views.values()]), axis=0)
         errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
         worst = np.maximum(worst, errors.max(axis=0))
     report.planar_error_max_rad.update(enumerate(worst.tolist()))

@@ -4,12 +4,13 @@ Every cluster has one view per owner (`ClusterSet.by_user`), each built
 once, and the views hold the focal points. `share_clusters` builds every
 cluster's generator view from its parameters and geometry.
 `recalculate_views` adds the joining owners' views, copies of generator
-views, in one pass per segment: they either keep the generated
-parameters and re-solve both focal points from their own position
-(kept-parameters, for far clusters), or keep the focal points and read
-angles and delay off the fixed geometry (kept-focal-point, for
-zero-excess-delay clusters and for clusters within three segment
-lengths of the joining owner).
+views, in one pass and returns the segment's one `OwnerViews`: joining
+views either keep the generated parameters and re-solve both focal
+points from their own position (kept-parameters, for far clusters), or
+keep the focal points and read angles and delay off the fixed geometry
+(kept-focal-point, for zero-excess-delay clusters and for clusters
+within three segment lengths of the joining owner). Views check
+themselves when built.
 
 A joining owner standing exactly at the generating user's position gets
 a verbatim copy in either mode: both rules are fixed points there, and
@@ -19,6 +20,7 @@ copying keeps the equality bit-exact instead of round-trip-rounded.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +41,7 @@ class OwnerView:
     """Effective cluster parameters as seen by one owner; the geometry
     fields are those of `ClusterGeometry`, and every array is read-only.
     `delay_s` is the delay of the path synthesis uses, whose interior leg
-    is never negative."""
+    is never negative. A view without focal points is IncompleteViews."""
 
     user_id: int
     cluster_id: int
@@ -56,18 +58,28 @@ class OwnerView:
     interior_raw_m: float
 
     def __post_init__(self) -> None:
+        if self.lbs is None or self.fbs is None or self.e_len_m is None:
+            raise IncompleteViews(
+                f"view (user {self.user_id}, cluster {self.cluster_id}) has no focal points"
+            )
         for a in (self.aod_az_deg, self.aod_el_deg, self.lbs, self.fbs, self.e_len_m):
-            if a is not None:
-                read_only(a)
+            read_only(a)
 
 
 @dataclass(frozen=True)
 class OwnerViews:
-    """All owner views of one segment, keyed (user, cluster) in sorted
-    order; which user owns which cluster is `ClusterSet.by_user`."""
+    """A segment's owner views, keyed (user, cluster) in sorted order; owners
+    are `ClusterSet.by_user`. Empty, or uneven across users, is IncompleteViews."""
 
     segment_index: int
-    views: dict[tuple[int, int], OwnerView] = field(repr=False, default_factory=dict)
+    views: dict[tuple[int, int], OwnerView] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        counts = set(Counter(u for u, _ in self.views).values())
+        if not counts:
+            raise IncompleteViews(f"segment {self.segment_index} has no owner views")
+        if len(counts) != 1:
+            raise IncompleteViews(f"users disagree on cluster count: {sorted(counts)}")
 
 
 def _synthesized_delay(tau_s: float, interior_raw_m: float) -> float:
@@ -90,18 +102,16 @@ def choose_recalc_mode(
 
 def share_clusters(
     cluster_set: ClusterSet, geometries: dict[int, ClusterGeometry]
-) -> OwnerViews:
-    """Every cluster's generator view: its parameters, the generating
-    user's normalized power and its geometry by cluster id, as from
-    `spherical.attach_focal_points`; a missing one raises IncompleteViews."""
+) -> dict[int, OwnerView]:
+    """Every cluster's generator view by cluster id: its parameters, the
+    generating user's normalized power and its geometry by cluster id, as
+    from `spherical.attach_focal_points`; a missing one is IncompleteViews."""
     views = {}
-    for user_id, cluster_id in sorted(
-        (c.generating_user, c.cluster_id) for c in cluster_set.clusters.values()
-    ):
+    for cluster_id, cluster in sorted(cluster_set.clusters.items()):
         if cluster_id not in geometries:
             raise IncompleteViews(f"cluster {cluster_id} has no focal points")
-        cluster, geometry = cluster_set.clusters[cluster_id], geometries[cluster_id]
-        views[user_id, cluster_id] = OwnerView(
+        geometry, user_id = geometries[cluster_id], cluster.generating_user
+        views[cluster_id] = OwnerView(
             user_id=user_id,
             cluster_id=cluster_id,
             recalc_mode=MODE_GENERATOR,
@@ -113,14 +123,14 @@ def share_clusters(
             aod_el_deg=cluster.aod_el_deg,
             **geometry._asdict(),
         )
-    return OwnerViews(segment_index=cluster_set.segment_index, views=views)
+    return views
 
 
 def recalculate_views(
-    shared: OwnerViews, cluster_set: ClusterSet, layout: UserLayout
+    shared: dict[int, OwnerView], cluster_set: ClusterSet, layout: UserLayout
 ) -> OwnerViews:
-    """The generator views of `shared` plus one view for every joining
-    (owner, cluster) pair of `cluster_set.by_user`, in one pass.
+    """The segment's owner views: the generator views of `shared`, by cluster
+    id (IncompleteViews if one is missing), and one per joining owner, in one pass.
 
     Each pair's view is its cluster's generator view with the owner, its
     mode from `choose_recalc_mode` and its power. Owners that moved off
@@ -134,9 +144,12 @@ def recalculate_views(
     segment = layout.segments[cluster_set.segment_index]
     position = layout.segment_start_position
     keys = [(u, c) for u, ids in sorted(cluster_set.by_user.items()) for c in ids]
-    joining = [key for key in keys if key not in shared.views]
+    missing = sorted({c for _, c in keys} - shared.keys())
+    if missing:
+        raise IncompleteViews(f"cluster {missing[0]} has no generator view")
+    joining = [(u, c) for u, c in keys if u != shared[c].user_id]
     clusters = [cluster_set.clusters[c] for _, c in joining]
-    generator_views = [shared.views[c.generating_user, c.cluster_id] for c in clusters]
+    generator_views = [shared[c] for _, c in joining]
     owners = np.array([position(u, segment.index) for u, _ in joining]).reshape(-1, 3)
     generators = [position(c.generating_user, segment.index) for c in clusters]
     moved = (owners != np.reshape(generators, (-1, 3))).any(axis=1).tolist()
@@ -186,7 +199,5 @@ def recalculate_views(
             )
 
     built = {key: replace(v, **f) for key, v, f in zip(joining, generator_views, fields)}
-    views = shared.views | built
-    return OwnerViews(
-        segment_index=shared.segment_index, views={key: views[key] for key in keys}
-    )
+    views = {key: built.get(key, shared[key[1]]) for key in keys}
+    return OwnerViews(segment_index=cluster_set.segment_index, views=views)

@@ -236,16 +236,17 @@ def test_drifting_delay_steps_bounded_by_snapshot_spacing():
 
 
 def test_incomplete_views_rejected():
+    # An empty set and a view without focal points are rejected when they
+    # are built, so synthesis never receives one.
+    with pytest.raises(IncompleteViews, match="segment 0 has no owner views"):
+        OwnerViews(segment_index=0, views={})
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
-    with pytest.raises(IncompleteViews):
-        synthesize_segment(
-            OwnerViews(segment_index=0, views={}), layout, 3.5e9, seed=1
-        )
-    # A view without focal points is rejected by name.
     bare = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
-    bare = OwnerView(**{**bare.__dict__, "lbs": None})
-    with pytest.raises(IncompleteViews, match="cluster 0"):
-        synthesize_segment(_single_user_views(layout, bare), layout, 3.5e9, seed=1)
+    for name in ("lbs", "fbs", "e_len_m"):
+        with pytest.raises(
+            IncompleteViews, match=r"view \(user 1, cluster 0\) has no focal points"
+        ):
+            OwnerView(**{**bare.__dict__, name: None})
 
 
 def test_users_must_agree_on_cluster_count():
@@ -253,12 +254,8 @@ def test_users_must_agree_on_cluster_count():
         {1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0
     )
     v1 = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
-    views = OwnerViews(
-        segment_index=0,
-        views={(1, 0): v1, (1, 1): v1, (2, 0): v1},
-    )
-    with pytest.raises(IncompleteViews, match="disagree"):
-        synthesize_segment(views, layout, 3.5e9, seed=1)
+    with pytest.raises(IncompleteViews, match=r"disagree on cluster count: \[1, 2\]"):
+        OwnerViews(segment_index=0, views={(1, 0): v1, (1, 1): v1, (2, 0): v1})
 
 
 # ---------------------------------------------------------------------------

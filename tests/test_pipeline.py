@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from auramimo import (
-    MODE_GENERATOR,
+    MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
     ChannelTensor,
     coefficients,
@@ -17,6 +17,7 @@ from auramimo import (
     parse_config,
     pipeline,
     read_tensor_binary,
+    sharing,
     synthesize,
 )
 from auramimo.geom import SPEED_OF_LIGHT_M_S
@@ -298,6 +299,27 @@ def test_segment_synthesis_fills_out_from_every_thread(monkeypatch):
         synthesize(seg.views, layout, 3.5e9, seed=11, out=out)
 
 
+def _by_value(fbs):
+    """An FBS set as a hashable value; 0.0 and -0.0 compare equal."""
+    return tuple(fbs.ravel().tolist())
+
+
+def test_each_segment_builds_one_owner_views(monkeypatch):
+    # share_clusters hands recalculate_views its generator views by
+    # cluster id; only the complete set of a segment is an OwnerViews.
+    built = []
+    original = sharing.OwnerViews.__post_init__
+
+    def counting(self):
+        built.append(self.segment_index)
+        original(self)
+
+    monkeypatch.setattr(sharing.OwnerViews, "__post_init__", counting)
+    result = run(make_run_config(n_snapshots=20))
+    assert len(result.segments) == 2
+    assert built == [seg.views.segment_index for seg in result.segments] == [0, 1]
+
+
 def test_planar_error_once_per_segment(monkeypatch):
     calls = []
     original = pipeline.planar_vs_spherical_error
@@ -312,19 +334,17 @@ def test_planar_error_once_per_segment(monkeypatch):
         calls.clear()
         result = run(config)
         assert len(calls) == len(result.segments) == 2
-        # One call stacks the FBS sets of the generator and
-        # kept-parameters views: a kept-focal-point view copies its
-        # generator view's.
+        # One call with one row per distinct FBS set, compared by value.
+        # A kept-focal-point view copies its generator view's set, so the
+        # rows are those of the generator and kept-parameters views.
         for fbs, seg in zip(calls, result.segments):
-            want = [
-                v.fbs
-                for v in seg.views.views.values()
-                if v.recalc_mode in (MODE_GENERATOR, MODE_KEPT_PARAMETERS)
-            ]
-            assert len(want) == len(seg.cluster_set.clusters) + sum(
-                v.recalc_mode == MODE_KEPT_PARAMETERS for v in seg.views.views.values()
-            )
-            assert np.array_equal(fbs, want)
+            views = seg.views.views.values()
+            distinct = {_by_value(v.fbs) for v in views}
+            assert len(fbs) == len(distinct)
+            assert {_by_value(row) for row in fbs} == distinct
+            assert distinct == {
+                _by_value(v.fbs) for v in views if v.recalc_mode != MODE_KEPT_FOCAL
+            }
             assert len(fbs) < len(seg.views.views)
         # The max over every view, one view at a time, as before.
         worst = np.zeros(config.layout.array.n_subarrays)

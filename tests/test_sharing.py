@@ -81,31 +81,31 @@ def _full_pipeline(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    views = share_clusters(cs, attach_focal_points(cs, layout))
-    return cs, views, layout
+    shared = share_clusters(cs, attach_focal_points(cs, layout))
+    return cs, shared, layout
 
 
-def _generator(views, cluster):
-    """The generator view of `cluster` in `views`."""
-    return views.views[cluster.generating_user, cluster.cluster_id]
+def _generator(shared, cluster):
+    """The generator view of `cluster` in `shared`, as from `share_clusters`."""
+    return shared[cluster.cluster_id]
 
 
 def test_share_clusters_verbatim_and_power():
-    cs, views, layout = _full_pipeline(make_two_user_layout(2.0))
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     geometries = attach_focal_points(cs, layout)
-    # Only the generator views, in sorted (user, cluster) order.
-    assert list(views.views) == sorted(
-        (c.generating_user, c.cluster_id) for c in cs.clusters.values()
-    )
-    for (user, cid), view in views.views.items():
+    # Only the generator views, one per cluster, by cluster id.
+    assert sorted(shared) == sorted(cs.clusters)
+    for cid, view in shared.items():
         cluster = cs.clusters[cid]
+        user = cluster.generating_user
+        assert (view.user_id, view.cluster_id) == (user, cid)
         assert view.recalc_mode == MODE_GENERATOR
         # The excess delay, verbatim unless the interior leg is clamped.
         assert view.delay_s == _synthesized_delay(cluster.tau_s, view.interior_raw_m)
         assert (view.delay_s == cluster.tau_s) == (view.interior_raw_m >= 0.0)
         assert np.array_equal(view.lbs, geometries[cid].lbs)
         assert view.power == cs.effective_power(user, cid)
-    assert any(v.interior_raw_m < 0.0 for v in views.views.values())
+    assert any(v.interior_raw_m < 0.0 for v in shared.values())
 
 
 def test_share_clusters_without_focal_points_is_a_typed_error():
@@ -123,6 +123,15 @@ def test_share_clusters_without_focal_points_is_a_typed_error():
     del geometries[last]
     with pytest.raises(IncompleteViews, match=f"cluster {last} has no focal points"):
         share_clusters(cs, geometries)
+
+
+def test_recalculate_views_without_a_generator_view_is_a_typed_error():
+    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
+    for cluster_id in (min(cs.clusters), max(cs.clusters)):
+        partial = {c: v for c, v in shared.items() if c != cluster_id}
+        match = f"cluster {cluster_id} has no generator view"
+        with pytest.raises(IncompleteViews, match=match):
+            recalculate_views(partial, cs, layout)
 
 
 def _shared_nonboresight(cs):
@@ -300,13 +309,14 @@ def test_recalculate_views_modes_and_power():
             modes.add((cluster.boresight, view.recalc_mode))
             if user == cluster.generating_user:
                 assert view.recalc_mode == MODE_GENERATOR
+                assert view is _generator(shared, cluster)
             elif cluster.boresight:
                 # No excess path to re-solve; geometry must be kept.
                 assert view.recalc_mode == MODE_KEPT_FOCAL
             else:
                 assert view.recalc_mode in (MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL)
                 owner_pos = layout.segment_start_position(user, 0)
-                lbs = _generator(final, cluster).lbs
+                lbs = final.views[cluster.generating_user, cid].lbs
                 expected = choose_recalc_mode(cluster, lbs, owner_pos, seg_len)
                 assert view.recalc_mode == expected
         for user in (1, 2):
@@ -425,9 +435,10 @@ def _per_view_views(shared, cluster_set, geometries, layout):
     for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
         owner_pos = layout.segment_start_position(user_id, segment.index)
         for cluster_id in cluster_ids:
-            view = shared.views.get((user_id, cluster_id))
-            if view is None:
-                cluster = cluster_set.clusters[cluster_id]
+            cluster = cluster_set.clusters[cluster_id]
+            if user_id == cluster.generating_user:
+                view = shared[cluster_id]
+            else:
                 geometry = geometries[cluster_id]
                 kept_focal = (
                     cluster.boresight
