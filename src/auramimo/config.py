@@ -35,6 +35,10 @@ class RunConfig:
             raise ConfigError(
                 f"config.output.dir must be a non-empty string, got {self.out_dir!r}"
             )
+        if self.out_format not in FORMATS:
+            raise ConfigError(
+                f"config.output.format must be one of {FORMATS}, got {self.out_format!r}"
+            )
 
     @property
     def total_clusters_per_user(self) -> int:
@@ -189,18 +193,12 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config.layout: {e}") from None
 
     output = _object(raw.get("output", {}), "config.output", ("format", "dir"))
-    out_format = output.get("format", "binary")
-    if out_format not in FORMATS:
-        raise ConfigError(
-            f"config.output.format must be one of {FORMATS}, got {out_format!r}"
-        )
-
     return RunConfig(
         scenario=scenario,
         layout=layout,
         seed=raw.get("seed", 0),
         out_dir=output.get("dir", "out"),
-        out_format=out_format,
+        out_format=output.get("format", "binary"),
     )
 
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from auramimo import (
     ConfigError,
+    RunConfig,
     load_config,
     parse_config,
     read_tensor_binary,
@@ -129,6 +132,27 @@ def test_bad_output_format_rejected():
     raw = base_raw(output={"format": "csv"})
     with pytest.raises(ConfigError, match="csv"):
         parse_config(raw)
+
+
+# write_outputs writes text for every format but "binary", so a format
+# that did not come through parse_config is checked as well.
+BAD_FORMATS = ["bin", "", "Binary", None]
+FORMAT_ERROR = r"^config\.output\.format must be one of \('binary', 'text'\), got "
+
+
+@pytest.mark.parametrize("value", BAD_FORMATS)
+def test_bad_output_format_rejected_by_replace(value):
+    config = parse_config(base_raw())
+    with pytest.raises(ConfigError, match=FORMAT_ERROR + re.escape(repr(value))):
+        dataclasses.replace(config, out_format=value)
+
+
+@pytest.mark.parametrize("value", BAD_FORMATS)
+def test_bad_output_format_rejected_by_construction(value):
+    config = parse_config(base_raw())
+    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    with pytest.raises(ConfigError, match=FORMAT_ERROR + re.escape(repr(value))):
+        RunConfig(**{**fields, "out_format": value})
 
 
 # str() turned null into ./None and ["a"] into ./['a'], and "" wrote
