@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvalidScenario
 from .geom import clip_elevation_deg, read_only, wrap_azimuth_deg
 from .grouping import ShareTable
 from .layout import UserLayout
@@ -95,13 +96,17 @@ def gen_powers(
     rng,
 ) -> np.ndarray:
     """Exponentially decaying powers with per-cluster log-normal shadowing,
-    normalized to sum 1."""
+    normalized to sum 1; InvalidScenario if the shadowing leaves float range."""
     delays = np.asarray(delays, dtype=float)
     shadow_db = rng.normal(0.0, shadow_std_db, size=delays.shape)
-    p = np.exp(-delays * (r_tau - 1.0) / (r_tau * sigma_tau_s)) * 10.0 ** (
-        -shadow_db / 10.0
-    )
-    return p / p.sum()
+    with np.errstate(all="ignore"):
+        p = np.exp(-delays * (r_tau - 1.0) / (r_tau * sigma_tau_s)) * 10.0 ** (
+            -shadow_db / 10.0
+        )
+    total = p.sum()  # inf, NaN (0 * inf) or 0 once the shadowing leaves float range
+    if not (np.isfinite(total) and total > 0):
+        raise InvalidScenario(f"shadow_std_db {shadow_std_db!r}: powers do not normalize")
+    return p / total
 
 
 def gen_arrival_angles(

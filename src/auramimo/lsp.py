@@ -11,7 +11,7 @@ positions that are consumed, so no map rasterization is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,19 +87,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class LspValues:
-    """Spreads of one user in one segment."""
+    """Spreads of one user in one segment, finite and > 0 (see `draw_lsp`)."""
 
     sigma_tau_s: float
     sigma_aoa_deg: float
     sigma_aod_deg: float
     sigma_eoa_deg: float
     sigma_eod_deg: float
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -167,13 +161,11 @@ def draw_lsp(scenario: ScenarioConfig, layout: UserLayout, seed: int) -> LspDraw
     order; each LSP field uses an independent correlated Gaussian field,
     one row of a single `correlated_normals` call (the covariance is
     factored once), drawn in a fixed field order from a dedicated RNG
-    stream so results do not depend on evaluation order.
+    stream so results do not depend on evaluation order. A field with a
+    spread that is not finite and > 0 (a log-std so large that exp
+    overflows or underflows) raises InvalidScenario naming its keys.
     """
-    keys = [
-        (u, s.index)
-        for u in layout.user_ids
-        for s in layout.segments
-    ]
+    keys = [(u, s.index) for u in layout.user_ids for s in layout.segments]
     points = np.array([layout.segment_start_position(u, s) for (u, s) in keys])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_LSP,)))
 
@@ -182,9 +174,14 @@ def draw_lsp(scenario: ScenarioConfig, layout: UserLayout, seed: int) -> LspDraw
     )
     per_field: dict[str, np.ndarray] = {}
     for (field_name, median_name, std_name), g in zip(_FIELD_SPECS, draws):
-        median = getattr(scenario, median_name)
-        log_std = getattr(scenario, std_name)
-        per_field[field_name] = median * np.exp(log_std * g)
+        median, log_std = getattr(scenario, median_name), getattr(scenario, std_name)
+        with np.errstate(over="ignore", under="ignore"):
+            spreads = median * np.exp(log_std * g)
+        if not np.all(np.isfinite(spreads) & (spreads > 0)):
+            raise InvalidScenario(
+                f"{median_name} and {std_name} draw a {field_name} not finite and > 0"
+            )
+        per_field[field_name] = spreads
 
     values = {
         key: LspValues(**{name: float(per_field[name][i]) for name in per_field})

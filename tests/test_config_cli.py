@@ -182,6 +182,30 @@ def test_empty_out_dir_override_exits_2_before_any_stage(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
 
+# Each draw overflowed (exp, or 10**(-shadow/10)) into numpy warnings and
+# then a ValueError (exit 3), the shadowing one only after synthesis.
+OVERFLOWING = {
+    "delay_spread_log_std": "draw a sigma_tau_s not finite and > 0",
+    "aoa_spread_log_std": "draw a sigma_aoa_deg not finite and > 0",
+    "aod_spread_log_std": "draw a sigma_aod_deg not finite and > 0",
+    "eoa_spread_log_std": "draw a sigma_eoa_deg not finite and > 0",
+    "eod_spread_log_std": "draw a sigma_eod_deg not finite and > 0",
+    "shadow_std_db": "powers do not normalize",
+}
+
+
+@pytest.mark.parametrize("key", OVERFLOWING)
+def test_overflowing_scenario_draw_exits_2_with_one_line(tmp_path, capsys, key):
+    raw = base_raw()
+    raw["scenario"][key] = 1e300
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidScenario: ") and OVERFLOWING[key] in err and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_scenario_errors_wrapped_with_context():
     raw = base_raw()
     raw["scenario"]["r_tau"] = 0.5
