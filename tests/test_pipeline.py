@@ -375,6 +375,42 @@ def _tsv_rows(path):
     return [line.split("\t") for line in path.read_text().splitlines()[1:]]
 
 
+def _check_tables_agree(config, out):
+    """The written tables against each other: powers, the two view
+    tables, and the shared-cluster and planar-error rows of metrics.tsv."""
+    users = config.layout.user_ids
+    views = {(r[0], r[1], int(r[2])): r[4:] for r in _tsv_rows(out / "cluster_views.tsv")}
+    owned = {}  # (segment, user) -> cluster ids
+    for user in users:
+        power = {}
+        for row in _tsv_rows(out / f"clusters_user{user}.tsv"):
+            # The view's parameter columns, as its cluster_views.tsv row.
+            assert row[5:] == views.pop((row[0], row[1], user), None), (user, row[:2])
+            owned.setdefault((row[0], user), set()).add(row[1])
+            power[row[0]] = power.get(row[0], 0.0) + float(row[6])
+        assert all(abs(total - 1.0) <= 1e-12 for total in power.values()), (user, power)
+    assert not views  # every view row belongs to a user's table
+
+    metrics = _tsv_rows(out / "metrics.tsv")
+    shared = {(int(r[1]), int(r[2])): int(r[3]) for r in metrics if r[0] == "shared_clusters"}
+    segments = {segment for segment, _ in owned}
+    assert shared == {
+        (u, v): sum(len(owned[s, u] & owned[s, v]) for s in segments)
+        for i, u in enumerate(users)
+        for v in users[i + 1 :]
+    }
+
+    # The worst planar error of every view's FBS set, one view at a time.
+    n_sub = config.layout.array.n_subarrays
+    worst = np.zeros(n_sub)
+    for row in _tsv_rows(out / "cluster_views.tsv"):
+        fbs = np.array(row[-3 * n_sub :], dtype=float).reshape(1, n_sub, 3)
+        errors = pipeline.planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
+        worst = np.maximum(worst, errors[0])
+    planar = {int(r[1]): float(r[3]) for r in metrics if r[0] == "planar_error_max_rad"}
+    assert planar == dict(enumerate(worst.tolist()))
+
+
 def test_random_runs_write_consistent_files(tmp_path):
     # Seeded random layouts with co-located owners and short segments,
     # so that kept-parameters views occur.
@@ -422,6 +458,7 @@ def test_random_runs_write_consistent_files(tmp_path):
                 want = float(row[5]) * SPEED_OF_LIGHT_M_S + math.dist(rx0, ref_center)
                 got = tensor.delays[k, c, segment.first_snapshot] * SPEED_OF_LIGHT_M_S
                 assert abs(got - want) <= 1e-9, (seed, user, row[:2])
+        _check_tables_agree(config, dirs[0])
         views = [v for seg in result.segments for v in seg.views.views.values()]
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
 
