@@ -103,10 +103,9 @@ def gen_powers(
         p = np.exp(-delays * (r_tau - 1.0) / (r_tau * sigma_tau_s)) * 10.0 ** (
             -shadow_db / 10.0
         )
-    total = p.sum()  # inf, NaN (0 * inf) or 0 once the shadowing leaves float range
-    if not (np.isfinite(total) and total > 0):
+    if not 0.0 < p.sum() < np.inf:  # inf, NaN (0 * inf) or 0 past the float range
         raise InvalidScenario(f"shadow_std_db {shadow_std_db!r}: powers do not normalize")
-    return p / total
+    return p / p.sum()
 
 
 def gen_arrival_angles(

@@ -119,7 +119,8 @@ def _fill_sharing_and_planar_metrics(
 
     worst = np.zeros(config.layout.array.n_subarrays)
     for seg in segments:
-        fbs = np.unique(np.stack([v.fbs for v in seg.views.views.values()]), axis=0)
+        distinct = {v.fbs.tobytes(): v.fbs for v in seg.views.views.values()}
+        fbs = np.stack(list(distinct.values()))
         errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
         worst = np.maximum(worst, errors.max(axis=0))
     report.planar_error_max_rad.update(enumerate(worst.tolist()))

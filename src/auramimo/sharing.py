@@ -103,9 +103,9 @@ def choose_recalc_mode(
 def share_clusters(
     cluster_set: ClusterSet, geometries: dict[int, ClusterGeometry]
 ) -> dict[int, OwnerView]:
-    """Every cluster's generator view by cluster id: its parameters, the
-    generating user's normalized power and its geometry by cluster id, as
-    from `spherical.attach_focal_points`; a missing one is IncompleteViews."""
+    """Every cluster's generator view, keyed by cluster id: its parameters,
+    the generating user's normalized power and its entry of `geometries` (as
+    from `spherical.attach_focal_points`); a missing entry is IncompleteViews."""
     views = {}
     for cluster_id, cluster in sorted(cluster_set.clusters.items()):
         if cluster_id not in geometries:

@@ -300,8 +300,8 @@ def test_segment_synthesis_fills_out_from_every_thread(monkeypatch):
 
 
 def _by_value(fbs):
-    """An FBS set as a hashable value; 0.0 and -0.0 compare equal."""
-    return tuple(fbs.ravel().tolist())
+    """An FBS set by its bytes, as synthesis keys departure geometries."""
+    return fbs.tobytes()
 
 
 def test_each_segment_builds_one_owner_views(monkeypatch):
@@ -334,7 +334,7 @@ def test_planar_error_once_per_segment(monkeypatch):
         calls.clear()
         result = run(config)
         assert len(calls) == len(result.segments) == 2
-        # One call with one row per distinct FBS set, compared by value.
+        # One call with one row per distinct FBS set.
         # A kept-focal-point view copies its generator view's set, so the
         # rows are those of the generator and kept-parameters views.
         for fbs, seg in zip(calls, result.segments):
