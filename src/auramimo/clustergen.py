@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidScenario
-from .geom import clip_elevation_deg, read_only, wrap_azimuth_deg
+from .geom import SPEED_OF_LIGHT_M_S, clip_elevation_deg, read_only, wrap_azimuth_deg
 from .grouping import ShareTable
 from .layout import UserLayout
 from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
@@ -47,8 +47,6 @@ class Cluster:
     """
 
     cluster_id: int
-    segment_index: int
-    owner_set: tuple[int, ...]
     generating_user: int
     tau_s: float
     power_raw: float
@@ -80,12 +78,19 @@ class ClusterSet:
 
 def gen_delays(n: int, sigma_tau_s: float, r_tau: float, rng) -> np.ndarray:
     """n excess delays: exponential draws with scale r_tau * sigma_tau,
-    sorted ascending, shifted so the first is exactly 0."""
+    sorted ascending, shifted so the first is exactly 0; InvalidScenario if
+    the longest path overflows when squared (`spherical.solve_focal_lengths`)."""
     if n < 1:
         raise ValueError("need at least one cluster")
-    raw = rng.exponential(scale=r_tau * sigma_tau_s, size=n)
-    raw.sort()
-    return raw - raw[0]
+    with np.errstate(all="ignore"):  # an infinite scale draws inf - inf = NaN
+        raw = rng.exponential(scale=r_tau * sigma_tau_s, size=n)
+        raw.sort()
+        delays = raw - raw[0]
+    path = float(delays[-1]) * SPEED_OF_LIGHT_M_S
+    if not path * path < np.inf:
+        keys = f"r_tau {r_tau!r} and delay_spread_median_s draw"
+        raise InvalidScenario(f"{keys} an excess path of {path!r} m, whose square overflows")
+    return delays
 
 
 def gen_powers(
@@ -109,20 +114,19 @@ def gen_powers(
 
 
 def gen_arrival_angles(
-    powers: np.ndarray, sigma_aoa_deg: float, sigma_eoa_deg: float, rng
+    n: int, sigma_aoa_deg: float, sigma_eoa_deg: float, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster arrival (azimuth, elevation) in degrees.
+    """n arrival (azimuth, elevation) pairs in degrees.
 
     Azimuth magnitudes are Gaussian with std sigma_aoa and get a random
     sign, then wrap to (-180, 180]; elevations are Gaussian with std
     sigma_eoa clipped to [-90, 90].
     """
-    n = len(powers)
     az_mag = np.abs(rng.normal(0.0, sigma_aoa_deg, size=n))
     signs = rng.integers(0, 2, size=n) * 2 - 1
     az = wrap_azimuth_deg(signs * az_mag)
     el = clip_elevation_deg(rng.normal(0.0, sigma_eoa_deg, size=n))
-    return np.atleast_1d(az), np.atleast_1d(el)
+    return az, el
 
 
 def gen_departure_angles(
@@ -132,7 +136,7 @@ def gen_departure_angles(
     arrival-angle law and draw order with departure spreads."""
     if n_subarrays < 1:
         raise ValueError("need at least one sub-array")
-    return gen_arrival_angles(np.ones(n_subarrays), sigma_aod_deg, sigma_eod_deg, rng)
+    return gen_arrival_angles(n_subarrays, sigma_aod_deg, sigma_eod_deg, rng)
 
 
 def group_rng(seed: int, segment_index: int, group_row: int) -> np.random.Generator:
@@ -179,7 +183,7 @@ def assemble_clusters(
             delays, lsp.sigma_tau_s, scenario.r_tau, scenario.shadow_std_db, rng
         )
         aoa_az, aoa_el = gen_arrival_angles(
-            powers, lsp.sigma_aoa_deg, lsp.sigma_eoa_deg, rng
+            group.count, lsp.sigma_aoa_deg, lsp.sigma_eoa_deg, rng
         )
         for k, cluster_id in enumerate(group.cluster_ids):
             aod_az, aod_el = gen_departure_angles(
@@ -187,8 +191,6 @@ def assemble_clusters(
             )
             clusters[cluster_id] = Cluster(
                 cluster_id=cluster_id,
-                segment_index=segment_index,
-                owner_set=group.members,
                 generating_user=generator,
                 tau_s=float(delays[k]),
                 power_raw=float(powers[k]),

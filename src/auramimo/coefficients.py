@@ -244,8 +244,7 @@ def synthesize(
     interiors = [max(v.interior_raw_m, 0.0) for v in slot_views]
     lbs = np.stack([v.lbs for v in slot_views]).reshape(n_users, n_clusters, 3)
     rx = np.stack([layout.segment_positions(u, segment) for u in user_ids])[:, None]
-    anchors = np.stack([layout.segment_start_position(u, segment) for u in user_ids])
-    lbs_points = _fan_positions(anchors[:, None], lbs, rotation)
+    lbs_points = _fan_positions(rx[:, :, 0], lbs, rotation)
     phases = np.stack([randomness[v.cluster_id][0] for v in slot_views])
     rx_phase = 1j * (
         phases.reshape(n_users, n_clusters, 1, n_scatterers)

@@ -7,10 +7,11 @@ cluster's generator view from its parameters and geometry.
 views, in one pass and returns the segment's one `OwnerViews`: joining
 views either keep the generated parameters and re-solve both focal
 points from their own position (kept-parameters, for far clusters), or
-keep the focal points and read angles and delay off the fixed geometry
+keep the focal points and read angles off the fixed geometry
 (kept-focal-point, for zero-excess-delay clusters and for clusters
 within three segment lengths of the joining owner). Views check
-themselves when built.
+themselves when built. A view holds no delay: synthesis computes the
+path its focal points fix, and the tables read it from the tensor.
 
 A joining owner standing exactly at the generating user's position gets
 a verbatim copy in either mode: both rules are fixed points there, and
@@ -27,7 +28,7 @@ import numpy as np
 
 from .clustergen import Cluster, ClusterGeometry, ClusterSet
 from .errors import DegenerateGeometry, IncompleteViews
-from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector, read_only
+from .geom import angles_from_vector, read_only
 from .layout import UserLayout
 from .spherical import solve_cluster_geometry
 
@@ -40,13 +41,11 @@ MODE_KEPT_FOCAL = "kept-focal-point"
 class OwnerView:
     """Effective cluster parameters as seen by one owner; the geometry
     fields are those of `ClusterGeometry`, and every array is read-only.
-    `delay_s` is the delay of the path synthesis uses, whose interior leg
-    is never negative. A view without focal points is IncompleteViews."""
+    A view without focal points is IncompleteViews."""
 
     user_id: int
     cluster_id: int
     recalc_mode: str
-    delay_s: float
     power: float
     aoa_az_deg: float
     aoa_el_deg: float
@@ -82,12 +81,6 @@ class OwnerViews:
             raise IncompleteViews(f"users disagree on cluster count: {sorted(counts)}")
 
 
-def _synthesized_delay(tau_s: float, interior_raw_m: float) -> float:
-    """The delay of a path solved for excess delay `tau_s`, as synthesized:
-    a negative interior leg is clamped to 0, which lengthens the path."""
-    return tau_s + max(0.0, -interior_raw_m) / SPEED_OF_LIGHT_M_S
-
-
 def choose_recalc_mode(
     cluster: Cluster, lbs: np.ndarray, owner_pos: np.ndarray, segment_length_m: float
 ) -> str:
@@ -115,7 +108,6 @@ def share_clusters(
             user_id=user_id,
             cluster_id=cluster_id,
             recalc_mode=MODE_GENERATOR,
-            delay_s=_synthesized_delay(cluster.tau_s, geometry.interior_raw_m),
             power=cluster_set.effective_power(user_id, cluster_id),
             aoa_az_deg=cluster.aoa_az_deg,
             aoa_el_deg=cluster.aoa_el_deg,
@@ -136,10 +128,7 @@ def recalculate_views(
     mode from `choose_recalc_mode` and its power. Owners that moved off
     the generating user's position are recalculated: every
     kept-parameters pair in one `solve_cluster_geometry` call, every
-    kept-focal-point pair in one angle pass, its delay from its own
-    end-to-end path length. That delay reuses the generator view's
-    interior length, clamped at 0 as synthesis does, so that the
-    generating position is an exact fixed point, and is floored at zero.
+    kept-focal-point pair in one angle pass.
     """
     segment = layout.segments[cluster_set.segment_index]
     position = layout.segment_start_position
@@ -175,8 +164,7 @@ def recalculate_views(
                 f"{joining[i][0]}"
             )
         for i, g in zip(resolve, geometries):
-            delay = _synthesized_delay(clusters[i].tau_s, g.interior_raw_m)
-            fields[i].update(g._asdict(), delay_s=delay)
+            fields[i].update(g._asdict())
 
     if refocus:
         kept = [generator_views[i] for i in refocus]
@@ -184,14 +172,8 @@ def recalculate_views(
         arrival = np.stack([g.lbs for g in kept]) - owners[refocus]
         az, el = angles_from_vector(np.concatenate([departure, arrival[:, None]], axis=1))
         aoa_az, aoa_el = az[:, -1].tolist(), el[:, -1].tolist()
-        ref = layout.array.reference_subarray
-        for j, (i, g) in enumerate(zip(refocus, kept)):
-            owner = owners[i]
-            interior = max(g.interior_raw_m, 0.0)
-            path = float(g.e_len_m[ref.index]) + interior + math.dist(owner, g.lbs)
-            delay = (path - math.dist(owner, ref.center)) / SPEED_OF_LIGHT_M_S
+        for j, i in enumerate(refocus):
             fields[i].update(
-                delay_s=max(0.0, delay),
                 aoa_az_deg=aoa_az[j],
                 aoa_el_deg=aoa_el[j],
                 aod_az_deg=az[j, :-1],

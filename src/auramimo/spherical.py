@@ -116,8 +116,8 @@ def attach_focal_points(
     which no other angles could clear.
     """
     clusters = [cluster_set.clusters[c] for c in sorted(cluster_set.clusters)]
-    position = layout.segment_start_position
-    users = np.array([position(c.generating_user, c.segment_index) for c in clusters])
+    segment, position = cluster_set.segment_index, layout.segment_start_position
+    users = np.array([position(c.generating_user, segment) for c in clusters])
     geometries, degenerate = solve_cluster_geometry(clusters, users, layout.array)
     if degenerate.any():
         bad = clusters[int(np.argmax(degenerate))]

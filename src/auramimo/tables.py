@@ -3,13 +3,17 @@ metrics); floats are written by `repr`, which round-trips exactly. A
 view's parameter columns are formatted once per run from one float64 row
 (delay, power, AoA azimuth/elevation, AoD azimuth/elevation per
 sub-array, LBS, FBS x/y/z per sub-array) and written to its user's table
-and to `cluster_views.tsv` alike."""
+and to `cluster_views.tsv` alike. The delay is read from the run tensor:
+its delay at the segment's first snapshot less the direct path's."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
+
+from .geom import SPEED_OF_LIGHT_M_S
 
 SHARE_HEADER = "segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids"
 METRICS_HEADER = "metric\tkey1\tkey2\tvalue"
@@ -58,12 +62,12 @@ def param_header(n_subarrays: int) -> str:
     return "\t".join(head + ["lbs_x_m", "lbs_y_m", "lbs_z_m"] + fbs)
 
 
-def _param_row(view, n_subarrays: int) -> str:
+def _param_row(view, delay_s: float, n_subarrays: int) -> str:
     """The view's parameter columns, tab-joined; `tolist` turns the
     float64 row into Python floats, whose repr is that of the value."""
     n = n_subarrays
     row = np.empty(7 + 5 * n)
-    row[:4] = view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg
+    row[:4] = delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg
     row[4 : 4 + 2 * n : 2] = view.aod_az_deg
     row[5 : 4 + 2 * n : 2] = view.aod_el_deg
     row[4 + 2 * n : 7 + 2 * n] = view.lbs
@@ -81,25 +85,33 @@ def write_tables(result, out: Path) -> dict[str, Path]:
         for seg in segments:
             f.writelines(line + "\n" for line in share_rows(seg.share_table))
 
-    n_subarrays = result.config.layout.array.n_subarrays
+    layout = result.config.layout
+    n_subarrays = layout.array.n_subarrays
     header = param_header(n_subarrays)
-    # Each view's row, by (user, cluster id), for each segment.
-    rows = [
-        {key: _param_row(view, n_subarrays) for key, view in seg.views.views.items()}
-        for seg in segments
-    ]
+    ref = layout.array.reference_subarray.center
+    rows, members = [], []  # by segment: rows by (user, cluster id), members by cluster id
+    for seg in segments:
+        index = seg.cluster_set.segment_index
+        rx0 = [layout.segment_start_position(u, index) for u in layout.user_ids]
+        direct = np.divide([math.dist(p, ref) for p in rx0], SPEED_OF_LIGHT_M_S)[:, None]
+        # Tensor slot (k, c) is user k's c-th cluster: the sorted view keys.
+        delays = result.tensor.delays[:, :, layout.segments[index].first_snapshot] - direct
+        views = zip(sorted(seg.views.views.items()), delays.ravel().tolist())
+        rows.append({key: _param_row(v, d, n_subarrays) for (key, v), d in views})
+        groups = seg.share_table.groups
+        members.append({c: _joined(g.members) for g in groups for c in g.cluster_ids})
 
-    for user in result.config.layout.user_ids:
+    for user in layout.user_ids:
         path = paths[f"clusters_user{user}"] = out / f"clusters_user{user}.tsv"
         with open(path, "w") as f:
             f.write("segment\tcluster_id\tmembers\tgenerating_user\tboresight\t")
             f.write(header + "\n")
-            for seg, seg_rows in zip(segments, rows):
+            for seg, seg_rows, seg_members in zip(segments, rows, members):
                 for cluster_id in seg.cluster_set.by_user[user]:
                     cluster = seg.cluster_set.clusters[cluster_id]
                     f.write(
                         f"{seg.share_table.segment_index}\t{cluster_id}\t"
-                        f"{_joined(cluster.owner_set)}\t"
+                        f"{seg_members[cluster_id]}\t"
                         f"{cluster.generating_user}\t{int(cluster.boresight)}\t"
                         f"{seg_rows[(user, cluster_id)]}\n"
                     )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from auramimo import (
     ChannelTensor,
     RunConfig,
+    SPEED_OF_LIGHT_M_S,
     ScenarioConfig,
     build_layout,
     linear_track,
@@ -137,6 +140,11 @@ def make_random_config(seed: int) -> RunConfig:
     )
 
 
+def owners(cluster_set, cluster_id: int) -> tuple[int, ...]:
+    """The users who own a cluster, ascending, read from `by_user`."""
+    return tuple(u for u, ids in sorted(cluster_set.by_user.items()) if cluster_id in ids)
+
+
 def view_users(views) -> tuple[int, ...]:
     """The users of an `OwnerViews`, ascending."""
     return tuple(sorted({u for u, _ in views.views}))
@@ -166,6 +174,22 @@ def synthesize_segment(views, layout, carrier_hz, seed, **kwargs) -> ChannelTens
         carrier_hz=carrier_hz,
         seed=seed,
     )
+
+
+def view_excess_delays(views, layout) -> dict[tuple[int, int], float]:
+    """Each view's synthesized delay at the segment's first snapshot less
+    |rx0 - reference sub-array centre| / c, by (user, cluster id), one
+    view at a time: the delay the tables write. One scatterer suffices, as
+    the delay is the centre path's."""
+    tensor = synthesize_segment(views, layout, 3.5e9, seed=0, n_scatterers=1)
+    ref_center = layout.array.reference_subarray.center
+    excess = {}
+    for k, user in enumerate(tensor.user_ids):
+        rx0 = layout.segment_start_position(user, views.segment_index)
+        direct = math.dist(rx0, ref_center) / SPEED_OF_LIGHT_M_S
+        for c, view in enumerate(user_views(views, user)):
+            excess[user, view.cluster_id] = float(tensor.delays[k, c, 0]) - direct
+    return excess
 
 
 @pytest.fixture

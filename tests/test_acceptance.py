@@ -48,7 +48,7 @@ from auramimo.sharing import (
     recalculate_views,
     share_clusters,
 )
-from conftest import make_point_layout, make_scenario
+from conftest import make_point_layout, make_scenario, owners, view_excess_delays
 
 AURA_RADIUS_M = 5.0  # stationarity interval used throughout the gate
 
@@ -437,7 +437,9 @@ def test_c11_recalc_fixed_point(check):
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
         shared_views = share_clusters(clusters, attach_focal_points(clusters, layout))
 
-        shared = [c for c in clusters.clusters.values() if len(c.owner_set) == 2]
+        shared = [
+            c for c in clusters.clusters.values() if len(owners(clusters, c.cluster_id)) == 2
+        ]
         assert shared
         modes = set()
         # Tiny segments re-solve every non-boresight view, huge ones keep
@@ -445,13 +447,18 @@ def test_c11_recalc_fixed_point(check):
         for length_m in (1e-6, 1e6):
             segments = tuple(replace(s, length_m=length_m) for s in layout.segments)
             probe_layout = replace(layout, segments=segments)
-            views = recalculate_views(shared_views, clusters, probe_layout).views
+            all_views = recalculate_views(shared_views, clusters, probe_layout)
+            views = all_views.views
+            delays = view_excess_delays(all_views, probe_layout)
             for cluster in shared:
-                generator_view = views[(cluster.generating_user, cluster.cluster_id)]
-                owner = next(u for u in cluster.owner_set if u != cluster.generating_user)
+                generator_key = (cluster.generating_user, cluster.cluster_id)
+                generator_view = views[generator_key]
+                owner = next(
+                    u for u in owners(clusters, cluster.cluster_id) if u != cluster.generating_user
+                )
                 view = views[(owner, cluster.cluster_id)]
                 modes.add(view.recalc_mode)
-                assert view.delay_s == generator_view.delay_s
+                assert delays[owner, cluster.cluster_id] == delays[generator_key]
                 assert view.aoa_az_deg == generator_view.aoa_az_deg
                 assert view.aoa_el_deg == generator_view.aoa_el_deg
                 assert np.array_equal(view.aod_az_deg, generator_view.aod_az_deg)
@@ -466,8 +473,6 @@ def test_c11_recalc_fixed_point(check):
         owner = (0.0, 0.0, 1.5)
         probe = Cluster(
             cluster_id=0,
-            segment_index=0,
-            owner_set=(1, 2),
             generating_user=1,
             tau_s=1e-7,
             power_raw=0.5,

@@ -3,16 +3,29 @@
 bench/tracing.py replaces names of `auramimo.pipeline` with timing
 wrappers; a name the pipeline no longer calls would silently drop a span
 and the per-layer metric built from it. bench/counters.py reads
-attributes of the run result; a renamed one would fail only in the
+attributes of the run result, bench/workloads.py writes configs for
+`parse_config` and bench/checks.py reads the written files; a renamed
+attribute, a rejected key or a changed file format would fail only in the
 benchmark.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
-from auramimo import MODE_GENERATOR, MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, pipeline
+import pytest
+
+from auramimo import (
+    MODE_GENERATOR,
+    MODE_KEPT_FOCAL,
+    MODE_KEPT_PARAMETERS,
+    correlation_metrics,
+    parse_config,
+    pipeline,
+    read_tensor_binary,
+)
 from test_pipeline import make_run_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,6 +34,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -82,3 +96,27 @@ def test_write_outputs_writes_the_tensor_through_the_pipeline_name(tmp_path, mon
     monkeypatch.setattr(pipeline, "write_tensor_binary", spy)
     paths = pipeline.write_outputs(pipeline.run(make_run_config()), tmp_path / "out")
     assert calls == [paths["tensor"]]
+
+
+@pytest.mark.parametrize("name", ["crowd", "sparse", "wide", "smoke"])
+def test_workload_configs_parse(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports counters by name
+    workloads = _load("workloads")
+    workloads.check_structure(name, parse_config(workloads.make_config(name, 3)))
+
+
+def test_output_checks_pass_on_a_written_run(tmp_path):
+    checks = _load("checks")
+    config = make_run_config(n_snapshots=20)  # two segments
+    layout = config.layout
+    out = tmp_path / "out"
+    paths = pipeline.write_outputs(pipeline.run(config), out)
+    assert len(layout.segments) == 2
+    tensor = read_tensor_binary(paths["tensor"])
+    report = correlation_metrics(tensor)
+    assert checks.reread_matches_metrics(out, tensor, report, layout.user_ids) == []
+    counts = checks.share_counts_conserved(
+        out, layout.user_ids, len(layout.segments), config.total_clusters_per_user
+    )
+    assert counts == []
+    assert sorted(checks.digests(out)) == sorted(p.name for p in paths.values())

@@ -5,6 +5,7 @@ import pytest
 
 from auramimo import (
     MODE_KEPT_FOCAL,
+    InvalidScenario,
     MissingLsp,
     assemble_clusters,
     draw_lsp,
@@ -17,7 +18,7 @@ from auramimo import (
 )
 from auramimo.clustergen import Cluster, ClusterGeometry, group_rng
 from auramimo.pipeline import run
-from conftest import make_point_layout, make_scenario, make_two_user_layout
+from conftest import make_point_layout, make_scenario, make_two_user_layout, owners
 from test_pipeline import make_run_config
 
 
@@ -44,6 +45,16 @@ def test_delay_tail_distribution(rng):
     assert tail.std() == pytest.approx(scale, rel=0.06)
 
 
+def test_delays_whose_squared_path_overflows_are_a_typed_error(rng):
+    # The focal solve squares the path: about 1.3e154 m is the float limit.
+    assert np.all(np.isfinite(gen_delays(7, 1e-7, 1e150, rng)))
+    with pytest.raises(InvalidScenario, match="r_tau 1e[+]200 and delay_spread_median_s"):
+        gen_delays(7, 1e-7, 1e200, rng)
+    # A scale past float range draws inf - inf = NaN delays, also rejected.
+    with pytest.raises(InvalidScenario, match="overflows"):
+        gen_delays(7, 1e300, 1e10, rng)
+
+
 def test_powers_match_exponential_profile_without_shadowing(rng):
     sigma, r_tau = 1e-7, 2.5
     d = gen_delays(30, sigma, r_tau, rng)
@@ -62,21 +73,21 @@ def test_powers_with_shadowing_still_normalized(rng):
 
 
 def test_arrival_angles_bounded(rng):
-    az, el = gen_arrival_angles(np.ones(500), 60.0, 20.0, rng)
+    az, el = gen_arrival_angles(500, 60.0, 20.0, rng)
     assert np.all(az > -180.0) and np.all(az <= 180.0)
     assert np.all(el >= -90.0) and np.all(el <= 90.0)
 
 
 def test_arrival_angle_spread_matches_sigma(rng):
     # |N(0, s)| with a random sign has the same law as N(0, s).
-    az, el = gen_arrival_angles(np.ones(20000), 40.0, 5.0, rng)
+    az, el = gen_arrival_angles(20000, 40.0, 5.0, rng)
     assert az.std() == pytest.approx(40.0, rel=0.03)
     assert az.mean() == pytest.approx(0.0, abs=1.0)
     assert el.std() == pytest.approx(5.0, rel=0.03)
 
 
 def test_zero_spread_collapses_angles(rng):
-    az, el = gen_arrival_angles(np.ones(10), 0.0, 0.0, rng)
+    az, el = gen_arrival_angles(10, 0.0, 0.0, rng)
     assert np.all(az == 0.0) and np.all(el == 0.0)
 
 
@@ -118,7 +129,7 @@ def test_shared_cluster_is_one_object():
     layout = make_two_user_layout(2.0)
     cs = _assembled(layout)
     shared_ids = [
-        c.cluster_id for c in _of_user(cs, 1) if c.owner_set == (1, 2)
+        c.cluster_id for c in _of_user(cs, 1) if owners(cs, c.cluster_id) == (1, 2)
     ]
     assert shared_ids
     by_id_1 = {c.cluster_id: c for c in _of_user(cs, 1)}
@@ -142,7 +153,7 @@ def test_first_cluster_of_each_group_is_boresight():
     cs = _assembled(layout)
     groups = {}
     for c in cs.clusters.values():
-        groups.setdefault((c.owner_set, c.generating_user), []).append(c)
+        groups.setdefault((owners(cs, c.cluster_id), c.generating_user), []).append(c)
     for members in groups.values():
         members.sort(key=lambda c: c.tau_s)
         assert members[0].boresight and members[0].tau_s == 0.0
@@ -228,7 +239,7 @@ def test_generating_user_uniform_over_members():
     for seed in range(1000):
         lsp = draw_lsp(scenario, layout, seed=seed)
         cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-        shared = [c for c in cs.clusters.values() if len(c.owner_set) == 2]
+        shared = [c for c in cs.clusters.values() if len(owners(cs, c.cluster_id)) == 2]
         picks.append(shared[0].generating_user)
     n1 = picks.count(1)
     chi2 = (n1 - 500) ** 2 / 250.0  # (o-e)^2/e summed over both cells

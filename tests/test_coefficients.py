@@ -96,7 +96,7 @@ def test_scatterer_randomness_keyed_and_valid():
 # ---------------------------------------------------------------------------
 
 
-def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
+def _manual_view(layout, lbs, fbs, interior, power=0.04):
     subs = layout.array.subarrays
     lbs, fbs = np.array(lbs, dtype=float), np.array(fbs, dtype=float)
     e_len = np.array([math.dist(s.center, f) for s, f in zip(subs, fbs)])
@@ -104,7 +104,6 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04, delay=1e-7):
         user_id=1,
         cluster_id=0,
         recalc_mode="generator",
-        delay_s=delay,
         power=power,
         aoa_az_deg=0.0,
         aoa_el_deg=0.0,
@@ -171,14 +170,19 @@ def test_negative_interior_clamped_and_logged(caplog):
     np.testing.assert_array_equal(tensor.coefficients, ref.coefficients)
 
 
-def _full_tensor(layout, seed=3, total=7):
+def _full_views(layout, seed=3, total=7):
+    """(cluster set, owner views) of segment 0."""
     scenario = make_scenario(clusters_per_user=total)
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
     shared = share_clusters(cs, attach_focal_points(cs, layout))
-    views = recalculate_views(shared, cs, layout)
-    tensor = synthesize_segment(views, layout, scenario.carrier_hz, seed=seed)
+    return cs, recalculate_views(shared, cs, layout)
+
+
+def _full_tensor(layout, seed=3, total=7):
+    _, views = _full_views(layout, seed, total)
+    tensor = synthesize_segment(views, layout, make_scenario().carrier_hz, seed=seed)
     return tensor, views, layout
 
 
@@ -207,17 +211,36 @@ def test_colocated_users_get_identical_rows():
     np.testing.assert_array_equal(tensor.delays[0], tensor.delays[1])
 
 
+def _solved_path(cluster, interior_raw_m, rx0, ref_center):
+    """The centre path a focal solve from rx0 closes: the excess delay
+    (lengthened by an interior leg that synthesis clamps) plus the direct
+    reference distance."""
+    clamped = max(0.0, -interior_raw_m)
+    return cluster.tau_s * C0 + clamped + math.dist(rx0, ref_center)
+
+
 def test_generator_center_path_delay_closes():
     # For every view, clamped interiors and joining owners included, the
-    # snapshot-0 delay is the view's delay plus the direct reference
-    # distance over c, to within 1e-9 m of path.
-    tensor, views, layout = _full_tensor(make_two_user_layout(2.0))
+    # snapshot-0 delay is the path its focal points close, to within 1e-9 m:
+    # a generator or kept-parameters view's solved path; a kept-focal-point
+    # view's is its generator's with the last leg, LBS to receiver, swapped.
+    layout = make_two_user_layout(2.0)
+    cs, views = _full_views(layout)
+    tensor = synthesize_segment(views, layout, make_scenario().carrier_hz, seed=3)
     ref_center = layout.array.reference_subarray.center
     checked = []
     for k, user in enumerate(tensor.user_ids):
         rx0 = layout.segment_start_position(user, 0)
         for c, view in enumerate(user_views(views, user)):
-            want = view.delay_s * C0 + math.dist(rx0, ref_center)
+            cluster = cs.clusters[view.cluster_id]
+            if view.recalc_mode == "kept-focal-point":
+                gen_user = cluster.generating_user
+                gen0 = layout.segment_start_position(gen_user, 0)
+                gen = views.views[gen_user, view.cluster_id]
+                want = _solved_path(cluster, gen.interior_raw_m, gen0, ref_center)
+                want += math.dist(rx0, view.lbs) - math.dist(gen0, view.lbs)
+            else:
+                want = _solved_path(cluster, view.interior_raw_m, rx0, ref_center)
             assert abs(tensor.delays[k, c, 0] * C0 - want) <= 1e-9, (user, c)
             checked.append((view.recalc_mode, view.interior_raw_m < 0.0))
     assert len(checked) == 14

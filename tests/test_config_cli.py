@@ -17,7 +17,7 @@ from auramimo import (
     parse_config,
     read_tensor_binary,
 )
-from auramimo import cli
+from auramimo import cli, pipeline
 from auramimo.cli import main
 from auramimo.tables import METRICS_HEADER
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
@@ -202,6 +202,23 @@ def test_overflowing_scenario_draw_exits_2_with_one_line(tmp_path, capsys, key):
     assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("InvalidScenario: ") and OVERFLOWING[key] in err and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+# An excess path past about 1.3e154 m overflowed the focal solve's squared
+# length into numpy warnings, then ended in ValueError (exit 3) after a
+# full synthesis.
+@pytest.mark.parametrize("key,value", [("r_tau", 1e200), ("delay_spread_median_s", 1e300)])
+def test_overflowing_delay_exits_2_before_synthesis(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr(pipeline, "synthesize", lambda *a, **k: pytest.fail("synthesis ran"))
+    raw = base_raw()
+    raw["scenario"][key] = value
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidScenario: r_tau ")
+    assert "delay_spread_median_s" in err and "overflows" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

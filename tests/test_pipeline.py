@@ -445,9 +445,9 @@ def test_random_runs_write_consistent_files(tmp_path):
         # The run and the file hold the same complex64 values.
         assert reread == written, seed
 
-        # Every table row's delay is the path the tensor synthesizes: at a
-        # segment's start, delay_s + |rx0 - reference centre| / c. A user's
-        # rows of a segment are its cluster slots, in order.
+        # Every table row's delay is read off the reread tensor: its delay at
+        # the segment's start less |rx0 - reference centre| / c, exactly. A
+        # user's rows of a segment are its cluster slots, in order.
         ref_center = config.layout.array.reference_subarray.center
         for k, user in enumerate(users):
             slots = {}
@@ -455,9 +455,9 @@ def test_random_runs_write_consistent_files(tmp_path):
                 segment = config.layout.segments[int(row[0])]
                 c = slots[segment.index] = slots.get(segment.index, -1) + 1
                 rx0 = config.layout.segment_start_position(user, segment.index)
-                want = float(row[5]) * SPEED_OF_LIGHT_M_S + math.dist(rx0, ref_center)
-                got = tensor.delays[k, c, segment.first_snapshot] * SPEED_OF_LIGHT_M_S
-                assert abs(got - want) <= 1e-9, (seed, user, row[:2])
+                direct = math.dist(rx0, ref_center) / SPEED_OF_LIGHT_M_S
+                want = tensor.delays[k, c, segment.first_snapshot] - direct
+                assert float(row[5]) == want, (seed, user, row[:2])
         _check_tables_agree(config, dirs[0])
         views = [v for seg in result.segments for v in seg.views.views.values()]
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)

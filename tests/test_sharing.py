@@ -22,12 +22,27 @@ from auramimo import (
     share_tables,
     total_path_length,
 )
-from auramimo import sharing
+from auramimo import RunConfig, sharing
 from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector
+from auramimo.grouping import GroupShare, ShareTable
+from auramimo.metrics import MetricsReport
+from auramimo.pipeline import RunResult, SegmentResult
 from auramimo.sharing import OwnerView
 from auramimo.spherical import solve_cluster_geometry
-from conftest import make_random_config, make_scenario, make_two_user_layout
+from auramimo.tables import write_tables
+from conftest import (
+    make_random_config,
+    make_scenario,
+    make_two_user_layout,
+    owners,
+    synthesize_segment,
+    view_excess_delays,
+)
+
+# How far a synthesized delay may sit from the delay its path was solved
+# for: float rounding of the focal solve, about 3e-13 m of path.
+CLOSURE_S = 1e-21
 
 
 def _synthesized_delay(tau_s, interior_raw_m):
@@ -39,8 +54,6 @@ def _synthesized_delay(tau_s, interior_raw_m):
 def _cluster():
     return Cluster(
         cluster_id=0,
-        segment_index=0,
-        owner_set=(1, 2),
         generating_user=1,
         tau_s=1e-7,
         power_raw=0.5,
@@ -93,6 +106,7 @@ def _generator(shared, cluster):
 def test_share_clusters_verbatim_and_power():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     geometries = attach_focal_points(cs, layout)
+    excess = view_excess_delays(recalculate_views(shared, cs, layout), layout)
     # Only the generator views, one per cluster, by cluster id.
     assert sorted(shared) == sorted(cs.clusters)
     for cid, view in shared.items():
@@ -100,9 +114,12 @@ def test_share_clusters_verbatim_and_power():
         user = cluster.generating_user
         assert (view.user_id, view.cluster_id) == (user, cid)
         assert view.recalc_mode == MODE_GENERATOR
-        # The excess delay, verbatim unless the interior leg is clamped.
-        assert view.delay_s == _synthesized_delay(cluster.tau_s, view.interior_raw_m)
-        assert (view.delay_s == cluster.tau_s) == (view.interior_raw_m >= 0.0)
+        # The synthesized path closes to the excess delay, lengthened only
+        # if the interior leg is clamped; a boresight path is the direct one.
+        delay = excess[user, cid]
+        assert abs(delay - _synthesized_delay(cluster.tau_s, view.interior_raw_m)) <= CLOSURE_S
+        assert (abs(delay - cluster.tau_s) <= CLOSURE_S) == (view.interior_raw_m >= 0.0)
+        assert (delay == 0.0) == cluster.boresight
         assert np.array_equal(view.lbs, geometries[cid].lbs)
         assert view.power == cs.effective_power(user, cid)
     assert any(v.interior_raw_m < 0.0 for v in shared.values())
@@ -138,7 +155,7 @@ def _shared_nonboresight(cs):
     return [
         c
         for c in cs.clusters.values()
-        if len(c.owner_set) == 2 and not c.boresight
+        if len(owners(cs, c.cluster_id)) == 2 and not c.boresight
     ]
 
 
@@ -153,26 +170,28 @@ def _with_segment_length(layout, length_m):
 KEEP_PARAMETERS_M, KEEP_FOCAL_M = 1e-6, 1e6
 
 
-def _joining(cluster):
-    return next(u for u in cluster.owner_set if u != cluster.generating_user)
+def _joining(cs, cluster):
+    return next(u for u in owners(cs, cluster.cluster_id) if u != cluster.generating_user)
 
 
 def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
+    excess = view_excess_delays(views, layout)
     subs = layout.array.subarrays
     ref = layout.array.reference_subarray.index
     clusters = _shared_nonboresight(cs)
     assert clusters
     for cluster in clusters:
-        owner = _joining(cluster)
+        owner = _joining(cs, cluster)
         owner_pos = layout.segment_start_position(owner, 0)
         owner_xyz = owner_pos
         view = views.views[owner, cluster.cluster_id]
         assert view.recalc_mode == MODE_KEPT_PARAMETERS
-        # Kept fields are bit-identical; the delay is the kept excess delay,
-        # lengthened by the re-solved interior leg if synthesis clamps it.
-        assert view.delay_s == _synthesized_delay(cluster.tau_s, view.interior_raw_m)
+        # Kept fields are bit-identical; the synthesized delay is the kept
+        # excess delay, lengthened by the re-solved interior leg if clamped.
+        want = _synthesized_delay(cluster.tau_s, view.interior_raw_m)
+        assert abs(excess[owner, cluster.cluster_id] - want) <= CLOSURE_S
         assert view.aoa_az_deg == cluster.aoa_az_deg
         assert view.aoa_el_deg == cluster.aoa_el_deg
         assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
@@ -194,7 +213,7 @@ def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = replace(_shared_nonboresight(cs)[0], tau_s=0.0)
     cs = replace(cs, clusters={**cs.clusters, cluster.cluster_id: cluster})
-    owner = _joining(cluster)
+    owner = _joining(cs, cluster)
     match = f"cluster {cluster.cluster_id}: no focal points from owner {owner}"
     with pytest.raises(DegenerateGeometry, match=match):
         recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
@@ -203,10 +222,11 @@ def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
 def test_kept_focal_point_keeps_geometry_and_reads_angles():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_FOCAL_M))
+    excess = view_excess_delays(views, layout)
     clusters = _shared_nonboresight(cs)
     assert clusters
     for cluster in clusters:
-        owner = _joining(cluster)
+        owner = _joining(cs, cluster)
         owner_pos = layout.segment_start_position(owner, 0)
         view = views.views[owner, cluster.cluster_id]
         generator = _generator(shared, cluster)
@@ -219,7 +239,7 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         dy = generator.lbs[1] - owner_pos[1]
         expected_az = math.degrees(math.atan2(dy, dx))
         assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
-        assert view.delay_s >= 0.0
+        assert excess[owner, cluster.cluster_id] >= 0.0
 
 
 def test_colocated_owner_gets_bit_identical_view_in_both_modes():
@@ -227,13 +247,16 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
     modes = set()
     for length_m in (KEEP_PARAMETERS_M, KEEP_FOCAL_M):
         views = recalculate_views(shared, cs, _with_segment_length(layout, length_m))
+        excess = view_excess_delays(views, layout)
         for cluster in cs.clusters.values():
-            if len(cluster.owner_set) < 2:
+            if len(owners(cs, cluster.cluster_id)) < 2:
                 continue
-            view = views.views[_joining(cluster), cluster.cluster_id]
+            owner = _joining(cs, cluster)
+            view = views.views[owner, cluster.cluster_id]
             generator = _generator(shared, cluster)
             modes.add(view.recalc_mode)
-            assert view.delay_s == generator.delay_s
+            generator_key = (cluster.generating_user, cluster.cluster_id)
+            assert excess[owner, cluster.cluster_id] == excess[generator_key]
             assert view.aoa_az_deg == cluster.aoa_az_deg
             assert view.aoa_el_deg == cluster.aoa_el_deg
             assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
@@ -259,23 +282,29 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     generator = _generator(shared, cluster)
     to_lbs = generator.lbs - gen_pos
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
-    owner = _joining(cluster)
+    owner = _joining(cs, cluster)
     moved = _move_user(_with_segment_length(layout, KEEP_FOCAL_M), owner, gen_pos + step)
-    view = recalculate_views(shared, cs, moved).views[owner, cluster.cluster_id]
+    views = recalculate_views(shared, cs, moved)
+    view = views.views[owner, cluster.cluster_id]
+    excess = view_excess_delays(views, moved)
+    delay = excess[owner, cluster.cluster_id]
+    generator_delay = excess[cluster.generating_user, cluster.cluster_id]
     assert view.recalc_mode == MODE_KEPT_FOCAL
-    assert view.delay_s < generator.delay_s
-    assert generator.delay_s - view.delay_s > 1e-15
+    assert delay < generator_delay
+    assert generator_delay - delay > 1e-15
 
 
-def test_kept_focal_delay_floors_at_zero():
-    # A synthetic geometry where the frozen interior is so negative that
-    # the reconstructed delay would dip below zero; user 2 joins from
-    # (35, 0, 1.5).
-    layout = make_two_user_layout(5.0)
+def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
+    # A synthetic geometry whose frozen path, seen from user 2 at
+    # (35, 0, 1.5), is only the 5 m leg from the LBS: shorter than the
+    # direct path. The tables write the tensor's negative excess delay,
+    # not 0.
+    layout = _with_segment_length(make_two_user_layout(5.0), KEEP_FOCAL_M)
     n_sub = len(layout.array.subarrays)
+    lbs = np.array([30.0, 0.0, 1.5])
     geometry = ClusterGeometry(
-        lbs=np.array([30.0, 0.0, 1.5]),
-        fbs=np.tile([30.0, 0.0, 1.5], (n_sub, 1)),
+        lbs=lbs,
+        fbs=np.tile(lbs, (n_sub, 1)),
         e_len_m=np.zeros(n_sub),
         interior_raw_m=-100.0,
     )
@@ -285,10 +314,25 @@ def test_kept_focal_delay_floors_at_zero():
         by_user={1: (0,), 2: (0,)},
         power_denominator={1: 0.5, 2: 0.5},
     )
-    layout = _with_segment_length(layout, KEEP_FOCAL_M)
-    view = recalculate_views(share_clusters(cs, {0: geometry}), cs, layout).views[2, 0]
-    assert view.recalc_mode == MODE_KEPT_FOCAL
-    assert view.delay_s == 0.0
+    views = recalculate_views(share_clusters(cs, {0: geometry}), cs, layout)
+    assert views.views[2, 0].recalc_mode == MODE_KEPT_FOCAL
+    group = GroupShare(
+        members=(1, 2), proportion=1.0, scaled_proportion=1.0, count=1, cluster_ids=(0,)
+    )
+    result = RunResult(
+        config=RunConfig(make_scenario(clusters_per_user=1), layout, 0, "unused", "binary"),
+        segments=[SegmentResult(ShareTable(0, 1, (group,)), cs, views)],
+        tensor=synthesize_segment(views, layout, 3.5e9, seed=0),
+        metrics=MetricsReport(),
+    )
+    write_tables(result, tmp_path)
+    rows = [r.split("\t") for r in (tmp_path / "cluster_views.tsv").read_text().splitlines()]
+    written = {int(r[2]): float(r[4]) for r in rows[1:]}
+    rx0 = layout.segment_start_position(2, 0)
+    ref_center = layout.array.reference_subarray.center
+    want = (math.dist(rx0, lbs) - math.dist(rx0, ref_center)) / SPEED_OF_LIGHT_M_S
+    assert written[2] == view_excess_delays(views, layout)[2, 0] < 0.0
+    assert written[2] == pytest.approx(want, rel=1e-12)
 
 
 def test_recalculate_views_modes_and_power():
@@ -329,8 +373,9 @@ def test_recalculated_views_are_deterministic():
     def build():
         cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
         final = recalculate_views(shared, cs, layout)
+        excess = view_excess_delays(final, layout)
         return [
-            (k, v.delay_s, v.aoa_az_deg, tuple(map(float, v.aod_az_deg)))
+            (k, excess[k], v.aoa_az_deg, tuple(map(float, v.aod_az_deg)))
             for k, v in sorted(final.views.items())
         ]
 
@@ -355,15 +400,15 @@ def _random_segments(seed):
 
 
 # The per-view recalculation as it was before the one-pass rewrite, kept
-# here as the reference of the gate below.
+# here as the reference of the gate below. Each returns the view and the
+# delay of the path it fixes, which synthesis must reproduce.
 
 
 def _verbatim_view(cluster, geometry, user_id, mode, power):
-    return OwnerView(
+    view = OwnerView(
         user_id=user_id,
         cluster_id=cluster.cluster_id,
         recalc_mode=mode,
-        delay_s=_synthesized_delay(cluster.tau_s, geometry.interior_raw_m),
         power=power,
         aoa_az_deg=cluster.aoa_az_deg,
         aoa_el_deg=cluster.aoa_el_deg,
@@ -371,20 +416,21 @@ def _verbatim_view(cluster, geometry, user_id, mode, power):
         aod_el_deg=cluster.aod_el_deg,
         **geometry._asdict(),
     )
+    return view, _synthesized_delay(cluster.tau_s, geometry.interior_raw_m)
 
 
-def _at_generator(cluster, owner_pos, layout):
+def _at_generator(cluster, owner_pos, layout, segment_index):
     """Whether the owner stands exactly at the generating user's position."""
-    gen_pos = layout.segment_start_position(cluster.generating_user, cluster.segment_index)
+    gen_pos = layout.segment_start_position(cluster.generating_user, segment_index)
     return bool(np.array_equal(owner_pos, gen_pos))
 
 
-def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power):
+def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power, segment):
     """Keep delay/power/angles; re-solve both focal points from the
     owner's position with the owner's own total path length."""
-    view = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_PARAMETERS, power)
-    if _at_generator(cluster, owner_pos, layout):
-        return view
+    view, delay = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_PARAMETERS, power)
+    if _at_generator(cluster, owner_pos, layout, segment):
+        return view, delay
     (solved,), (degenerate,) = solve_cluster_geometry(
         [cluster], owner_pos[None], layout.array
     )
@@ -393,20 +439,19 @@ def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power
             f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
         )
     delay = _synthesized_delay(cluster.tau_s, solved.interior_raw_m)
-    return replace(view, delay_s=delay, **solved._asdict())
+    return replace(view, **solved._asdict()), delay
 
 
-def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power):
+def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power, segment):
     """Keep both focal points; recompute angles from the frozen geometry
     and the delay from the owner's own end-to-end path length.
 
     The delay reuses the cluster's interior length, clamped at 0 as in
-    synthesis, so that the generating position is an exact fixed point;
-    the result is floored at zero.
+    synthesis, so that the generating position is an exact fixed point.
     """
-    view = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_FOCAL, power)
-    if _at_generator(cluster, owner_pos, layout):
-        return view
+    view, delay = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_FOCAL, power)
+    if _at_generator(cluster, owner_pos, layout, segment):
+        return view, delay
 
     aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
     aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
@@ -417,27 +462,28 @@ def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, powe
     direct = math.dist(owner_pos, ref.center)
     interior = max(geometry.interior_raw_m, 0.0)
     delay = (e_ref + interior + g_len - direct) / SPEED_OF_LIGHT_M_S
-    delay = max(0.0, delay)
 
-    return replace(
+    view = replace(
         view,
-        delay_s=delay,
         aoa_az_deg=aoa_az,
         aoa_el_deg=aoa_el,
         aod_az_deg=aod_az,
         aod_el_deg=aod_el,
     )
+    return view, delay
 
 
 def _per_view_views(shared, cluster_set, geometries, layout):
+    """The reference views and their delays, both by (user, cluster id)."""
     segment = layout.segments[cluster_set.segment_index]
-    views = {}
+    views, delays = {}, {}
     for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
         owner_pos = layout.segment_start_position(user_id, segment.index)
         for cluster_id in cluster_ids:
             cluster = cluster_set.clusters[cluster_id]
             if user_id == cluster.generating_user:
                 view = shared[cluster_id]
+                delay = _synthesized_delay(cluster.tau_s, view.interior_raw_m)
             else:
                 geometry = geometries[cluster_id]
                 kept_focal = (
@@ -446,9 +492,11 @@ def _per_view_views(shared, cluster_set, geometries, layout):
                 )
                 recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
                 power = cluster_set.effective_power(user_id, cluster_id)
-                view = recalc(cluster, geometry, user_id, owner_pos, layout, power)
-            views[user_id, cluster_id] = view
-    return views
+                view, delay = recalc(
+                    cluster, geometry, user_id, owner_pos, layout, power, segment.index
+                )
+            views[user_id, cluster_id], delays[user_id, cluster_id] = view, delay
+    return views, delays
 
 
 def _moved_kept_parameters(views, cs, layout):
@@ -472,7 +520,8 @@ def test_recalculate_views_equal_per_view_reference():
         for layout, cs, geometries in _random_segments(seed):
             shared = share_clusters(cs, geometries)
             new = recalculate_views(shared, cs, layout)
-            old = _per_view_views(shared, cs, geometries, layout)
+            old, old_delays = _per_view_views(shared, cs, geometries, layout)
+            excess = view_excess_delays(new, layout)
             assert new.segment_index == cs.segment_index
             assert list(new.views) == list(old) == sorted(old)
             for key, view in new.views.items():
@@ -481,6 +530,7 @@ def test_recalculate_views_equal_per_view_reference():
                     a, b = getattr(view, f.name), getattr(want, f.name)
                     same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
                     assert same and type(a) is type(b), (seed, key, f.name)
+                assert abs(excess[key] - old_delays[key]) <= CLOSURE_S, (seed, key)
                 cluster = cs.clusters[key[1]]
                 kept_parameters |= view.recalc_mode == MODE_KEPT_PARAMETERS
                 co_located |= key[0] != cluster.generating_user and np.array_equal(

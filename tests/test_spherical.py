@@ -258,8 +258,6 @@ def _degenerate_cluster_set():
     # Zero excess delay without the boresight marker cannot be solved.
     cluster = Cluster(
         cluster_id=0,
-        segment_index=0,
-        owner_set=(1,),
         generating_user=1,
         tau_s=0.0,
         power_raw=1.0,

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from auramimo import MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS, parse_config, tables
+from auramimo import (
+    MODE_KEPT_FOCAL,
+    MODE_KEPT_PARAMETERS,
+    SPEED_OF_LIGHT_M_S,
+    parse_config,
+    tables,
+)
 from auramimo.pipeline import run, write_outputs
 from auramimo.tensorio import write_tensor_binary, write_tensor_text
 from test_pipeline import SCENARIO
@@ -22,9 +29,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _view_param_columns(view, n_subarrays):
+def _view_param_columns(view, delay_s, n_subarrays):
     cols = [
-        _fmt(view.delay_s),
+        _fmt(delay_s),
         _fmt(view.power),
         _fmt(view.aoa_az_deg),
         _fmt(view.aoa_el_deg),
@@ -48,10 +55,29 @@ def _param_header(n_subarrays):
     return head
 
 
+def _view_delays(result) -> dict[tuple[int, int, int], float]:
+    """Each view's delay by (segment, user, cluster id): the tensor's at
+    the segment's first snapshot, in the slot of the user's c-th cluster,
+    less |rx0 - reference sub-array centre| / c."""
+    layout = result.config.layout
+    ref_center = layout.array.reference_subarray.center
+    delays = {}
+    for seg in result.segments:
+        segment = layout.segments[seg.share_table.segment_index]
+        for k, user in enumerate(layout.user_ids):
+            rx0 = layout.segment_start_position(user, segment.index)
+            direct = math.dist(rx0, ref_center) / SPEED_OF_LIGHT_M_S
+            for c, cluster_id in enumerate(seg.cluster_set.by_user[user]):
+                tensor_delay = float(result.tensor.delays[k, c, segment.first_snapshot])
+                delays[segment.index, user, cluster_id] = tensor_delay - direct
+    return delays
+
+
 def _reference_write(result, out: Path) -> dict[str, Path]:
     config = result.config
     out.mkdir(parents=True)
     n_subarrays = config.layout.array.n_subarrays
+    delays = _view_delays(result)
     paths = {}
     if config.out_format == "binary":
         paths["tensor"] = out / "channel.bin"
@@ -83,15 +109,20 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
                 + "\n"
             )
             for seg in result.segments:
+                segment = seg.share_table.segment_index
                 for cluster_id in seg.cluster_set.by_user[user]:
                     view = seg.views.views[(user, cluster_id)]
                     cluster = seg.cluster_set.clusters[cluster_id]
-                    members = "+".join(str(u) for u in cluster.owner_set)
+                    group = next(
+                        g for g in seg.share_table.groups if cluster_id in g.cluster_ids
+                    )
+                    members = "+".join(str(u) for u in group.members)
+                    delay = delays[segment, user, cluster_id]
                     f.write(
-                        f"{seg.share_table.segment_index}\t{view.cluster_id}\t"
+                        f"{segment}\t{view.cluster_id}\t"
                         f"{members}\t{cluster.generating_user}\t"
                         f"{int(cluster.boresight)}\t"
-                        + "\t".join(_view_param_columns(view, n_subarrays))
+                        + "\t".join(_view_param_columns(view, delay, n_subarrays))
                         + "\n"
                     )
 
@@ -101,10 +132,11 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
         for seg in result.segments:
             for (user, cluster_id) in sorted(seg.views.views):
                 view = seg.views.views[(user, cluster_id)]
+                delay = delays[seg.share_table.segment_index, user, cluster_id]
                 f.write(
                     f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
                     f"{view.recalc_mode}\t"
-                    + "\t".join(_view_param_columns(view, n_subarrays))
+                    + "\t".join(_view_param_columns(view, delay, n_subarrays))
                     + "\n"
                 )
 
@@ -169,9 +201,9 @@ def _seeded_config(rng, seed):
     return parse_config(raw)
 
 
-def _formatted_values(view):
+def _formatted_values(view, delay_s):
     """Every value a view's parameter row formats, as stored."""
-    return [view.delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg,
+    return [delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg,
             *view.lbs, *view.fbs.ravel()]
 
 
@@ -192,9 +224,11 @@ def test_tables_equal_value_by_value_writers(tmp_path):
             assert got[kind].read_bytes() == want[kind].read_bytes(), (trial, kind)
 
         # Every value is a float, so the reference's str branch never applies.
+        delays = _view_delays(result)
         for seg in result.segments:
-            for view in seg.views.views.values():
-                assert all(isinstance(x, float) for x in _formatted_values(view)), trial
+            for (user, cluster_id), view in seg.views.views.items():
+                delay = delays[seg.share_table.segment_index, user, cluster_id]
+                assert all(isinstance(x, float) for x in _formatted_values(view, delay)), trial
                 assert view.aod_az_deg.dtype == view.aod_el_deg.dtype == np.float64
                 assert view.lbs.dtype == view.fbs.dtype == np.float64
 
@@ -218,9 +252,9 @@ def test_each_view_row_is_formatted_once(tmp_path, monkeypatch):
     calls = []
     original = tables._param_row
 
-    def spy(view, n_subarrays):
+    def spy(view, delay_s, n_subarrays):
         calls.append((view.user_id, view.cluster_id))
-        return original(view, n_subarrays)
+        return original(view, delay_s, n_subarrays)
 
     monkeypatch.setattr(tables, "_param_row", spy)
     config = _seeded_config(np.random.default_rng(5), 5)
