@@ -42,8 +42,9 @@ class Cluster:
     `power_raw` is the within-group share; `ClusterSet.effective_power`
     renormalizes it for each owner. Its focal points depend on where the
     cluster is seen from, so they are held by its owner views
-    (`sharing.OwnerView`), not by the cluster. Its departure angle arrays
-    are read-only.
+    (`sharing.OwnerView`), not by the cluster. Only the focal solve reads
+    the drawn angles (the tables read angles back from the focal points);
+    the departure angle arrays are read-only.
     """
 
     cluster_id: int

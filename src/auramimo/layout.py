@@ -23,28 +23,39 @@ from .geom import distances, read_only
 # Spacing / center agreement tolerance, meters.
 GEOMETRY_TOL_M = 1e-9
 
+# Largest coordinate magnitude, meters: up to 1e6 m a float64 ulp is at most
+# 1.2e-10 m, below the focal solve's tolerance `spherical.EPSILON_M` (1e-9 m);
+# far beyond, squared distances lose the excess path, then overflow.
+MAX_COORDINATE_M = 1e6
+
 
 def _points(points, what: str) -> np.ndarray:
     """Read-only float64 copy of `points`, rows (x, y, z); ValueError
-    unless every coordinate is finite."""
+    unless every coordinate is finite and within MAX_COORDINATE_M. Every
+    track and array point passes through here."""
     a = np.array(points, dtype=float)
     if a.size == 0:
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"{what}: expected rows [x, y, z], got shape {a.shape}")
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    bad = np.flatnonzero(~(np.abs(a) <= MAX_COORDINATE_M).all(axis=1))
     if bad.size:
         raise ValueError(
-            f"{what}: coordinates must be finite, got {a[bad[0]].tolist()} at point {bad[0]}"
+            f"{what}: coordinates must be finite and at most {MAX_COORDINATE_M:g} m in "
+            f"magnitude, got {a[bad[0]].tolist()} at point {bad[0]}"
         )
     return read_only(a)
 
 
-def _require_finite(**values) -> None:
-    """ValueError naming the first argument with a non-finite value."""
+def _require_bounded(**values) -> None:
+    """ValueError naming the first argument not finite or beyond
+    MAX_COORDINATE_M in magnitude: no point computed from it overflows."""
     for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (np.abs(value) <= MAX_COORDINATE_M).all():
+            raise ValueError(
+                f"{name} must be finite and at most {MAX_COORDINATE_M:g} in magnitude, "
+                f"got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ def linear_track(
 ) -> Track:
     """Straight horizontal track starting at `start` (x, y, z) (heading
     measured from +x)."""
-    _require_finite(heading_deg=heading_deg, snapshot_spacing_m=snapshot_spacing_m)
+    _require_bounded(heading_deg=heading_deg, snapshot_spacing_m=snapshot_spacing_m)
     h = math.radians(heading_deg)
     dx = math.cos(h) * snapshot_spacing_m
     dy = math.sin(h) * snapshot_spacing_m
@@ -287,7 +298,7 @@ def uniform_linear_array(
 ) -> np.ndarray:
     """Element positions (n_elements, 3), read-only, of a uniform linear
     array starting at `origin` (x, y, z)."""
-    _require_finite(spacing_m=spacing_m, axis=axis)
+    _require_bounded(spacing_m=spacing_m, axis=axis)
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if norm == 0:

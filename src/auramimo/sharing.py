@@ -7,16 +7,17 @@ cluster's generator view from its parameters and geometry.
 views, in one pass and returns the segment's one `OwnerViews`: joining
 views either keep the generated parameters and re-solve both focal
 points from their own position (kept-parameters, for far clusters), or
-keep the focal points and read angles off the fixed geometry
-(kept-focal-point, for zero-excess-delay clusters and for clusters
-within three segment lengths of the joining owner). Views check
-themselves when built. A view holds no delay: synthesis computes the
-path its focal points fix, and the tables read it from the tensor.
+keep the generator's focal points verbatim (kept-focal-point, for
+zero-excess-delay clusters and for clusters within three segment lengths
+of the joining owner). Views check themselves when built. A view holds
+no delay and no angle: synthesis computes the path its focal points fix,
+and the tables read the delay from the tensor and the angles from the
+focal points.
 
 A joining owner standing exactly at the generating user's position gets
-a verbatim copy in either mode: both rules are fixed points there, and
-copying keeps the equality bit-exact instead of round-trip-rounded.
-"""
+a verbatim copy in kept-parameters mode too: re-solving is a fixed point
+there, and copying keeps the equality bit-exact instead of
+round-trip-rounded."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .clustergen import Cluster, ClusterGeometry, ClusterSet
 from .errors import DegenerateGeometry, IncompleteViews
-from .geom import angles_from_vector, read_only
+from .geom import read_only
 from .layout import UserLayout
 from .spherical import solve_cluster_geometry
 
@@ -47,10 +48,6 @@ class OwnerView:
     cluster_id: int
     recalc_mode: str
     power: float
-    aoa_az_deg: float
-    aoa_el_deg: float
-    aod_az_deg: np.ndarray
-    aod_el_deg: np.ndarray
     lbs: np.ndarray
     fbs: np.ndarray
     e_len_m: np.ndarray
@@ -61,7 +58,7 @@ class OwnerView:
             raise IncompleteViews(
                 f"view (user {self.user_id}, cluster {self.cluster_id}) has no focal points"
             )
-        for a in (self.aod_az_deg, self.aod_el_deg, self.lbs, self.fbs, self.e_len_m):
+        for a in (self.lbs, self.fbs, self.e_len_m):
             read_only(a)
 
 
@@ -109,10 +106,6 @@ def share_clusters(
             cluster_id=cluster_id,
             recalc_mode=MODE_GENERATOR,
             power=cluster_set.effective_power(user_id, cluster_id),
-            aoa_az_deg=cluster.aoa_az_deg,
-            aoa_el_deg=cluster.aoa_el_deg,
-            aod_az_deg=cluster.aod_az_deg,
-            aod_el_deg=cluster.aod_el_deg,
             **geometry._asdict(),
         )
     return views
@@ -125,10 +118,9 @@ def recalculate_views(
     id (IncompleteViews if one is missing), and one per joining owner, in one pass.
 
     Each pair's view is its cluster's generator view with the owner, its
-    mode from `choose_recalc_mode` and its power. Owners that moved off
-    the generating user's position are recalculated: every
-    kept-parameters pair in one `solve_cluster_geometry` call, every
-    kept-focal-point pair in one angle pass.
+    mode from `choose_recalc_mode` and its power. Kept-parameters owners
+    that moved off the generating user's position re-solve their focal
+    points, every such pair in one `solve_cluster_geometry` call.
     """
     segment = layout.segments[cluster_set.segment_index]
     position = layout.segment_start_position
@@ -147,7 +139,6 @@ def recalculate_views(
         for c, g, o in zip(clusters, generator_views, owners)
     ]
     resolve = [i for i, m in enumerate(modes) if moved[i] and m == MODE_KEPT_PARAMETERS]
-    refocus = [i for i, m in enumerate(modes) if moved[i] and m == MODE_KEPT_FOCAL]
     fields = [
         dict(user_id=u, recalc_mode=m, power=cluster_set.effective_power(u, c))
         for (u, c), m in zip(joining, modes)
@@ -165,20 +156,6 @@ def recalculate_views(
             )
         for i, g in zip(resolve, geometries):
             fields[i].update(g._asdict())
-
-    if refocus:
-        kept = [generator_views[i] for i in refocus]
-        departure = np.stack([g.fbs for g in kept]) - layout.array.subarray_centers
-        arrival = np.stack([g.lbs for g in kept]) - owners[refocus]
-        az, el = angles_from_vector(np.concatenate([departure, arrival[:, None]], axis=1))
-        aoa_az, aoa_el = az[:, -1].tolist(), el[:, -1].tolist()
-        for j, i in enumerate(refocus):
-            fields[i].update(
-                aoa_az_deg=aoa_az[j],
-                aoa_el_deg=aoa_el[j],
-                aod_az_deg=az[j, :-1],
-                aod_el_deg=el[j, :-1],
-            )
 
     built = {key: replace(v, **f) for key, v, f in zip(joining, generator_views, fields)}
     views = {key: built.get(key, shared[key[1]]) for key in keys}

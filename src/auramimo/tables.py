@@ -1,10 +1,15 @@
 """Tab-separated output tables (share, per-user cluster, owner-view and
 metrics); floats are written by `repr`, which round-trips exactly. A
-view's parameter columns are formatted once per run from one float64 row
-(delay, power, AoA azimuth/elevation, AoD azimuth/elevation per
-sub-array, LBS, FBS x/y/z per sub-array) and written to its user's table
-and to `cluster_views.tsv` alike. The delay is read from the run tensor:
-its delay at the segment's first snapshot less the direct path's."""
+view's parameter columns are formatted once per run, one float64 matrix
+per segment with a row per view (delay, power, AoA azimuth/elevation,
+AoD azimuth/elevation per sub-array, LBS, FBS x/y/z per sub-array), and
+written to its user's table and to `cluster_views.tsv` alike. The delay
+is read from the run tensor: its delay at the segment's first snapshot
+less the direct path's. The angles are read from the focal points: AoD
+from each sub-array centre toward its FBS, AoA from the owner's
+segment-start position toward the LBS. A collapsed arrival leg (the LBS
+at the owner, as for boresight clusters) has no direction; its AoA is
+that of the direct path, toward the reference sub-array centre."""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import SPEED_OF_LIGHT_M_S
+from .geom import SPEED_OF_LIGHT_M_S, angles_from_vector
 
 SHARE_HEADER = "segment\tmembers\tproportion\tscaled_proportion\tcount\tcluster_ids"
 METRICS_HEADER = "metric\tkey1\tkey2\tvalue"
@@ -62,17 +67,28 @@ def param_header(n_subarrays: int) -> str:
     return "\t".join(head + ["lbs_x_m", "lbs_y_m", "lbs_z_m"] + fbs)
 
 
-def _param_row(view, delay_s: float, n_subarrays: int) -> str:
-    """The view's parameter columns, tab-joined; `tolist` turns the
-    float64 row into Python floats, whose repr is that of the value."""
-    n = n_subarrays
-    row = np.empty(7 + 5 * n)
-    row[:4] = delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg
-    row[4 : 4 + 2 * n : 2] = view.aod_az_deg
-    row[5 : 4 + 2 * n : 2] = view.aod_el_deg
-    row[4 + 2 * n : 7 + 2 * n] = view.lbs
-    row[7 + 2 * n :] = view.fbs.ravel()
-    return "\t".join(map(repr, row.tolist()))
+def _param_rows(views, tensor, layout) -> dict[tuple[int, int], str]:
+    """A segment's `OwnerViews` parameter columns, tab-joined, by view key,
+    from one float64 matrix; `tolist` turns it into Python floats, whose
+    repr is that of the value."""
+    array, segment = layout.array, layout.segments[views.segment_index]
+    ref, keys = array.reference_subarray.center, sorted(views.views)
+    v = [views.views[k] for k in keys]
+    rx0 = {u: layout.segment_start_position(u, segment.index) for u in layout.user_ids}
+    owners = np.array([rx0[u] for u, _ in keys])
+    lbs, fbs = np.array([x.lbs for x in v]), np.array([x.fbs for x in v])
+    # Tensor slot (k, c) is user k's c-th cluster: the sorted view keys.
+    direct = np.divide([math.dist(rx0[u], ref) for u, _ in keys], SPEED_OF_LIGHT_M_S)
+    delays = tensor.delays[:, :, segment.first_snapshot].ravel() - direct
+    # A collapsed arrival leg takes the direction of the direct path.
+    collapsed = (lbs == owners).all(axis=1, keepdims=True)
+    arrival = np.where(collapsed, ref, lbs) - owners
+    legs = np.concatenate([arrival[:, None], fbs - array.subarray_centers], axis=1)
+    angles = np.stack(angles_from_vector(legs), axis=-1)  # (az, el) per leg
+    rows = np.column_stack(
+        [delays, [x.power for x in v], angles.reshape(len(v), -1), lbs, fbs.reshape(len(v), -1)]
+    )
+    return {k: "\t".join(map(repr, r.tolist())) for k, r in zip(keys, rows)}
 
 
 def write_tables(result, out: Path) -> dict[str, Path]:
@@ -86,18 +102,10 @@ def write_tables(result, out: Path) -> dict[str, Path]:
             f.writelines(line + "\n" for line in share_rows(seg.share_table))
 
     layout = result.config.layout
-    n_subarrays = layout.array.n_subarrays
-    header = param_header(n_subarrays)
-    ref = layout.array.reference_subarray.center
+    header = param_header(layout.array.n_subarrays)
     rows, members = [], []  # by segment: rows by (user, cluster id), members by cluster id
     for seg in segments:
-        index = seg.cluster_set.segment_index
-        rx0 = [layout.segment_start_position(u, index) for u in layout.user_ids]
-        direct = np.divide([math.dist(p, ref) for p in rx0], SPEED_OF_LIGHT_M_S)[:, None]
-        # Tensor slot (k, c) is user k's c-th cluster: the sorted view keys.
-        delays = result.tensor.delays[:, :, layout.segments[index].first_snapshot] - direct
-        views = zip(sorted(seg.views.views.items()), delays.ravel().tolist())
-        rows.append({key: _param_row(v, d, n_subarrays) for (key, v), d in views})
+        rows.append(_param_rows(seg.views, result.tensor, layout))
         groups = seg.share_table.groups
         members.append({c: _joined(g.members) for g in groups for c in g.cluster_ids})
 

@@ -195,8 +195,8 @@ def test_clusters_are_frozen():
             a.flat[0] = a.flat[0]
 
     # Frozen all the way down: every array of every cluster and owner view
-    # of a two-segment run is read-only, kept-focal angles included; the
-    # focal points are the views' arrays.
+    # of a two-segment run is read-only, kept-focal-point views included;
+    # the focal points are the views' arrays.
     result = run(make_run_config(n_snapshots=20))
     assert len(result.segments) == 2
     views = [v for seg in result.segments for v in seg.views.views.values()]
@@ -204,9 +204,7 @@ def test_clusters_are_frozen():
     boresight = {c.cluster_id for c in clusters if c.boresight}  # ids are run-unique
     assert any(v.recalc_mode == MODE_KEPT_FOCAL and v.cluster_id not in boresight for v in views)
     arrays = [a for c in clusters for a in (c.aod_az_deg, c.aod_el_deg)]
-    arrays += [
-        a for v in views for a in (v.aod_az_deg, v.aod_el_deg, v.lbs, v.fbs, v.e_len_m)
-    ]
+    arrays += [a for v in views for a in (v.lbs, v.fbs, v.e_len_m)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]

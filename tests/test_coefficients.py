@@ -105,10 +105,6 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04):
         cluster_id=0,
         recalc_mode="generator",
         power=power,
-        aoa_az_deg=0.0,
-        aoa_el_deg=0.0,
-        aod_az_deg=np.zeros(len(subs)),
-        aod_el_deg=np.zeros(len(subs)),
         lbs=lbs,
         fbs=fbs,
         e_len_m=e_len,

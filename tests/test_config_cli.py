@@ -19,6 +19,7 @@ from auramimo import (
 )
 from auramimo import cli, pipeline
 from auramimo.cli import main
+from auramimo.layout import MAX_COORDINATE_M
 from auramimo.tables import METRICS_HEADER
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
@@ -356,6 +357,69 @@ def test_non_finite_coordinate_exits_2_with_one_line(tmp_path, capsys, monkeypat
     assert err.startswith(f"ConfigError: {KEY_PATHS[key]}: coordinates must be finite")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# Where each far point is named: the track or array it fails to join.
+FAR_PATHS = {
+    "start_m": "config.layout.users[1]: track of user 2",
+    "points_m": "config.layout.users[0]: track of user 1",
+    "element_positions_m": "config.layout: array elements",
+    "origin_m": "config.layout.array: array elements",
+}
+JUST_ABOVE_BOUND_M = float(np.nextafter(MAX_COORDINATE_M, np.inf))
+
+
+def _run_exits_2_with_one_line(tmp_path, capsys, raw) -> str:
+    """The one stderr line of `auramimo run` on `raw`, which must exit 2
+    before any stage and write nothing."""
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("value", [1e200, 1e150, JUST_ABOVE_BOUND_M, -JUST_ABOVE_BOUND_M])
+@pytest.mark.parametrize("key", ["start_m", "points_m", "element_positions_m", "origin_m"])
+def test_far_coordinate_exits_2_with_one_line(tmp_path, capsys, monkeypatch, key, value):
+    # A user at 1e200 m printed numpy RuntimeWarnings before DegenerateGeometry;
+    # at 1e150 m it ended in a misleading "no focal points".
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    err = _run_exits_2_with_one_line(tmp_path, capsys, _with_point(key, value))
+    assert err.startswith(
+        f"ConfigError: {FAR_PATHS[key]}: coordinates must be finite and at most 1e+06 m"
+    )
+
+
+@pytest.mark.parametrize(
+    "spacing_m,message",
+    [
+        (1e5, "track of user 1: coordinates must be finite and at most 1e+06 m"),
+        # Large enough that the track's arithmetic would overflow.
+        (1e308, "snapshot_spacing_m must be finite and at most 1e+06"),
+    ],
+    ids=["leaves", "overflows"],
+)
+def test_track_leaving_the_coordinate_bound_exits_2(
+    tmp_path, capsys, monkeypatch, spacing_m, message
+):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a stage ran"))
+    raw = base_raw()
+    for user in raw["layout"]["users"]:
+        user["snapshot_spacing_m"] = spacing_m
+        user["n_snapshots"] = 20
+    err = _run_exits_2_with_one_line(tmp_path, capsys, raw)
+    assert err.startswith(f"ConfigError: config.layout.users[0]: {message}")
+
+
+def test_coordinate_at_the_bound_runs(tmp_path):
+    raw = base_raw()
+    raw["layout"]["users"][1]["start_m"] = [MAX_COORDINATE_M, 0.0, 1.5]
+    raw["layout"]["array"]["origin_m"] = [0.0, -MAX_COORDINATE_M, 10.0]
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "cluster_views.tsv").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from auramimo import (
+    MODE_GENERATOR,
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
     ChannelTensor,
@@ -20,7 +23,7 @@ from auramimo import (
     sharing,
     synthesize,
 )
-from auramimo.geom import SPEED_OF_LIGHT_M_S
+from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector
 from auramimo.pipeline import run, write_outputs
 from conftest import make_random_config, synthesize_segment
 
@@ -376,8 +379,9 @@ def _tsv_rows(path):
 
 
 def _check_tables_agree(config, out):
-    """The written tables against each other: powers, the two view
-    tables, and the shared-cluster and planar-error rows of metrics.tsv."""
+    """The written tables against each other and the reread tensor: powers,
+    the two view tables, delays, angles, and the shared-cluster and
+    planar-error rows of metrics.tsv."""
     users = config.layout.user_ids
     views = {(r[0], r[1], int(r[2])): r[4:] for r in _tsv_rows(out / "cluster_views.tsv")}
     owned = {}  # (segment, user) -> cluster ids
@@ -391,6 +395,36 @@ def _check_tables_agree(config, out):
         assert all(abs(total - 1.0) <= 1e-12 for total in power.values()), (user, power)
     assert not views  # every view row belongs to a user's table
 
+    # Every table row's delay is read off the reread tensor: its delay at
+    # the segment's start less |rx0 - reference centre| / c, exactly. A
+    # user's rows of a segment are its cluster slots, in order.
+    tensor = read_tensor_binary(out / "channel.bin")
+    array = config.layout.array
+    ref_center = array.reference_subarray.center
+    for k, user in enumerate(users):
+        slots = {}
+        for row in _tsv_rows(out / f"clusters_user{user}.tsv"):
+            segment = config.layout.segments[int(row[0])]
+            c = slots[segment.index] = slots.get(segment.index, -1) + 1
+            rx0 = config.layout.segment_start_position(user, segment.index)
+            direct = math.dist(rx0, ref_center) / SPEED_OF_LIGHT_M_S
+            want = tensor.delays[k, c, segment.first_snapshot] - direct
+            assert float(row[5]) == want, (user, row[:2])
+
+    # Every row's angles are read from its own focal-point columns: AoD from
+    # each sub-array centre to its FBS, AoA from the owner's segment-start
+    # position to the LBS, or along the direct path to the reference
+    # centre when the LBS sits at the owner.
+    n_sub = array.n_subarrays
+    for row in _tsv_rows(out / "cluster_views.tsv"):
+        values = np.array(row[4:], dtype=float)
+        lbs, fbs = values[4 + 2 * n_sub : 7 + 2 * n_sub], values[7 + 2 * n_sub :]
+        rx0 = config.layout.segment_start_position(int(row[2]), int(row[0]))
+        arrival = (ref_center if np.array_equal(lbs, rx0) else lbs) - rx0
+        legs = np.vstack([arrival, fbs.reshape(n_sub, 3) - array.subarray_centers])
+        want = np.column_stack(angles_from_vector(legs)).ravel()  # (az, el) per leg
+        assert values[2 : 4 + 2 * n_sub].tolist() == want.tolist(), row[:4]
+
     metrics = _tsv_rows(out / "metrics.tsv")
     shared = {(int(r[1]), int(r[2])): int(r[3]) for r in metrics if r[0] == "shared_clusters"}
     segments = {segment for segment, _ in owned}
@@ -401,7 +435,6 @@ def _check_tables_agree(config, out):
     }
 
     # The worst planar error of every view's FBS set, one view at a time.
-    n_sub = config.layout.array.n_subarrays
     worst = np.zeros(n_sub)
     for row in _tsv_rows(out / "cluster_views.tsv"):
         fbs = np.array(row[-3 * n_sub :], dtype=float).reshape(1, n_sub, 3)
@@ -445,19 +478,6 @@ def test_random_runs_write_consistent_files(tmp_path):
         # The run and the file hold the same complex64 values.
         assert reread == written, seed
 
-        # Every table row's delay is read off the reread tensor: its delay at
-        # the segment's start less |rx0 - reference centre| / c, exactly. A
-        # user's rows of a segment are its cluster slots, in order.
-        ref_center = config.layout.array.reference_subarray.center
-        for k, user in enumerate(users):
-            slots = {}
-            for row in _tsv_rows(dirs[0] / f"clusters_user{user}.tsv"):
-                segment = config.layout.segments[int(row[0])]
-                c = slots[segment.index] = slots.get(segment.index, -1) + 1
-                rx0 = config.layout.segment_start_position(user, segment.index)
-                direct = math.dist(rx0, ref_center) / SPEED_OF_LIGHT_M_S
-                want = tensor.delays[k, c, segment.first_snapshot] - direct
-                assert float(row[5]) == want, (seed, user, row[:2])
         _check_tables_agree(config, dirs[0])
         views = [v for seg in result.segments for v in seg.views.views.values()]
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
@@ -467,3 +487,16 @@ def test_random_runs_write_consistent_files(tmp_path):
         starts = [tuple(config.layout.segment_start_position(u, 0)) for u in users]
         seen["co-located"] += len(set(starts)) < len(starts)
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("seed", [3, 901, 4242])
+def test_smoke_workload_writes_consistent_files(tmp_path, monkeypatch, seed):
+    # The benchmark's smoke config: the one with kept-parameters views
+    # (1-4 per run) next to generator and kept-focal-point ones.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    config = parse_config(importlib.import_module("workloads").make_config("smoke", seed))
+    result = run(config)
+    write_outputs(result, tmp_path)
+    modes = {v.recalc_mode for seg in result.segments for v in seg.views.views.values()}
+    assert modes == {MODE_GENERATOR, MODE_KEPT_FOCAL, MODE_KEPT_PARAMETERS}
+    _check_tables_agree(config, tmp_path)

@@ -22,9 +22,9 @@ from auramimo import (
     share_tables,
     total_path_length,
 )
-from auramimo import RunConfig, sharing
+from auramimo import RunConfig, sharing, tables
 from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
-from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector
+from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, wrap_azimuth_deg
 from auramimo.grouping import GroupShare, ShareTable
 from auramimo.metrics import MetricsReport
 from auramimo.pipeline import RunResult, SegmentResult
@@ -103,6 +103,21 @@ def _generator(shared, cluster):
     return shared[cluster.cluster_id]
 
 
+def _written_rows(views, layout):
+    """Each view's parameter columns as the tables write them, parsed back
+    to floats, by (user, cluster id): delay, power, AoA azimuth and
+    elevation, then AoD azimuth and elevation per sub-array, LBS and FBS."""
+    tensor = synthesize_segment(views, layout, 3.5e9, seed=0, n_scatterers=1)
+    rows = tables._param_rows(views, tensor, layout)
+    return {key: np.array(row.split("\t"), dtype=float) for key, row in rows.items()}
+
+
+def _angles(row, n_subarrays):
+    """The angle columns of a parsed row: AoA (az, el), then (az, el) per
+    sub-array."""
+    return row[2 : 4 + 2 * n_subarrays]
+
+
 def test_share_clusters_verbatim_and_power():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     geometries = attach_focal_points(cs, layout)
@@ -120,7 +135,9 @@ def test_share_clusters_verbatim_and_power():
         assert abs(delay - _synthesized_delay(cluster.tau_s, view.interior_raw_m)) <= CLOSURE_S
         assert (abs(delay - cluster.tau_s) <= CLOSURE_S) == (view.interior_raw_m >= 0.0)
         assert (delay == 0.0) == cluster.boresight
-        assert np.array_equal(view.lbs, geometries[cid].lbs)
+        # Geometry and power verbatim.
+        for name, value in geometries[cid]._asdict().items():
+            assert np.array_equal(getattr(view, name), value), name
         assert view.power == cs.effective_power(user, cid)
     assert any(v.interior_raw_m < 0.0 for v in shared.values())
 
@@ -178,6 +195,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
     excess = view_excess_delays(views, layout)
+    written = _written_rows(views, layout)
     subs = layout.array.subarrays
     ref = layout.array.reference_subarray.index
     clusters = _shared_nonboresight(cs)
@@ -188,14 +206,16 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         owner_xyz = owner_pos
         view = views.views[owner, cluster.cluster_id]
         assert view.recalc_mode == MODE_KEPT_PARAMETERS
-        # Kept fields are bit-identical; the synthesized delay is the kept
-        # excess delay, lengthened by the re-solved interior leg if clamped.
+        # The synthesized delay is the kept excess delay, lengthened by the
+        # re-solved interior leg if clamped.
         want = _synthesized_delay(cluster.tau_s, view.interior_raw_m)
         assert abs(excess[owner, cluster.cluster_id] - want) <= CLOSURE_S
-        assert view.aoa_az_deg == cluster.aoa_az_deg
-        assert view.aoa_el_deg == cluster.aoa_el_deg
-        assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
-        assert np.array_equal(view.aod_el_deg, cluster.aod_el_deg)
+        # The angles are kept: read back from the re-solved focal points,
+        # the written row holds the drawn ones.
+        drawn = [cluster.aoa_az_deg, cluster.aoa_el_deg]
+        drawn += np.column_stack([cluster.aod_az_deg, cluster.aod_el_deg]).ravel().tolist()
+        got = _angles(written[owner, cluster.cluster_id], len(subs))
+        assert np.abs(wrap_azimuth_deg(got - drawn)).max() <= 1e-9
         # Focal points are re-solved against the owner.
         assert not np.array_equal(view.lbs, _generator(shared, cluster).lbs)
         for sub in subs:
@@ -223,6 +243,8 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_FOCAL_M))
     excess = view_excess_delays(views, layout)
+    written = _written_rows(views, layout)
+    centers = layout.array.subarray_centers
     clusters = _shared_nonboresight(cs)
     assert clusters
     for cluster in clusters:
@@ -234,11 +256,16 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         assert np.array_equal(view.lbs, generator.lbs)
         assert np.array_equal(view.fbs, generator.fbs)
         assert np.array_equal(view.e_len_m, generator.e_len_m)
-        # Arrival azimuth is the atan2 bearing from owner to the LBS.
+        # The written row reads its angles off the kept focal points, seen
+        # from the owner; the arrival azimuth is the bearing to the LBS.
+        aoa = angles_from_vector(generator.lbs - owner_pos)
+        aod = np.column_stack(angles_from_vector(generator.fbs - centers)).ravel()
+        got = _angles(written[owner, cluster.cluster_id], len(centers))
+        assert got.tolist() == [*aoa, *aod.tolist()]
         dx = generator.lbs[0] - owner_pos[0]
         dy = generator.lbs[1] - owner_pos[1]
         expected_az = math.degrees(math.atan2(dy, dx))
-        assert view.aoa_az_deg == pytest.approx(expected_az, abs=1e-9)
+        assert got[0] == pytest.approx(expected_az, abs=1e-9)
         assert excess[owner, cluster.cluster_id] >= 0.0
 
 
@@ -248,6 +275,8 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
     for length_m in (KEEP_PARAMETERS_M, KEEP_FOCAL_M):
         views = recalculate_views(shared, cs, _with_segment_length(layout, length_m))
         excess = view_excess_delays(views, layout)
+        written = _written_rows(views, layout)
+        n_sub = layout.array.n_subarrays
         for cluster in cs.clusters.values():
             if len(owners(cs, cluster.cluster_id)) < 2:
                 continue
@@ -257,9 +286,8 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
             modes.add(view.recalc_mode)
             generator_key = (cluster.generating_user, cluster.cluster_id)
             assert excess[owner, cluster.cluster_id] == excess[generator_key]
-            assert view.aoa_az_deg == cluster.aoa_az_deg
-            assert view.aoa_el_deg == cluster.aoa_el_deg
-            assert np.array_equal(view.aod_az_deg, cluster.aod_az_deg)
+            owner_angles = _angles(written[owner, cluster.cluster_id], n_sub)
+            assert owner_angles.tolist() == _angles(written[generator_key], n_sub).tolist()
             assert np.array_equal(view.lbs, generator.lbs)
             assert np.array_equal(view.fbs, generator.fbs)
             assert view.interior_raw_m == generator.interior_raw_m
@@ -373,11 +401,7 @@ def test_recalculated_views_are_deterministic():
     def build():
         cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
         final = recalculate_views(shared, cs, layout)
-        excess = view_excess_delays(final, layout)
-        return [
-            (k, excess[k], v.aoa_az_deg, tuple(map(float, v.aod_az_deg)))
-            for k, v in sorted(final.views.items())
-        ]
+        return [(k, row.tolist()) for k, row in sorted(_written_rows(final, layout).items())]
 
     assert build() == build()
 
@@ -410,10 +434,6 @@ def _verbatim_view(cluster, geometry, user_id, mode, power):
         cluster_id=cluster.cluster_id,
         recalc_mode=mode,
         power=power,
-        aoa_az_deg=cluster.aoa_az_deg,
-        aoa_el_deg=cluster.aoa_el_deg,
-        aod_az_deg=cluster.aod_az_deg,
-        aod_el_deg=cluster.aod_el_deg,
         **geometry._asdict(),
     )
     return view, _synthesized_delay(cluster.tau_s, geometry.interior_raw_m)
@@ -443,8 +463,8 @@ def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power
 
 
 def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power, segment):
-    """Keep both focal points; recompute angles from the frozen geometry
-    and the delay from the owner's own end-to-end path length.
+    """Keep both focal points; recompute the delay from the owner's own
+    end-to-end path length.
 
     The delay reuses the cluster's interior length, clamped at 0 as in
     synthesis, so that the generating position is an exact fixed point.
@@ -453,23 +473,12 @@ def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, powe
     if _at_generator(cluster, owner_pos, layout, segment):
         return view, delay
 
-    aod_az, aod_el = angles_from_vector(geometry.fbs - layout.array.subarray_centers)
-    aoa_az, aoa_el = angles_from_vector(geometry.lbs - owner_pos)
-
     ref = layout.array.reference_subarray
     e_ref = float(geometry.e_len_m[ref.index])
     g_len = math.dist(owner_pos, geometry.lbs)
     direct = math.dist(owner_pos, ref.center)
     interior = max(geometry.interior_raw_m, 0.0)
     delay = (e_ref + interior + g_len - direct) / SPEED_OF_LIGHT_M_S
-
-    view = replace(
-        view,
-        aoa_az_deg=aoa_az,
-        aoa_el_deg=aoa_el,
-        aod_az_deg=aod_az,
-        aod_el_deg=aod_el,
-    )
     return view, delay
 
 

@@ -29,18 +29,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _view_param_columns(view, delay_s, n_subarrays):
-    cols = [
-        _fmt(delay_s),
-        _fmt(view.power),
-        _fmt(view.aoa_az_deg),
-        _fmt(view.aoa_el_deg),
-    ]
-    for a in range(n_subarrays):
-        cols.append(_fmt(float(view.aod_az_deg[a])))
-        cols.append(_fmt(float(view.aod_el_deg[a])))
+def _direction(x, y, z):
+    """(azimuth, elevation) in degrees of one direction, value by value:
+    azimuth wrapped to (-180, 180]. The scalar atan2 and hypot are numpy's,
+    as math.atan2 and math.hypot differ from them in the last bit on some
+    inputs."""
+    az = (math.degrees(np.arctan2(y, x)) + 180.0) % 360.0 - 180.0
+    el = math.degrees(np.arctan2(z, np.hypot(x, y)))
+    return (180.0 if az == -180.0 else az), el
+
+
+def _view_param_columns(view, delay_s, rx0, array):
+    """A view's columns; its angles read from its focal points, the AoA
+    from `rx0` or, when the LBS sits there, toward the reference centre."""
+    lbs, rx0 = view.lbs.tolist(), rx0.tolist()
+    target = array.reference_subarray.center.tolist() if lbs == rx0 else lbs
+    aoa = _direction(*(t - r for t, r in zip(target, rx0)))
+    cols = [_fmt(delay_s), _fmt(view.power), *map(_fmt, aoa)]
+    for fbs, center in zip(view.fbs.tolist(), array.subarray_centers.tolist()):
+        cols += map(_fmt, _direction(*(f - c for f, c in zip(fbs, center))))
     cols += [_fmt(float(c)) for c in view.lbs]
-    for a in range(n_subarrays):
+    for a in range(array.n_subarrays):
         cols += [_fmt(float(c)) for c in view.fbs[a]]
     return cols
 
@@ -76,7 +85,8 @@ def _view_delays(result) -> dict[tuple[int, int, int], float]:
 def _reference_write(result, out: Path) -> dict[str, Path]:
     config = result.config
     out.mkdir(parents=True)
-    n_subarrays = config.layout.array.n_subarrays
+    array = config.layout.array
+    n_subarrays = array.n_subarrays
     delays = _view_delays(result)
     paths = {}
     if config.out_format == "binary":
@@ -118,11 +128,12 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
                     )
                     members = "+".join(str(u) for u in group.members)
                     delay = delays[segment, user, cluster_id]
+                    rx0 = config.layout.segment_start_position(user, segment)
                     f.write(
                         f"{segment}\t{view.cluster_id}\t"
                         f"{members}\t{cluster.generating_user}\t"
                         f"{int(cluster.boresight)}\t"
-                        + "\t".join(_view_param_columns(view, delay, n_subarrays))
+                        + "\t".join(_view_param_columns(view, delay, rx0, array))
                         + "\n"
                     )
 
@@ -132,11 +143,13 @@ def _reference_write(result, out: Path) -> dict[str, Path]:
         for seg in result.segments:
             for (user, cluster_id) in sorted(seg.views.views):
                 view = seg.views.views[(user, cluster_id)]
-                delay = delays[seg.share_table.segment_index, user, cluster_id]
+                segment = seg.share_table.segment_index
+                delay = delays[segment, user, cluster_id]
+                rx0 = config.layout.segment_start_position(user, segment)
                 f.write(
-                    f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
+                    f"{segment}\t{cluster_id}\t{user}\t"
                     f"{view.recalc_mode}\t"
-                    + "\t".join(_view_param_columns(view, delay, n_subarrays))
+                    + "\t".join(_view_param_columns(view, delay, rx0, array))
                     + "\n"
                 )
 
@@ -202,9 +215,8 @@ def _seeded_config(rng, seed):
 
 
 def _formatted_values(view, delay_s):
-    """Every value a view's parameter row formats, as stored."""
-    return [delay_s, view.power, view.aoa_az_deg, view.aoa_el_deg,
-            *view.lbs, *view.fbs.ravel()]
+    """Every value a view's parameter row formats that the run stores."""
+    return [delay_s, view.power, *view.lbs, *view.fbs.ravel()]
 
 
 def test_tables_equal_value_by_value_writers(tmp_path):
@@ -229,7 +241,6 @@ def test_tables_equal_value_by_value_writers(tmp_path):
             for (user, cluster_id), view in seg.views.views.items():
                 delay = delays[seg.share_table.segment_index, user, cluster_id]
                 assert all(isinstance(x, float) for x in _formatted_values(view, delay)), trial
-                assert view.aod_az_deg.dtype == view.aod_el_deg.dtype == np.float64
                 assert view.lbs.dtype == view.fbs.dtype == np.float64
 
         layout = config.layout
@@ -249,17 +260,29 @@ def test_tables_equal_value_by_value_writers(tmp_path):
 
 
 def test_each_view_row_is_formatted_once(tmp_path, monkeypatch):
+    # Once per segment, in one matrix; the user tables and
+    # cluster_views.tsv write the same strings.
     calls = []
-    original = tables._param_row
+    original = tables._param_rows
 
-    def spy(view, delay_s, n_subarrays):
-        calls.append((view.user_id, view.cluster_id))
-        return original(view, delay_s, n_subarrays)
+    def spy(views, tensor, layout):
+        calls.append(original(views, tensor, layout))
+        return calls[-1]
 
-    monkeypatch.setattr(tables, "_param_row", spy)
+    monkeypatch.setattr(tables, "_param_rows", spy)
     config = _seeded_config(np.random.default_rng(5), 5)
     result = run(config)
-    write_outputs(result, tmp_path / "out")
+    paths = write_outputs(result, tmp_path / "out")
     n_views = sum(len(seg.views.views) for seg in result.segments)
     assert len(result.segments) > 1 and len(config.layout.user_ids) > 1
-    assert len(calls) == n_views
+    assert len(calls) == len(result.segments)
+    formatted = sorted(row for rows in calls for row in rows.values())
+    assert len(formatted) == n_views
+
+    def written(kind, n_key_columns):
+        lines = paths[kind].read_text().splitlines()[1:]
+        return [line.split("\t", n_key_columns)[-1] for line in lines]
+
+    assert sorted(written("cluster_views", 4)) == formatted
+    users = config.layout.user_ids
+    assert sorted(r for u in users for r in written(f"clusters_user{u}", 5)) == formatted
