@@ -47,7 +47,6 @@ from .layout import (
     ArrayGeometry,
     Aura,
     Segment,
-    SubArray,
     Track,
     UserLayout,
     build_layout,

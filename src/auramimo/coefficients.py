@@ -234,7 +234,7 @@ def synthesize(
     if coefficients.dtype not in (np.complex64, np.complex128) or delays.dtype != np.float64:
         got = f"{coefficients.dtype} and {delays.dtype}"
         raise ValueError(f"output arrays must be complex64/128 and float64, got {got}")
-    ref_index = array.reference_subarray.index
+    ref_index = array.reference_subarray
 
     # The arrival side of every slot at once, in (user, cluster, snapshot,
     # scatterer) arrays: the frozen arrival bounce points (only the
@@ -327,7 +327,6 @@ def planar_vs_spherical_error(
         axis=1,
     )
     deviation = np.abs(d_spherical - (dist[:, sub] - projection))
-    starts = [s.element_range[0] for s in array.subarrays]
-    errors = np.maximum.reduceat(deviation, starts, axis=1) * wavenumber
+    errors = np.maximum.reduceat(deviation, array.subarray_starts, axis=1) * wavenumber
     errors[dist == 0.0] = 0.0
     return errors

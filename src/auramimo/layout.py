@@ -5,7 +5,9 @@ converted and checked once by the constructors. Tracks are explicit
 snapshot position lists; the segment schedule is shared by all users
 (segment transitions must be synchronized). The base-station array is
 split into contiguous sub-arrays whose extent fits within the
-base-station stationarity interval.
+base-station stationarity interval. Both splits follow one rule,
+`_chunk_size`, so the array's partition is one number,
+`ArrayGeometry.subarray_size`, from which every array constant is derived.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -130,26 +131,19 @@ class Aura:
 
 
 @dataclass(frozen=True)
-class SubArray:
-    """Contiguous run of array elements within one stationarity interval."""
-
-    index: int
-    element_range: tuple[int, int]  # [start, stop)
-    center: np.ndarray  # (3,), read-only
-
-    @property
-    def n_elements(self) -> int:
-        return self.element_range[1] - self.element_range[0]
-
-
-@dataclass(frozen=True)
 class ArrayGeometry:
-    """Element positions (n_elements, 3) and their partition into
-    sub-arrays. The array constants (sub-array of each element, centers,
-    runs, reference sub-array) are computed once; arrays are read-only."""
+    """Element positions (n_elements, 3) split into contiguous sub-arrays
+    of `subarray_size` elements each, the last one shorter when the
+    division is not exact. The array constants (starts, sub-array of each
+    element, centers, runs, reference sub-array) are derived from these two
+    fields once; arrays are read-only."""
 
     element_positions: np.ndarray
-    subarrays: tuple[SubArray, ...]
+    subarray_size: int
+
+    def __post_init__(self) -> None:
+        if self.subarray_size < 1:
+            raise ValueError(f"subarray_size must be at least 1, got {self.subarray_size}")
 
     @property
     def n_elements(self) -> int:
@@ -157,43 +151,50 @@ class ArrayGeometry:
 
     @property
     def n_subarrays(self) -> int:
-        return len(self.subarrays)
+        return -(-self.n_elements // self.subarray_size)
+
+    @cached_property
+    def subarray_starts(self) -> np.ndarray:
+        """First element of every sub-array, (n_subarrays,)."""
+        return read_only(np.arange(0, self.n_elements, self.subarray_size))
 
     @cached_property
     def subarray_of_element(self) -> np.ndarray:
         """Sub-array index for every element."""
-        sizes = [s.n_elements for s in self.subarrays]
-        return read_only(np.repeat(np.arange(self.n_subarrays), sizes))
+        return read_only(np.arange(self.n_elements) // self.subarray_size)
 
     @cached_property
     def subarray_centers(self) -> np.ndarray:
-        """(n_subarrays, 3) float array of sub-array centers."""
-        return read_only(np.array([s.center for s in self.subarrays]))
+        """(n_subarrays, 3) float array of sub-array centers, each the mean
+        of its own slice of elements: numpy does not fix the summation
+        order of a reshaped batch."""
+        e, size = self.element_positions, self.subarray_size
+        return read_only(np.array([e[i : i + size].mean(axis=0) for i in self.subarray_starts]))
 
     @cached_property
     def equal_size_runs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Maximal runs of consecutive equal-size sub-arrays, as (first
-        sub-array, stop sub-array, first element, stop element)."""
-        runs = []
-        for _, group in groupby(self.subarrays, key=lambda s: s.n_elements):
-            subs = list(group)
-            first, last = subs[0], subs[-1]
-            runs.append(
-                (first.index, last.index + 1, first.element_range[0], last.element_range[1])
-            )
+        """The full-size sub-arrays, then the shorter last one if any, as
+        (first sub-array, stop sub-array, first element, stop element)."""
+        n, size = self.n_elements, self.subarray_size
+        full = n // size
+        runs = [(0, full, 0, full * size)] if full else []
+        if full * size < n:
+            runs.append((full, full + 1, full * size, n))
         return tuple(runs)
 
     @cached_property
-    def reference_subarray(self) -> SubArray:
-        """Sub-array whose center is closest to the whole-array centroid.
+    def reference_subarray(self) -> int:
+        """Index of the sub-array whose center is closest to the whole-array
+        centroid.
 
         Used as the anchor for receiver-side focal points and interior
         path lengths; ties resolve to the lowest index.
         """
         centroid = self.element_positions.mean(axis=0)
+        centers = self.subarray_centers
         return min(
-            self.subarrays,
-            key=lambda s: (float(np.linalg.norm(s.center - centroid)), s.index),
+            range(self.n_subarrays),
+            key=lambda a: (float(np.linalg.norm(centers[a] - centroid)), a),
         )
 
     def element_distances(self, points: np.ndarray) -> np.ndarray:
@@ -205,6 +206,16 @@ class ArrayGeometry:
             elements = self.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
             out[e0:e1] = distances(elements, points[a0:a1, None]).reshape(e1 - e0, -1)
         return out
+
+
+def _chunk_size(interval_m: float, step_m: float, n: int) -> int:
+    """Samples per chunk when n samples, `step_m` apart, are split into
+    chunks of one interval: floor(interval / step), at least 1, and all n
+    when the step is not positive or the interval spans them all (which
+    also covers a ratio too large for an int)."""
+    if step_m <= 0 or not interval_m / step_m < n:
+        return n
+    return max(1, int(interval_m / step_m + GEOMETRY_TOL_M))
 
 
 def build_segments(tracks: list[Track], stationarity_user_m: float) -> tuple[Segment, ...]:
@@ -231,63 +242,36 @@ def build_segments(tracks: list[Track], stationarity_user_m: float) -> tuple[Seg
                 f"from user {ref.user_id} spacing {ref.snapshot_spacing_m}"
             )
 
-    spacing = ref.snapshot_spacing_m
-    per_segment = max(1, int(stationarity_user_m / spacing + GEOMETRY_TOL_M))
-    segments = []
-    first = 0
-    while first < len(ref):
-        count = min(per_segment, len(ref) - first)
-        segments.append(
-            Segment(
-                index=len(segments),
-                first_snapshot=first,
-                n_snapshots=count,
-                length_m=count * spacing,
-            )
+    spacing, n = ref.snapshot_spacing_m, len(ref)
+    size = _chunk_size(stationarity_user_m, spacing, n)
+    return tuple(
+        Segment(
+            index=i,
+            first_snapshot=first,
+            n_snapshots=min(size, n - first),
+            length_m=min(size, n - first) * spacing,
         )
-        first += count
-    return tuple(segments)
+        for i, first in enumerate(range(0, n, size))
+    )
 
 
-def partition_subarrays(
-    elements: np.ndarray, bs_stationarity_m: float
-) -> tuple[SubArray, ...]:
-    """Split ordered element positions (n, 3) into contiguous sub-arrays.
+def partition_subarrays(elements: np.ndarray, bs_stationarity_m: float) -> int:
+    """Elements per sub-array when ordered element positions (n, 3) are
+    split into contiguous sub-arrays.
 
-    The per-sub-array element count is floor(stationarity / element step),
-    counting each element as occupying one step, so no sub-array extends
-    past the stationarity interval; leftover elements form a final shorter
-    sub-array. A stationarity interval larger than the aperture yields a
-    single sub-array (stationary model).
+    The count is floor(stationarity / element step), counting each element
+    as occupying one step, so no sub-array extends past the stationarity
+    interval; leftover elements form a final shorter sub-array. A
+    stationarity interval larger than the aperture yields a single
+    sub-array (stationary model).
     """
     if len(elements) == 0:
         raise EmptyArray("array has no elements")
     if bs_stationarity_m <= 0:
         raise ValueError("bs_stationarity_m must be positive")
-
-    if len(elements) == 1:
-        step = 0.0
-    else:
-        rows = elements.tolist()
-        step = max(math.dist(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
-    if step <= 0:
-        per_subarray = len(elements)
-    else:
-        per_subarray = max(1, int(bs_stationarity_m / step + GEOMETRY_TOL_M))
-
-    subarrays = []
-    start = 0
-    while start < len(elements):
-        stop = min(start + per_subarray, len(elements))
-        subarrays.append(
-            SubArray(
-                index=len(subarrays),
-                element_range=(start, stop),
-                center=read_only(elements[start:stop].mean(axis=0)),
-            )
-        )
-        start = stop
-    return tuple(subarrays)
+    rows = elements.tolist()
+    step = max((math.dist(a, b) for a, b in zip(rows, rows[1:])), default=0.0)
+    return _chunk_size(bs_stationarity_m, step, len(elements))
 
 
 def uniform_linear_array(
@@ -375,7 +359,7 @@ def build_layout(
     elements = _points(array_elements, "array elements")
     array = ArrayGeometry(
         element_positions=elements,
-        subarrays=partition_subarrays(elements, bs_stationarity_m),
+        subarray_size=partition_subarrays(elements, bs_stationarity_m),
     )
     return UserLayout(
         tracks=tuple(tracks),

@@ -75,7 +75,7 @@ def solve_cluster_geometry(
     center, direction = arrival) with the same closed form. Returns (the
     geometries, degenerate (n,)); a degenerate cluster's geometry is
     meaningless. A boresight cluster has both focal points at its user."""
-    ref = array.reference_subarray.index
+    ref = array.reference_subarray
     centers = array.subarray_centers
     # One math.dist per row: numpy has no bit-identical twin of it.
     xyz, pairs = centers.tolist(), zip(clusters, users.tolist())

@@ -72,7 +72,7 @@ def _param_rows(views, tensor, layout) -> dict[tuple[int, int], str]:
     from one float64 matrix; `tolist` turns it into Python floats, whose
     repr is that of the value."""
     array, segment = layout.array, layout.segments[views.segment_index]
-    ref, keys = array.reference_subarray.center, sorted(views.views)
+    ref, keys = array.subarray_centers[array.reference_subarray], sorted(views.views)
     v = [views.views[k] for k in keys]
     rx0 = {u: layout.segment_start_position(u, segment.index) for u in layout.user_ids}
     owners = np.array([rx0[u] for u, _ in keys])

@@ -50,7 +50,10 @@ def read_tensor_binary(path) -> ChannelTensor:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a channel tensor file: magic {magic!r}")
-        header = np.frombuffer(f.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
+        raw = f.read(_HEADER_DTYPE.itemsize)
+        if len(raw) < _HEADER_DTYPE.itemsize:
+            raise ValueError(f"truncated header: {len(raw)} of {_HEADER_DTYPE.itemsize} bytes")
+        header = np.frombuffer(raw, dtype=_HEADER_DTYPE)[0]
         dims = tuple(int(d) for d in header["dims"])
         delay_dims = dims[:1] + dims[3:]  # user, cluster, snapshot
         n_coeff, n_delay = math.prod(dims), math.prod(delay_dims)

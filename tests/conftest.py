@@ -150,6 +150,11 @@ def view_users(views) -> tuple[int, ...]:
     return tuple(sorted({u for u, _ in views.views}))
 
 
+def subarray_sizes(array) -> list[int]:
+    """Elements per sub-array of an `ArrayGeometry`, from its starts."""
+    return np.diff([*array.subarray_starts, array.n_elements]).tolist()
+
+
 def user_views(views, user: int) -> list:
     """One user's views, by ascending cluster id: the user's slot order
     in synthesis."""
@@ -182,7 +187,7 @@ def view_excess_delays(views, layout) -> dict[tuple[int, int], float]:
     view at a time: the delay the tables write. One scatterer suffices, as
     the delay is the centre path's."""
     tensor = synthesize_segment(views, layout, 3.5e9, seed=0, n_scatterers=1)
-    ref_center = layout.array.reference_subarray.center
+    ref_center = layout.array.subarray_centers[layout.array.reference_subarray]
     excess = {}
     for k, user in enumerate(tensor.user_ids):
         rx0 = layout.segment_start_position(user, views.segment_index)

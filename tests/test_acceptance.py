@@ -399,7 +399,7 @@ def test_c09_per_subarray_angles(check):
 def _broadside_fbs(layout, distances_m):
     """One FBS set (A, 3) per distance, stacked (n, A, 3): every sub-array's
     focal point on the broadside line through the first sub-array."""
-    center = layout.array.subarrays[0].center
+    center = layout.array.subarray_centers[0]
     return np.array(
         [[(center[0], d, center[2])] * layout.array.n_subarrays for d in distances_m]
     )

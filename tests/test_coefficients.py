@@ -36,6 +36,7 @@ from conftest import (
     make_point_layout,
     make_scenario,
     make_two_user_layout,
+    subarray_sizes,
     synthesize_segment,
     user_views,
     view_users,
@@ -97,9 +98,9 @@ def test_scatterer_randomness_keyed_and_valid():
 
 
 def _manual_view(layout, lbs, fbs, interior, power=0.04):
-    subs = layout.array.subarrays
+    centers = layout.array.subarray_centers
     lbs, fbs = np.array(lbs, dtype=float), np.array(fbs, dtype=float)
-    e_len = np.array([math.dist(s.center, f) for s, f in zip(subs, fbs)])
+    e_len = np.array([math.dist(c, f) for c, f in zip(centers, fbs)])
     return OwnerView(
         user_id=1,
         cluster_id=0,
@@ -223,7 +224,7 @@ def test_generator_center_path_delay_closes():
     layout = make_two_user_layout(2.0)
     cs, views = _full_views(layout)
     tensor = synthesize_segment(views, layout, make_scenario().carrier_hz, seed=3)
-    ref_center = layout.array.reference_subarray.center
+    ref_center = layout.array.subarray_centers[layout.array.reference_subarray]
     checked = []
     for k, user in enumerate(tensor.user_ids):
         rx0 = layout.segment_start_position(user, 0)
@@ -286,7 +287,7 @@ def _broadside_fbs(layout, distances):
     """FBS sets (n, A, 3), one per distance: each sub-array's focal point
     that far from its center along +y."""
     return np.array(
-        [[s.center + (0.0, d, 0.0) for s in layout.array.subarrays] for d in distances]
+        [[c + (0.0, d, 0.0) for c in layout.array.subarray_centers] for d in distances]
     )
 
 
@@ -306,7 +307,7 @@ def test_near_focal_point_is_not_planar():
 def test_single_element_subarrays_have_no_deviation():
     layout = make_two_user_layout(2.0, n_elements=4, bs_stationarity_m=0.05)
     assert layout.array.n_subarrays == 4
-    assert all(s.n_elements == 1 for s in layout.array.subarrays)
+    assert subarray_sizes(layout.array) == [1, 1, 1, 1]
     err = planar_vs_spherical_error(_broadside_fbs(layout, [2.0, 7.0]), layout, 3.5e9)
     np.testing.assert_array_equal(err, np.zeros((2, 4)))
 
@@ -336,20 +337,22 @@ def _scalar_fan(anchor, focal, offsets_deg):
 def _scalar_planar_error(fbs, layout, carrier_hz):
     # One FBS set and one sub-array at a time: the form the batch replaced.
     wavenumber = 2.0 * math.pi * carrier_hz / C0
-    elements = np.array(layout.array.element_positions)
+    array = layout.array
+    elements = np.array(array.element_positions)
     errors = np.zeros(len(fbs))
-    for sub in layout.array.subarrays:
-        focal = fbs[sub.index]
-        center = sub.center
+    stops = [*array.subarray_starts[1:], array.n_elements]
+    for a, (start, stop) in enumerate(zip(array.subarray_starts, stops)):
+        focal = fbs[a]
+        center = array.subarray_centers[a]
         leg = focal - center
         dist = float(np.linalg.norm(leg))
         if dist == 0.0:
             continue
         direction = leg / dist
-        elems = elements[sub.element_range[0] : sub.element_range[1]]
+        elems = elements[start:stop]
         d_spherical = np.linalg.norm(elems - focal, axis=1)
         d_linear = dist - (elems - center) @ direction
-        errors[sub.index] = float(np.max(np.abs(d_spherical - d_linear))) * wavenumber
+        errors[a] = float(np.max(np.abs(d_spherical - d_linear))) * wavenumber
     return errors
 
 
@@ -388,7 +391,7 @@ def _random_array_layout(rng):
     stationarity = rng.uniform(0.01, 3.0)
     array = ArrayGeometry(
         element_positions=elements,
-        subarrays=partition_subarrays(elements, stationarity),
+        subarray_size=partition_subarrays(elements, stationarity),
     )
     return SimpleNamespace(array=array)
 
@@ -443,7 +446,7 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
     array = layout.array
     elements = array.element_positions
     sub_of_element = array.subarray_of_element
-    ref_index = array.reference_subarray.index
+    ref_index = array.reference_subarray
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * spread_deg)
     wavenumber = 2.0 * math.pi * carrier_hz / C0
     segment = views.segment_index
@@ -727,7 +730,7 @@ def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scattere
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     coeff, delays = out
-    ref_index = array.reference_subarray.index
+    ref_index = array.reference_subarray
     by_geometry = {}
     for k, slots in enumerate(per_user):
         for c, v in enumerate(slots):
@@ -862,7 +865,7 @@ def test_arrival_pass_equals_per_slot_loop(monkeypatch):
         starts = [tuple(p) for p in (t.points[0] for t in layout.tracks)]
         seen["colocated"] += len(set(starts)) < len(starts)
         seen["one-subarray"] += layout.array.n_subarrays == 1
-        sizes = [s.n_elements for s in layout.array.subarrays]
+        sizes = subarray_sizes(layout.array)
         seen["uneven"] += sizes[-1] != sizes[0]
         seen["single"] += n_sc == 1
         seen[f"{n_threads}-thread" + "s" * (n_threads > 1)] += 1

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from auramimo import (
 from auramimo import cli, pipeline
 from auramimo.cli import main
 from auramimo.layout import MAX_COORDINATE_M
-from auramimo.tables import METRICS_HEADER
+from auramimo.tables import METRICS_HEADER, SHARE_HEADER
 from auramimo.tensorio import _HEADER_DTYPE, MAGIC
 
 SCENARIO = {
@@ -616,6 +618,18 @@ def test_non_integer_seed_override_is_a_usage_error(tmp_path, capsys, value):
     assert "invalid int value" in capsys.readouterr().err
 
 
+def test_readme_quick_start_config_plans(tmp_path, capsys):
+    # The quick start's JSON block is the config a new reader copies first.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    raw = json.loads(re.search(r"```json\n(.*?)```", quick_start, re.S).group(1))
+    parse_config(raw)
+    assert main(["plan", "--config", str(write_config(tmp_path, raw))]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(SHARE_HEADER + "\n") and captured.err == ""
+    assert len(captured.out.splitlines()) > 1
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
@@ -734,6 +748,18 @@ def test_cli_bad_tensor_exits_3(tmp_path, capsys):
     assert err.startswith("ValueError:")
 
 
+@pytest.mark.parametrize("n_bytes", [0, 1, 35])
+def test_cli_truncated_tensor_header_exits_3(tmp_path, capsys, n_bytes):
+    # Fewer header bytes than the 36 after the magic reached np.frombuffer,
+    # whose message named neither the header nor the sizes.
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(MAGIC + b"\x00" * n_bytes)
+    assert main(["metrics", "--tensor", str(cut)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"ValueError: truncated header: {n_bytes} of 36 bytes\n"
+    assert captured.out == ""
+
+
 def test_cli_tensor_header_larger_than_file_exits_3(tmp_path, capsys):
     # A header claiming ~1.4 PiB of coefficients, then 100 bytes.
     header = np.zeros(1, dtype=_HEADER_DTYPE)
@@ -779,6 +805,43 @@ def test_cli_plan_prints_the_written_share_table(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert planned == (tmp_path / "out" / "share_table.tsv").read_text()
     assert len(planned.splitlines()) > 3
+
+
+def _huge_stationarity_smoke(monkeypatch, interval):
+    """The benchmark's smoke config with a 1e300 m stationarity interval
+    over a 1e-10 m step: a ratio beyond the float range."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    raw = importlib.import_module("workloads").make_config("smoke", 3)
+    layout = raw["layout"]
+    if interval == "user":
+        layout["stationarity_user_m"] = 1e300
+        for user in layout["users"]:
+            user["snapshot_spacing_m"] = 1e-10
+    else:
+        layout["bs_stationarity_m"] = 1e300
+        layout["array"]["spacing_m"] = 1e-10
+    return raw
+
+
+@pytest.mark.parametrize("interval", ["user", "bs"])
+def test_huge_stationarity_ratio_is_one_chunk(tmp_path, capsys, monkeypatch, interval):
+    # floor(1e300 / 1e-10) is infinite, and int() of it raised OverflowError
+    # in both partitions; the interval spans every sample, so the run is
+    # stationary: one segment, or one sub-array.
+    raw = _huge_stationarity_smoke(monkeypatch, interval)
+    cfg, out = write_config(tmp_path, raw), tmp_path / "out"
+    assert main(["plan", "--config", str(cfg)]) == 0
+    planned = capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    layout = parse_config(raw).layout
+    header = (out / "cluster_views.tsv").read_text().splitlines()[0].split("\t")
+    segments = {line.split("\t")[0] for line in planned.splitlines()[1:]}
+    if interval == "user":
+        assert len(layout.segments) == 1 and segments == {"0"}
+    else:
+        assert layout.array.n_subarrays == 1
+        assert "fbs0_x_m" in header and "fbs1_x_m" not in header
 
 
 def test_cli_tensor_with_trailing_bytes_exits_3(tmp_path, capsys):

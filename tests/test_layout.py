@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from auramimo import (
     Aura,
     EmptyArray,
+    Segment,
     Track,
     UnknownSegment,
     UnknownUser,
@@ -17,7 +19,8 @@ from auramimo import (
     partition_subarrays,
     uniform_linear_array,
 )
-from auramimo.layout import ArrayGeometry
+from auramimo.layout import GEOMETRY_TOL_M, ArrayGeometry
+from conftest import subarray_sizes
 
 
 def test_position_distance():
@@ -64,8 +67,8 @@ def test_points_are_read_only_arrays():
     array = layout.array
     assert track.points.shape == (20, 3) and track.points.dtype == np.float64
     assert array.element_positions.shape == (64, 3)
-    assert array.subarrays[0].center.shape == (3,)
-    for points in (track.points, array.element_positions, array.subarrays[0].center):
+    assert array.subarray_centers[0].shape == (3,)
+    for points in (track.points, array.element_positions, array.subarray_centers[0]):
         with pytest.raises(ValueError):
             points[0] = 1.0
     # Segment positions are rows of the track, not copies.
@@ -149,23 +152,25 @@ def test_uniform_linear_array_extent():
 
 def test_partition_64_elements_into_four_subarrays():
     elements = uniform_linear_array(64, 0.05, (0.0, 0.0, 10.0))
-    subs = partition_subarrays(elements, 0.8)
-    assert [s.n_elements for s in subs] == [16, 16, 16, 16]
-    # Ranges tile the array without gaps.
-    assert [s.element_range for s in subs] == [(0, 16), (16, 32), (32, 48), (48, 64)]
+    assert partition_subarrays(elements, 0.8) == 16
+    array = _array_geometry(64)
+    assert subarray_sizes(array) == [16, 16, 16, 16]
+    # Starts tile the array without gaps.
+    assert array.subarray_starts.tolist() == [0, 16, 32, 48]
 
 
 def test_partition_remainder_subarray():
     elements = uniform_linear_array(70, 0.05, (0.0, 0.0, 10.0))
-    subs = partition_subarrays(elements, 0.8)
-    assert [s.n_elements for s in subs] == [16, 16, 16, 16, 6]
+    assert partition_subarrays(elements, 0.8) == 16
+    assert subarray_sizes(_array_geometry(70)) == [16, 16, 16, 16, 6]
 
 
 def test_partition_whole_array_when_stationarity_large():
     elements = uniform_linear_array(8, 0.05, (0.0, 0.0, 10.0))
-    subs = partition_subarrays(elements, 100.0)
-    assert len(subs) == 1
-    assert subs[0].n_elements == 8
+    assert partition_subarrays(elements, 100.0) == 8
+    array = _array_geometry(8, bs_stationarity=100.0)
+    assert array.n_subarrays == 1
+    assert subarray_sizes(array) == [8]
 
 
 def test_partition_empty_array_raises():
@@ -174,29 +179,27 @@ def test_partition_empty_array_raises():
 
 
 def test_subarray_center_is_element_mean():
-    elements = uniform_linear_array(32, 0.05, (0.0, 0.0, 10.0))
-    subs = partition_subarrays(elements, 0.8)
-    for sub in subs:
-        members = elements[sub.element_range[0] : sub.element_range[1]]
-        mean = np.mean(members, axis=0)
-        np.testing.assert_allclose(sub.center, mean, atol=1e-12)
+    array = _array_geometry(32)
+    elements, starts = array.element_positions, array.subarray_starts
+    for a, (start, size) in enumerate(zip(starts, subarray_sizes(array))):
+        mean = np.mean(elements[start : start + size], axis=0)
+        np.testing.assert_allclose(array.subarray_centers[a], mean, atol=1e-12)
 
 
 def _array_geometry(n_elements, bs_stationarity=0.8):
     elements = uniform_linear_array(n_elements, 0.05, (0.0, 0.0, 10.0))
-    subs = partition_subarrays(elements, bs_stationarity)
     return ArrayGeometry(
         element_positions=elements,
-        subarrays=subs,
+        subarray_size=partition_subarrays(elements, bs_stationarity),
     )
 
 
 def test_reference_subarray_is_central():
     # 48 elements -> 3 sub-arrays; the middle one sits on the centroid.
     array = _array_geometry(48)
-    assert array.reference_subarray.index == 1
+    assert array.reference_subarray == 1
     # Single sub-array -> trivially the reference.
-    assert _array_geometry(8, bs_stationarity=100.0).reference_subarray.index == 0
+    assert _array_geometry(8, bs_stationarity=100.0).reference_subarray == 0
 
 
 def test_subarray_of_element_lookup():
@@ -253,6 +256,7 @@ def test_array_constants_are_cached_and_read_only():
     array = _array_geometry(70)  # four 16-element sub-arrays and one of 6
     for get in (
         lambda: array.element_positions,
+        lambda: array.subarray_starts,
         lambda: array.subarray_of_element,
         lambda: array.subarray_centers,
     ):
@@ -262,8 +266,9 @@ def test_array_constants_are_cached_and_read_only():
         with pytest.raises(ValueError):
             first[0] = first[1]
     assert array.reference_subarray is array.reference_subarray
+    elements = array.element_positions
     np.testing.assert_array_equal(
-        array.subarray_centers, [s.center for s in array.subarrays]
+        array.subarray_centers, [elements[s : s + 16].mean(axis=0) for s in range(0, 70, 16)]
     )
 
 
@@ -271,3 +276,129 @@ def test_equal_size_runs_cover_the_array():
     assert _array_geometry(70).equal_size_runs == ((0, 4, 0, 64), (4, 5, 64, 70))
     assert _array_geometry(64).equal_size_runs == ((0, 4, 0, 64),)
     assert _array_geometry(8, bs_stationarity=100.0).equal_size_runs == ((0, 1, 0, 8),)
+
+
+def test_subarray_size_must_be_positive():
+    elements = uniform_linear_array(4, 0.05, (0.0, 0.0, 10.0))
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="subarray_size"):
+            ArrayGeometry(element_positions=elements, subarray_size=size)
+
+
+# ---------------------------------------------------------------------------
+# Both partitions against the loops they replaced, over seeded cases
+# ---------------------------------------------------------------------------
+
+
+def _reference_subarrays(elements, bs_stationarity_m):
+    """(start, stop, center) per sub-array: the loop that built one
+    sub-array object at a time before the partition became a size."""
+    if len(elements) == 1:
+        step = 0.0
+    else:
+        rows = elements.tolist()
+        step = max(math.dist(rows[i], rows[i + 1]) for i in range(len(rows) - 1))
+    if step <= 0:
+        per_subarray = len(elements)
+    else:
+        per_subarray = max(1, int(bs_stationarity_m / step + GEOMETRY_TOL_M))
+    subarrays = []
+    start = 0
+    while start < len(elements):
+        stop = min(start + per_subarray, len(elements))
+        subarrays.append((start, stop, elements[start:stop].mean(axis=0)))
+        start = stop
+    return subarrays
+
+
+def _reference_segments(tracks, stationarity_user_m):
+    """The segment loop with its own floor(stationarity / spacing)."""
+    ref = tracks[0]
+    spacing = ref.snapshot_spacing_m
+    per_segment = max(1, int(stationarity_user_m / spacing + GEOMETRY_TOL_M))
+    segments = []
+    first = 0
+    while first < len(ref):
+        count = min(per_segment, len(ref) - first)
+        segments.append(Segment(len(segments), first, count, count * spacing))
+        first += count
+    return tuple(segments)
+
+
+def _check_partition(elements, stationarity):
+    want = _reference_subarrays(elements, stationarity)
+    array = ArrayGeometry(elements, partition_subarrays(elements, stationarity))
+    sizes = [stop - start for start, stop, _ in want]
+    assert array.n_subarrays == len(want)
+    assert subarray_sizes(array) == sizes
+    assert array.subarray_starts.tolist() == [start for start, _, _ in want]
+    assert np.array_equal(
+        array.subarray_of_element, np.repeat(np.arange(len(want)), sizes)
+    )
+    assert np.array_equal(array.subarray_centers, [center for _, _, center in want])
+    runs = []
+    for _, group in groupby(enumerate(want), key=lambda s: s[1][1] - s[1][0]):
+        group = list(group)
+        (a0, (e0, _, _)), (a1, (_, e1, _)) = group[0], group[-1]
+        runs.append((a0, a1 + 1, e0, e1))
+    assert array.equal_size_runs == tuple(runs)
+    centroid = elements.mean(axis=0)
+    reference = min(
+        range(len(want)), key=lambda a: (float(np.linalg.norm(want[a][2] - centroid)), a)
+    )
+    assert array.reference_subarray == reference
+    return sizes
+
+
+def _random_elements(rng):
+    """A ULA, or explicit non-uniform rows, some of them coincident."""
+    n = int(rng.integers(1, 301))
+    if rng.random() < 0.6:
+        axis = tuple(rng.normal(size=3))
+        return uniform_linear_array(n, rng.uniform(0.005, 0.3), rng.uniform(-5, 5, 3), axis)
+    steps = rng.normal(size=(n, 3)) * rng.uniform(0.01, 0.2)
+    steps[rng.random(n) < 0.2] = 0.0  # coincident neighbours
+    if rng.random() < 0.1:
+        steps[:] = 0.0  # every element at one point
+    return np.cumsum(steps, axis=0) + rng.uniform(-5, 5, 3)
+
+
+def test_partitions_equal_the_replaced_loops():
+    rng = np.random.default_rng(23)
+    seen = dict.fromkeys(
+        ["one", "exact", "remainder", "size one", "coincident", "beyond aperture"], 0
+    )
+    for trial in range(200):
+        elements = _random_elements(rng)
+        rows = elements.tolist()
+        step = max((math.dist(a, b) for a, b in zip(rows, rows[1:])), default=0.0)
+        n = len(elements)
+        k = int(rng.integers(1, n + 1))
+        choice = rng.random()
+        if step == 0.0:
+            stationarity = float(rng.uniform(1e-3, 10.0))
+        elif choice < 0.3:
+            stationarity = k * step  # exact division, up to rounding
+        elif choice < 0.5:
+            stationarity = float(rng.uniform(0.05, 1.0)) * step  # below one step
+        elif choice < 0.6:
+            stationarity = float(rng.uniform(1.0, 3.0)) * n * step  # beyond the aperture
+        else:
+            stationarity = float(rng.uniform(1.0, n + 1.0)) * step
+        sizes = _check_partition(elements, stationarity)
+        seen["one"] += len(sizes) == 1
+        seen["exact"] += len(sizes) > 1 and sizes[-1] == sizes[0]
+        seen["remainder"] += sizes[-1] != sizes[0]
+        seen["size one"] += sizes[0] == 1 < n
+        seen["coincident"] += any(a == b for a, b in zip(rows, rows[1:]))
+        seen["beyond aperture"] += stationarity >= n * step > 0
+
+        n_snapshots = int(rng.integers(1, 301))
+        spacing = float(rng.uniform(0.01, 2.0))
+        tracks = [
+            linear_track(u, (3.0 * u, 0.0, 1.5), 90.0, n_snapshots, spacing) for u in (1, 2)
+        ]
+        user_stationarity = float(rng.choice([k * spacing, rng.uniform(0.1, 2.0 * n_snapshots)]))
+        want = _reference_segments(tracks, user_stationarity)
+        assert build_segments(tracks, user_stationarity) == want, trial
+    assert min(seen.values()) >= 5, seen

@@ -400,7 +400,7 @@ def _check_tables_agree(config, out):
     # user's rows of a segment are its cluster slots, in order.
     tensor = read_tensor_binary(out / "channel.bin")
     array = config.layout.array
-    ref_center = array.reference_subarray.center
+    ref_center = array.subarray_centers[array.reference_subarray]
     for k, user in enumerate(users):
         slots = {}
         for row in _tsv_rows(out / f"clusters_user{user}.tsv"):

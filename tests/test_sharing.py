@@ -196,8 +196,8 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
     excess = view_excess_delays(views, layout)
     written = _written_rows(views, layout)
-    subs = layout.array.subarrays
-    ref = layout.array.reference_subarray.index
+    centers = layout.array.subarray_centers
+    ref = layout.array.reference_subarray
     clusters = _shared_nonboresight(cs)
     assert clusters
     for cluster in clusters:
@@ -214,16 +214,16 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         # the written row holds the drawn ones.
         drawn = [cluster.aoa_az_deg, cluster.aoa_el_deg]
         drawn += np.column_stack([cluster.aod_az_deg, cluster.aod_el_deg]).ravel().tolist()
-        got = _angles(written[owner, cluster.cluster_id], len(subs))
+        got = _angles(written[owner, cluster.cluster_id], len(centers))
         assert np.abs(wrap_azimuth_deg(got - drawn)).max() <= 1e-9
         # Focal points are re-solved against the owner.
         assert not np.array_equal(view.lbs, _generator(shared, cluster).lbs)
-        for sub in subs:
-            d_c = total_path_length(cluster.tau_s, sub.center, owner_pos)
-            got = view.e_len_m[sub.index] + math.dist(view.fbs[sub.index], owner_xyz)
+        for a, center in enumerate(centers):
+            d_c = total_path_length(cluster.tau_s, center, owner_pos)
+            got = view.e_len_m[a] + math.dist(view.fbs[a], owner_xyz)
             assert abs(got - d_c) / d_c <= 1e-9
-        d_ref = total_path_length(cluster.tau_s, subs[ref].center, owner_pos)
-        ref_xyz = subs[ref].center
+        d_ref = total_path_length(cluster.tau_s, centers[ref], owner_pos)
+        ref_xyz = centers[ref]
         got = math.dist(owner_xyz, view.lbs) + math.dist(view.lbs, ref_xyz)
         assert abs(got - d_ref) / d_ref <= 1e-9
 
@@ -328,7 +328,7 @@ def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
     # direct path. The tables write the tensor's negative excess delay,
     # not 0.
     layout = _with_segment_length(make_two_user_layout(5.0), KEEP_FOCAL_M)
-    n_sub = len(layout.array.subarrays)
+    n_sub = layout.array.n_subarrays
     lbs = np.array([30.0, 0.0, 1.5])
     geometry = ClusterGeometry(
         lbs=lbs,
@@ -357,7 +357,7 @@ def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
     rows = [r.split("\t") for r in (tmp_path / "cluster_views.tsv").read_text().splitlines()]
     written = {int(r[2]): float(r[4]) for r in rows[1:]}
     rx0 = layout.segment_start_position(2, 0)
-    ref_center = layout.array.reference_subarray.center
+    ref_center = layout.array.subarray_centers[layout.array.reference_subarray]
     want = (math.dist(rx0, lbs) - math.dist(rx0, ref_center)) / SPEED_OF_LIGHT_M_S
     assert written[2] == view_excess_delays(views, layout)[2, 0] < 0.0
     assert written[2] == pytest.approx(want, rel=1e-12)
@@ -474,9 +474,9 @@ def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, powe
         return view, delay
 
     ref = layout.array.reference_subarray
-    e_ref = float(geometry.e_len_m[ref.index])
+    e_ref = float(geometry.e_len_m[ref])
     g_len = math.dist(owner_pos, geometry.lbs)
-    direct = math.dist(owner_pos, ref.center)
+    direct = math.dist(owner_pos, layout.array.subarray_centers[ref])
     interior = max(geometry.interior_raw_m, 0.0)
     delay = (e_ref + interior + g_len - direct) / SPEED_OF_LIGHT_M_S
     return view, delay

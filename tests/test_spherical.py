@@ -21,7 +21,7 @@ from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
 from auramimo.layout import ArrayGeometry
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, unit_from_angles
-from conftest import make_scenario, make_two_user_layout
+from conftest import make_scenario, make_two_user_layout, subarray_sizes
 
 C0 = SPEED_OF_LIGHT_M_S
 
@@ -115,13 +115,13 @@ def test_lbs_mirrors_departure_solve():
     # The cluster solve's LBS is the same closed form with the roles
     # swapped (anchor = user, far end = reference sub-array center).
     array = make_two_user_layout(2.0).array
-    ref = array.reference_subarray
+    ref_center = array.subarray_centers[array.reference_subarray]
     cluster = _random_cluster(np.random.default_rng(5), array.n_subarrays, 2e-8)
     (got,), (degenerate,) = solve_cluster_geometry([cluster], user[None], array)
     assert not degenerate
-    d_ref = total_path_length(cluster.tau_s, ref.center, user)
+    d_ref = total_path_length(cluster.tau_s, ref_center, user)
     g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
-    assert np.array_equal(got.lbs, _solve_one(user, ref.center, g_hat, d_ref)[2])
+    assert np.array_equal(got.lbs, _solve_one(user, ref_center, g_hat, d_ref)[2])
 
 
 def _random_cases(n, rng):
@@ -200,8 +200,8 @@ def _attached(layout, seed=3):
 
 def test_attach_full_set_with_four_subarrays():
     cs, geometries, layout = _attached(make_two_user_layout(2.0))
-    subs = layout.array.subarrays
-    ref = layout.array.reference_subarray.index
+    centers = layout.array.subarray_centers
+    ref = layout.array.reference_subarray
     assert sorted(geometries) == sorted(cs.clusters)
     for c in cs.clusters.values():
         geometry = geometries[c.cluster_id]
@@ -218,14 +218,14 @@ def test_attach_full_set_with_four_subarrays():
             assert math.dist(gen_xyz, geometry.lbs) == 0.0
             continue
         # Departure-side closure per sub-array.
-        for sub in subs:
-            d_c = total_path_length(c.tau_s, sub.center, gen_pos)
-            total = geometry.e_len_m[sub.index] + math.dist(geometry.fbs[sub.index], gen_xyz)
+        for a, center in enumerate(centers):
+            d_c = total_path_length(c.tau_s, center, gen_pos)
+            total = geometry.e_len_m[a] + math.dist(geometry.fbs[a], gen_xyz)
             assert abs(total - d_c) / d_c <= 1e-9
         # Arrival-side closure against the reference sub-array.
-        d_ref = total_path_length(c.tau_s, subs[ref].center, gen_pos)
+        d_ref = total_path_length(c.tau_s, centers[ref], gen_pos)
         g_len = math.dist(gen_xyz, geometry.lbs)
-        lbs_total = g_len + math.dist(geometry.lbs, subs[ref].center)
+        lbs_total = g_len + math.dist(geometry.lbs, centers[ref])
         assert abs(lbs_total - d_ref) / d_ref <= 1e-9
         assert geometry.interior_raw_m == pytest.approx(
             d_ref - geometry.e_len_m[ref] - g_len, abs=1e-9
@@ -312,12 +312,12 @@ def _per_cluster_geometry(cluster, user, array):
     )
     fbs = centers + e_len[:, None] * e_hat
     lbs_len, g_hat = _per_cluster_focal_lengths(
-        d_c[ref.index : ref.index + 1],
-        (ref.center - user)[None],
+        d_c[ref : ref + 1],
+        (centers[ref] - user)[None],
         unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)[None],
     )
     lbs = user + lbs_len[0] * g_hat[0]
-    interior = float(d_c[ref.index]) - float(e_len[ref.index]) - math.dist(user, lbs)
+    interior = float(d_c[ref]) - float(e_len[ref]) - math.dist(user, lbs)
     return lbs, fbs, e_len, interior
 
 
@@ -348,18 +348,16 @@ def _scalar_departure(apos, user_pos, e_hat, d_c):
 
 
 def _scalar_cluster_geometry(cluster, user_pos, array):
-    subarrays = array.subarrays
-    ref_index = array.reference_subarray.index
-    e_len = np.empty(len(subarrays))
+    centers = array.subarray_centers
+    ref_index = array.reference_subarray
+    e_len = np.empty(len(centers))
     fbs = []
-    for sub in subarrays:
-        d_c = total_path_length(cluster.tau_s, sub.center, user_pos)
-        e_hat = _scalar_unit(
-            float(cluster.aod_az_deg[sub.index]), float(cluster.aod_el_deg[sub.index])
-        )
-        e_len[sub.index], focal = _scalar_departure(sub.center, user_pos, e_hat, d_c)
+    for a, center in enumerate(centers):
+        d_c = total_path_length(cluster.tau_s, center, user_pos)
+        e_hat = _scalar_unit(float(cluster.aod_az_deg[a]), float(cluster.aod_el_deg[a]))
+        e_len[a], focal = _scalar_departure(center, user_pos, e_hat, d_c)
         fbs.append(focal)
-    ref_center = subarrays[ref_index].center
+    ref_center = centers[ref_index]
     d_c_ref = total_path_length(cluster.tau_s, ref_center, user_pos)
     g_hat = _scalar_unit(cluster.aoa_az_deg, cluster.aoa_el_deg)
     _, lbs = _scalar_departure(user_pos, ref_center, g_hat, d_c_ref)
@@ -376,7 +374,7 @@ def _random_array(rng):
     stationarity = rng.uniform(0.01, 5.0)
     return ArrayGeometry(
         element_positions=elements,
-        subarrays=partition_subarrays(elements, stationarity),
+        subarray_size=partition_subarrays(elements, stationarity),
     )
 
 
@@ -404,7 +402,7 @@ def test_batched_cluster_geometry_equals_scalar_loop():
     seen = {"one subarray": 0, "uneven last": 0, "boresight": 0, "solved": 0}
     for trial in range(250):
         array = _random_array(rng)
-        sizes = [sub.n_elements for sub in array.subarrays]
+        sizes = subarray_sizes(array)
         seen["one subarray"] += array.n_subarrays == 1
         seen["uneven last"] += sizes[-1] != sizes[0]
         n = int(rng.integers(1, 13))
@@ -469,8 +467,8 @@ def test_degenerate_mask_is_the_excess_path_term():
     for trial in range(300):
         array = _random_array(rng)
         centers = array.subarray_centers
-        ref = array.reference_subarray.index
-        sizes = [sub.n_elements for sub in array.subarrays]
+        ref = array.reference_subarray
+        sizes = subarray_sizes(array)
         seen["one subarray"] += array.n_subarrays == 1
         seen["uneven last"] += sizes[-1] != sizes[0]
         n = int(rng.integers(1, 13))

@@ -16,6 +16,7 @@ from auramimo import (
 )
 from auramimo.pipeline import run, write_outputs
 from auramimo.tensorio import write_tensor_binary, write_tensor_text
+from conftest import subarray_sizes
 from test_pipeline import SCENARIO
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def _view_param_columns(view, delay_s, rx0, array):
     """A view's columns; its angles read from its focal points, the AoA
     from `rx0` or, when the LBS sits there, toward the reference centre."""
     lbs, rx0 = view.lbs.tolist(), rx0.tolist()
-    target = array.reference_subarray.center.tolist() if lbs == rx0 else lbs
+    target = array.subarray_centers[array.reference_subarray].tolist() if lbs == rx0 else lbs
     aoa = _direction(*(t - r for t, r in zip(target, rx0)))
     cols = [_fmt(delay_s), _fmt(view.power), *map(_fmt, aoa)]
     for fbs, center in zip(view.fbs.tolist(), array.subarray_centers.tolist()):
@@ -69,7 +70,7 @@ def _view_delays(result) -> dict[tuple[int, int, int], float]:
     the segment's first snapshot, in the slot of the user's c-th cluster,
     less |rx0 - reference sub-array centre| / c."""
     layout = result.config.layout
-    ref_center = layout.array.reference_subarray.center
+    ref_center = layout.array.subarray_centers[layout.array.reference_subarray]
     delays = {}
     for seg in result.segments:
         segment = layout.segments[seg.share_table.segment_index]
@@ -251,7 +252,7 @@ def test_tables_equal_value_by_value_writers(tmp_path):
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
         starts = [tuple(layout.segment_start_position(u, 0)) for u in layout.user_ids]
         seen["colocated"] += len(set(starts)) < len(starts)
-        sizes = [s.n_elements for s in layout.array.subarrays]
+        sizes = subarray_sizes(layout.array)
         seen["one-subarray"] += len(sizes) == 1
         seen["uneven"] += len(set(sizes)) > 1
         seen["segments"] += len(layout.segments) > 1
