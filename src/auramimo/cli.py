@@ -89,8 +89,9 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "plan": _cmd_plan, "metrics": _cmd_metrics}
     try:
         return handlers[args.command](args)
-    except (ChannelModelError, OSError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+    except (ChannelModelError, OSError, ValueError, MemoryError) as e:
+        message = str(e) or ("out of memory" if isinstance(e, MemoryError) else "")
+        print(f"{type(e).__name__}: {message}", file=sys.stderr)
         return 2 if isinstance(e, ChannelModelError) else 3
 
 

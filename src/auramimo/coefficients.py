@@ -31,7 +31,6 @@ BLAS may start itself (`_synthesis_threads`). Each block fills its own
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ from .geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, distances, rotate_azimut
 from .layout import ArrayGeometry, UserLayout
 from .lsp import STREAM_SCATTERERS
 from .sharing import OwnerViews
-
-log = logging.getLogger(__name__)
 
 N_SCATTERERS = 20
 # Departure-phase values per block: one 1024-element geometry of 20
@@ -289,14 +286,6 @@ def synthesize(
     _run_blocks(
         fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
     )
-
-    clamped = sum(v.interior_raw_m < 0.0 for v in slot_views)
-    if clamped:
-        log.warning(
-            "segment %d: interior path length clamped to 0 for %d cluster view(s)",
-            segment,
-            clamped,
-        )
 
 
 def planar_vs_spherical_error(

@@ -1,5 +1,6 @@
 """Run diagnostics: inter-user channel correlation, sharing statistics,
-and the spherical-vs-planar phase deviation summary."""
+and the spherical-vs-planar phase deviation summary. A tensor alone gives
+a report with empty sharing fields; `pipeline.run` builds the full one."""
 
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ from .coefficients import ChannelTensor
 SNAPSHOTS_PER_COPY = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
     """pair_correlation: per-snapshot |h_u^H h_v| / (|h_u| |h_v|) of the
     stacked channel vectors, 0 where a norm is 0, read off each snapshot's
     Gram matrix; means are over snapshots. Sharing counts and planar errors
-    are filled by the run pipeline (they need cluster tables, not a tensor)."""
+    need cluster tables, not a tensor: `pipeline.run` builds the report
+    once, with them, from `correlation_metrics`' report."""
 
     pair_correlation: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     pair_correlation_mean: dict[tuple[int, int], float] = field(default_factory=dict)

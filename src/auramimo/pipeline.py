@@ -2,16 +2,20 @@
 
 Per segment, in order: sharing proportions and counts, initial cluster
 parameters with their owners, focal points, the generator views, then
-one recalculated view per joining owner; then coefficient synthesis and
-metrics. Cluster ids are unique across the whole run (each segment's
-allocation starts where the previous ended), which keys the per-cluster
-scatterer randomness globally.
+one recalculated view per joining owner. One pass over the segments then
+synthesizes each one's slice of the run tensor and computes its planar
+error row; `run` builds one frozen report and logs at most one warning,
+the count of clamped interior paths. Cluster ids are unique across the
+whole run (each segment's allocation starts where the previous ended),
+which keys the per-cluster scatterer randomness globally.
 """
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,8 @@ from .sharing import OwnerViews, recalculate_views, share_clusters
 from .spherical import attach_focal_points
 from .tables import write_tables
 from .tensorio import write_tensor_binary, write_tensor_text
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,7 @@ def run(config: RunConfig) -> RunResult:
         (n_users, 1, layout.array.n_elements, n_clusters, n_snap), dtype=np.complex64
     )
     delays = np.empty((n_users, n_clusters, n_snap))
+    worst = np.zeros(layout.array.n_subarrays)
     for seg in segments:
         span = layout.segments[seg.views.segment_index]
         snapshots = slice(span.first_snapshot, span.first_snapshot + span.n_snapshots)
@@ -90,6 +97,11 @@ def run(config: RunConfig) -> RunResult:
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
             out=(coefficients[..., snapshots], delays[..., snapshots]),
         )
+        distinct = {v.fbs.tobytes(): v.fbs for v in seg.views.views.values()}
+        errors = planar_vs_spherical_error(
+            np.stack(list(distinct.values())), layout, config.carrier_hz
+        )
+        np.maximum(worst, errors.max(axis=0), out=worst)
     # Checks every value once: the segments fill their slices unchecked.
     tensor = ChannelTensor(
         user_ids=layout.user_ids,
@@ -99,31 +111,26 @@ def run(config: RunConfig) -> RunResult:
         seed=config.seed,
     )
 
-    report = correlation_metrics(tensor)
-    _fill_sharing_and_planar_metrics(report, segments, config)
-    return RunResult(config=config, segments=segments, tensor=tensor, metrics=report)
-
-
-def _fill_sharing_and_planar_metrics(
-    report: MetricsReport, segments: list[SegmentResult], config: RunConfig
-) -> None:
-    users = config.layout.user_ids
-    per_segment = [
-        {u: set(ids) for u, ids in seg.cluster_set.by_user.items()} for seg in segments
-    ]
-    for i, u in enumerate(users):
-        for v in users[i + 1 :]:
-            report.shared_cluster_counts[(u, v)] = sum(
-                len(ids[u] & ids[v]) for ids in per_segment
-            )
-
-    worst = np.zeros(config.layout.array.n_subarrays)
+    # Each cluster id belongs to exactly one group, so a group's count is
+    # shared by every pair of its members and by no other pair.
+    shared = dict.fromkeys(combinations(layout.user_ids, 2), 0)
     for seg in segments:
-        distinct = {v.fbs.tobytes(): v.fbs for v in seg.views.views.values()}
-        fbs = np.stack(list(distinct.values()))
-        errors = planar_vs_spherical_error(fbs, config.layout, config.carrier_hz)
-        worst = np.maximum(worst, errors.max(axis=0))
-    report.planar_error_max_rad.update(enumerate(worst.tolist()))
+        for group in seg.share_table.groups:
+            for pair in combinations(group.members, 2):
+                shared[pair] += group.count
+
+    views = [v for seg in segments for v in seg.views.views.values()]
+    clamped = sum(v.interior_raw_m < 0.0 for v in views)
+    if clamped:
+        message = "interior path length clamped to 0 for %d of %d cluster views"
+        log.warning(message, clamped, len(views))
+
+    metrics = replace(
+        correlation_metrics(tensor),
+        shared_cluster_counts=shared,
+        planar_error_max_rad=dict(enumerate(worst.tolist())),
+    )
+    return RunResult(config=config, segments=segments, tensor=tensor, metrics=metrics)
 
 
 def write_outputs(result: RunResult, out_dir=None) -> dict[str, Path]:

@@ -153,11 +153,13 @@ def test_single_scatterer_phase_arithmetic():
 def test_negative_interior_clamped_and_logged(caplog):
     layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
     view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], -5.0)
-    with caplog.at_level("WARNING", logger="auramimo.coefficients"):
+    with caplog.at_level("DEBUG", logger="auramimo"):
         tensor = synthesize_segment(
             _single_user_views(layout, view), layout, 3.5e9, seed=5, n_scatterers=1
         )
-    assert "clamped" in caplog.text
+    # Synthesis only fills arrays: the run logs its clamped views once
+    # (test_pipeline.py::test_run_logs_one_clamp_warning).
+    assert caplog.records == []
     assert np.all(tensor.delays >= 0)
     # The clamped interior contributes zero length, not a negative one.
     zero_interior = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 0.0)

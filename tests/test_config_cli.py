@@ -618,16 +618,35 @@ def test_non_integer_seed_override_is_a_usage_error(tmp_path, capsys, value):
     assert "invalid int value" in capsys.readouterr().err
 
 
+def _readme_block(section: str, language: str) -> str:
+    """The first `language` code block of the README's `section`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = readme.split(f"## {section}", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
+
+
 def test_readme_quick_start_config_plans(tmp_path, capsys):
     # The quick start's JSON block is the config a new reader copies first.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
-    raw = json.loads(re.search(r"```json\n(.*?)```", quick_start, re.S).group(1))
+    raw = json.loads(_readme_block("Quick start", "json"))
     parse_config(raw)
     assert main(["plan", "--config", str(write_config(tmp_path, raw))]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(SHARE_HEADER + "\n") and captured.err == ""
     assert len(captured.out.splitlines()) > 1
+
+
+def test_readme_library_use_example_runs(tmp_path, monkeypatch, capsys):
+    # The Library-use block, run on the quick start's config as cfg.json.
+    raw = json.loads(_readme_block("Quick start", "json"))
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, raw)
+    namespace: dict = {}
+    exec(_readme_block("Library use", "python"), namespace)
+    h, tau = namespace["h"], namespace["tau"]
+    assert h.ndim == 5 and h.dtype == np.complex64
+    assert tau.shape == (h.shape[0], h.shape[3], h.shape[4])
+    assert (tmp_path / raw["output"]["dir"] / "channel.bin").is_file()
+    assert "(1, 2)" in capsys.readouterr().out
 
 
 def test_load_config_missing_file(tmp_path):
@@ -737,6 +756,28 @@ def test_cli_clique_cap_exits_2_without_traceback(tmp_path, capsys):
     assert captured.err.startswith("ComponentTooLarge:")
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+@pytest.mark.parametrize(
+    "path",
+    [("layout", "array", "n_elements"), ("scenario", "clusters_per_user")],
+    ids=["n_elements", "clusters_per_user"],
+)
+def test_cli_unallocatable_size_exits_3_with_one_line(tmp_path, capsys, command, path):
+    # 10**15 elements or clusters per user asks for about 8 PB at once, past
+    # any 64-bit user address space, so the allocation fails before
+    # touching memory; it ended in a traceback. The clusters' id tuple
+    # raises a MemoryError without a message, which reads "out of memory".
+    raw = base_raw(output={"dir": str(tmp_path / "out"), "format": "binary"})
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = 10**15
+    assert main([command, "--config", str(write_config(tmp_path, raw))]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("MemoryError: ")
+    assert len(captured.err.splitlines()) == 1 and captured.err.strip() != "MemoryError:"
 
 
 def test_cli_bad_tensor_exits_3(tmp_path, capsys):

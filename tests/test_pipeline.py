@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 import threading
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -482,11 +484,47 @@ def test_random_runs_write_consistent_files(tmp_path):
         views = [v for seg in result.segments for v in seg.views.views.values()]
         seen["clamped"] += any(v.interior_raw_m < 0.0 for v in views)
 
+        # The run counts shared clusters from its share-table groups; the
+        # owners' cluster ids give the same pairs, in the same order.
+        per_segment = [
+            {u: set(ids) for u, ids in seg.cluster_set.by_user.items()}
+            for seg in result.segments
+        ]
+        by_user = {
+            (u, v): sum(len(ids[u] & ids[v]) for ids in per_segment)
+            for u, v in combinations(users, 2)
+        }
+        assert list(result.metrics.shared_cluster_counts.items()) == list(by_user.items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.metrics.shared_cluster_counts = {}
+
         modes = {v.recalc_mode for seg in result.segments for v in seg.views.views.values()}
         seen["kept-parameters"] += MODE_KEPT_PARAMETERS in modes
         starts = [tuple(config.layout.segment_start_position(u, 0)) for u in users]
         seen["co-located"] += len(set(starts)) < len(starts)
     assert min(seen.values()) >= 5, seen
+
+
+def test_run_logs_one_clamp_warning(caplog):
+    # One summary per run, not one line per segment; synthesis logs nothing.
+    seen = {"clamped": 0, "unclamped": 0}
+    for seed in range(20):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="auramimo"):
+            result = run(make_random_config(seed))
+        views = [v for seg in result.segments for v in seg.views.views.values()]
+        clamped = sum(v.interior_raw_m < 0.0 for v in views)
+        if not clamped:
+            seen["unclamped"] += 1
+            assert caplog.records == [], seed
+            continue
+        seen["clamped"] += 1
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("auramimo.pipeline", "WARNING")
+        assert record.getMessage() == (
+            f"interior path length clamped to 0 for {clamped} of {len(views)} cluster views"
+        )
+    assert min(seen.values()) >= 2, seen
 
 
 @pytest.mark.parametrize("seed", [3, 901, 4242])
