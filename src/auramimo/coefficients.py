@@ -21,18 +21,23 @@ copy all three (kept-focal-point, co-located owners); each geometry's
 coefficients are one matrix product of its departure phases with the
 stacked arrival phases of every owner it serves. The arrival side (fans,
 receiver distances, phases, amplitudes and center-path delays) of every
-(user, cluster) slot is one array pass per segment. The geometries are cut
-into blocks of at most BLOCK_VALUES departure phases, each computed in
-one pass over all sub-arrays (ArrayGeometry.element_distances), and the
-blocks run on one thread per CPU the process may use, less the threads
-BLAS may start itself (`_synthesis_threads`). Each block fills its own
-(user, cluster) slots, so results are identical for any thread count.
+(user, cluster) slot is one array pass per segment, and so are the
+departure fans of every geometry. The geometries are cut into blocks of
+at most BLOCK_VALUES departure phases, each computed in one pass over all
+sub-arrays (ArrayGeometry.element_distances), and the blocks run on one
+thread per CPU the process may use, less the threads BLAS may start
+itself (`_synthesis_threads`). Each thread makes one set of work arrays
+per segment, in which it computes its blocks' lengths and phases in
+place; thread i fills block i, then the next block no thread has taken.
+Each block fills its own (user, cluster) slots, so results are identical
+for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +96,12 @@ def _fan_positions(
     delta = focals - anchors
     dist = np.sqrt(np.vecdot(delta, delta))[..., None, None]
     direction = delta[..., None, :] / np.where(dist == 0.0, 1.0, dist)
-    points = anchors[..., None, :] + dist * rotate_azimuth(direction, rotation=rotation)
-    return np.where(dist == 0.0, focals[..., None, :], points)
+    # In place: one (..., n, 3) array, the size of the result.
+    points = rotate_azimuth(direction, rotation=rotation)
+    points *= dist
+    points += anchors[..., None, :]
+    np.copyto(points, focals[..., None, :], where=dist == 0.0)
+    return points
 
 
 @dataclass(frozen=True)
@@ -117,25 +126,34 @@ class ChannelTensor:
             raise ValueError("delays must be finite and nonnegative")
 
 
+def _work_arrays(n_values: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One thread's lengths, distance planes and phases of n_values paths."""
+    return np.empty(n_values), np.empty(n_values), np.empty(n_values, dtype=complex)
+
+
 def _departure_phase(
-    fbs: np.ndarray,
+    fans: np.ndarray,
     interiors: np.ndarray,
     array: ArrayGeometry,
     wavenumber: float,
-    rotation: tuple[np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """exp(-j k (|elem_i - FBS_{g,a,l}| + interior_g)), (tx, g * n_sc),
-    for g departure geometries at once: FBS sets (g, A, 3), interiors
-    (g,) and each cluster's permuted rotation (g, n_sc). Geometry g owns
-    columns g * n_sc to (g + 1) * n_sc."""
-    cos, sin = rotation
-    fbs_points = _fan_positions(
-        array.subarray_centers, fbs, (cos[:, None, :], sin[:, None, :])
-    )
+    for g departure geometries at once: scatterer fans (g, A, n_sc, 3) and
+    interiors (g,). Geometry g owns columns g * n_sc to (g + 1) * n_sc.
+    Computed in place in `work` (`_work_arrays` of at least that many
+    values), a view of whose phases is returned."""
+    shape = (array.n_elements, fans.shape[0] * fans.shape[2])
+    size = shape[0] * shape[1]
+    lengths, planes, phase = (a[:size].reshape(shape) for a in work or _work_arrays(size))
     # (g, A, n_sc, 3) -> (A, g * n_sc, 3): each sub-array's bounce points.
-    points = fbs_points.transpose(1, 0, 2, 3).reshape(array.n_subarrays, -1, 3)
-    lengths = array.element_distances(points) + np.repeat(interiors, cos.shape[1])
-    return np.exp(-1j * wavenumber * lengths)
+    points = fans.transpose(1, 0, 2, 3).reshape(array.n_subarrays, -1, 3)
+    array.element_distances(points, lengths, planes)
+    lengths += np.repeat(interiors, fans.shape[2])
+    # The operand exp(-1j * k * lengths) gets: real part 0, imaginary -k L.
+    np.multiply(lengths, -wavenumber, out=phase.imag)
+    phase.real = 0.0
+    return np.exp(phase, out=phase)
 
 
 def _cpu_count() -> int:
@@ -160,30 +178,36 @@ def _synthesis_threads() -> int:
     return 1
 
 
-def _run_blocks(fill, blocks: list) -> None:
-    """fill(block) for every block, on `_synthesis_threads()` threads (at
-    most one per block), each thread taking every n-th block; serially
-    when that is one thread."""
+def _run_blocks(fill, blocks: list, make_work) -> None:
+    """fill(block, work) for every block (there is at least one), on
+    `_synthesis_threads()` threads (at most one per block). Thread i makes
+    its `work = make_work()`, fills block i, then takes the next block no
+    thread has taken, so a stalled thread holds back only its own block."""
     n_threads = min(_synthesis_threads(), len(blocks))
-    if n_threads <= 1:
-        for block in blocks:
-            fill(block)
-        return
-    # Imported here: `import auramimo` should not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
+    rest = iter(blocks[n_threads:])  # next() on a list iterator holds the GIL
+    errors = []
 
     def fill_share(first: int) -> None:
-        for block in blocks[first::n_threads]:
-            fill(block)
+        try:
+            work = make_work()
+            fill(blocks[first], work)
+            for block in rest:
+                fill(block, work)
+        except BaseException as error:  # raised again in the calling thread
+            errors.append(error)
 
-    # The calling thread fills a share too: a pool of all n threads left
-    # it idle and raised the wide benchmark's peak RSS by 2.6 MB instead
-    # of 1.4 MB (2-CPU host).
-    with ThreadPoolExecutor(n_threads - 1) as pool:
-        futures = [pool.submit(fill_share, i) for i in range(1, n_threads)]
-        fill_share(0)
-        for future in futures:
-            future.result()  # re-raises a worker's exception
+    # The calling thread fills a share too: leaving it idle beside n
+    # workers raised the wide benchmark's peak RSS by 2.6 MB instead of
+    # 1.4 MB (2-CPU host). A thread per share, not a pool: a pool thread
+    # done with its share could start another and make a second work set.
+    workers = [threading.Thread(target=fill_share, args=(i,)) for i in range(1, n_threads)]
+    for worker in workers:
+        worker.start()
+    fill_share(0)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def synthesize(
@@ -264,16 +288,19 @@ def synthesize(
         key = (v.cluster_id, v.fbs.tobytes(), interior)
         by_geometry.setdefault(key, (v.fbs, []))[1].append(s)
 
-    def fill(block: list) -> None:
-        perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
-        tx_phase = _departure_phase(
-            np.stack([fbs for _, (fbs, _) in block]),
-            np.array([interior for (_, _, interior), _ in block]),
-            array,
-            wavenumber,
-            (rotation[0][perms], rotation[1][perms]),
-        )
-        for j, (_, (_, slots)) in enumerate(block):
+    # Every geometry's departure fan, (G, A, n_sc, 3), in one pass.
+    perms = np.stack([randomness[cluster_id][1] for cluster_id, _, _ in by_geometry])
+    fans = _fan_positions(
+        array.subarray_centers,
+        np.stack([fbs for fbs, _ in by_geometry.values()]),
+        (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :]),
+    )
+    fan_interiors = np.array([interior for _, _, interior in by_geometry])
+    fan_slots = [slots for _, slots in by_geometry.values()]
+
+    def fill(block: slice, work: tuple) -> None:
+        tx_phase = _departure_phase(fans[block], fan_interiors[block], array, wavenumber, work)
+        for j, slots in enumerate(fan_slots[block]):
             columns = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers]
             product = columns @ rx_phase[slots].reshape(-1, n_scatterers).T
             ks, cs = np.divmod(slots, n_clusters)
@@ -281,11 +308,9 @@ def synthesize(
                 array.n_elements, len(slots), n_snap
             ).transpose(1, 0, 2)
 
-    geometries = list(by_geometry.items())
-    per_block = max(1, BLOCK_VALUES // (array.n_elements * n_scatterers))
-    _run_blocks(
-        fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
-    )
+    per_block = min(len(fans), max(1, BLOCK_VALUES // (array.n_elements * n_scatterers)))
+    blocks = [slice(i, i + per_block) for i in range(0, len(fans), per_block)]
+    _run_blocks(fill, blocks, lambda: _work_arrays(per_block * array.n_elements * n_scatterers))
 
 
 def planar_vs_spherical_error(

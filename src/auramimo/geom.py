@@ -18,13 +18,16 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def distances(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """|a - b| of broadcast points (..., 3), plane by plane: x^2 + y^2 +
     z^2, then sqrt: the bits of np.linalg.norm(a - b, axis=-1) without its
-    (..., 3) temporary."""
-    acc = (a[..., 0] - b[..., 0]) ** 2
+    (..., 3) temporary. `out` and `scratch`, float64 arrays of the
+    broadcast shape, take the result and the y and z planes when given."""
+    acc = np.subtract(a[..., 0], b[..., 0], out=out)
+    np.multiply(acc, acc, out=acc)
     for j in (1, 2):
-        acc += (a[..., j] - b[..., j]) ** 2
+        scratch = np.subtract(a[..., j], b[..., j], out=scratch)
+        acc += np.multiply(scratch, scratch, out=scratch)
     return np.sqrt(acc, out=acc)
 
 

@@ -197,14 +197,18 @@ class ArrayGeometry:
             key=lambda a: (float(np.linalg.norm(centers[a] - centroid)), a),
         )
 
-    def element_distances(self, points: np.ndarray) -> np.ndarray:
+    def element_distances(self, points: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Distances (n_elements, n) from each element to the n points
         (n_subarrays, n, 3) of its sub-array, by `geom.distances` per run
-        of equal-size sub-arrays."""
-        out = np.empty((self.n_elements, points.shape[1]))
+        of equal-size sub-arrays, into `out` when given; `scratch`, of the
+        same shape, takes `geom.distances`' planes."""
+        n = points.shape[1]
+        out = np.empty((self.n_elements, n)) if out is None else out
         for a0, a1, e0, e1 in self.equal_size_runs:
             elements = self.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
-            out[e0:e1] = distances(elements, points[a0:a1, None]).reshape(e1 - e0, -1)
+            run = (a1 - a0, (e1 - e0) // (a1 - a0), n)
+            planes = None if scratch is None else scratch[e0:e1].reshape(run)
+            distances(elements, points[a0:a1, None], out[e0:e1].reshape(run), planes)
         return out
 
 

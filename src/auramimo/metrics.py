@@ -4,11 +4,14 @@ a report with empty sharing fields; `pipeline.run` builds the full one."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
 from .coefficients import ChannelTensor
+from .geom import read_only
 
 # Snapshots per copy out of the tensor: four complex128 values of one
 # coefficient fill a 64-byte cache line. Copying one snapshot at a time
@@ -24,12 +27,17 @@ class MetricsReport:
     stacked channel vectors, 0 where a norm is 0, read off each snapshot's
     Gram matrix; means are over snapshots. Sharing counts and planar errors
     need cluster tables, not a tensor: `pipeline.run` builds the report
-    once, with them, from `correlation_metrics`' report."""
+    once, with them, from `correlation_metrics`' report. Each field is a
+    read-only mapping over a copy of the one given."""
 
-    pair_correlation: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    pair_correlation_mean: dict[tuple[int, int], float] = field(default_factory=dict)
-    shared_cluster_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    planar_error_max_rad: dict[int, float] = field(default_factory=dict)
+    pair_correlation: Mapping[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    pair_correlation_mean: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    shared_cluster_counts: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    planar_error_max_rad: Mapping[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
 
 
 def _normalized(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -58,7 +66,7 @@ def correlation_metrics(tensor: ChannelTensor) -> MetricsReport:
     gram = gram.transpose(1, 2, 0)  # (user, user, snapshot)
     norm = np.sqrt(gram[range(n_users), range(n_users)].real)
     first, second = np.triu_indices(n_users, 1)
-    corr = _normalized(np.abs(gram[first, second]), norm[first] * norm[second])
+    corr = read_only(_normalized(np.abs(gram[first, second]), norm[first] * norm[second]))
     keys = [(tensor.user_ids[i], tensor.user_ids[j]) for i, j in zip(first, second)]
     means = (float(c.mean()) if n_snap else 0.0 for c in corr)
     return MetricsReport(dict(zip(keys, corr)), dict(zip(keys, means)))

@@ -30,7 +30,7 @@ from auramimo import (
 from auramimo import coefficients
 from auramimo.coefficients import _fan_positions, scatterer_randomness
 from auramimo.layout import ArrayGeometry
-from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation
+from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, distances
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import (
     make_point_layout,
@@ -662,8 +662,8 @@ def test_synthesis_threads_share_the_cpus_with_blas(monkeypatch):
 
 
 def test_import_does_not_load_the_thread_pool():
-    # The pool module is imported when synthesis first runs blocks on
-    # threads, so that importing auramimo stays cheap.
+    # Synthesis runs its blocks on plain threads: importing auramimo
+    # stays cheap and loads no pool module.
     src = str(Path(coefficients.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -741,14 +741,19 @@ def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scattere
     rx_positions = [layout.segment_positions(u, segment) for u in view_users(views)]
     anchors = [layout.segment_start_position(u, segment) for u in view_users(views)]
 
-    def fill(block):
+    def fill(block, work):
         perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in block])
-        tx_phase = coefficients._departure_phase(
+        fans = _fan_positions(
+            array.subarray_centers,
             np.stack([fbs for _, (fbs, _) in block]),
+            (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :]),
+        )
+        tx_phase = coefficients._departure_phase(
+            fans,
             np.array([interior for (_, _, interior), _ in block]),
             array,
             wavenumber,
-            (rotation[0][perms], rotation[1][perms]),
+            work,
         )
         for j, ((cluster_id, _, interior), (_, slots)) in enumerate(block):
             phases = randomness[cluster_id][0]
@@ -773,7 +778,9 @@ def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scattere
     geometries = list(by_geometry.items())
     per_block = max(1, coefficients.BLOCK_VALUES // (array.n_elements * n_scatterers))
     coefficients._run_blocks(
-        fill, [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)]
+        fill,
+        [geometries[i : i + per_block] for i in range(0, len(geometries), per_block)],
+        lambda: None,  # each block allocates its own arrays
     )
 
 
@@ -872,3 +879,166 @@ def test_arrival_pass_equals_per_slot_loop(monkeypatch):
         seen["single"] += n_sc == 1
         seen[f"{n_threads}-thread" + "s" * (n_threads > 1)] += 1
     assert min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------------------------
+# The in-place departure kernel and the block schedule
+# ---------------------------------------------------------------------------
+
+
+def _allocating_distances(a, b):
+    # geom.distances as it was: a fresh array for every plane.
+    acc = (a[..., 0] - b[..., 0]) ** 2
+    for j in (1, 2):
+        acc += (a[..., j] - b[..., j]) ** 2
+    return np.sqrt(acc, out=acc)
+
+
+def _allocating_departure_phase(fans, interiors, array, wavenumber):
+    # The departure phase as it was computed with fresh arrays per block.
+    points = fans.transpose(1, 0, 2, 3).reshape(array.n_subarrays, -1, 3)
+    lengths = np.empty((array.n_elements, points.shape[1]))
+    for a0, a1, e0, e1 in array.equal_size_runs:
+        elements = array.element_positions[e0:e1].reshape(a1 - a0, -1, 1, 3)
+        lengths[e0:e1] = _allocating_distances(elements, points[a0:a1, None]).reshape(
+            e1 - e0, -1
+        )
+    return np.exp(-1j * wavenumber * (lengths + np.repeat(interiors, fans.shape[2])))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_in_place_departure_phase_keeps_every_bit():
+    rng = np.random.default_rng(26)
+    seen = dict.fromkeys(("uneven", "n_sc=1", "n_sc=20", "short-after-full"), 0)
+    for trial in range(120):
+        array = _random_array_layout(rng).array
+        centers = array.subarray_centers
+        n_sc = 1 if trial % 3 == 0 else 20
+        full = int(rng.integers(1, 6))
+        short = int(rng.integers(1, full + 1))
+        rotation = azimuth_rotation(laplacian_offsets(n_sc) * rng.uniform(0.5, 10.0))
+        wavenumber = 2.0 * math.pi * rng.uniform(1e9, 30e9) / C0
+        # One block's work arrays serve a full block, then a shorter one.
+        work = coefficients._work_arrays(full * array.n_elements * n_sc)
+        for g in (full, short):
+            fbs = centers + rng.normal(size=(g, *centers.shape)) * 10.0 ** rng.uniform(-1, 3)
+            perms = np.stack([rng.permutation(n_sc) for _ in range(g)])
+            fans = _fan_positions(
+                centers, fbs, (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :])
+            )
+            interiors = np.where(rng.random(g) < 0.2, 0.0, rng.uniform(0.0, 100.0, g))
+            want = _allocating_departure_phase(fans, interiors, array, wavenumber)
+            got = coefficients._departure_phase(fans, interiors, array, wavenumber, work)
+            assert got.shape == want.shape == (array.n_elements, g * n_sc), trial
+            assert np.shares_memory(got, work[2])
+            assert np.array_equal(_bits(got), _bits(want)), (trial, g)
+            alone = coefficients._departure_phase(fans, interiors, array, wavenumber)
+            assert np.array_equal(_bits(alone), _bits(want)), (trial, g)
+        seen["uneven"] += len(array.equal_size_runs) > 1
+        seen[f"n_sc={n_sc}"] += 1
+        seen["short-after-full"] += short < full
+    assert min(seen.values()) >= 20, seen
+
+
+def test_distances_into_given_arrays_keep_every_bit():
+    rng = np.random.default_rng(27)
+    for trial in range(100):
+        m, n = (int(x) for x in rng.integers(1, 30, size=2))
+        a = rng.normal(size=(m, 1, 3)) * 10.0 ** rng.uniform(-3, 5)
+        b = rng.normal(size=(1, n, 3)) * 10.0 ** rng.uniform(-3, 5)
+        out, scratch = np.full((m, n), np.nan), np.full((m, n), np.nan)
+        got = distances(a, b, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(distances(a, b))), trial
+        assert np.array_equal(_bits(got), _bits(_allocating_distances(a, b))), trial
+
+
+def _spy_departure_phase(monkeypatch, before=None):
+    """Record (thread, first geometry, work) of every _departure_phase call;
+    `before(thread, first geometry)` runs ahead of each."""
+    calls = []
+    original = coefficients._departure_phase
+
+    def spy(fans, *args):
+        # A block's fans are a slice of the segment's fan array.
+        first = (fans.ctypes.data - fans.base.ctypes.data) // fans.strides[0]
+        if before is not None:
+            before(threading.get_ident(), first)
+        calls.append((threading.get_ident(), first, args[3]))
+        return original(fans, *args)
+
+    monkeypatch.setattr(coefficients, "_departure_phase", spy)
+    return calls
+
+
+def test_each_thread_makes_its_work_arrays_once(monkeypatch):
+    n_elements = 250
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # One geometry per block: many blocks for every thread.
+    monkeypatch.setattr(coefficients, "BLOCK_VALUES", n_elements * coefficients.N_SCATTERERS)
+    made = []
+    make = coefficients._work_arrays
+
+    def spy_make(n_values):
+        work = make(n_values)
+        made.append((threading.get_ident(), work))
+        return work
+
+    monkeypatch.setattr(coefficients, "_work_arrays", spy_make)
+    calls = _spy_departure_phase(monkeypatch)
+    layout = make_two_user_layout(2.0, n_elements=n_elements)
+    switch_interval = sys.getswitchinterval()
+    for cpus in (1, 2, 3, 1, 2, 3):
+        monkeypatch.setattr(coefficients, "_cpu_count", lambda: cpus)
+        made.clear()
+        calls.clear()
+        sys.setswitchinterval(1e-5)  # threads race for the next block
+        try:
+            _, views, _ = _full_tensor(layout)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        # Every block is taken by exactly one thread.
+        n_blocks = len(_departure_keys(views))
+        assert sorted(first for _, first, _ in calls) == list(range(n_blocks)), cpus
+        assert n_blocks > cpus
+        makers = [thread for thread, _ in made]
+        # Thread i fills block i, so every thread fills at least one.
+        assert len(makers) == len(set(makers)) == cpus
+        assert set(makers) == {thread for thread, _, _ in calls}
+        works = dict(made)
+        assert all(work is works[thread] for thread, _, work in calls), cpus
+
+
+def test_stalled_worker_holds_back_only_its_block(monkeypatch):
+    n_elements = 250
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(coefficients, "BLOCK_VALUES", n_elements * coefficients.N_SCATTERERS)
+    layout = make_two_user_layout(2.0, n_elements=n_elements)
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 1)
+    serial, views, _ = _full_tensor(layout)
+    n_blocks = len(_departure_keys(views))
+    assert n_blocks >= 4
+
+    caller = threading.get_ident()
+    others_filled = threading.Event()
+    worker_firsts = []
+
+    def before(thread, first):
+        if thread != caller and not worker_firsts:
+            # The worker's first block waits until the caller filled the rest.
+            worker_firsts.append(first)
+            assert others_filled.wait(timeout=30), "the caller left blocks to the worker"
+        elif thread == caller and sum(t == caller for t, _, _ in calls) == n_blocks - 2:
+            others_filled.set()  # the caller has taken its last block
+
+    calls = _spy_departure_phase(monkeypatch, before)
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 2)
+    tensor, _, _ = _full_tensor(layout)
+    by_caller = sorted(first for thread, first, _ in calls if thread == caller)
+    assert by_caller == [b for b in range(n_blocks) if b != 1]
+    assert [first for thread, first, _ in calls if thread != caller] == worker_firsts == [1]
+    assert np.array_equal(_bits(tensor.coefficients), _bits(serial.coefficients))
+    assert np.array_equal(_bits(tensor.delays), _bits(serial.delays))

@@ -527,6 +527,27 @@ def test_run_logs_one_clamp_warning(caplog):
     assert min(seen.values()) >= 2, seen
 
 
+def test_run_metrics_are_read_only(tmp_path):
+    result = run(make_random_config(1))
+    metrics = result.metrics
+    with pytest.raises(TypeError):
+        metrics.shared_cluster_counts[(1, 2)] = 99
+    with pytest.raises(TypeError):
+        metrics.planar_error_max_rad[0] = 0.0
+    corr = next(iter(metrics.pair_correlation.values()))
+    with pytest.raises(ValueError, match="read-only"):
+        corr[0] = 0.5
+    # A copy made with replace() is read-only too, and leaves the source alone.
+    counts = dict(metrics.shared_cluster_counts)
+    changed = dataclasses.replace(metrics, shared_cluster_counts=counts)
+    counts[(1, 2)] = 99
+    assert changed.shared_cluster_counts == metrics.shared_cluster_counts
+    with pytest.raises(TypeError):
+        changed.shared_cluster_counts[(1, 2)] = 99
+    rows = _tsv_rows(write_outputs(result, tmp_path)["metrics"])
+    assert sum(r[0] == "shared_clusters" for r in rows) == len(metrics.shared_cluster_counts)
+
+
 @pytest.mark.parametrize("seed", [3, 901, 4242])
 def test_smoke_workload_writes_consistent_files(tmp_path, monkeypatch, seed):
     # The benchmark's smoke config: the one with kept-parameters views
