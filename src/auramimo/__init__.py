@@ -3,14 +3,14 @@ aura-based multi-user cluster sharing, per-sub-array non-stationarity,
 and spherical-wave coefficient synthesis."""
 
 from .clustergen import (
-    Cluster,
     ClusterGeometry,
+    ClusterRow,
     ClusterSet,
+    angle_draws,
+    angles_from_draws,
     assemble_clusters,
-    gen_arrival_angles,
     gen_delays,
-    gen_departure_angles,
-    gen_powers,
+    group_powers,
 )
 from .coefficients import (
     ChannelTensor,

@@ -1,15 +1,22 @@
 """Initial cluster parameters: delays, powers, arrival and per-sub-array
 departure angles, generated per sharing group from one member's LSPs.
 
-Each cluster is built once and holds what was drawn for it; its focal
-points belong to the owner views the sharing module builds from it.
-RNG streams are keyed by (segment, group) so groups can be generated in
-any order or in parallel without changing a single draw.
+A segment's clusters are the read-only columns of one `ClusterSet`, a row
+per cluster in ascending id order. Each group draws from its own RNG
+stream, keyed by (segment, group), so groups can be generated in any
+order without changing a single draw. The arithmetic on the raw draws
+(power profile and shadowing, angle magnitudes and signs, wrapping and
+clipping) is elementwise, so it runs once per segment over every group's
+draws. Focal points belong to the owner views the sharing module builds
+from the columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -35,17 +42,8 @@ class ClusterGeometry(NamedTuple):
     interior_raw_m: float
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One multipath cluster with per-sub-array departure parameters.
-
-    `power_raw` is the within-group share; `ClusterSet.effective_power`
-    renormalizes it for each owner. Its focal points depend on where the
-    cluster is seen from, so they are held by its owner views
-    (`sharing.OwnerView`), not by the cluster. Only the focal solve reads
-    the drawn angles (the tables read angles back from the focal points);
-    the departure angle arrays are read-only.
-    """
+class ClusterRow(NamedTuple):
+    """One row of a `ClusterSet`'s columns, with the columns' names."""
 
     cluster_id: int
     generating_user: int
@@ -55,26 +53,54 @@ class Cluster:
     aoa_el_deg: float
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
-    boresight: bool = False
-
-    def __post_init__(self) -> None:
-        read_only(self.aod_az_deg)
-        read_only(self.aod_el_deg)
+    boresight: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSet:
-    """All clusters of one segment. `by_user` maps each user to its
-    cluster ids, ascending: the one record of who owns which cluster."""
+    """All clusters of one segment as read-only columns, a row per cluster
+    in ascending id order: the id, the generating user, the excess delay,
+    the within-group power share (`effective_power` renormalizes it for
+    each owner), the arrival azimuth and elevation (C,), one departure
+    azimuth and elevation per sub-array (C, A) and the boresight flag.
+    Focal points depend on where a cluster is seen from, so the owner
+    views (`sharing.OwnerView`) hold them. `by_user` maps each user to
+    its cluster ids, ascending: the one record of who owns which cluster."""
 
     segment_index: int
-    clusters: dict[int, Cluster] = field(repr=False, default_factory=dict)
-    by_user: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
-    power_denominator: dict[int, float] = field(repr=False, default_factory=dict)
+    cluster_id: np.ndarray
+    generating_user: np.ndarray
+    tau_s: np.ndarray
+    power_raw: np.ndarray
+    aoa_az_deg: np.ndarray
+    aoa_el_deg: np.ndarray
+    aod_az_deg: np.ndarray
+    aod_el_deg: np.ndarray
+    boresight: np.ndarray
+    by_user: dict[int, tuple[int, ...]] = field(repr=False)
+    power_denominator: dict[int, float] = field(repr=False)
 
-    def effective_power(self, user_id: int, cluster_id: int) -> float:
-        """Cluster power renormalized so this user's powers sum to 1."""
-        return self.clusters[cluster_id].power_raw / self.power_denominator[user_id]
+    def __post_init__(self) -> None:
+        for name in ClusterRow._fields:
+            read_only(getattr(self, name))
+
+    def rows(self, cluster_ids) -> np.ndarray:
+        """The row of each of `cluster_ids`, clusters of this set."""
+        return np.searchsorted(self.cluster_id, cluster_ids)
+
+    def effective_power(self, user_ids, cluster_ids) -> list[float]:
+        """Cluster powers renormalized so each user's powers sum to 1, of
+        (user, cluster) pairs given as two id sequences."""
+        denominators = [self.power_denominator[u] for u in user_ids]
+        return np.divide(self.power_raw[self.rows(cluster_ids)], denominators).tolist()
+
+    @cached_property
+    def clusters(self) -> Mapping[int, ClusterRow]:
+        """Every row by cluster id, read-only and built on first use: the
+        run reads the columns."""
+        columns = [getattr(self, name) for name in ClusterRow._fields]
+        rows = zip(*(c if c.ndim > 1 else c.tolist() for c in columns))
+        return MappingProxyType({row[0]: ClusterRow(*row) for row in rows})
 
 
 def gen_delays(n: int, sigma_tau_s: float, r_tau: float, rng) -> np.ndarray:
@@ -94,50 +120,45 @@ def gen_delays(n: int, sigma_tau_s: float, r_tau: float, rng) -> np.ndarray:
     return delays
 
 
-def gen_powers(
-    delays: np.ndarray,
-    sigma_tau_s: float,
-    r_tau: float,
-    shadow_std_db: float,
-    rng,
+def group_powers(
+    delays: np.ndarray, sigma_tau_s, shadow_db: np.ndarray, counts, scenario: ScenarioConfig
 ) -> np.ndarray:
-    """Exponentially decaying powers with per-cluster log-normal shadowing,
-    normalized to sum 1; InvalidScenario if the shadowing leaves float range."""
-    delays = np.asarray(delays, dtype=float)
-    shadow_db = rng.normal(0.0, shadow_std_db, size=delays.shape)
+    """Exponentially decaying powers with log-normal shadowing (dB draws
+    `shadow_db`), normalized to sum 1 within each group: the runs of
+    `counts` entries, with `sigma_tau_s` per entry or one for all.
+    InvalidScenario if the shadowing leaves float range."""
+    r_tau = scenario.r_tau
     with np.errstate(all="ignore"):
         p = np.exp(-delays * (r_tau - 1.0) / (r_tau * sigma_tau_s)) * 10.0 ** (
             -shadow_db / 10.0
         )
-    if not 0.0 < p.sum() < np.inf:  # inf, NaN (0 * inf) or 0 past the float range
-        raise InvalidScenario(f"shadow_std_db {shadow_std_db!r}: powers do not normalize")
-    return p / p.sum()
+    ends = np.cumsum(counts).tolist()
+    totals = np.array([p[start:end].sum() for start, end in zip([0, *ends], ends)])
+    if not np.all((0.0 < totals) & (totals < np.inf)):  # inf, NaN (0 * inf) or 0
+        std = scenario.shadow_std_db
+        raise InvalidScenario(f"shadow_std_db {std!r}: powers do not normalize")
+    return p / np.repeat(totals, counts)
 
 
-def gen_arrival_angles(
-    n: int, sigma_aoa_deg: float, sigma_eoa_deg: float, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """n arrival (azimuth, elevation) pairs in degrees.
-
-    Azimuth magnitudes are Gaussian with std sigma_aoa and get a random
-    sign, then wrap to (-180, 180]; elevations are Gaussian with std
-    sigma_eoa clipped to [-90, 90].
-    """
-    az_mag = np.abs(rng.normal(0.0, sigma_aoa_deg, size=n))
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    az = wrap_azimuth_deg(signs * az_mag)
-    el = clip_elevation_deg(rng.normal(0.0, sigma_eoa_deg, size=n))
-    return az, el
+def angle_draws(
+    shape, sigma_az_deg: float, sigma_el_deg: float, rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw draws of (azimuth, elevation) pairs of `shape`, in draw
+    order: Gaussian azimuth magnitudes (std sigma_az), sign bits, Gaussian
+    elevations (std sigma_el)."""
+    return (
+        rng.normal(0.0, sigma_az_deg, size=shape),
+        rng.integers(0, 2, size=shape),
+        rng.normal(0.0, sigma_el_deg, size=shape),
+    )
 
 
-def gen_departure_angles(
-    n_subarrays: int, sigma_aod_deg: float, sigma_eod_deg: float, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent departure (azimuth, elevation) per sub-array: the
-    arrival-angle law and draw order with departure spreads."""
-    if n_subarrays < 1:
-        raise ValueError("need at least one sub-array")
-    return gen_arrival_angles(n_subarrays, sigma_aod_deg, sigma_eod_deg, rng)
+def angles_from_draws(magnitude, sign_bit, elevation) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) in degrees from `angle_draws`: the magnitude
+    with a random sign (so N(0, sigma) in law), wrapped to (-180, 180];
+    the elevation clipped to [-90, 90]."""
+    azimuth = wrap_azimuth_deg((sign_bit * 2 - 1) * np.abs(magnitude))
+    return azimuth, clip_elevation_deg(elevation)
 
 
 def group_rng(seed: int, segment_index: int, group_row: int) -> np.random.Generator:
@@ -157,15 +178,16 @@ def assemble_clusters(
     """Generate every group's clusters from a uniformly chosen member's LSPs.
 
     Per group, in its own RNG stream, the draw order is: generating user
-    (multi-user groups only), delays, shadowed powers, arrival angles,
-    then per cluster the per-sub-array departure angles. Powers are
-    group-normalized; `ClusterSet.effective_power` gives each owner's
-    per-user-normalized share.
+    (multi-user groups only), delays, shadowing, arrival angles, then per
+    cluster the per-sub-array departure angles (`angle_draws`). Powers
+    are group-normalized; `ClusterSet.effective_power` gives each owner's
+    per-user-normalized share. The arithmetic on the draws is one pass
+    over the segment.
     """
     n_subarrays = layout.array.n_subarrays
     segment_index = share_table.segment_index
-    clusters: dict[int, Cluster] = {}
     members: dict[int, list[int]] = {}
+    ids, counts, generators, sigma_tau, delays, shadow, arrival, departure = ([] for _ in range(8))
 
     for group_row, group in enumerate(share_table.groups):
         for u in group.members:
@@ -179,37 +201,40 @@ def assemble_clusters(
             generator = group.members[int(rng.integers(len(group.members)))]
         lsp = lsp_draw.of(generator, segment_index)
 
-        delays = gen_delays(group.count, lsp.sigma_tau_s, scenario.r_tau, rng)
-        powers = gen_powers(
-            delays, lsp.sigma_tau_s, scenario.r_tau, scenario.shadow_std_db, rng
-        )
-        aoa_az, aoa_el = gen_arrival_angles(
-            group.count, lsp.sigma_aoa_deg, lsp.sigma_eoa_deg, rng
-        )
-        for k, cluster_id in enumerate(group.cluster_ids):
-            aod_az, aod_el = gen_departure_angles(
-                n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng
-            )
-            clusters[cluster_id] = Cluster(
-                cluster_id=cluster_id,
-                generating_user=generator,
-                tau_s=float(delays[k]),
-                power_raw=float(powers[k]),
-                aoa_az_deg=float(aoa_az[k]),
-                aoa_el_deg=float(aoa_el[k]),
-                aod_az_deg=aod_az,
-                aod_el_deg=aod_el,
-                boresight=(delays[k] == 0.0),
-            )
+        delays.append(gen_delays(group.count, lsp.sigma_tau_s, scenario.r_tau, rng))
+        shadow.append(rng.normal(0.0, scenario.shadow_std_db, size=group.count))
+        arrival.append(angle_draws(group.count, lsp.sigma_aoa_deg, lsp.sigma_eoa_deg, rng))
+        for _ in range(group.count):
+            departure.append(angle_draws(n_subarrays, lsp.sigma_aod_deg, lsp.sigma_eod_deg, rng))
+        ids += group.cluster_ids
+        counts.append(group.count)
+        generators.append(generator)
+        sigma_tau.append(lsp.sigma_tau_s)
 
-    # Ascending ids: each denominator is summed in that order.
+    tau = np.concatenate(delays)
+    sigma_tau = np.repeat(sigma_tau, counts)
+    powers = group_powers(tau, sigma_tau, np.concatenate(shadow), counts, scenario)
+    aoa = angles_from_draws(*np.concatenate(arrival, axis=1))
+    aod = angles_from_draws(*np.stack(departure, axis=1))
+    # Drawn group by group; stored by ascending id.
+    order = np.argsort(ids)
+    columns = dict(
+        cluster_id=np.array(ids),
+        generating_user=np.repeat(generators, counts),
+        tau_s=tau,
+        power_raw=powers,
+        aoa_az_deg=aoa[0],
+        aoa_el_deg=aoa[1],
+        aod_az_deg=aod[0],
+        aod_el_deg=aod[1],
+        boresight=tau == 0.0,
+    )
+    columns = {name: column[order] for name, column in columns.items()}
+
+    # Ascending ids: each denominator is Python's left-to-right sum in that order.
     by_user = {u: tuple(sorted(ids)) for u, ids in sorted(members.items())}
-    denominator = {
-        u: float(sum(clusters[c].power_raw for c in ids)) for u, ids in by_user.items()
-    }
+    power = dict(zip(columns["cluster_id"].tolist(), columns["power_raw"].tolist()))
+    denominator = {u: float(sum(power[c] for c in ids)) for u, ids in by_user.items()}
     return ClusterSet(
-        segment_index=segment_index,
-        clusters=clusters,
-        by_user=by_user,
-        power_denominator=denominator,
+        segment_index=segment_index, by_user=by_user, power_denominator=denominator, **columns
     )

@@ -19,14 +19,17 @@ FBS set and the clamped interior length, so it is computed once per
 distinct departure geometry of a segment and shared by the owners that
 copy all three (kept-focal-point, co-located owners); each geometry's
 coefficients are one matrix product of its departure phases with the
-stacked arrival phases of every owner it serves. The arrival side (fans,
+stacked arrival phases of the m slots it serves. The arrival side (fans,
 receiver distances, phases, amplitudes and center-path delays) of every
 (user, cluster) slot is one array pass per segment, and so are the
 departure fans of every geometry. The geometries are cut into blocks of
 at most BLOCK_VALUES departure phases, each computed in one pass over all
-sub-arrays (ArrayGeometry.element_distances), and the blocks run on one
-thread per CPU the process may use, less the threads BLAS may start
-itself (`_synthesis_threads`). Each thread makes one set of work arrays
+sub-arrays (ArrayGeometry.element_distances). A block's geometries with
+the same m are one stacked product and one store; each item keeps the
+(tx, n_sc) @ (n_sc, m * snapshots) shape of one geometry's product,
+because BLAS rounds the same sums over other shapes differently. The
+blocks run on one thread per CPU the process may use, less the threads
+BLAS may start itself (`_synthesis_threads`). Each thread makes one set of work arrays
 per segment, in which it computes its blocks' lengths and phases in
 place; thread i fills block i, then the next block no thread has taken.
 Each block fills its own (user, cluster) slots, so results are identical
@@ -300,13 +303,21 @@ def synthesize(
 
     def fill(block: slice, work: tuple) -> None:
         tx_phase = _departure_phase(fans[block], fan_interiors[block], array, wavenumber, work)
+        tx_phase = tx_phase.reshape(array.n_elements, -1, n_scatterers).transpose(1, 0, 2)
+        # One stacked product per slot count m, whose items keep the bits of
+        # each geometry's own (tx, n_sc) @ (n_sc, m * T) product.
+        by_count: dict[int, list[int]] = {}
         for j, slots in enumerate(fan_slots[block]):
-            columns = tx_phase[:, j * n_scatterers : (j + 1) * n_scatterers]
-            product = columns @ rx_phase[slots].reshape(-1, n_scatterers).T
+            by_count.setdefault(len(slots), []).append(j)
+        for m, js in by_count.items():
+            slots = np.array([fan_slots[block.start + j] for j in js])  # (b, m)
+            items = tx_phase if len(by_count) == 1 else tx_phase[js]
+            rx = rx_phase[slots].reshape(len(js), m * n_snap, n_scatterers)
+            product = np.matmul(items, rx.transpose(0, 2, 1))  # (b, tx, m * T)
             ks, cs = np.divmod(slots, n_clusters)
             coefficients[ks, 0, :, cs, :] = product.reshape(
-                array.n_elements, len(slots), n_snap
-            ).transpose(1, 0, 2)
+                len(js), array.n_elements, m, n_snap
+            ).transpose(0, 2, 1, 3)
 
     per_block = min(len(fans), max(1, BLOCK_VALUES // (array.n_elements * n_scatterers)))
     blocks = [slice(i, i + per_block) for i in range(0, len(fans), per_block)]

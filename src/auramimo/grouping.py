@@ -132,13 +132,11 @@ def connected_components(graph: OverlapGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def _centroid_and_mean_distance(
-    subset: tuple[int, ...], xy: dict[int, list[float]]
-) -> tuple[float, float]:
-    """Mean and max horizontal member distance to the subset centroid."""
-    pts = np.array([xy[u] for u in subset])
-    dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-    return float(dists.mean()), float(dists.max())
+def _centroid_distances(points: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and max horizontal member distance to the subset centroid, of
+    S subsets of N members each, from their points (S, N, 2)."""
+    dists = np.linalg.norm(points - points.mean(axis=1, keepdims=True), axis=2)
+    return dists.mean(axis=1).tolist(), dists.max(axis=1).tolist()
 
 
 def _bits(mask: int):
@@ -177,7 +175,6 @@ def compute_proportions(
     """
     members = tuple(sorted(component))
     pts = np.array([positions[u][:2] for u in members])
-    xy = dict(zip(members, pts.tolist()))
     # The slack, far above the rounding of the centroid test, only adds pairs.
     limit = 2.0 * radius_m + 1e-9 * (2.0 * radius_m + np.abs(pts).max())
     close = np.triu(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) < limit, 1)
@@ -194,8 +191,12 @@ def compute_proportions(
     cliques = [((u,), later[i]) for i, u in enumerate(members)]
     while cliques:
         cliques = [(c + (members[v],), ext & later[v]) for c, ext in cliques for v in _bits(ext)]
-        for subset, _ in cliques:
-            md, far = _centroid_and_mean_distance(subset, xy)
+        if not cliques:
+            break
+        # One array pass per size over every clique's member points.
+        rows = np.searchsorted(members, [c for c, _ in cliques])
+        mean, farthest = _centroid_distances(pts[rows])
+        for (subset, _), md, far in zip(cliques, mean, farthest):
             if far >= radius_m:
                 continue  # subset does not huddle: shares nothing
             p = 1.0 - md / radius_m

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustergen import Cluster, ClusterGeometry, ClusterSet
+from .clustergen import ClusterGeometry, ClusterSet
 from .errors import DegenerateGeometry, IncompleteViews
 from .geom import read_only
 from .layout import UserLayout
@@ -79,13 +79,13 @@ class OwnerViews:
 
 
 def choose_recalc_mode(
-    cluster: Cluster, lbs: np.ndarray, owner_pos: np.ndarray, segment_length_m: float
+    boresight: bool, lbs: np.ndarray, owner_pos: np.ndarray, segment_length_m: float
 ) -> str:
     """Kept-focal-point iff the cluster has zero excess delay (boresight:
     its collapsed geometry has no excess path to re-solve) or its
     receiver-side focal point `lbs` lies strictly within three segment
     lengths of the joining owner."""
-    if cluster.boresight or math.dist(lbs, owner_pos) < 3.0 * segment_length_m:
+    if boresight or math.dist(lbs, owner_pos) < 3.0 * segment_length_m:
         return MODE_KEPT_FOCAL
     return MODE_KEPT_PARAMETERS
 
@@ -96,19 +96,20 @@ def share_clusters(
     """Every cluster's generator view, keyed by cluster id: its parameters,
     the generating user's normalized power and its entry of `geometries` (as
     from `spherical.attach_focal_points`); a missing entry is IncompleteViews."""
-    views = {}
-    for cluster_id, cluster in sorted(cluster_set.clusters.items()):
-        if cluster_id not in geometries:
-            raise IncompleteViews(f"cluster {cluster_id} has no focal points")
-        geometry, user_id = geometries[cluster_id], cluster.generating_user
-        views[cluster_id] = OwnerView(
+    ids, users = cluster_set.cluster_id.tolist(), cluster_set.generating_user.tolist()
+    missing = [c for c in ids if c not in geometries]
+    if missing:
+        raise IncompleteViews(f"cluster {missing[0]} has no focal points")
+    return {
+        cluster_id: OwnerView(
             user_id=user_id,
             cluster_id=cluster_id,
             recalc_mode=MODE_GENERATOR,
-            power=cluster_set.effective_power(user_id, cluster_id),
-            **geometry._asdict(),
+            power=power,
+            **geometries[cluster_id]._asdict(),
         )
-    return views
+        for cluster_id, user_id, power in zip(ids, users, cluster_set.effective_power(users, ids))
+    }
 
 
 def recalculate_views(
@@ -129,30 +130,28 @@ def recalculate_views(
     if missing:
         raise IncompleteViews(f"cluster {missing[0]} has no generator view")
     joining = [(u, c) for u, c in keys if u != shared[c].user_id]
-    clusters = [cluster_set.clusters[c] for _, c in joining]
-    generator_views = [shared[c] for _, c in joining]
-    owners = np.array([position(u, segment.index) for u, _ in joining]).reshape(-1, 3)
-    generators = [position(c.generating_user, segment.index) for c in clusters]
+    users, ids = [u for u, _ in joining], [c for _, c in joining]
+    rows = cluster_set.rows(ids)
+    generator_views = [shared[c] for c in ids]
+    owners = np.array([position(u, segment.index) for u in users]).reshape(-1, 3)
+    generators = [position(g.user_id, segment.index) for g in generator_views]
     moved = (owners != np.reshape(generators, (-1, 3))).any(axis=1).tolist()
     modes = [
-        choose_recalc_mode(c, g.lbs, o, segment.length_m)
-        for c, g, o in zip(clusters, generator_views, owners)
+        choose_recalc_mode(b, g.lbs, o, segment.length_m)
+        for b, g, o in zip(cluster_set.boresight[rows].tolist(), generator_views, owners)
     ]
     resolve = [i for i, m in enumerate(modes) if moved[i] and m == MODE_KEPT_PARAMETERS]
-    fields = [
-        dict(user_id=u, recalc_mode=m, power=cluster_set.effective_power(u, c))
-        for (u, c), m in zip(joining, modes)
-    ]
+    powers = cluster_set.effective_power(users, ids)
+    fields = [dict(user_id=u, recalc_mode=m, power=p) for u, m, p in zip(users, modes, powers)]
 
     if resolve:
         geometries, degenerate = solve_cluster_geometry(
-            [clusters[i] for i in resolve], owners[resolve], layout.array
+            cluster_set, rows[resolve], owners[resolve], layout.array
         )
         if degenerate.any():
             i = resolve[int(np.argmax(degenerate))]
             raise DegenerateGeometry(
-                f"cluster {clusters[i].cluster_id}: no focal points from owner "
-                f"{joining[i][0]}"
+                f"cluster {joining[i][1]}: no focal points from owner {joining[i][0]}"
             )
         for i, g in zip(resolve, geometries):
             fields[i].update(g._asdict())

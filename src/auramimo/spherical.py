@@ -13,8 +13,8 @@ with r0 the anchor-to-far-end vector, which always satisfies the closure
 len + |focal - far_end| = d_c. It degenerates only when there is no
 excess path (d_c -> |r0|, i.e. zero excess delay).
 
-A segment's clusters are solved in one call, which flags degenerate
-clusters; a flagged cluster is an error, since only an excess path of
+A segment's clusters are solved in one call over the columns of its
+`ClusterSet`, which flags degenerate clusters; a flagged cluster is an error, since only an excess path of
 at most EPSILON_M flags a row and no angle redraw can add excess path.
 Zero-excess-delay (boresight) clusters, one per sharing group, are
 exempt: they collapse both focal points onto the user position, the
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .clustergen import Cluster, ClusterGeometry, ClusterSet
+from .clustergen import ClusterGeometry, ClusterSet
 from .errors import DegenerateGeometry
 from .geom import SPEED_OF_LIGHT_M_S, unit_from_angles
 from .layout import ArrayGeometry, UserLayout
@@ -67,33 +67,33 @@ def solve_focal_lengths(
 
 
 def solve_cluster_geometry(
-    clusters: list[Cluster], users: np.ndarray, array: ArrayGeometry
+    clusters: ClusterSet, rows, users: np.ndarray, array: ArrayGeometry
 ) -> tuple[list[ClusterGeometry], np.ndarray]:
-    """Both focal points of n clusters, each seen from its row of `users`
-    (n, 3): one departure solve over every (cluster, sub-array) row, then
-    one arrival solve (anchor = user, far end = reference sub-array
-    center, direction = arrival) with the same closed form. Returns (the
-    geometries, degenerate (n,)); a degenerate cluster's geometry is
-    meaningless. A boresight cluster has both focal points at its user."""
+    """Both focal points of the n clusters at `rows` (an index array or a
+    slice) of `clusters`, each seen from its row of `users` (n, 3): one
+    departure solve over every (cluster, sub-array) row, then one arrival
+    solve (anchor = user, far end = reference sub-array center, direction
+    = arrival) with the same closed form. Returns (the geometries,
+    degenerate (n,)); a degenerate cluster's geometry is meaningless. A
+    boresight cluster has both focal points at its user."""
     ref = array.reference_subarray
     centers = array.subarray_centers
-    # One math.dist per row: numpy has no bit-identical twin of it.
-    xyz, pairs = centers.tolist(), zip(clusters, users.tolist())
+    tau = clusters.tau_s[rows]
+    if (tau < 0).any():
+        raise ValueError(f"excess delay must be nonnegative, got {float(tau[tau < 0][0])}")
+    # One math.dist per row (numpy has no bit-identical twin), as total_path_length.
+    xyz, pairs = centers.tolist(), zip(tau.tolist(), users.tolist())
     d_c = np.array(
-        [total_path_length(c.tau_s, x, u) for c, u in pairs for x in xyz]
-    ).reshape(len(clusters), -1)
-    aod = np.array([(c.aod_az_deg, c.aod_el_deg) for c in clusters])  # (n, 2, A)
-    aoa = np.array([(c.aoa_az_deg, c.aoa_el_deg) for c in clusters])  # (n, 2)
-    e_len, e_hat, e_degenerate = solve_focal_lengths(
-        d_c, users[:, None] - centers, unit_from_angles(aod[:, 0], aod[:, 1])
-    )
-    lbs_len, g_hat, g_degenerate = solve_focal_lengths(
-        d_c[:, ref], centers[ref] - users, unit_from_angles(aoa[:, 0], aoa[:, 1])
-    )
+        [t * SPEED_OF_LIGHT_M_S + math.dist(x, u) for t, u in pairs for x in xyz]
+    ).reshape(len(tau), -1)
+    e_hat = unit_from_angles(clusters.aod_az_deg[rows], clusters.aod_el_deg[rows])
+    g_hat = unit_from_angles(clusters.aoa_az_deg[rows], clusters.aoa_el_deg[rows])
+    e_len, e_hat, e_degenerate = solve_focal_lengths(d_c, users[:, None] - centers, e_hat)
+    lbs_len, g_hat, g_degenerate = solve_focal_lengths(d_c[:, ref], centers[ref] - users, g_hat)
     lbs = users + lbs_len[:, None] * g_hat
     g_len = np.array([math.dist(u, b) for u, b in zip(users.tolist(), lbs.tolist())])
     interior = d_c[:, ref] - e_len[:, ref] - g_len
-    boresight = np.array([c.boresight for c in clusters])
+    boresight = clusters.boresight[rows]
     fbs = centers + e_len[..., None] * e_hat
     lbs = np.where(boresight[:, None], users, lbs)
     fbs = np.where(boresight[:, None, None], users[:, None], fbs)
@@ -115,14 +115,14 @@ def attach_focal_points(
     mask is the angle-free term d_c <= |r0| + EPSILON_M (no excess path),
     which no other angles could clear.
     """
-    clusters = [cluster_set.clusters[c] for c in sorted(cluster_set.clusters)]
     segment, position = cluster_set.segment_index, layout.segment_start_position
-    users = np.array([position(c.generating_user, segment) for c in clusters])
-    geometries, degenerate = solve_cluster_geometry(clusters, users, layout.array)
+    generators = cluster_set.generating_user.tolist()
+    users = np.array([position(u, segment) for u in generators])
+    geometries, degenerate = solve_cluster_geometry(cluster_set, slice(None), users, layout.array)
     if degenerate.any():
-        bad = clusters[int(np.argmax(degenerate))]
+        bad = int(np.argmax(degenerate))
         raise DegenerateGeometry(
-            f"cluster {bad.cluster_id}: no focal points from generating user "
-            f"{bad.generating_user}"
+            f"cluster {cluster_set.cluster_id[bad]}: no focal points from generating user "
+            f"{generators[bad]}"
         )
-    return {c.cluster_id: g for c, g in zip(clusters, geometries)}
+    return dict(zip(cluster_set.cluster_id.tolist(), geometries))

@@ -103,25 +103,26 @@ def write_tables(result, out: Path) -> dict[str, Path]:
 
     layout = result.config.layout
     header = param_header(layout.array.n_subarrays)
-    rows, members = [], []  # by segment: rows by (user, cluster id), members by cluster id
+    # By segment: parameter rows by (user, cluster id); members, generating
+    # user and boresight flag by cluster id.
+    rows, clusters = [], []
     for seg in segments:
         rows.append(_param_rows(seg.views, result.tensor, layout))
-        groups = seg.share_table.groups
-        members.append({c: _joined(g.members) for g in groups for c in g.cluster_ids})
+        groups, cs = seg.share_table.groups, seg.cluster_set
+        members = {c: _joined(g.members) for g in groups for c in g.cluster_ids}
+        columns = zip(cs.cluster_id.tolist(), cs.generating_user.tolist(), cs.boresight.tolist())
+        clusters.append({c: f"{members[c]}\t{u}\t{int(b)}" for c, u, b in columns})
 
     for user in layout.user_ids:
         path = paths[f"clusters_user{user}"] = out / f"clusters_user{user}.tsv"
         with open(path, "w") as f:
             f.write("segment\tcluster_id\tmembers\tgenerating_user\tboresight\t")
             f.write(header + "\n")
-            for seg, seg_rows, seg_members in zip(segments, rows, members):
+            for seg, seg_rows, seg_clusters in zip(segments, rows, clusters):
                 for cluster_id in seg.cluster_set.by_user[user]:
-                    cluster = seg.cluster_set.clusters[cluster_id]
                     f.write(
                         f"{seg.share_table.segment_index}\t{cluster_id}\t"
-                        f"{seg_members[cluster_id]}\t"
-                        f"{cluster.generating_user}\t{int(cluster.boresight)}\t"
-                        f"{seg_rows[(user, cluster_id)]}\n"
+                        f"{seg_clusters[cluster_id]}\t{seg_rows[(user, cluster_id)]}\n"
                     )
 
     paths["cluster_views"] = out / "cluster_views.tsv"

@@ -9,6 +9,8 @@ import pytest
 
 from auramimo import (
     ChannelTensor,
+    ClusterRow,
+    ClusterSet,
     RunConfig,
     SPEED_OF_LIGHT_M_S,
     ScenarioConfig,
@@ -143,6 +145,14 @@ def make_random_config(seed: int) -> RunConfig:
 def owners(cluster_set, cluster_id: int) -> tuple[int, ...]:
     """The users who own a cluster, ascending, read from `by_user`."""
     return tuple(u for u, ids in sorted(cluster_set.by_user.items()) if cluster_id in ids)
+
+
+def cluster_columns(rows, *, by_user=None, power_denominator=None) -> ClusterSet:
+    """A segment-0 `ClusterSet` whose rows are `rows`, `ClusterRow`s in
+    ascending id order."""
+    columns = {name: np.array([getattr(r, name) for r in rows]) for name in ClusterRow._fields}
+    by_user, denominator = by_user or {}, power_denominator or {}
+    return ClusterSet(segment_index=0, by_user=by_user, power_denominator=denominator, **columns)
 
 
 def view_users(views) -> tuple[int, ...]:

@@ -38,7 +38,6 @@ from auramimo import (
     share_table_for_segment,
     solve_focal_lengths,
 )
-from auramimo.clustergen import Cluster
 from auramimo.pipeline import run, write_outputs
 from auramimo.tables import param_header
 from auramimo.sharing import (
@@ -470,20 +469,10 @@ def test_c11_recalc_fixed_point(check):
         # The mode flips exactly at three segment lengths, strict below.
         segment_length = 5.0
         owner = (0.0, 0.0, 1.5)
-        probe = Cluster(
-            cluster_id=0,
-            generating_user=1,
-            tau_s=1e-7,
-            power_raw=0.5,
-            aoa_az_deg=10.0,
-            aoa_el_deg=0.0,
-            aod_az_deg=np.array([5.0]),
-            aod_el_deg=np.array([0.0]),
-        )
         at = np.array([3 * segment_length, 0.0, 1.5])
-        assert choose_recalc_mode(probe, at, owner, segment_length) == MODE_KEPT_PARAMETERS
+        assert choose_recalc_mode(False, at, owner, segment_length) == MODE_KEPT_PARAMETERS
         inside = np.array([3 * segment_length - 1e-9, 0.0, 1.5])
-        assert choose_recalc_mode(probe, inside, owner, segment_length) == MODE_KEPT_FOCAL
+        assert choose_recalc_mode(False, inside, owner, segment_length) == MODE_KEPT_FOCAL
 
 
 # ---------------------------------------------------------------------------

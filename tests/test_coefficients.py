@@ -881,6 +881,62 @@ def test_arrival_pass_equals_per_slot_loop(monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def test_stacked_products_keep_the_per_geometry_shape(monkeypatch):
+    # Three co-located owners and a fourth 2 m away share clusters whose
+    # geometries serve several slots (co-located copies, kept focal points);
+    # a far fifth user's geometries serve one. Blocks of one geometry each
+    # and blocks of many, mixed slot counts: every stacked item must be the
+    # (tx, n_sc) @ (n_sc, m * T) product of one geometry and its m slots,
+    # bit for bit (per-slot products round differently).
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    rng = np.random.default_rng(26)
+    seen = dict.fromkeys(["multi-slot", "one per block", "mixed block", "multi-slot block"], 0)
+    for trial in range(12):
+        start = rng.uniform([25.0, -2.0, 1.5], [35.0, 2.0, 1.5])
+        starts = [start] * 3 + [start + (2.0, 0.0, 0.0), start + (60.0, 0.0, 0.0)]
+        spacing = float(rng.choice([0.5, 0.7]))
+        n_snap = 2 * int(rng.choice([5, 7, 10]))
+        tracks = [linear_track(u + 1, p, 90.0, n_snap, spacing) for u, p in enumerate(starts)]
+        n_elements = int(rng.choice([16, 64, 256]))
+        layout = build_layout(
+            tracks,
+            uniform_linear_array(n_elements, 0.05, (0.0, 0.0, 10.0)),
+            stationarity_user_m=n_snap // 2 * spacing,
+            bs_stationarity_m=0.8,
+        )
+        assert len(layout.segments) == 2, trial
+        scenario = make_scenario(clusters_per_user=7)
+        lsp = draw_lsp(scenario, layout, seed=trial)
+        monkeypatch.setattr(coefficients, "BLOCK_VALUES", [1, 20480][trial % 2])
+        per_block = max(1, coefficients.BLOCK_VALUES // (n_elements * coefficients.N_SCATTERERS))
+        id_base = 0
+        for segment in layout.segments:
+            table = share_table_for_segment(layout, segment.index, 7, id_base=id_base)
+            id_base = max(table.cluster_ids) + 1
+            cs = assemble_clusters(table, lsp, layout, scenario, trial)
+            shared = share_clusters(cs, attach_focal_points(cs, layout))
+            views = recalculate_views(shared, cs, layout)
+            shape = (5, 1, n_elements, 7, segment.n_snapshots)
+            got = np.empty(shape, complex), np.empty((5, 7, segment.n_snapshots))
+            want = np.empty_like(got[0]), np.empty_like(got[1])
+            synthesize(views, layout, 3.5e9, trial, out=got)
+            _per_slot_synthesize(views, layout, 3.5e9, trial, 3.0, 20, want)
+            assert np.array_equal(got[0], want[0]), (trial, segment.index)
+            assert np.array_equal(got[1], want[1]), (trial, segment.index)
+
+            counts = {}
+            for v in views.views.values():
+                key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
+                counts[key] = counts.get(key, 0) + 1
+            slots = list(counts.values())  # per geometry, in synthesis order
+            blocks = [slots[i : i + per_block] for i in range(0, len(slots), per_block)]
+            seen["multi-slot"] += sum(m > 1 for m in slots)
+            seen["one per block"] += per_block == 1 and max(slots) > 1
+            seen["mixed block"] += sum(len(set(b)) > 1 for b in blocks)
+            seen["multi-slot block"] += sum(len(b) > 1 and min(b) > 1 for b in blocks)
+    assert min(seen.values()) >= 5, seen
+
+
 # ---------------------------------------------------------------------------
 # The in-place departure kernel and the block schedule
 # ---------------------------------------------------------------------------

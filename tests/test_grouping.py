@@ -247,6 +247,32 @@ def test_clique_enumeration_matches_exhaustive_reference():
         assert list(got.items()) == list(want.items()), (trial, n, radius)
 
 
+def _centroid_and_mean_distance(subset, xy):
+    # The per-subset huddle arithmetic that the per-size pass replaced.
+    pts = np.array([xy[u] for u in subset])
+    dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    return float(dists.mean()), float(dists.max())
+
+
+def test_centroid_distances_per_size_equal_the_per_subset_helper():
+    # Every clique size up to the largest allowed: the (S, N, 2) pass must
+    # round each subset's mean and maximum exactly as one subset at a time.
+    rng = np.random.default_rng(2027)
+    n_users = grouping.MAX_CLIQUE_USERS
+    for trial in range(40):
+        scale = 10.0 ** rng.uniform(-3.0, 4.0)
+        pts = rng.uniform(-1.0, 1.0, size=(n_users, 2)) * scale + rng.uniform(-1e4, 1e4, 2)
+        if trial % 4 == 0:
+            pts[: n_users // 2] = pts[0]  # coincident members
+        xy = dict(enumerate(pts.tolist()))
+        for size in range(2, n_users + 1):
+            draws = [rng.choice(n_users, size, replace=False) for _ in range(8)]
+            subsets = sorted({tuple(sorted(d.tolist())) for d in draws})
+            mean, far = grouping._centroid_distances(pts[np.array(subsets)])
+            want = [_centroid_and_mean_distance(s, xy) for s in subsets]
+            assert list(zip(mean, far)) == want, (trial, size)
+
+
 def test_pair_kept_by_rounding_at_2r_is_enumerated():
     # A pair 2r apart whose rounded centroid distances fall just below r
     # while its rounded pair distance is not below 2r: the old exhaustive
@@ -283,10 +309,10 @@ def test_long_sparse_line_is_not_capped():
 
 @pytest.fixture
 def no_huddle_test(monkeypatch):
-    def fail(subset, positions):
-        raise AssertionError(f"huddle test ran for {subset} before the cap")
+    def fail(points):
+        raise AssertionError(f"huddle test ran for {len(points)} cliques before the cap")
 
-    monkeypatch.setattr(grouping, "_centroid_and_mean_distance", fail)
+    monkeypatch.setattr(grouping, "_centroid_distances", fail)
 
 
 def test_clique_cap_raises_before_any_huddle_test(no_huddle_test):

@@ -23,7 +23,7 @@ from auramimo import (
     total_path_length,
 )
 from auramimo import RunConfig, sharing, tables
-from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
+from auramimo.clustergen import ClusterGeometry, ClusterRow
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, wrap_azimuth_deg
 from auramimo.grouping import GroupShare, ShareTable
 from auramimo.metrics import MetricsReport
@@ -32,6 +32,7 @@ from auramimo.sharing import OwnerView
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.tables import write_tables
 from conftest import (
+    cluster_columns,
     make_random_config,
     make_scenario,
     make_two_user_layout,
@@ -52,7 +53,7 @@ def _synthesized_delay(tau_s, interior_raw_m):
 
 
 def _cluster():
-    return Cluster(
+    return ClusterRow(
         cluster_id=0,
         generating_user=1,
         tau_s=1e-7,
@@ -61,6 +62,7 @@ def _cluster():
         aoa_el_deg=0.0,
         aod_az_deg=np.array([5.0]),
         aod_el_deg=np.array([0.0]),
+        boresight=False,
     )
 
 
@@ -85,8 +87,7 @@ def _mode_case(lbs_distance, expected, boresight=False):
 def test_mode_threshold_three_segment_lengths(lbs_distance, boresight, expected):
     owner = (0.0, 0.0, 1.5)
     lbs = np.array([lbs_distance, 0.0, 1.5])
-    cluster = replace(_cluster(), boresight=boresight)
-    assert choose_recalc_mode(cluster, lbs, owner, segment_length_m=5.0) == expected
+    assert choose_recalc_mode(boresight, lbs, owner, segment_length_m=5.0) == expected
 
 
 def _full_pipeline(layout, seed=3, total=7):
@@ -138,7 +139,7 @@ def test_share_clusters_verbatim_and_power():
         # Geometry and power verbatim.
         for name, value in geometries[cid]._asdict().items():
             assert np.array_equal(getattr(view, name), value), name
-        assert view.power == cs.effective_power(user, cid)
+        assert [view.power] == cs.effective_power([user], [cid])
     assert any(v.interior_raw_m < 0.0 for v in shared.values())
 
 
@@ -231,8 +232,10 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
 def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
     # No excess delay without the boresight marker cannot be re-solved.
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    cluster = replace(_shared_nonboresight(cs)[0], tau_s=0.0)
-    cs = replace(cs, clusters={**cs.clusters, cluster.cluster_id: cluster})
+    cluster = _shared_nonboresight(cs)[0]
+    tau = cs.tau_s.copy()
+    tau[cs.rows(cluster.cluster_id)] = 0.0
+    cs = replace(cs, tau_s=tau)
     owner = _joining(cs, cluster)
     match = f"cluster {cluster.cluster_id}: no focal points from owner {owner}"
     with pytest.raises(DegenerateGeometry, match=match):
@@ -336,11 +339,8 @@ def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
         e_len_m=np.zeros(n_sub),
         interior_raw_m=-100.0,
     )
-    cs = ClusterSet(
-        segment_index=0,
-        clusters={0: _cluster()},
-        by_user={1: (0,), 2: (0,)},
-        power_denominator={1: 0.5, 2: 0.5},
+    cs = cluster_columns(
+        [_cluster()], by_user={1: (0,), 2: (0,)}, power_denominator={1: 0.5, 2: 0.5}
     )
     views = recalculate_views(share_clusters(cs, {0: geometry}), cs, layout)
     assert views.views[2, 0].recalc_mode == MODE_KEPT_FOCAL
@@ -389,7 +389,7 @@ def test_recalculate_views_modes_and_power():
                 assert view.recalc_mode in (MODE_KEPT_PARAMETERS, MODE_KEPT_FOCAL)
                 owner_pos = layout.segment_start_position(user, 0)
                 lbs = final.views[cluster.generating_user, cid].lbs
-                expected = choose_recalc_mode(cluster, lbs, owner_pos, seg_len)
+                expected = choose_recalc_mode(cluster.boresight, lbs, owner_pos, seg_len)
                 assert view.recalc_mode == expected
         for user in (1, 2):
             total = sum(v.power for (u, _), v in final.views.items() if u == user)
@@ -452,7 +452,7 @@ def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power
     if _at_generator(cluster, owner_pos, layout, segment):
         return view, delay
     (solved,), (degenerate,) = solve_cluster_geometry(
-        [cluster], owner_pos[None], layout.array
+        cluster_columns([cluster]), slice(None), owner_pos[None], layout.array
     )
     if degenerate:
         raise DegenerateGeometry(
@@ -500,7 +500,7 @@ def _per_view_views(shared, cluster_set, geometries, layout):
                     or math.dist(geometry.lbs, owner_pos) < 3.0 * segment.length_m
                 )
                 recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
-                power = cluster_set.effective_power(user_id, cluster_id)
+                (power,) = cluster_set.effective_power([user_id], [cluster_id])
                 view, delay = recalc(
                     cluster, geometry, user_id, owner_pos, layout, power, segment.index
                 )
@@ -557,9 +557,9 @@ def test_one_solve_per_segment(monkeypatch):
     calls = []
     original = sharing.solve_cluster_geometry
 
-    def spy(clusters, users, array):
-        calls.append(len(clusters))
-        return original(clusters, users, array)
+    def spy(clusters, rows, users, array):
+        calls.append(len(users))
+        return original(clusters, rows, users, array)
 
     monkeypatch.setattr(sharing, "solve_cluster_geometry", spy)
     seen = {"none": 0, "several": 0}

@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +16,11 @@ from auramimo import (
     total_path_length,
     uniform_linear_array,
 )
-from auramimo.clustergen import Cluster, ClusterGeometry, ClusterSet
+from auramimo.clustergen import ClusterGeometry, ClusterRow, ClusterSet
 from auramimo.layout import ArrayGeometry
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, unit_from_angles
-from conftest import make_scenario, make_two_user_layout, subarray_sizes
+from conftest import cluster_columns, make_scenario, make_two_user_layout, subarray_sizes
 
 C0 = SPEED_OF_LIGHT_M_S
 
@@ -117,7 +116,7 @@ def test_lbs_mirrors_departure_solve():
     array = make_two_user_layout(2.0).array
     ref_center = array.subarray_centers[array.reference_subarray]
     cluster = _random_cluster(np.random.default_rng(5), array.n_subarrays, 2e-8)
-    (got,), (degenerate,) = solve_cluster_geometry([cluster], user[None], array)
+    (got,), (degenerate,) = _solve([cluster], user[None], array)
     assert not degenerate
     d_ref = total_path_length(cluster.tau_s, ref_center, user)
     g_hat = unit_from_angles(cluster.aoa_az_deg, cluster.aoa_el_deg)
@@ -239,7 +238,7 @@ def test_attach_returns_a_new_set_and_leaves_the_input_alone():
     lsp = draw_lsp(scenario, layout, seed=3)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
     # Clusters hold no focal points: those belong to the owner views.
-    assert "geometry" not in {f.name for f in fields(Cluster)}
+    assert "geometry" not in {f.name for f in fields(ClusterSet)}
     before = dict(cs.clusters)
     by_user, denominator = dict(cs.by_user), dict(cs.power_denominator)
     attached = attach_focal_points(cs, layout)
@@ -256,7 +255,7 @@ def test_attach_returns_a_new_set_and_leaves_the_input_alone():
 
 def _degenerate_cluster_set():
     # Zero excess delay without the boresight marker cannot be solved.
-    cluster = Cluster(
+    cluster = ClusterRow(
         cluster_id=0,
         generating_user=1,
         tau_s=0.0,
@@ -267,12 +266,7 @@ def _degenerate_cluster_set():
         aod_el_deg=np.array([0.0]),
         boresight=False,
     )
-    return ClusterSet(
-        segment_index=0,
-        clusters={0: cluster},
-        by_user={1: (0,)},
-        power_denominator={1: 1.0},
-    )
+    return cluster_columns([cluster], by_user={1: (0,)}, power_denominator={1: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +373,23 @@ def _random_array(rng):
 
 
 def _random_cluster(rng, n_sub, tau_s, boresight=False):
-    return SimpleNamespace(
+    return ClusterRow(
+        cluster_id=0,
+        generating_user=1,
         tau_s=tau_s,
-        aod_az_deg=rng.uniform(-180.0, 180.0, size=n_sub),
-        aod_el_deg=rng.uniform(-90.0, 90.0, size=n_sub),
+        power_raw=1.0,
         aoa_az_deg=float(rng.uniform(-180.0, 180.0)),
         aoa_el_deg=float(rng.uniform(-90.0, 90.0)),
+        aod_az_deg=rng.uniform(-180.0, 180.0, size=n_sub),
+        aod_el_deg=rng.uniform(-90.0, 90.0, size=n_sub),
         boresight=boresight,
     )
+
+
+def _solve(clusters, users, array):
+    """`solve_cluster_geometry` over every row of the clusters' columns."""
+    rows = [c._replace(cluster_id=i) for i, c in enumerate(clusters)]
+    return solve_cluster_geometry(cluster_columns(rows), slice(None), users, array)
 
 
 def _assert_same_geometry(got, want, label):
@@ -414,7 +417,7 @@ def test_batched_cluster_geometry_equals_scalar_loop():
             )
             for b in boresight
         ]
-        geometries, degenerate = solve_cluster_geometry(clusters, users, array)
+        geometries, degenerate = _solve(clusters, users, array)
         assert len(geometries) == n and not degenerate.any(), trial
         for i, (cluster, user, got) in enumerate(zip(clusters, users, geometries)):
             label = (trial, i)
@@ -442,7 +445,7 @@ def test_batched_solve_masks_exactly_where_the_per_cluster_solve_raises():
             )
             for _ in range(n)
         ]
-        geometries, degenerate = solve_cluster_geometry(clusters, users, array)
+        geometries, degenerate = _solve(clusters, users, array)
         for i, (cluster, user, got) in enumerate(zip(clusters, users, geometries)):
             try:
                 want = _per_cluster_geometry(cluster, user, array)
@@ -480,12 +483,13 @@ def test_degenerate_mask_is_the_excess_path_term():
             cluster = _random_cluster(rng, array.n_subarrays, excess / C0, rng.random() < 0.1)
             if rng.random() < 0.25:
                 seen["along r0"] += 1
-                cluster.aod_az_deg, cluster.aod_el_deg = angles_from_vector(user - centers)
-                cluster.aoa_az_deg, cluster.aoa_el_deg = angles_from_vector(
-                    centers[ref] - user
+                aod_az, aod_el = angles_from_vector(user - centers)
+                aoa_az, aoa_el = angles_from_vector(centers[ref] - user)
+                cluster = cluster._replace(
+                    aod_az_deg=aod_az, aod_el_deg=aod_el, aoa_az_deg=aoa_az, aoa_el_deg=aoa_el
                 )
             clusters.append(cluster)
-        _, degenerate = solve_cluster_geometry(clusters, users, array)
+        _, degenerate = _solve(clusters, users, array)
         d_c = np.array(
             [[total_path_length(c.tau_s, x, u) for x in centers.tolist()]
              for c, u in zip(clusters, users.tolist())]
@@ -507,9 +511,10 @@ def test_degenerate_mask_is_the_excess_path_term():
     lsp = draw_lsp(scenario, layout, seed=3)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
     victim = [c for _, c in sorted(cs.clusters.items()) if not c.boresight][-1]
-    clusters = {**cs.clusters, victim.cluster_id: replace(victim, tau_s=0.0)}
+    tau = cs.tau_s.copy()
+    tau[cs.rows(victim.cluster_id)] = 0.0
     with pytest.raises(
         DegenerateGeometry,
         match=f"^cluster {victim.cluster_id}: .* generating user {victim.generating_user}$",
     ):
-        attach_focal_points(replace(cs, clusters=clusters), layout)
+        attach_focal_points(replace(cs, tau_s=tau), layout)
