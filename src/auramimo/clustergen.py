@@ -214,8 +214,8 @@ def assemble_clusters(
     tau = np.concatenate(delays)
     sigma_tau = np.repeat(sigma_tau, counts)
     powers = group_powers(tau, sigma_tau, np.concatenate(shadow), counts, scenario)
-    aoa = angles_from_draws(*np.concatenate(arrival, axis=1))
-    aod = angles_from_draws(*np.stack(departure, axis=1))
+    aoa = angles_from_draws(*map(np.concatenate, zip(*arrival)))
+    aod = angles_from_draws(*map(np.array, zip(*departure)))
     # Drawn group by group; stored by ascending id.
     order = np.argsort(ids)
     columns = dict(

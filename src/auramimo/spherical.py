@@ -75,7 +75,8 @@ def solve_cluster_geometry(
     solve (anchor = user, far end = reference sub-array center, direction
     = arrival) with the same closed form. Returns (the geometries,
     degenerate (n,)); a degenerate cluster's geometry is meaningless. A
-    boresight cluster has both focal points at its user."""
+    boresight cluster has both focal points at its user; a negative excess
+    delay is a ValueError."""
     ref = array.reference_subarray
     centers = array.subarray_centers
     tau = clusters.tau_s[rows]
