@@ -28,6 +28,10 @@ from .layout import Aura, UserLayout
 MAX_CLIQUE_USERS = 20
 MAX_CLIQUES = 2**MAX_CLIQUE_USERS - MAX_CLIQUE_USERS - 1
 
+# Cliques per array pass of the huddle test: keeps its arrays to a few MB
+# (one pass per size took a 20-user clique's grouping from 232 to 348 MB).
+HUDDLE_CHUNK = 4096
+
 # Intended-integer guard for floor(proportion * total): products that land
 # within this of an integer from below are treated as that integer.
 _FLOOR_NUDGE = 1e-9
@@ -191,19 +195,18 @@ def compute_proportions(
     cliques = [((u,), later[i]) for i, u in enumerate(members)]
     while cliques:
         cliques = [(c + (members[v],), ext & later[v]) for c, ext in cliques for v in _bits(ext)]
-        if not cliques:
-            break
-        # One array pass per size over every clique's member points.
-        rows = np.searchsorted(members, [c for c, _ in cliques])
-        mean, farthest = _centroid_distances(pts[rows])
-        for (subset, _), md, far in zip(cliques, mean, farthest):
-            if far >= radius_m:
-                continue  # subset does not huddle: shares nothing
-            p = 1.0 - md / radius_m
-            proportions[subset] = proportions.get(subset, 0.0) + p
-            debit = p / (len(subset) - 1)
-            for sub in combinations(subset, len(subset) - 1):
-                proportions[sub] = proportions.get(sub, 0.0) - debit
+        for start in range(0, len(cliques), HUDDLE_CHUNK):
+            chunk = cliques[start : start + HUDDLE_CHUNK]
+            rows = np.searchsorted(members, [c for c, _ in chunk])
+            mean, farthest = _centroid_distances(pts[rows])
+            for (subset, _), md, far in zip(chunk, mean, farthest):
+                if far >= radius_m:
+                    continue  # subset does not huddle: shares nothing
+                p = 1.0 - md / radius_m
+                proportions[subset] = proportions.get(subset, 0.0) + p
+                debit = p / (len(subset) - 1)
+                for sub in combinations(subset, len(subset) - 1):
+                    proportions[sub] = proportions.get(sub, 0.0) - debit
     return proportions
 
 

@@ -273,6 +273,24 @@ def test_centroid_distances_per_size_equal_the_per_subset_helper():
             assert list(zip(mean, far)) == want, (trial, size)
 
 
+def test_huddle_chunks_do_not_change_proportions(monkeypatch):
+    # Cliques are tested a bounded chunk at a time; chunks of 1 and 5 (a
+    # size's cliques split across passes, a short last chunk) give the same
+    # values in the same dict order as one pass per size.
+    rng = np.random.default_rng(2028)
+    for trial in range(60):
+        n = int(rng.integers(2, 11))
+        radius = float(rng.choice([1.5, 3.0, 5.0]))
+        pts = _oracle_layout(rng, ("scatter", "coincident", "grid")[trial % 3], n, radius)
+        positions = {u: (float(x), float(y), 1.5) for u, (x, y) in enumerate(pts)}
+        want = list(compute_proportions(tuple(positions), positions, radius).items())
+        for chunk in (1, 5):
+            monkeypatch.setattr(grouping, "HUDDLE_CHUNK", chunk)
+            got = compute_proportions(tuple(positions), positions, radius)
+            assert list(got.items()) == want, (trial, chunk)
+        monkeypatch.undo()
+
+
 def test_pair_kept_by_rounding_at_2r_is_enumerated():
     # A pair 2r apart whose rounded centroid distances fall just below r
     # while its rounded pair distance is not below 2r: the old exhaustive
