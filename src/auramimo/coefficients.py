@@ -24,10 +24,11 @@ receiver distances, phases, amplitudes and center-path delays) of every
 (user, cluster) slot is one array pass per segment, and so are the
 departure fans of every geometry. The geometries are cut into blocks of
 at most BLOCK_VALUES departure phases, each computed in one pass over all
-sub-arrays (ArrayGeometry.element_distances). A block's geometries with
-the same m are one stacked product and one store; each item keeps the
-(tx, n_sc) @ (n_sc, m * snapshots) shape of one geometry's product,
-because BLAS rounds the same sums over other shapes differently. The
+sub-arrays (ArrayGeometry.element_distances). The geometries are ordered
+by m, and a block's run of geometries with the same m is one stacked
+product and one store; each item keeps the (tx, n_sc) @ (n_sc, m *
+snapshots) shape of one geometry's product, because BLAS rounds the same
+sums over other shapes differently. The
 blocks run on one thread per CPU the process may use, less the threads
 BLAS may start itself (`_synthesis_threads`). Each thread makes one set of work arrays
 per segment, in which it computes its blocks' lengths and phases in
@@ -42,6 +43,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -285,39 +287,41 @@ def synthesize(
     ) / SPEED_OF_LIGHT_M_S
 
     # Slots by departure geometry, with its FBS: one departure phase
-    # serves them all.
+    # serves them all. Ordered by slot count, so that a block's geometries
+    # of one count are adjacent.
     by_geometry: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for s, (v, interior) in enumerate(zip(slot_views, interiors)):
         key = (v.cluster_id, v.fbs.tobytes(), interior)
         by_geometry.setdefault(key, (v.fbs, []))[1].append(s)
+    geometries = sorted(by_geometry.items(), key=lambda item: len(item[1][1]))
 
     # Every geometry's departure fan, (G, A, n_sc, 3), in one pass.
-    perms = np.stack([randomness[cluster_id][1] for cluster_id, _, _ in by_geometry])
+    perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in geometries])
     fans = _fan_positions(
         array.subarray_centers,
-        np.stack([fbs for fbs, _ in by_geometry.values()]),
+        np.stack([fbs for _, (fbs, _) in geometries]),
         (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :]),
     )
-    fan_interiors = np.array([interior for _, _, interior in by_geometry])
-    fan_slots = [slots for _, slots in by_geometry.values()]
+    fan_interiors = np.array([interior for (_, _, interior), _ in geometries])
+    fan_slots = [slots for _, (_, slots) in geometries]
 
     def fill(block: slice, work: tuple) -> None:
         tx_phase = _departure_phase(fans[block], fan_interiors[block], array, wavenumber, work)
         tx_phase = tx_phase.reshape(array.n_elements, -1, n_scatterers).transpose(1, 0, 2)
-        # One stacked product per slot count m, whose items keep the bits of
-        # each geometry's own (tx, n_sc) @ (n_sc, m * T) product.
-        by_count: dict[int, list[int]] = {}
-        for j, slots in enumerate(fan_slots[block]):
-            by_count.setdefault(len(slots), []).append(j)
-        for m, js in by_count.items():
-            slots = np.array([fan_slots[block.start + j] for j in js])  # (b, m)
-            items = tx_phase if len(by_count) == 1 else tx_phase[js]
-            rx = rx_phase[slots].reshape(len(js), m * n_snap, n_scatterers)
-            product = np.matmul(items, rx.transpose(0, 2, 1))  # (b, tx, m * T)
+        # One stacked product per run of geometries with m slots each, whose
+        # items keep the bits of each geometry's own (tx, n_sc) @ (n_sc, m * T)
+        # product.
+        start = 0
+        for m, run in groupby(fan_slots[block], len):
+            slots = np.array(list(run))  # (b, m)
+            stop = start + len(slots)
+            rx = rx_phase[slots].reshape(len(slots), m * n_snap, n_scatterers)
+            product = np.matmul(tx_phase[start:stop], rx.transpose(0, 2, 1))  # (b, tx, m * T)
             ks, cs = np.divmod(slots, n_clusters)
             coefficients[ks, 0, :, cs, :] = product.reshape(
-                len(js), array.n_elements, m, n_snap
+                len(slots), array.n_elements, m, n_snap
             ).transpose(0, 2, 1, 3)
+            start = stop
 
     per_block = min(len(fans), max(1, BLOCK_VALUES // (array.n_elements * n_scatterers)))
     blocks = [slice(i, i + per_block) for i in range(0, len(fans), per_block)]

@@ -14,8 +14,9 @@ len + |focal - far_end| = d_c. It degenerates only when there is no
 excess path (d_c -> |r0|, i.e. zero excess delay).
 
 A segment's clusters are solved in one call over the columns of its
-`ClusterSet`, which flags degenerate clusters; a flagged cluster is an error, since only an excess path of
-at most EPSILON_M flags a row and no angle redraw can add excess path.
+`ClusterSet`, which flags degenerate clusters; a flagged cluster is an
+error, since only an excess path of at most EPSILON_M flags a row and no
+angle redraw can add excess path.
 Zero-excess-delay (boresight) clusters, one per sharing group, are
 exempt: they collapse both focal points onto the user position, the
 direct path for every element, without geometry the delay cannot
