@@ -928,7 +928,7 @@ def test_stacked_products_keep_the_per_geometry_shape(monkeypatch):
             for v in views.views.values():
                 key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
                 counts[key] = counts.get(key, 0) + 1
-            slots = list(counts.values())  # per geometry, in synthesis order
+            slots = sorted(counts.values())  # per geometry, in synthesis order
             blocks = [slots[i : i + per_block] for i in range(0, len(slots), per_block)]
             seen["multi-slot"] += sum(m > 1 for m in slots)
             seen["one per block"] += per_block == 1 and max(slots) > 1
