@@ -28,13 +28,13 @@ sub-arrays (ArrayGeometry.element_distances). The geometries are ordered
 by m, and a block's run of geometries with the same m is one stacked
 product and one store; each item keeps the (tx, n_sc) @ (n_sc, m *
 snapshots) shape of one geometry's product, because BLAS rounds the same
-sums over other shapes differently. The
-blocks run on one thread per CPU the process may use, less the threads
-BLAS may start itself (`_synthesis_threads`). Each thread makes one set of work arrays
-per segment, in which it computes its blocks' lengths and phases in
-place; thread i fills block i, then the next block no thread has taken.
-Each block fills its own (user, cluster) slots, so results are identical
-for any thread count.
+sums over other shapes differently. The blocks run on one thread per CPU
+the process may use, less the threads BLAS may start itself
+(`_synthesis_threads`). Each thread makes one set of work arrays per
+segment, in which it computes its blocks' lengths and phases in place;
+thread i fills block i, then the next block no thread has taken. Each
+block fills its own (user, cluster) slots, so results are identical for
+any thread count.
 """
 
 from __future__ import annotations
