@@ -29,17 +29,19 @@ from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 
 
 class ClusterGeometry(NamedTuple):
-    """Focal points and path lengths of one cluster seen from one user
-    position, one per cluster of a `spherical.solve_cluster_geometry`
-    call: the LBS (3,), one FBS per sub-array (A, 3), the departure leg
-    lengths (A,) and the signed interior leg. A boresight cluster has both
-    focal points at the user, direct-path legs and no interior. The owner
-    view that holds it (same field names) makes its arrays read-only."""
+    """Focal points and path lengths of clusters, each seen from one user
+    position, as columns of a common leading shape S: the LBS S + (3,),
+    one FBS per sub-array S + (A, 3), the departure leg lengths S + (A,)
+    and the signed interior leg S. `spherical.solve_cluster_geometry`
+    returns those of n clusters (S = (n,)); `sharing.share_clusters`
+    gathers them into (user, cluster) slots (S = (U, C)). A boresight
+    cluster has both focal points at the user, direct-path legs and no
+    interior."""
 
     lbs: np.ndarray
     fbs: np.ndarray
     e_len_m: np.ndarray
-    interior_raw_m: float
+    interior_raw_m: np.ndarray
 
 
 class ClusterRow(NamedTuple):
@@ -60,12 +62,13 @@ class ClusterRow(NamedTuple):
 class ClusterSet:
     """All clusters of one segment as read-only columns, a row per cluster
     in ascending id order: the id, the generating user, the excess delay,
-    the within-group power share (`effective_power` renormalizes it for
-    each owner), the arrival azimuth and elevation (C,), one departure
-    azimuth and elevation per sub-array (C, A) and the boresight flag.
-    Focal points depend on where a cluster is seen from, so the owner
-    views (`sharing.OwnerView`) hold them. `by_user` maps each user to
-    its cluster ids, ascending: the one record of who owns which cluster."""
+    the within-group power share (divided by `power_denominator[u]`, it
+    sums to 1 over user u's clusters), the arrival azimuth and elevation
+    (C,), one departure azimuth and elevation per sub-array (C, A) and the
+    boresight flag. Focal points depend on where a cluster is seen from,
+    so the owner views (`sharing.OwnerViews`) hold them. `by_user` maps
+    each user, ascending, to its cluster ids, ascending: the one record of
+    who owns which cluster."""
 
     segment_index: int
     cluster_id: np.ndarray
@@ -87,12 +90,6 @@ class ClusterSet:
     def rows(self, cluster_ids) -> np.ndarray:
         """The row of each of `cluster_ids`, clusters of this set."""
         return np.searchsorted(self.cluster_id, cluster_ids)
-
-    def effective_power(self, user_ids, cluster_ids) -> list[float]:
-        """Cluster powers renormalized so each user's powers sum to 1, of
-        (user, cluster) pairs given as two id sequences."""
-        denominators = [self.power_denominator[u] for u in user_ids]
-        return np.divide(self.power_raw[self.rows(cluster_ids)], denominators).tolist()
 
     @cached_property
     def clusters(self) -> Mapping[int, ClusterRow]:
@@ -180,8 +177,8 @@ def assemble_clusters(
     Per group, in its own RNG stream, the draw order is: generating user
     (multi-user groups only), delays, shadowing, arrival angles, then per
     cluster the per-sub-array departure angles (`angle_draws`). Powers
-    are group-normalized; `ClusterSet.effective_power` gives each owner's
-    per-user-normalized share. The arithmetic on the draws is one pass
+    are group-normalized; `ClusterSet.power_denominator` renormalizes
+    them for each owner. The arithmetic on the draws is one pass
     over the segment.
     """
     n_subarrays = layout.array.n_subarrays

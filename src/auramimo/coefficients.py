@@ -229,8 +229,7 @@ def synthesize(
     float64 delays arrays, with one segment's channel, in blocks of departure
     geometries on `_synthesis_threads()` threads, each computed in complex128
     and rounded to the coefficients' dtype as stored; the caller checks values.
-    `views` checked itself when built, so the users and the cluster count
-    are read off its keys.
+    `views` checked itself when built, and its slot (k, c) is the tensor's.
 
     Scatterer phases and offset pairings are derived from (seed, cluster
     id), and each block writes only its own (user, cluster) slots, so no
@@ -239,18 +238,13 @@ def synthesize(
     center ray).
     """
     # Slot k * C + c holds user k's view of its c-th cluster.
-    keys = sorted(views.views)
-    slot_views = [views.views[key] for key in keys]
-    user_ids = tuple(dict.fromkeys(u for u, _ in keys))
+    ids = views.cluster_id.ravel().tolist()
     rotation = azimuth_rotation(laplacian_offsets(n_scatterers) * cluster_angle_spread_deg)
-    randomness = {
-        cid: scatterer_randomness(seed, cid, n_scatterers)
-        for cid in sorted({v.cluster_id for v in slot_views})
-    }
+    randomness = {cid: scatterer_randomness(seed, cid, n_scatterers) for cid in sorted(set(ids))}
 
     wavenumber = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     array = layout.array
-    n_users, n_clusters = len(user_ids), len(keys) // len(user_ids)
+    n_users, n_clusters = views.cluster_id.shape
     segment = views.segment_index
     n_snap = layout.segments[segment].n_snapshots
     shape = (n_users, 1, array.n_elements, n_clusters, n_snap)
@@ -267,43 +261,41 @@ def synthesize(
     # receiver moves), amp * exp(j(phi - k d_rx)), and the center-path
     # delay (reference-sub-array leg + interior + moving receiver leg, all
     # scatterer offsets at zero).
-    interiors = [max(v.interior_raw_m, 0.0) for v in slot_views]
-    lbs = np.stack([v.lbs for v in slot_views]).reshape(n_users, n_clusters, 3)
+    interiors = np.maximum(views.interior_raw_m, 0.0)
+    user_ids = views.user_id.tolist()
     rx = np.stack([layout.segment_positions(u, segment) for u in user_ids])[:, None]
-    lbs_points = _fan_positions(rx[:, :, 0], lbs, rotation)
-    phases = np.stack([randomness[v.cluster_id][0] for v in slot_views])
+    lbs_points = _fan_positions(rx[:, :, 0], views.lbs, rotation)
+    phases = np.stack([randomness[cid][0] for cid in ids])
     rx_phase = 1j * (
         phases.reshape(n_users, n_clusters, 1, n_scatterers)
         - wavenumber * distances(rx[..., None, :], lbs_points[:, :, None])
     )
     np.exp(rx_phase, out=rx_phase)
-    amplitudes = [math.sqrt(v.power / n_scatterers) for v in slot_views]
-    rx_phase *= np.reshape(amplitudes, (n_users, n_clusters, 1, 1))
+    rx_phase *= np.sqrt(views.power / n_scatterers)[..., None, None]
     rx_phase = rx_phase.reshape(-1, n_snap, n_scatterers)
-    e_ref = [float(v.e_len_m[ref_index]) for v in slot_views]
     delays[...] = (
-        np.add(e_ref, interiors).reshape(n_users, n_clusters, 1)
-        + distances(rx, lbs[:, :, None])
+        (views.e_len_m[..., ref_index] + interiors)[..., None]
+        + distances(rx, views.lbs[:, :, None])
     ) / SPEED_OF_LIGHT_M_S
 
-    # Slots by departure geometry, with its FBS: one departure phase
-    # serves them all. Ordered by slot count, so that a block's geometries
-    # of one count are adjacent.
-    by_geometry: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-    for s, (v, interior) in enumerate(zip(slot_views, interiors)):
-        key = (v.cluster_id, v.fbs.tobytes(), interior)
-        by_geometry.setdefault(key, (v.fbs, []))[1].append(s)
-    geometries = sorted(by_geometry.items(), key=lambda item: len(item[1][1]))
+    # Slots by departure geometry (cluster id, FBS set, clamped interior):
+    # one departure phase serves them all. Ordered by slot count, so that a
+    # block's geometries of one count are adjacent.
+    fbs = views.fbs.reshape(n_users * n_clusters, array.n_subarrays, 3)
+    by_geometry: dict[tuple, list[int]] = {}
+    for s, key in enumerate(zip(ids, map(np.ndarray.tobytes, fbs), interiors.ravel().tolist())):
+        by_geometry.setdefault(key, []).append(s)
+    geometries = sorted(by_geometry.items(), key=lambda item: len(item[1]))
 
     # Every geometry's departure fan, (G, A, n_sc, 3), in one pass.
     perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in geometries])
     fans = _fan_positions(
         array.subarray_centers,
-        np.stack([fbs for _, (fbs, _) in geometries]),
+        fbs[[slots[0] for _, slots in geometries]],
         (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :]),
     )
     fan_interiors = np.array([interior for (_, _, interior), _ in geometries])
-    fan_slots = [slots for _, (_, slots) in geometries]
+    fan_slots = [slots for _, slots in geometries]
 
     def fill(block: slice, work: tuple) -> None:
         tx_phase = _departure_phase(fans[block], fan_interiors[block], array, wavenumber, work)

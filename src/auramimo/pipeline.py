@@ -97,7 +97,8 @@ def run(config: RunConfig) -> RunResult:
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
             out=(coefficients[..., snapshots], delays[..., snapshots]),
         )
-        distinct = {v.fbs.tobytes(): v.fbs for v in seg.views.views.values()}
+        fbs = seg.views.fbs.reshape(-1, *seg.views.fbs.shape[2:])
+        distinct = {f.tobytes(): f for f in fbs}
         errors = planar_vs_spherical_error(
             np.stack(list(distinct.values())), layout, config.carrier_hz
         )
@@ -119,11 +120,11 @@ def run(config: RunConfig) -> RunResult:
             for pair in combinations(group.members, 2):
                 shared[pair] += group.count
 
-    views = [v for seg in segments for v in seg.views.views.values()]
-    clamped = sum(v.interior_raw_m < 0.0 for v in views)
+    interiors = np.concatenate([seg.views.interior_raw_m.ravel() for seg in segments])
+    clamped = int((interiors < 0.0).sum())
     if clamped:
         message = "interior path length clamped to 0 for %d of %d cluster views"
-        log.warning(message, clamped, len(views))
+        log.warning(message, clamped, len(interiors))
 
     metrics = replace(
         correlation_metrics(tensor),

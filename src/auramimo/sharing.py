@@ -1,18 +1,18 @@
 """Per-owner materialization of shared clusters.
 
-Every cluster has one view per owner (`ClusterSet.by_user`), each built
-once, and the views hold the focal points. `share_clusters` builds every
-cluster's generator view from its parameters and geometry.
-`recalculate_views` adds the joining owners' views, copies of generator
-views, in one pass and returns the segment's one `OwnerViews`: joining
-views either keep the generated parameters and re-solve both focal
-points from their own position (kept-parameters, for far clusters), or
-keep the generator's focal points verbatim (kept-focal-point, for
-zero-excess-delay clusters and for clusters within three segment lengths
-of the joining owner). Views check themselves when built. A view holds
-no delay and no angle: synthesis computes the path its focal points fix,
-and the tables read the delay from the tensor and the angles from the
-focal points.
+A segment's owner views are the read-only columns of one `OwnerViews`:
+slot (k, c) holds user k's view of its c-th cluster (users and each
+user's cluster ids ascending, as in `ClusterSet.by_user`), the run
+tensor's slot. `share_clusters` gathers every cluster's generator
+geometry into each of its owners' slots. `recalculate_views` gives each
+slot its mode and power and returns the segment's one `OwnerViews`:
+joining views either keep the generated parameters and re-solve both
+focal points from their own position (kept-parameters, for far
+clusters), or keep the generator's focal points verbatim
+(kept-focal-point, for zero-excess-delay clusters and for clusters within
+three segment lengths of the joining owner). A view holds no delay and no
+angle: synthesis computes the path its focal points fix, and the tables
+read the delay from the tensor and the angles from the focal points.
 
 A joining owner standing exactly at the generating user's position gets
 a verbatim copy in kept-parameters mode too: re-solving is a fixed point
@@ -22,8 +22,11 @@ round-trip-rounded."""
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +41,9 @@ MODE_KEPT_PARAMETERS = "kept-parameters"
 MODE_KEPT_FOCAL = "kept-focal-point"
 
 
-@dataclass(frozen=True)
-class OwnerView:
-    """Effective cluster parameters as seen by one owner; the geometry
-    fields are those of `ClusterGeometry`, and every array is read-only.
-    A view without focal points is IncompleteViews."""
+class OwnerView(NamedTuple):
+    """One slot of an `OwnerViews` as a row, with its columns' names; only
+    `OwnerViews.views` builds them."""
 
     user_id: int
     cluster_id: int
@@ -53,29 +54,43 @@ class OwnerView:
     e_len_m: np.ndarray
     interior_raw_m: float
 
-    def __post_init__(self) -> None:
-        if self.lbs is None or self.fbs is None or self.e_len_m is None:
-            raise IncompleteViews(
-                f"view (user {self.user_id}, cluster {self.cluster_id}) has no focal points"
-            )
-        for a in (self.lbs, self.fbs, self.e_len_m):
-            read_only(a)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OwnerViews:
-    """A segment's owner views, keyed (user, cluster) in sorted order; owners
-    are `ClusterSet.by_user`. Empty, or uneven across users, is IncompleteViews."""
+    """A segment's owner views as read-only columns: the user ids (U,),
+    ascending, and per slot the cluster id, mode, power and signed
+    interior leg (U, C), the LBS (U, C, 3), one FBS per sub-array
+    (U, C, A, 3) and the departure leg lengths (U, C, A). No views, or a
+    column whose leading shape is not (U, C), is IncompleteViews."""
 
     segment_index: int
-    views: dict[tuple[int, int], OwnerView] = field(repr=False)
+    user_id: np.ndarray
+    cluster_id: np.ndarray
+    recalc_mode: np.ndarray
+    power: np.ndarray
+    lbs: np.ndarray
+    fbs: np.ndarray
+    e_len_m: np.ndarray
+    interior_raw_m: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = set(Counter(u for u, _ in self.views).values())
-        if not counts:
+        if not self.cluster_id.size:
             raise IncompleteViews(f"segment {self.segment_index} has no owner views")
-        if len(counts) != 1:
-            raise IncompleteViews(f"users disagree on cluster count: {sorted(counts)}")
+        shape = (len(read_only(self.user_id)), self.cluster_id.shape[-1])
+        for name in OwnerView._fields[1:]:
+            got = read_only(getattr(self, name)).shape[:2]
+            if got != shape:
+                raise IncompleteViews(f"{name} has leading shape {got}, not (U, C) = {shape}")
+
+    @cached_property
+    def views(self) -> Mapping[tuple[int, int], OwnerView]:
+        """Every slot's row by (user, cluster id), in slot order, read-only
+        and built on first use: the run reads the columns."""
+        users = np.repeat(self.user_id, self.cluster_id.shape[1])
+        columns = [getattr(self, name) for name in OwnerView._fields[1:]]
+        flat = [users, *(c.reshape(len(users), *c.shape[2:]) for c in columns)]
+        rows = zip(*(c if c.ndim > 1 else c.tolist() for c in flat))
+        return MappingProxyType({row[:2]: OwnerView(*row) for row in rows})
 
 
 def choose_recalc_mode(
@@ -90,72 +105,62 @@ def choose_recalc_mode(
     return MODE_KEPT_PARAMETERS
 
 
-def share_clusters(
-    cluster_set: ClusterSet, geometries: dict[int, ClusterGeometry]
-) -> dict[int, OwnerView]:
-    """Every cluster's generator view, keyed by cluster id: its parameters,
-    the generating user's normalized power and its entry of `geometries` (as
-    from `spherical.attach_focal_points`); a missing entry is IncompleteViews."""
-    ids, users = cluster_set.cluster_id.tolist(), cluster_set.generating_user.tolist()
-    missing = [c for c in ids if c not in geometries]
-    if missing:
-        raise IncompleteViews(f"cluster {missing[0]} has no focal points")
-    return {
-        cluster_id: OwnerView(
-            user_id=user_id,
-            cluster_id=cluster_id,
-            recalc_mode=MODE_GENERATOR,
-            power=power,
-            **geometries[cluster_id]._asdict(),
-        )
-        for cluster_id, user_id, power in zip(ids, users, cluster_set.effective_power(users, ids))
-    }
+def share_clusters(cluster_set: ClusterSet, geometry: ClusterGeometry) -> ClusterGeometry:
+    """Every slot's generator geometry, leading shape (U, C): slot (k, c)
+    holds the row of `geometry` (a row per cluster row, as from
+    `spherical.attach_focal_points`) of user k's c-th cluster."""
+    rows = cluster_set.rows(list(cluster_set.by_user.values()))
+    return ClusterGeometry._make(column[rows] for column in geometry)
 
 
 def recalculate_views(
-    shared: dict[int, OwnerView], cluster_set: ClusterSet, layout: UserLayout
+    shared: ClusterGeometry, cluster_set: ClusterSet, layout: UserLayout
 ) -> OwnerViews:
-    """The segment's owner views: the generator views of `shared`, by cluster
-    id (IncompleteViews if one is missing), and one per joining owner, in one pass.
+    """The segment's owner views, from each slot's generator geometry
+    `shared` (as from `share_clusters`).
 
-    Each pair's view is its cluster's generator view with the owner, its
-    mode from `choose_recalc_mode` and its power. Kept-parameters owners
-    that moved off the generating user's position re-solve their focal
-    points, every such pair in one `solve_cluster_geometry` call.
+    A generating user's slot keeps it; a joining owner's gets its mode
+    from `choose_recalc_mode`, one row at a time. Every slot's power is
+    its cluster's renormalized for the owner. Kept-parameters owners that
+    moved off the generating user's position re-solve their focal points,
+    every such slot in one `solve_cluster_geometry` call.
     """
     segment = layout.segments[cluster_set.segment_index]
-    position = layout.segment_start_position
-    keys = [(u, c) for u, ids in sorted(cluster_set.by_user.items()) for c in ids]
-    missing = sorted({c for _, c in keys} - shared.keys())
-    if missing:
-        raise IncompleteViews(f"cluster {missing[0]} has no generator view")
-    joining = [(u, c) for u, c in keys if u != shared[c].user_id]
-    users, ids = [u for u, _ in joining], [c for _, c in joining]
+    users, ids = list(cluster_set.by_user), np.array(list(cluster_set.by_user.values()))
     rows = cluster_set.rows(ids)
-    generator_views = [shared[c] for c in ids]
-    owners = np.array([position(u, segment.index) for u in users]).reshape(-1, 3)
-    generators = [position(g.user_id, segment.index) for g in generator_views]
-    moved = (owners != np.reshape(generators, (-1, 3))).any(axis=1).tolist()
-    modes = [
-        choose_recalc_mode(b, g.lbs, o, segment.length_m)
-        for b, g, o in zip(cluster_set.boresight[rows].tolist(), generator_views, owners)
+    positions = np.array([layout.segment_start_position(u, segment.index) for u in users])
+    # Each slot's generating user, as a row of `users`.
+    generators = np.searchsorted(users, cluster_set.generating_user[rows])
+    joining = generators != np.arange(len(users))[:, None]
+    boresight, owners = cluster_set.boresight[rows[joining]].tolist(), np.nonzero(joining)[0]
+    modes = np.full(ids.shape, MODE_GENERATOR, dtype=object)
+    modes[joining] = [
+        choose_recalc_mode(b, lbs, positions[k], segment.length_m)
+        for b, lbs, k in zip(boresight, shared.lbs[joining], owners)
     ]
-    resolve = [i for i, m in enumerate(modes) if moved[i] and m == MODE_KEPT_PARAMETERS]
-    powers = cluster_set.effective_power(users, ids)
-    fields = [dict(user_id=u, recalc_mode=m, power=p) for u, m, p in zip(users, modes, powers)]
+    moved = (positions[:, None] != positions[generators]).any(axis=-1)
+    resolve = moved & (modes == MODE_KEPT_PARAMETERS)
 
-    if resolve:
-        geometries, degenerate = solve_cluster_geometry(
-            cluster_set, rows[resolve], owners[resolve], layout.array
+    if resolve.any():
+        owners = np.nonzero(resolve)[0]
+        solved, degenerate = solve_cluster_geometry(
+            cluster_set, rows[resolve], positions[owners], layout.array
         )
         if degenerate.any():
-            i = resolve[int(np.argmax(degenerate))]
+            i = int(np.argmax(degenerate))
             raise DegenerateGeometry(
-                f"cluster {joining[i][1]}: no focal points from owner {joining[i][0]}"
+                f"cluster {ids[resolve][i]}: no focal points from owner {users[owners[i]]}"
             )
-        for i, g in zip(resolve, geometries):
-            fields[i].update(g._asdict())
+        shared = ClusterGeometry._make(column.copy() for column in shared)
+        for column, new in zip(shared, solved):
+            column[resolve] = new
 
-    built = {key: replace(v, **f) for key, v, f in zip(joining, generator_views, fields)}
-    views = {key: built.get(key, shared[key[1]]) for key in keys}
-    return OwnerViews(segment_index=cluster_set.segment_index, views=views)
+    denominators = [cluster_set.power_denominator[u] for u in users]
+    return OwnerViews(
+        segment_index=cluster_set.segment_index,
+        user_id=np.array(users),
+        cluster_id=ids,
+        recalc_mode=modes,
+        power=cluster_set.power_raw[rows] / np.reshape(denominators, (-1, 1)),
+        **shared._asdict(),
+    )

@@ -20,7 +20,8 @@ angle redraw can add excess path.
 Zero-excess-delay (boresight) clusters, one per sharing group, are
 exempt: they collapse both focal points onto the user position, the
 direct path for every element, without geometry the delay cannot
-support. The owner views, not the clusters, hold the focal points.
+support. A solve returns one `ClusterGeometry`, the columns of its
+clusters; the owner views, not the clusters, hold the focal points.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def solve_focal_lengths(
 
 def solve_cluster_geometry(
     clusters: ClusterSet, rows, users: np.ndarray, array: ArrayGeometry
-) -> tuple[list[ClusterGeometry], np.ndarray]:
+) -> tuple[ClusterGeometry, np.ndarray]:
     """Both focal points of the n clusters at `rows` (an index array or a
     slice) of `clusters`, each seen from its row of `users` (n, 3): one
     departure solve over every (cluster, sub-array) row, then one arrival
     solve (anchor = user, far end = reference sub-array center, direction
-    = arrival) with the same closed form. Returns (the geometries,
-    degenerate (n,)); a degenerate cluster's geometry is meaningless. A
+    = arrival) with the same closed form. Returns (their geometry, rows
+    as `rows`, and degenerate (n,)); a degenerate row is meaningless. A
     boresight cluster has both focal points at its user; a negative excess
     delay is a ValueError."""
     ref = array.reference_subarray
@@ -100,17 +101,16 @@ def solve_cluster_geometry(
     lbs = np.where(boresight[:, None], users, lbs)
     fbs = np.where(boresight[:, None, None], users[:, None], fbs)
     e_len = np.where(boresight[:, None], d_c, e_len)
-    interior = np.where(boresight, 0.0, interior).tolist()
-    geometries = list(map(ClusterGeometry, lbs, fbs, e_len, interior))
-    return geometries, (e_degenerate.any(axis=1) | g_degenerate) & ~boresight
+    interior = np.where(boresight, 0.0, interior)
+    geometry = ClusterGeometry(lbs, fbs, e_len, interior)
+    return geometry, (e_degenerate.any(axis=1) | g_degenerate) & ~boresight
 
 
-def attach_focal_points(
-    cluster_set: ClusterSet, layout: UserLayout
-) -> dict[int, ClusterGeometry]:
-    """Every cluster's geometry (one LBS and A FBS) by cluster id, seen
-    from its generating user's segment-start position, for the generator
-    views of `sharing.share_clusters`; the clusters are left as they are.
+def attach_focal_points(cluster_set: ClusterSet, layout: UserLayout) -> ClusterGeometry:
+    """Every cluster's geometry (one LBS and A FBS), a row per cluster row,
+    seen from its generating user's segment-start position, for the
+    generator views of `sharing.share_clusters`; the clusters are left as
+    they are.
 
     The whole segment is one `solve_cluster_geometry` call. A degenerate
     cluster raises DegenerateGeometry: for rows under about 2 500 km the
@@ -120,11 +120,11 @@ def attach_focal_points(
     segment, position = cluster_set.segment_index, layout.segment_start_position
     generators = cluster_set.generating_user.tolist()
     users = np.array([position(u, segment) for u in generators])
-    geometries, degenerate = solve_cluster_geometry(cluster_set, slice(None), users, layout.array)
+    geometry, degenerate = solve_cluster_geometry(cluster_set, slice(None), users, layout.array)
     if degenerate.any():
         bad = int(np.argmax(degenerate))
         raise DegenerateGeometry(
             f"cluster {cluster_set.cluster_id[bad]}: no focal points from generating user "
             f"{generators[bad]}"
         )
-    return dict(zip(cluster_set.cluster_id.tolist(), geometries))
+    return geometry

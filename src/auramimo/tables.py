@@ -68,26 +68,26 @@ def param_header(n_subarrays: int) -> str:
 
 
 def _param_rows(views, tensor, layout) -> dict[tuple[int, int], str]:
-    """A segment's `OwnerViews` parameter columns, tab-joined, by view key,
-    from one float64 matrix; `tolist` turns it into Python floats, whose
-    repr is that of the value."""
+    """A segment's `OwnerViews` parameter columns, tab-joined, by (user,
+    cluster id) in slot order, from one float64 matrix; `tolist` turns it
+    into Python floats, whose repr is that of the value."""
     array, segment = layout.array, layout.segments[views.segment_index]
-    ref, keys = array.subarray_centers[array.reference_subarray], sorted(views.views)
-    v = [views.views[k] for k in keys]
-    rx0 = {u: layout.segment_start_position(u, segment.index) for u in layout.user_ids}
-    owners = np.array([rx0[u] for u, _ in keys])
-    lbs, fbs = np.array([x.lbs for x in v]), np.array([x.fbs for x in v])
-    # Tensor slot (k, c) is user k's c-th cluster: the sorted view keys.
-    direct = np.divide([math.dist(rx0[u], ref) for u, _ in keys], SPEED_OF_LIGHT_M_S)
-    delays = tensor.delays[:, :, segment.first_snapshot].ravel() - direct
+    ref, n_clusters = array.subarray_centers[array.reference_subarray], views.cluster_id.shape[1]
+    rx0 = [layout.segment_start_position(u, segment.index) for u in views.user_id.tolist()]
+    owners = np.repeat(rx0, n_clusters, axis=0)
+    lbs, fbs = views.lbs.reshape(-1, 3), views.fbs.reshape(len(owners), -1, 3)
+    # Tensor slot (k, c) is the views' slot (k, c).
+    direct = np.divide([math.dist(x, ref) for x in rx0], SPEED_OF_LIGHT_M_S)
+    delays = (tensor.delays[:, :, segment.first_snapshot] - direct[:, None]).ravel()
     # A collapsed arrival leg takes the direction of the direct path.
     collapsed = (lbs == owners).all(axis=1, keepdims=True)
     arrival = np.where(collapsed, ref, lbs) - owners
     legs = np.concatenate([arrival[:, None], fbs - array.subarray_centers], axis=1)
     angles = np.stack(angles_from_vector(legs), axis=-1)  # (az, el) per leg
     rows = np.column_stack(
-        [delays, [x.power for x in v], angles.reshape(len(v), -1), lbs, fbs.reshape(len(v), -1)]
+        [delays, views.power.ravel(), angles.reshape(len(lbs), -1), lbs, fbs.reshape(len(lbs), -1)]
     )
+    keys = zip(np.repeat(views.user_id, n_clusters).tolist(), views.cluster_id.ravel().tolist())
     return {k: "\t".join(map(repr, r.tolist())) for k, r in zip(keys, rows)}
 
 
@@ -129,12 +129,9 @@ def write_tables(result, out: Path) -> dict[str, Path]:
     with open(paths["cluster_views"], "w") as f:
         f.write("segment\tcluster_id\towner\trecalc_mode\t" + header + "\n")
         for seg, seg_rows in zip(segments, rows):
-            for user, cluster_id in sorted(seg_rows):
-                f.write(
-                    f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t"
-                    f"{seg.views.views[(user, cluster_id)].recalc_mode}\t"
-                    f"{seg_rows[(user, cluster_id)]}\n"
-                )
+            modes = seg.views.recalc_mode.ravel().tolist()
+            for ((user, cluster_id), row), mode in zip(seg_rows.items(), modes):
+                f.write(f"{seg.share_table.segment_index}\t{cluster_id}\t{user}\t{mode}\t{row}\n")
 
     paths["metrics"] = out / "metrics.tsv"
     with open(paths["metrics"], "w") as f:

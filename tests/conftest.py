@@ -11,6 +11,8 @@ from auramimo import (
     ChannelTensor,
     ClusterRow,
     ClusterSet,
+    OwnerView,
+    OwnerViews,
     RunConfig,
     SPEED_OF_LIGHT_M_S,
     ScenarioConfig,
@@ -153,6 +155,17 @@ def cluster_columns(rows, *, by_user=None, power_denominator=None) -> ClusterSet
     columns = {name: np.array([getattr(r, name) for r in rows]) for name in ClusterRow._fields}
     by_user, denominator = by_user or {}, power_denominator or {}
     return ClusterSet(segment_index=0, by_user=by_user, power_denominator=denominator, **columns)
+
+
+def views_from_rows(rows, segment_index: int = 0) -> OwnerViews:
+    """The `OwnerViews` whose slots are `rows`, `OwnerView`s in slot order:
+    users ascending, each user's clusters ascending."""
+    users = list(dict.fromkeys(r.user_id for r in rows))
+    columns = {}
+    for name in OwnerView._fields[1:]:
+        column = np.array([getattr(r, name) for r in rows])
+        columns[name] = column.reshape(len(users), -1, *column.shape[1:])
+    return OwnerViews(segment_index=segment_index, user_id=np.array(users), **columns)
 
 
 def view_users(views) -> tuple[int, ...]:

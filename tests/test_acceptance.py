@@ -290,10 +290,9 @@ def test_c05_parameter_count(check):
             assert clusters.clusters
             for cluster in clusters.clusters.values():
                 assert len(cluster.aod_az_deg) == len(cluster.aod_el_deg) == n_subarrays
-            geometries = attach_focal_points(clusters, layout)
-            for cluster in clusters.clusters.values():
-                fbs = geometries[cluster.cluster_id].fbs
-                assert len(cluster.aod_az_deg) == len(fbs) == n_subarrays
+            # One FBS per sub-array for every cluster row.
+            fbs = attach_focal_points(clusters, layout).fbs
+            assert fbs.shape == (len(clusters.cluster_id), n_subarrays, 3)
             # Table columns: 4 + 2A scalars (delay, power, AoA az/el, AoD
             # az/el per sub-array), then the LBS and A FBS positions.
             columns = param_header(n_subarrays).split("\t")

@@ -18,11 +18,11 @@ from auramimo import (
     draw_lsp,
     gen_delays,
     group_powers,
-    share_clusters,
     share_table_for_segment,
     total_path_length,
 )
 from auramimo.clustergen import ClusterGeometry, ClusterRow, ClusterSet, group_rng
+from auramimo.sharing import OwnerView, OwnerViews
 from auramimo.geom import clip_elevation_deg, unit_from_angles, wrap_azimuth_deg
 from auramimo.pipeline import run, write_outputs
 from auramimo.spherical import solve_focal_lengths
@@ -135,9 +135,8 @@ def test_assemble_counts_and_determinism():
         ca, cb = _of_user(a, user), _of_user(b, user)
         assert len(ca) == 7
         assert [c.tau_s for c in ca] == [c.tau_s for c in cb]
-        assert a.effective_power([c.generating_user for c in ca], [c.cluster_id for c in ca]) == (
-            b.effective_power([c.generating_user for c in cb], [c.cluster_id for c in cb])
-        )
+        assert [c.power_raw for c in ca] == [c.power_raw for c in cb]
+    assert a.power_denominator == b.power_denominator
     c = _assembled(layout, seed=4)
     assert [x.tau_s for x in _of_user(c, 1)] != [x.tau_s for x in _of_user(a, 1)]
 
@@ -158,9 +157,10 @@ def test_shared_cluster_is_one_object():
 def test_effective_power_sums_to_one_per_user():
     layout = make_two_user_layout(2.0)
     cs = _assembled(layout)
+    # Each owner's effective power is the share over its denominator.
     for user in (1, 2):
         ids = cs.by_user[user]
-        total = sum(cs.effective_power([user] * len(ids), ids))
+        total = sum(cs.power_raw[cs.rows(ids)] / cs.power_denominator[user])
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -211,16 +211,27 @@ def test_clusters_are_frozen():
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
-    # A hand-built geometry is frozen by the generator view that holds it.
-    geometry = ClusterGeometry(np.zeros(3), np.ones((2, 3)), np.ones(2), 0.0)
-    share_clusters(assembled, dict.fromkeys(assembled.clusters, geometry))
-    for a in geometry[:3]:
+    # Hand-built columns are frozen by the owner views that hold them.
+    geometry = ClusterGeometry(
+        np.zeros((1, 1, 3)), np.ones((1, 1, 2, 3)), np.ones((1, 1, 2)), np.zeros((1, 1))
+    )
+    columns = dict(
+        user_id=np.array([1]),
+        cluster_id=np.zeros((1, 1), int),
+        recalc_mode=np.array([[MODE_GENERATOR]]),
+        power=np.ones((1, 1)),
+        **geometry._asdict(),
+    )
+    views = OwnerViews(segment_index=0, **columns)
+    for a in columns.values():
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        views.power = columns["power"]
 
     # Frozen all the way down: every array of every cluster and owner view
     # of a two-segment run is read-only, kept-focal-point views included;
-    # the focal points are the views' arrays.
+    # the focal points are the views' columns, and their rows' arrays.
     result = run(make_run_config(n_snapshots=20))
     assert len(result.segments) == 2
     views = [v for seg in result.segments for v in seg.views.views.values()]
@@ -228,6 +239,7 @@ def test_clusters_are_frozen():
     boresight = {c for cs in sets for c in cs.cluster_id[cs.boresight].tolist()}  # run-unique
     assert any(v.recalc_mode == MODE_KEPT_FOCAL and v.cluster_id not in boresight for v in views)
     arrays = [getattr(cs, name) for cs in sets for name in ClusterRow._fields]
+    arrays += [getattr(seg.views, name) for seg in result.segments for name in OwnerView._fields]
     arrays += [a for v in views for a in (v.lbs, v.fbs, v.e_len_m)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -444,8 +456,9 @@ def test_columns_equal_the_per_cluster_assembly_and_solve():
             solved = _per_cluster_solve(ordered, users, layout.array)
             generator = dict(zip(sorted(clusters), solved))
             attached = attach_focal_points(cs, layout)
-            for cluster_id, want in generator.items():
-                _assert_view(attached[cluster_id], want, (label, cluster_id))
+            for row, (cluster_id, want) in enumerate(generator.items()):
+                got = ClusterGeometry._make(column[row] for column in attached)
+                _assert_view(got, want, (label, cluster_id))
 
             # Every owner view: mode, power and focal points.
             for (user, cluster_id), view in seg.views.views.items():

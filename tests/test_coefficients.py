@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,6 +39,7 @@ from conftest import (
     synthesize_segment,
     user_views,
     view_users,
+    views_from_rows,
 )
 
 C0 = SPEED_OF_LIGHT_M_S
@@ -114,7 +114,7 @@ def _manual_view(layout, lbs, fbs, interior, power=0.04):
 
 
 def _single_user_views(layout, view):
-    return OwnerViews(segment_index=0, views={(1, 0): view})
+    return views_from_rows([view])
 
 
 def test_single_scatterer_phase_arithmetic():
@@ -258,26 +258,28 @@ def test_drifting_delay_steps_bounded_by_snapshot_spacing():
 
 
 def test_incomplete_views_rejected():
-    # An empty set and a view without focal points are rejected when they
-    # are built, so synthesis never receives one.
+    # An empty set and a column that does not lead with (user, cluster) are
+    # rejected when they are built, so synthesis never receives one.
+    layout = make_point_layout({1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0)
+    view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
+    # Two users with two clusters each: (U, C) = (2, 2).
+    rows = [view._replace(user_id=u, cluster_id=c) for u in (1, 2) for c in (0, 1)]
+    columns = vars(views_from_rows(rows))
     with pytest.raises(IncompleteViews, match="segment 0 has no owner views"):
-        OwnerViews(segment_index=0, views={})
-    layout = make_point_layout({1: (20.0, 0.0, 1.5)}, 5.0)
-    bare = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
-    for name in ("lbs", "fbs", "e_len_m"):
-        with pytest.raises(
-            IncompleteViews, match=r"view \(user 1, cluster 0\) has no focal points"
-        ):
-            OwnerView(**{**bare.__dict__, name: None})
-
-
-def test_users_must_agree_on_cluster_count():
-    layout = make_point_layout(
-        {1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0
-    )
-    v1 = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
-    with pytest.raises(IncompleteViews, match=r"disagree on cluster count: \[1, 2\]"):
-        OwnerViews(segment_index=0, views={(1, 0): v1, (1, 1): v1, (2, 0): v1})
+        OwnerViews(**{**columns, "cluster_id": np.empty((2, 0), int)})
+    for name in OwnerView._fields[1:]:
+        column = columns[name]
+        for bad in (column[:1], column[:, :1], column.reshape(4, *column.shape[2:])):
+            with pytest.raises(IncompleteViews) as info:
+                OwnerViews(**{**columns, name: bad})
+            message = str(info.value)
+            if name == "cluster_id" and bad.shape == (2, 1):  # C is read off the ids
+                assert message == "recalc_mode has leading shape (2, 2), not (U, C) = (2, 1)"
+            else:
+                assert message.startswith(f"{name} has leading shape {bad.shape[:2]}, not (U, C)")
+    # A user id column of another length disagrees with every other column.
+    with pytest.raises(IncompleteViews, match="not \\(U, C\\) = \\(3, 2\\)$"):
+        OwnerViews(**{**columns, "user_id": np.array([1, 2, 3])})
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +532,15 @@ def _perturb(views, rng):
     for key, view in views.views.items():
         r = rng.random()
         if r < 0.15:
-            view = replace(view, interior_raw_m=-rng.uniform(0.0, 30.0))
+            view = view._replace(interior_raw_m=-rng.uniform(0.0, 30.0))
         elif r < 0.25:
-            view = replace(view, interior_raw_m=view.interior_raw_m + rng.uniform(0.1, 5.0))
+            view = view._replace(interior_raw_m=view.interior_raw_m + rng.uniform(0.1, 5.0))
         elif r < 0.3:
-            view = replace(view, interior_raw_m=float(rng.choice([0.0, -0.0])))
+            view = view._replace(interior_raw_m=float(rng.choice([0.0, -0.0])))
         elif r < 0.4:
-            view = replace(view, fbs=view.fbs.copy())
+            view = view._replace(fbs=view.fbs.copy())
         changed[key] = view
-    return replace(views, views=changed)
+    return views_from_rows(list(changed.values()), views.segment_index)
 
 
 def test_shared_departure_phases_equal_per_view_loop():

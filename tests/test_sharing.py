@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from dataclasses import replace
 
@@ -10,7 +9,6 @@ from auramimo import (
     MODE_KEPT_FOCAL,
     MODE_KEPT_PARAMETERS,
     DegenerateGeometry,
-    IncompleteViews,
     assemble_clusters,
     attach_focal_points,
     choose_recalc_mode,
@@ -27,7 +25,7 @@ from auramimo.clustergen import ClusterGeometry, ClusterRow
 from auramimo.geom import SPEED_OF_LIGHT_M_S, angles_from_vector, wrap_azimuth_deg
 from auramimo.grouping import GroupShare, ShareTable
 from auramimo.metrics import MetricsReport
-from auramimo.pipeline import RunResult, SegmentResult
+from auramimo.pipeline import RunResult, SegmentResult, run, write_outputs
 from auramimo.sharing import OwnerView
 from auramimo.spherical import solve_cluster_geometry
 from auramimo.tables import write_tables
@@ -40,6 +38,7 @@ from conftest import (
     synthesize_segment,
     view_excess_delays,
 )
+from test_pipeline import make_run_config
 
 # How far a synthesized delay may sit from the delay its path was solved
 # for: float rounding of the focal solve, about 3e-13 m of path.
@@ -99,9 +98,12 @@ def _full_pipeline(layout, seed=3, total=7):
     return cs, shared, layout
 
 
-def _generator(shared, cluster):
-    """The generator view of `cluster` in `shared`, as from `share_clusters`."""
-    return shared[cluster.cluster_id]
+def _generator(cs, shared, cluster):
+    """The generator geometry of `cluster`: its generating user's slot of
+    `shared`, as from `share_clusters`."""
+    user = cluster.generating_user
+    k, c = list(cs.by_user).index(user), cs.by_user[user].index(cluster.cluster_id)
+    return ClusterGeometry._make(column[k, c] for column in shared)
 
 
 def _written_rows(views, layout):
@@ -121,15 +123,23 @@ def _angles(row, n_subarrays):
 
 def test_share_clusters_verbatim_and_power():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    geometries = attach_focal_points(cs, layout)
-    excess = view_excess_delays(recalculate_views(shared, cs, layout), layout)
-    # Only the generator views, one per cluster, by cluster id.
-    assert sorted(shared) == sorted(cs.clusters)
-    for cid, view in shared.items():
+    attached = attach_focal_points(cs, layout)
+    views = recalculate_views(shared, cs, layout)
+    excess = view_excess_delays(views, layout)
+    # Every owner's slot holds its cluster's generator geometry, verbatim.
+    assert [c.shape[:2] for c in shared] == [views.cluster_id.shape] * 4 == [(2, 7)] * 4
+    for k, (user, ids) in enumerate(cs.by_user.items()):
+        for c, cid in enumerate(ids):
+            for got, want in zip(shared, attached):
+                assert np.array_equal(got[k, c], want[cs.rows(cid)]), (user, cid)
+    # One generator view per cluster.
+    generators = [v for v in views.views.values() if v.recalc_mode == MODE_GENERATOR]
+    assert sorted(v.cluster_id for v in generators) == sorted(cs.clusters)
+    for view in generators:
+        cid = view.cluster_id
         cluster = cs.clusters[cid]
         user = cluster.generating_user
-        assert (view.user_id, view.cluster_id) == (user, cid)
-        assert view.recalc_mode == MODE_GENERATOR
+        assert view.user_id == user
         # The synthesized path closes to the excess delay, lengthened only
         # if the interior leg is clamped; a boresight path is the direct one.
         delay = excess[user, cid]
@@ -137,36 +147,10 @@ def test_share_clusters_verbatim_and_power():
         assert (abs(delay - cluster.tau_s) <= CLOSURE_S) == (view.interior_raw_m >= 0.0)
         assert (delay == 0.0) == cluster.boresight
         # Geometry and power verbatim.
-        for name, value in geometries[cid]._asdict().items():
-            assert np.array_equal(getattr(view, name), value), name
-        assert [view.power] == cs.effective_power([user], [cid])
-    assert any(v.interior_raw_m < 0.0 for v in shared.values())
-
-
-def test_share_clusters_without_focal_points_is_a_typed_error():
-    layout = make_two_user_layout(2.0)
-    scenario = make_scenario()
-    table = share_table_for_segment(layout, 0, scenario.clusters_per_user)
-    lsp = draw_lsp(scenario, layout, seed=3)
-    cs = assemble_clusters(table, lsp, layout, scenario, seed=3)
-    first = min(cs.clusters)
-    with pytest.raises(IncompleteViews, match=f"cluster {first} has no focal points"):
-        share_clusters(cs, {})
-    # One missing geometry is named, whichever cluster it is.
-    geometries = attach_focal_points(cs, layout)
-    last = max(cs.clusters)
-    del geometries[last]
-    with pytest.raises(IncompleteViews, match=f"cluster {last} has no focal points"):
-        share_clusters(cs, geometries)
-
-
-def test_recalculate_views_without_a_generator_view_is_a_typed_error():
-    cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    for cluster_id in (min(cs.clusters), max(cs.clusters)):
-        partial = {c: v for c, v in shared.items() if c != cluster_id}
-        match = f"cluster {cluster_id} has no generator view"
-        with pytest.raises(IncompleteViews, match=match):
-            recalculate_views(partial, cs, layout)
+        for name, value in attached._asdict().items():
+            assert np.array_equal(getattr(view, name), value[cs.rows(cid)]), name
+        assert view.power == cluster.power_raw / cs.power_denominator[user]
+    assert any(v.interior_raw_m < 0.0 for v in generators)
 
 
 def _shared_nonboresight(cs):
@@ -218,7 +202,7 @@ def test_kept_parameters_keeps_scalars_and_resolves_geometry():
         got = _angles(written[owner, cluster.cluster_id], len(centers))
         assert np.abs(wrap_azimuth_deg(got - drawn)).max() <= 1e-9
         # Focal points are re-solved against the owner.
-        assert not np.array_equal(view.lbs, _generator(shared, cluster).lbs)
+        assert not np.array_equal(view.lbs, _generator(cs, shared, cluster).lbs)
         for a, center in enumerate(centers):
             d_c = total_path_length(cluster.tau_s, center, owner_pos)
             got = view.e_len_m[a] + math.dist(view.fbs[a], owner_xyz)
@@ -254,7 +238,7 @@ def test_kept_focal_point_keeps_geometry_and_reads_angles():
         owner = _joining(cs, cluster)
         owner_pos = layout.segment_start_position(owner, 0)
         view = views.views[owner, cluster.cluster_id]
-        generator = _generator(shared, cluster)
+        generator = _generator(cs, shared, cluster)
         assert view.recalc_mode == MODE_KEPT_FOCAL
         assert np.array_equal(view.lbs, generator.lbs)
         assert np.array_equal(view.fbs, generator.fbs)
@@ -285,7 +269,7 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
                 continue
             owner = _joining(cs, cluster)
             view = views.views[owner, cluster.cluster_id]
-            generator = _generator(shared, cluster)
+            generator = _generator(cs, shared, cluster)
             modes.add(view.recalc_mode)
             generator_key = (cluster.generating_user, cluster.cluster_id)
             assert excess[owner, cluster.cluster_id] == excess[generator_key]
@@ -310,7 +294,7 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     cluster = _shared_nonboresight(cs)[0]
     gen_pos = layout.segment_start_position(cluster.generating_user, 0)
-    generator = _generator(shared, cluster)
+    generator = _generator(cs, shared, cluster)
     to_lbs = generator.lbs - gen_pos
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
     owner = _joining(cs, cluster)
@@ -334,15 +318,15 @@ def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
     n_sub = layout.array.n_subarrays
     lbs = np.array([30.0, 0.0, 1.5])
     geometry = ClusterGeometry(
-        lbs=lbs,
-        fbs=np.tile(lbs, (n_sub, 1)),
-        e_len_m=np.zeros(n_sub),
-        interior_raw_m=-100.0,
+        lbs=lbs[None],
+        fbs=np.tile(lbs, (1, n_sub, 1)),
+        e_len_m=np.zeros((1, n_sub)),
+        interior_raw_m=np.array([-100.0]),
     )
     cs = cluster_columns(
         [_cluster()], by_user={1: (0,), 2: (0,)}, power_denominator={1: 0.5, 2: 0.5}
     )
-    views = recalculate_views(share_clusters(cs, {0: geometry}), cs, layout)
+    views = recalculate_views(share_clusters(cs, geometry), cs, layout)
     assert views.views[2, 0].recalc_mode == MODE_KEPT_FOCAL
     group = GroupShare(
         members=(1, 2), proportion=1.0, scaled_proportion=1.0, count=1, cluster_ids=(0,)
@@ -381,7 +365,8 @@ def test_recalculate_views_modes_and_power():
             modes.add((cluster.boresight, view.recalc_mode))
             if user == cluster.generating_user:
                 assert view.recalc_mode == MODE_GENERATOR
-                assert view is _generator(shared, cluster)
+                for got, want in zip(view[4:], _generator(cs, shared, cluster)):
+                    assert np.array_equal(got, want)
             elif cluster.boresight:
                 # No excess path to re-solve; geometry must be kept.
                 assert view.recalc_mode == MODE_KEPT_FOCAL
@@ -412,20 +397,40 @@ def test_recalculated_views_are_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _random_segments(seed):
-    """(layout, cluster set, geometries by cluster id) of every segment
-    of `make_random_config(seed)`."""
-    config = make_random_config(seed)
-    layout = config.layout
+def _segments(config):
+    """(layout, cluster set, generator geometry) of every segment of a
+    run config."""
+    layout, seed = config.layout, config.seed
     lsp = draw_lsp(config.scenario, layout, seed)
     for table in share_tables(config):
         cs = assemble_clusters(table, lsp, layout, config.scenario, seed)
         yield layout, cs, attach_focal_points(cs, layout)
 
 
-# The per-view recalculation as it was before the one-pass rewrite, kept
+def _random_segments(seed):
+    """`_segments` of `make_random_config(seed)`."""
+    return _segments(make_random_config(seed))
+
+
+# The per-view recalculation as it was before the views became columns:
+# one view object per (user, cluster), each joining owner's built from
+# its cluster's generator geometry looked up by cluster id. It is kept
 # here as the reference of the gate below. Each returns the view and the
 # delay of the path it fixes, which synthesis must reproduce.
+
+
+def _geometry_row(geometry, row):
+    """One cluster's geometry, row `row` of a solve's columns, with its
+    interior as a Python float."""
+    lbs, fbs, e_len_m, interior = (column[row] for column in geometry)
+    return ClusterGeometry(lbs, fbs, e_len_m, float(interior))
+
+
+def _effective_power(cluster_set, user_id, cluster_id):
+    """The cluster's power share renormalized for one owner."""
+    row = cluster_set.rows([cluster_id])
+    (power,) = np.divide(cluster_set.power_raw[row], [cluster_set.power_denominator[user_id]])
+    return float(power)
 
 
 def _verbatim_view(cluster, geometry, user_id, mode, power):
@@ -451,15 +456,16 @@ def recalc_kept_parameters(cluster, geometry, owner_id, owner_pos, layout, power
     view, delay = _verbatim_view(cluster, geometry, owner_id, MODE_KEPT_PARAMETERS, power)
     if _at_generator(cluster, owner_pos, layout, segment):
         return view, delay
-    (solved,), (degenerate,) = solve_cluster_geometry(
+    solved, (degenerate,) = solve_cluster_geometry(
         cluster_columns([cluster]), slice(None), owner_pos[None], layout.array
     )
     if degenerate:
         raise DegenerateGeometry(
             f"cluster {cluster.cluster_id}: no focal points from owner {owner_id}"
         )
+    solved = _geometry_row(solved, 0)
     delay = _synthesized_delay(cluster.tau_s, solved.interior_raw_m)
-    return replace(view, **solved._asdict()), delay
+    return view._replace(**solved._asdict()), delay
 
 
 def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, power, segment):
@@ -482,25 +488,28 @@ def recalc_kept_focal_point(cluster, geometry, owner_id, owner_pos, layout, powe
     return view, delay
 
 
-def _per_view_views(shared, cluster_set, geometries, layout):
-    """The reference views and their delays, both by (user, cluster id)."""
+def _per_view_views(cluster_set, attached, layout):
+    """The reference views and their delays, both by (user, cluster id),
+    from the generator geometry `attached` (a row per cluster row)."""
     segment = layout.segments[cluster_set.segment_index]
+    rows = range(len(cluster_set.cluster_id))
+    solved = [_geometry_row(attached, row) for row in rows]
+    geometries = dict(zip(cluster_set.cluster_id.tolist(), solved))
     views, delays = {}, {}
     for user_id, cluster_ids in sorted(cluster_set.by_user.items()):
         owner_pos = layout.segment_start_position(user_id, segment.index)
         for cluster_id in cluster_ids:
             cluster = cluster_set.clusters[cluster_id]
+            geometry = geometries[cluster_id]
+            power = _effective_power(cluster_set, user_id, cluster_id)
             if user_id == cluster.generating_user:
-                view = shared[cluster_id]
-                delay = _synthesized_delay(cluster.tau_s, view.interior_raw_m)
+                view, delay = _verbatim_view(cluster, geometry, user_id, MODE_GENERATOR, power)
             else:
-                geometry = geometries[cluster_id]
                 kept_focal = (
                     cluster.boresight
                     or math.dist(geometry.lbs, owner_pos) < 3.0 * segment.length_m
                 )
                 recalc = recalc_kept_focal_point if kept_focal else recalc_kept_parameters
-                (power,) = cluster_set.effective_power([user_id], [cluster_id])
                 view, delay = recalc(
                     cluster, geometry, user_id, owner_pos, layout, power, segment.index
                 )
@@ -524,22 +533,31 @@ def _moved_kept_parameters(views, cs, layout):
 
 def test_recalculate_views_equal_per_view_reference():
     seen = {"layouts": 0, "kept-parameters": 0, "co-located": 0}
-    for seed in [*range(60), *range(100, 140)]:
+    configs = [make_random_config(seed) for seed in [*range(60), *range(100, 140)]]
+    # Two segments in which a joining owner re-solves (kept-parameters).
+    configs.append(make_run_config(n_snapshots=20))
+    for n, config in enumerate(configs):
         kept_parameters = co_located = False
-        for layout, cs, geometries in _random_segments(seed):
-            shared = share_clusters(cs, geometries)
-            new = recalculate_views(shared, cs, layout)
-            old, old_delays = _per_view_views(shared, cs, geometries, layout)
+        for layout, cs, attached in _segments(config):
+            label = (n, cs.segment_index)
+            new = recalculate_views(share_clusters(cs, attached), cs, layout)
+            old, old_delays = _per_view_views(cs, attached, layout)
             excess = view_excess_delays(new, layout)
             assert new.segment_index == cs.segment_index
+            # Every column, slot (k, c) holding user k's c-th view.
+            assert new.user_id.tolist() == list(dict.fromkeys(u for u, _ in old)), label
+            for name in OwnerView._fields[1:]:
+                column = getattr(new, name)
+                want = np.array([getattr(v, name) for v in old.values()])
+                assert column.shape == new.cluster_id.shape + want.shape[1:], (label, name)
+                assert np.array_equal(column, want.reshape(column.shape)), (label, name)
+            # Every row of the mapping, its values and their Python types.
             assert list(new.views) == list(old) == sorted(old)
             for key, view in new.views.items():
-                want = old[key]
-                for f in dataclasses.fields(OwnerView):
-                    a, b = getattr(view, f.name), getattr(want, f.name)
+                for name, a, b in zip(OwnerView._fields, view, old[key]):
                     same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                    assert same and type(a) is type(b), (seed, key, f.name)
-                assert abs(excess[key] - old_delays[key]) <= CLOSURE_S, (seed, key)
+                    assert same and type(a) is type(b), (label, key, name)
+                assert abs(excess[key] - old_delays[key]) <= CLOSURE_S, (label, key)
                 cluster = cs.clusters[key[1]]
                 kept_parameters |= view.recalc_mode == MODE_KEPT_PARAMETERS
                 co_located |= key[0] != cluster.generating_user and np.array_equal(
@@ -549,7 +567,8 @@ def test_recalculate_views_equal_per_view_reference():
         seen["layouts"] += 1
         seen["kept-parameters"] += kept_parameters
         seen["co-located"] += co_located
-    assert seen["layouts"] == 100, seen
+    assert kept_parameters  # the last config's
+    assert seen["layouts"] == 101, seen
     assert seen["kept-parameters"] >= 10 and seen["co-located"] >= 10, seen
 
 
@@ -592,3 +611,69 @@ def test_every_owned_cluster_has_one_view_and_each_user_full_power():
                 total = sum(views.views[user, c].power for c in ids)
                 assert abs(total - 1.0) <= 1e-12, (seed, user, total)
     assert min(seen.values()) >= 50, seen
+
+
+# ---------------------------------------------------------------------------
+# The rows of `OwnerViews.views`, built only for readers of rows
+# ---------------------------------------------------------------------------
+
+
+def test_owner_view_rows_are_built_on_first_read(monkeypatch, tmp_path):
+    # A run and its written tables read the columns: they build no row
+    # mapping, no `OwnerView` and no geometry of a single cluster.
+    rows, geometries = [], []
+    new_row, new_geometry = OwnerView.__new__, ClusterGeometry.__new__
+    make_geometry = ClusterGeometry._make
+
+    def counting_row(cls, *args, **kwargs):
+        rows.append(args)
+        return new_row(cls, *args, **kwargs)
+
+    def counting_geometry(cls, *args, **kwargs):
+        geometries.append(new_geometry(cls, *args, **kwargs))
+        return geometries[-1]
+
+    def counting_make(cls, iterable):
+        geometries.append(make_geometry(iterable))
+        return geometries[-1]
+
+    monkeypatch.setattr(OwnerView, "__new__", staticmethod(counting_row))
+    monkeypatch.setattr(ClusterGeometry, "__new__", staticmethod(counting_geometry))
+    monkeypatch.setattr(ClusterGeometry, "_make", classmethod(counting_make))
+    result = run(make_run_config(n_snapshots=20))
+    write_outputs(result, tmp_path)
+    assert len(result.segments) == 2
+    assert rows == []
+    # Columns of solved rows (n, 3) and of slots (U, C, 3), never one cluster.
+    assert {g.lbs.ndim for g in geometries} == {2, 3}
+    for seg in result.segments:
+        assert "views" not in vars(seg.views)
+        n_views = seg.views.cluster_id.size
+        assert len(seg.views.views) == len(rows) == n_views
+        assert "views" in vars(seg.views)
+        assert seg.views.views is seg.views.views and len(rows) == n_views
+        rows.clear()
+
+
+def test_owner_view_rows_equal_the_columns():
+    configs = [make_random_config(seed) for seed in range(10)]
+    configs.append(make_run_config(n_snapshots=20))  # kept-parameters views
+    types = [int, int, str, float, np.ndarray, np.ndarray, np.ndarray, float]
+    for n, config in enumerate(configs):
+        for seg in run(config).segments:
+            views = seg.views
+            n_users, n_clusters = views.cluster_id.shape
+            slots = [(k, c) for k in range(n_users) for c in range(n_clusters)]
+            keys = [(views.user_id[k], views.cluster_id[k, c]) for k, c in slots]
+            # In slot order, a row per slot.
+            assert list(views.views) == keys, n
+            for (k, c), row in zip(slots, views.views.values()):
+                assert [type(x) for x in row] == types, (n, k, c)
+                assert row.user_id == views.user_id[k], (n, k, c)
+                for name in OwnerView._fields[1:]:
+                    assert np.array_equal(getattr(row, name), getattr(views, name)[k, c])
+                for a in (row.lbs, row.fbs, row.e_len_m):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a.flat[0] = a.flat[0]
+            with pytest.raises(TypeError):
+                views.views[keys[0]] = row

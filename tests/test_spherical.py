@@ -189,6 +189,11 @@ def test_focal_point_lies_along_departure_direction(rng):
 # ---------------------------------------------------------------------------
 
 
+def _rows(geometry):
+    """One `ClusterGeometry` per row of a solve's columns."""
+    return [ClusterGeometry(*row) for row in zip(*geometry)]
+
+
 def _attached(layout, seed=3):
     scenario = make_scenario()
     table = share_table_for_segment(layout, 0, 7)
@@ -198,10 +203,12 @@ def _attached(layout, seed=3):
 
 
 def test_attach_full_set_with_four_subarrays():
-    cs, geometries, layout = _attached(make_two_user_layout(2.0))
+    cs, attached, layout = _attached(make_two_user_layout(2.0))
     centers = layout.array.subarray_centers
     ref = layout.array.reference_subarray
-    assert sorted(geometries) == sorted(cs.clusters)
+    n = len(cs.cluster_id)
+    assert [c.shape for c in attached] == [(n, 3), (n, 4, 3), (n, 4), (n,)]
+    geometries = dict(zip(cs.cluster_id.tolist(), _rows(attached)))
     for c in cs.clusters.values():
         geometry = geometries[c.cluster_id]
         assert geometry.lbs is not None and len(geometry.fbs) == 4
@@ -242,15 +249,13 @@ def test_attach_returns_a_new_set_and_leaves_the_input_alone():
     before = dict(cs.clusters)
     by_user, denominator = dict(cs.by_user), dict(cs.power_denominator)
     attached = attach_focal_points(cs, layout)
-    # A new mapping, one geometry per cluster id; the set is as it was.
-    assert type(attached) is dict
-    assert sorted(attached) == sorted(cs.clusters)
+    # New columns, a row per cluster row; the set is as it was.
+    assert type(attached) is ClusterGeometry
+    n, n_sub = len(cs.cluster_id), layout.array.n_subarrays
+    assert [c.shape for c in attached] == [(n, 3), (n, n_sub, 3), (n, n_sub), (n,)]
     assert cs.clusters.keys() == before.keys()
     assert all(cs.clusters[k] is c for k, c in before.items())
     assert cs.by_user == by_user and cs.power_denominator == denominator
-    for geometry in attached.values():
-        assert isinstance(geometry, ClusterGeometry)
-        assert geometry.fbs.shape == (layout.array.n_subarrays, 3)
 
 
 def _degenerate_cluster_set():
@@ -387,9 +392,11 @@ def _random_cluster(rng, n_sub, tau_s, boresight=False):
 
 
 def _solve(clusters, users, array):
-    """`solve_cluster_geometry` over every row of the clusters' columns."""
+    """`solve_cluster_geometry` over every row of the clusters' columns:
+    (one `ClusterGeometry` per row, degenerate)."""
     rows = [c._replace(cluster_id=i) for i, c in enumerate(clusters)]
-    return solve_cluster_geometry(cluster_columns(rows), slice(None), users, array)
+    geometry, degenerate = solve_cluster_geometry(cluster_columns(rows), slice(None), users, array)
+    return _rows(geometry), degenerate
 
 
 def _assert_same_geometry(got, want, label):
