@@ -1,4 +1,6 @@
-"""Channel coefficient synthesis from owner views.
+"""Channel coefficient synthesis from owner views, read off the (user,
+cluster) columns of a segment's `OwnerViews`, whose slot (k, c) is the
+tensor's.
 
 Each cluster expands into 20 scatterers. Their angular offsets are the
 centers of 20 equal-mass bins of a zero-mean Laplacian, normalized to

@@ -1,11 +1,13 @@
 """Seeded end-to-end orchestration.
 
 Per segment, in order: sharing proportions and counts, initial cluster
-parameters with their owners, focal points, the generator views, then
-one recalculated view per joining owner. One pass over the segments then
-synthesizes each one's slice of the run tensor and computes its planar
-error row; `run` builds one frozen report and logs at most one warning,
-the count of clamped interior paths. Cluster ids are unique across the
+parameters with their owners, focal points, each owner's slot of the
+generator geometry, then the segment's one `OwnerViews`, (user, cluster)
+columns with the joining owners' slots recalculated. One pass over the
+segments then synthesizes each one's slice of the run tensor and computes
+its planar error row over the distinct FBS sets of the views' columns;
+`run` builds one frozen report and logs at most one warning, the count
+of clamped interior paths in the views' interior columns. Cluster ids are unique across the
 whole run (each segment's allocation starts where the previous ended),
 which keys the per-cluster scatterer randomness globally.
 """

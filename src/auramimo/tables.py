@@ -1,8 +1,9 @@
 """Tab-separated output tables (share, per-user cluster, owner-view and
 metrics); floats are written by `repr`, which round-trips exactly. A
 view's parameter columns are formatted once per run, one float64 matrix
-per segment with a row per view (delay, power, AoA azimuth/elevation,
-AoD azimuth/elevation per sub-array, LBS, FBS x/y/z per sub-array), and
+per segment read off its `OwnerViews` columns, with a row per (user,
+cluster) slot in slot order (delay, power, AoA azimuth/elevation, AoD
+azimuth/elevation per sub-array, LBS, FBS x/y/z per sub-array), and
 written to its user's table and to `cluster_views.tsv` alike. The delay
 is read from the run tensor: its delay at the segment's first snapshot
 less the direct path's. The angles are read from the focal points: AoD
