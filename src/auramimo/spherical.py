@@ -75,8 +75,9 @@ def solve_cluster_geometry(
     slice) of `clusters`, each seen from its row of `users` (n, 3): one
     departure solve over every (cluster, sub-array) row, then one arrival
     solve (anchor = user, far end = reference sub-array center, direction
-    = arrival) with the same closed form. Returns (their geometry, rows
-    as `rows`, and degenerate (n,)); a degenerate row is meaningless. A
+    = arrival) with the same closed form. Returns (their `ClusterGeometry`,
+    a row per row of `rows`, and degenerate (n,)); a degenerate row is
+    meaningless. A
     boresight cluster has both focal points at its user; a negative excess
     delay is a ValueError."""
     ref = array.reference_subarray

@@ -310,8 +310,8 @@ def _by_value(fbs):
 
 
 def test_each_segment_builds_one_owner_views(monkeypatch):
-    # share_clusters hands recalculate_views its generator views by
-    # cluster id; only the complete set of a segment is an OwnerViews.
+    # share_clusters hands recalculate_views each slot's generator
+    # geometry; only the complete set of a segment is an OwnerViews.
     built = []
     original = sharing.OwnerViews.__post_init__
 
