@@ -188,14 +188,13 @@ class ArrayGeometry:
         centroid.
 
         Used as the anchor for receiver-side focal points and interior
-        path lengths; ties resolve to the lowest index.
+        path lengths. Distances within GEOMETRY_TOL_M of the smallest tie,
+        and the lowest index wins, so that rounding, which depends on where
+        the array stands, cannot pick between equidistant centers.
         """
         centroid = self.element_positions.mean(axis=0)
-        centers = self.subarray_centers
-        return min(
-            range(self.n_subarrays),
-            key=lambda a: (float(np.linalg.norm(centers[a] - centroid)), a),
-        )
+        distance = [float(np.linalg.norm(c - centroid)) for c in self.subarray_centers]
+        return next(a for a, d in enumerate(distance) if d <= min(distance) + GEOMETRY_TOL_M)
 
     def element_distances(self, points: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Distances (n_elements, n) from each element to the n points

@@ -202,6 +202,23 @@ def test_reference_subarray_is_central():
     assert _array_geometry(8, bs_stationarity=100.0).reference_subarray == 0
 
 
+def test_reference_subarray_ignores_where_the_array_stands():
+    # With an even sub-array count the two middle centers are equidistant
+    # from the centroid; rounding their distances, which depends on where
+    # the array stands, must not choose between them: the lower one wins.
+    rng = np.random.default_rng(71)
+    for trial in range(400):
+        n_subarrays = 2 * int(rng.integers(1, 33))
+        size = int(rng.integers(1, 17))
+        spacing = float(rng.uniform(0.01, 0.2))
+        axis = tuple(rng.normal(size=3))
+        shift = rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(-3, 4)
+        elements = uniform_linear_array(n_subarrays * size, spacing, shift, axis)
+        array = ArrayGeometry(element_positions=elements, subarray_size=size)
+        assert array.n_subarrays == n_subarrays
+        assert array.reference_subarray == n_subarrays // 2 - 1, (trial, shift.tolist())
+
+
 def test_subarray_of_element_lookup():
     array = _array_geometry(64)
     idx = array.subarray_of_element
@@ -342,10 +359,11 @@ def _check_partition(elements, stationarity):
         (a0, (e0, _, _)), (a1, (_, e1, _)) = group[0], group[-1]
         runs.append((a0, a1 + 1, e0, e1))
     assert array.equal_size_runs == tuple(runs)
+    # The documented rule: the lowest index within GEOMETRY_TOL_M of the
+    # smallest centroid distance.
     centroid = elements.mean(axis=0)
-    reference = min(
-        range(len(want)), key=lambda a: (float(np.linalg.norm(want[a][2] - centroid)), a)
-    )
+    distance = [float(np.linalg.norm(center - centroid)) for _, _, center in want]
+    reference = min(a for a, d in enumerate(distance) if d - min(distance) <= GEOMETRY_TOL_M)
     assert array.reference_subarray == reference
     return sizes
 
