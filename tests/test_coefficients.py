@@ -282,6 +282,21 @@ def test_incomplete_views_rejected():
         OwnerViews(**{**columns, "user_id": np.array([1, 2, 3])})
 
 
+def test_users_must_agree_on_cluster_count():
+    # User 1 holds two clusters and user 2 one: three slots do not lead with
+    # (U, C) for two users, so the set is rejected when it is built.
+    layout = make_point_layout({1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0)
+    view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
+    rows = [view._replace(user_id=u, cluster_id=c) for u, c in ((1, 0), (1, 1), (2, 0))]
+    columns = {
+        name: np.array([getattr(r, name) for r in rows]) for name in OwnerView._fields[1:]
+    }
+    with pytest.raises(
+        IncompleteViews, match=r"^cluster_id has leading shape \(3,\), not \(U, C\) = \(2, 3\)$"
+    ):
+        OwnerViews(segment_index=0, user_id=np.array([1, 2]), **columns)
+
+
 # ---------------------------------------------------------------------------
 # Planar vs spherical phase deviation
 # ---------------------------------------------------------------------------
