@@ -32,11 +32,11 @@ product and one store; each item keeps the (tx, n_sc) @ (n_sc, m *
 snapshots) shape of one geometry's product, because BLAS rounds the same
 sums over other shapes differently. The blocks run on one thread per CPU
 the process may use, less the threads BLAS may start itself
-(`_synthesis_threads`). Each thread makes one set of work arrays per
-segment, in which it computes its blocks' lengths and phases in place;
-thread i fills block i, then the next block no thread has taken. Each
-block fills its own (user, cluster) slots, so results are identical for
-any thread count.
+(`_synthesis_threads`), each worker on a CPU other than the caller's.
+Each thread makes one set of work arrays per segment, in which it
+computes its blocks' lengths and phases in place; thread i fills block i,
+then the next block no thread has taken. Each block fills its own (user,
+cluster) slots, so results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -174,10 +175,7 @@ def _cpu_count() -> int:
 def _synthesis_threads() -> int:
     """One thread per CPU, shared with the threads BLAS may start for each
     matrix product: CPUs // BLAS threads. BLAS takes every CPU unless its
-    own thread variable caps it (OpenBLAS, MKL, then OpenMP). On a 2-CPU
-    host, two synthesis threads beside two OpenBLAS threads made the
-    benchmark's wide run 1.7x slower than one thread; with BLAS capped at
-    one thread they made it 1.3x faster."""
+    own thread variable caps it (OpenBLAS, MKL, then OpenMP)."""
     for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "")
         if value.isdigit() and int(value) > 0:
@@ -185,17 +183,34 @@ def _synthesis_threads() -> int:
     return 1
 
 
+def _current_cpu() -> int:
+    """The calling thread's CPU now: field 39, `processor`, of its stat (proc(5))."""
+    with open("/proc/thread-self/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
+
+
 def _run_blocks(fill, blocks: list, make_work) -> None:
     """fill(block, work) for every block (there is at least one), on
     `_synthesis_threads()` threads (at most one per block). Thread i makes
     its `work = make_work()`, fills block i, then takes the next block no
-    thread has taken, so a stalled thread holds back only its own block."""
+    thread has taken, so a stalled thread holds back only its own block.
+
+    Worker i moves to the i-th CPU of the affinity set less the caller's, wrapping
+    around, as a cpuset without load balancing can keep new threads on the caller's
+    CPU; the caller never moves. Where placement fails, workers run unplaced."""
     n_threads = min(_synthesis_threads(), len(blocks))
     rest = iter(blocks[n_threads:])  # next() on a list iterator holds the GIL
+    try:
+        cpus = sorted(os.sched_getaffinity(0) - {_current_cpu()})
+    except (OSError, AttributeError, ValueError, IndexError):
+        cpus = []
     errors = []
 
     def fill_share(first: int) -> None:
         try:
+            if first and cpus:
+                with suppress(OSError, AttributeError):  # best effort
+                    os.sched_setaffinity(0, {cpus[(first - 1) % len(cpus)]})
             work = make_work()
             fill(blocks[first], work)
             for block in rest:

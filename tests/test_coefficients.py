@@ -629,7 +629,7 @@ def test_outputs_independent_of_cpu_count(monkeypatch):
     threads = set()
 
     def spy(*args):
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         return original(*args)
 
     monkeypatch.setattr(coefficients, "_departure_phase", spy)
@@ -650,7 +650,7 @@ def test_outputs_independent_of_cpu_count(monkeypatch):
             # The calling thread, and with more CPUs up to cpus - 1 workers.
             per_block = coefficients.BLOCK_VALUES // (n_elements * coefficients.N_SCATTERERS)
             assert len(_departure_keys(views)) > 2 * per_block  # at least three blocks
-            assert threading.get_ident() in threads
+            assert threading.current_thread() in threads
             assert (len(threads) == 1) == (cpus == 1) and len(threads) <= cpus, cpus
         for tensor in tensors[1:]:
             assert np.array_equal(tensor.coefficients, tensors[0].coefficients)
@@ -850,7 +850,7 @@ def test_arrival_pass_equals_per_slot_loop(monkeypatch):
     threads = set()
 
     def spy(*args):
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         return original(*args)
 
     monkeypatch.setattr(coefficients, "_departure_phase", spy)
@@ -1039,8 +1039,8 @@ def _spy_departure_phase(monkeypatch, before=None):
         # A block's fans are a slice of the segment's fan array.
         first = (fans.ctypes.data - fans.base.ctypes.data) // fans.strides[0]
         if before is not None:
-            before(threading.get_ident(), first)
-        calls.append((threading.get_ident(), first, args[3]))
+            before(threading.current_thread(), first)
+        calls.append((threading.current_thread(), first, args[3]))
         return original(fans, *args)
 
     monkeypatch.setattr(coefficients, "_departure_phase", spy)
@@ -1057,7 +1057,7 @@ def test_each_thread_makes_its_work_arrays_once(monkeypatch):
 
     def spy_make(n_values):
         work = make(n_values)
-        made.append((threading.get_ident(), work))
+        made.append((threading.current_thread(), work))
         return work
 
     monkeypatch.setattr(coefficients, "_work_arrays", spy_make)
@@ -1095,7 +1095,7 @@ def test_stalled_worker_holds_back_only_its_block(monkeypatch):
     n_blocks = len(_departure_keys(views))
     assert n_blocks >= 4
 
-    caller = threading.get_ident()
+    caller = threading.current_thread()
     others_filled = threading.Event()
     worker_firsts = []
 
@@ -1113,5 +1113,128 @@ def test_stalled_worker_holds_back_only_its_block(monkeypatch):
     by_caller = sorted(first for thread, first, _ in calls if thread == caller)
     assert by_caller == [b for b in range(n_blocks) if b != 1]
     assert [first for thread, first, _ in calls if thread != caller] == worker_firsts == [1]
+    assert np.array_equal(_bits(tensor.coefficients), _bits(serial.coefficients))
+    assert np.array_equal(_bits(tensor.delays), _bits(serial.delays))
+
+
+def _record_placements(monkeypatch, affinity, caller_cpu):
+    """Fake the process's affinity set and the calling thread's CPU; record
+    (thread, pid, cpus) of every sched_setaffinity call."""
+    placed = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(
+        os,
+        "sched_setaffinity",
+        lambda pid, cpus: placed.append((threading.current_thread(), pid, set(cpus))),
+        raising=False,
+    )
+    monkeypatch.setattr(coefficients, "_current_cpu", lambda: caller_cpu)
+    return placed
+
+
+def test_each_worker_places_itself_on_one_other_cpu(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    placed = _record_placements(monkeypatch, {7, 0, 2, 5}, caller_cpu=2)
+    others = [0, 5, 7]  # the affinity set less the caller's CPU, in order
+    made, firsts = [], {}
+
+    def make_work():
+        # Whether this thread had asked for its CPU before making its work.
+        thread = threading.current_thread()
+        made.append((thread, any(t is thread for t, _, _ in placed)))
+
+    def fill(block, work):
+        firsts.setdefault(threading.current_thread(), block)
+
+    for n_threads in range(1, 8):
+        monkeypatch.setattr(coefficients, "_cpu_count", lambda: n_threads)
+        placed.clear()
+        made.clear()
+        firsts.clear()
+        coefficients._run_blocks(fill, list(range(10)), make_work)
+        # Each worker asks once, for itself (pid 0), before make_work; the
+        # calling thread never asks.
+        assert len(made) == n_threads
+        assert all(asked == (thread is not threading.main_thread()) for thread, asked in made)
+        assert len(placed) == n_threads - 1 and all(pid == 0 for _, pid, _ in placed)
+        # Worker i (which fills block i first) asks for the i-th other CPU,
+        # wrapping around, and never for the caller's.
+        assert {firsts[thread]: cpus for thread, _, cpus in placed} == {
+            i: {others[(i - 1) % 3]} for i in range(1, n_threads)
+        }
+
+
+def test_current_cpu_reads_the_pinned_cpu():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no thread placement on this platform")
+    seen = []
+
+    def pinned(cpu):
+        os.sched_setaffinity(0, {cpu})
+        seen.append((cpu, coefficients._current_cpu()))
+
+    for cpu in sorted(os.sched_getaffinity(0)):
+        thread = threading.Thread(target=pinned, args=(cpu,))
+        thread.start()
+        thread.join()
+    assert seen and all(cpu == got for cpu, got in seen), seen
+
+
+def test_workers_run_on_one_cpu_each_and_the_caller_never_moves(monkeypatch):
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs thread placement and at least 2 CPUs")
+    n_elements = 250
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(coefficients, "BLOCK_VALUES", n_elements * coefficients.N_SCATTERERS)
+    layout = make_two_user_layout(2.0, n_elements=n_elements)
+    before = os.sched_getaffinity(0)
+    seen = []
+    calls = _spy_departure_phase(
+        monkeypatch, lambda thread, first: seen.append((thread, os.sched_getaffinity(0)))
+    )
+    tensor, views, _ = _full_tensor(layout)
+    assert os.sched_getaffinity(0) == before
+    caller = threading.current_thread()
+    assert {thread for thread, _, _ in calls} - {caller}, "no worker ran"
+    for thread, cpus in seen:
+        assert cpus == before if thread is caller else len(cpus) == 1 and cpus <= before
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 1)
+    serial, _, _ = _full_tensor(layout)
+    assert np.array_equal(_bits(tensor.coefficients), _bits(serial.coefficients))
+
+
+@pytest.mark.parametrize("fault", ["setaffinity raises", "one cpu", "no stat", "no setaffinity"])
+def test_synthesis_runs_unplaced_when_placement_fails(monkeypatch, fault):
+    n_elements = 250
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(coefficients, "BLOCK_VALUES", n_elements * coefficients.N_SCATTERERS)
+    layout = make_two_user_layout(2.0, n_elements=n_elements)
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 1)
+    serial, _, _ = _full_tensor(layout)
+
+    placed = _record_placements(monkeypatch, {0, 1}, caller_cpu=0)
+    if fault == "setaffinity raises":
+
+        def refuse(pid, cpus):
+            placed.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    elif fault == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif fault == "no stat":
+
+        def unreadable():
+            raise FileNotFoundError("/proc/thread-self/stat")
+
+        monkeypatch.setattr(coefficients, "_current_cpu", unreadable)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    threads = set()
+    _spy_departure_phase(monkeypatch, lambda thread, first: threads.add(thread))
+    monkeypatch.setattr(coefficients, "_cpu_count", lambda: 3)
+    tensor, _, _ = _full_tensor(layout)
+    assert len(threads) > 1  # workers ran, unplaced
+    assert (len(placed) == 2) == (fault == "setaffinity raises"), placed
     assert np.array_equal(_bits(tensor.coefficients), _bits(serial.coefficients))
     assert np.array_equal(_bits(tensor.delays), _bits(serial.delays))
