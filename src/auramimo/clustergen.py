@@ -29,12 +29,11 @@ from .lsp import STREAM_CLUSTERS, LspDraw, ScenarioConfig
 
 
 class ClusterGeometry(NamedTuple):
-    """Focal points and path lengths of clusters, each seen from one user
-    position, as columns of a common leading shape S: the LBS S + (3,),
-    one FBS per sub-array S + (A, 3), the departure leg lengths S + (A,)
-    and the signed interior leg S. `spherical.solve_cluster_geometry`
-    returns those of n clusters (S = (n,)); `sharing.share_clusters`
-    gathers them into (user, cluster) slots (S = (U, C)). A boresight
+    """Focal points and path lengths of n clusters, each seen from one user
+    position, as columns of leading shape (n,): the LBS (n, 3), one FBS per
+    sub-array (n, A, 3), the departure leg lengths (n, A) and the signed
+    interior leg (n,). `spherical.solve_cluster_geometry` returns them; a
+    segment's `OwnerViews` holds one, whose rows its slots name. A boresight
     cluster has both focal points at the user, direct-path legs and no
     interior."""
 

@@ -1,6 +1,6 @@
 """Channel coefficient synthesis from owner views, read off the (user,
 cluster) columns of a segment's `OwnerViews`, whose slot (k, c) is the
-tensor's.
+tensor's, and the geometry rows they name.
 
 Each cluster expands into 20 scatterers. Their angular offsets are the
 centers of 20 equal-mass bins of a zero-mean Laplacian, normalized to
@@ -18,10 +18,10 @@ are frozen per segment; only the receiver term moves with the snapshot
 offset pairing) is keyed by cluster id, so synthesis order cannot change
 a single value. The departure phase depends only on the cluster id, the
 FBS set and the clamped interior length, so it is computed once per
-distinct departure geometry of a segment and shared by the owners that
-copy all three (kept-focal-point, co-located owners); each geometry's
-coefficients are one matrix product of its departure phases with the
-stacked arrival phases of the m slots it serves. The arrival side (fans,
+geometry row of a segment and shared by the slots that name the row
+(kept-focal-point, co-located owners); each row's coefficients are one
+matrix product of its departure phases with the stacked arrival phases of
+the m slots it serves. The arrival side (fans,
 receiver distances, phases, amplitudes and center-path delays) of every
 (user, cluster) slot is one array pass per segment, and so are the
 departure fans of every geometry. The geometries are cut into blocks of
@@ -278,10 +278,12 @@ def synthesize(
     # receiver moves), amp * exp(j(phi - k d_rx)), and the center-path
     # delay (reference-sub-array leg + interior + moving receiver leg, all
     # scatterer offsets at zero).
-    interiors = np.maximum(views.interior_raw_m, 0.0)
+    geometry, slot_geometry = views.geometry, views.slot_geometry
+    interiors = np.maximum(geometry.interior_raw_m, 0.0)
+    lbs = geometry.lbs[slot_geometry]
     user_ids = views.user_id.tolist()
     rx = np.stack([layout.segment_positions(u, segment) for u in user_ids])[:, None]
-    lbs_points = _fan_positions(rx[:, :, 0], views.lbs, rotation)
+    lbs_points = _fan_positions(rx[:, :, 0], lbs, rotation)
     phases = np.stack([randomness[cid][0] for cid in ids])
     rx_phase = 1j * (
         phases.reshape(n_users, n_clusters, 1, n_scatterers)
@@ -291,28 +293,26 @@ def synthesize(
     rx_phase *= np.sqrt(views.power / n_scatterers)[..., None, None]
     rx_phase = rx_phase.reshape(-1, n_snap, n_scatterers)
     delays[...] = (
-        (views.e_len_m[..., ref_index] + interiors)[..., None]
-        + distances(rx, views.lbs[:, :, None])
+        (geometry.e_len_m[slot_geometry, ref_index] + interiors[slot_geometry])[..., None]
+        + distances(rx, lbs[:, :, None])
     ) / SPEED_OF_LIGHT_M_S
 
-    # Slots by departure geometry (cluster id, FBS set, clamped interior):
-    # one departure phase serves them all. Ordered by slot count, so that a
-    # block's geometries of one count are adjacent.
-    fbs = views.fbs.reshape(n_users * n_clusters, array.n_subarrays, 3)
-    by_geometry: dict[tuple, list[int]] = {}
-    for s, key in enumerate(zip(ids, map(np.ndarray.tobytes, fbs), interiors.ravel().tolist())):
-        by_geometry.setdefault(key, []).append(s)
-    geometries = sorted(by_geometry.items(), key=lambda item: len(item[1]))
+    # Slots by geometry row: one departure phase serves them all. Ordered by
+    # slot count, then first slot, so that a block's geometries of one count
+    # are adjacent.
+    by_geometry: dict[int, list[int]] = {}
+    for s, row in enumerate(slot_geometry.ravel().tolist()):
+        by_geometry.setdefault(row, []).append(s)
+    rows, fan_slots = map(list, zip(*sorted(by_geometry.items(), key=lambda item: len(item[1]))))
 
     # Every geometry's departure fan, (G, A, n_sc, 3), in one pass.
-    perms = np.stack([randomness[cluster_id][1] for (cluster_id, _, _), _ in geometries])
+    perms = np.stack([randomness[ids[slots[0]]][1] for slots in fan_slots])
     fans = _fan_positions(
         array.subarray_centers,
-        fbs[[slots[0] for _, slots in geometries]],
+        geometry.fbs[rows],
         (rotation[0][perms][:, None, :], rotation[1][perms][:, None, :]),
     )
-    fan_interiors = np.array([interior for (_, _, interior), _ in geometries])
-    fan_slots = [slots for _, slots in geometries]
+    fan_interiors = interiors[rows]
 
     def fill(block: slice, work: tuple) -> None:
         tx_phase = _departure_phase(fans[block], fan_interiors[block], array, wavenumber, work)

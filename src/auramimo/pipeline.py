@@ -1,15 +1,15 @@
 """Seeded end-to-end orchestration.
 
 Per segment, in order: sharing proportions and counts, initial cluster
-parameters with their owners, focal points, each owner's slot of the
-generator geometry, then the segment's one `OwnerViews`, (user, cluster)
-columns with the joining owners' slots recalculated. One pass over the
-segments then synthesizes each one's slice of the run tensor and computes
-its planar error row over the distinct FBS sets of the views' columns;
+parameters with their owners, focal points, each owner slot's cluster
+row, then the segment's one `OwnerViews`, (user, cluster) columns naming
+rows of one geometry table, the joining owners' re-solved rows appended.
+One pass over the segments then synthesizes each one's slice of the run
+tensor and computes its planar error row over the views' geometry rows;
 `run` builds one frozen report and logs at most one warning, the count
-of clamped interior paths in the views' interior columns. Cluster ids are unique across the
-whole run (each segment's allocation starts where the previous ended),
-which keys the per-cluster scatterer randomness globally.
+of clamped interior paths over every slot. Cluster ids are unique across
+the whole run (each segment's allocation starts where the previous
+ended), which keys the per-cluster scatterer randomness globally.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def run_segment(config: RunConfig, lsp_draw, table: ShareTable) -> SegmentResult
     layout = config.layout
     clusters = assemble_clusters(table, lsp_draw, layout, config.scenario, config.seed)
     geometries = attach_focal_points(clusters, layout)
-    shared = share_clusters(clusters, geometries)
-    views = recalculate_views(shared, clusters, layout)
+    views = recalculate_views(share_clusters(clusters), geometries, clusters, layout)
     return SegmentResult(share_table=table, cluster_set=clusters, views=views)
 
 
@@ -99,11 +98,7 @@ def run(config: RunConfig) -> RunResult:
             cluster_angle_spread_deg=config.scenario.cluster_angle_spread_deg,
             out=(coefficients[..., snapshots], delays[..., snapshots]),
         )
-        fbs = seg.views.fbs.reshape(-1, *seg.views.fbs.shape[2:])
-        distinct = {f.tobytes(): f for f in fbs}
-        errors = planar_vs_spherical_error(
-            np.stack(list(distinct.values())), layout, config.carrier_hz
-        )
+        errors = planar_vs_spherical_error(seg.views.geometry.fbs, layout, config.carrier_hz)
         np.maximum(worst, errors.max(axis=0), out=worst)
     # Checks every value once: the segments fill their slices unchecked.
     tensor = ChannelTensor(
@@ -122,7 +117,8 @@ def run(config: RunConfig) -> RunResult:
             for pair in combinations(group.members, 2):
                 shared[pair] += group.count
 
-    interiors = np.concatenate([seg.views.interior_raw_m.ravel() for seg in segments])
+    views = [seg.views for seg in segments]
+    interiors = np.concatenate([v.geometry.interior_raw_m[v.slot_geometry.ravel()] for v in views])
     clamped = int((interiors < 0.0).sum())
     if clamped:
         message = "interior path length clamped to 0 for %d of %d cluster views"

@@ -109,9 +109,9 @@ def solve_cluster_geometry(
 
 def attach_focal_points(cluster_set: ClusterSet, layout: UserLayout) -> ClusterGeometry:
     """Every cluster's geometry (one LBS and A FBS), a row per cluster row,
-    seen from its generating user's segment-start position, for the
-    generator views of `sharing.share_clusters`; the clusters are left as
-    they are.
+    seen from its generating user's segment-start position: the first rows
+    of the owner views' geometry (`sharing.recalculate_views`); the clusters
+    are left as they are.
 
     The whole segment is one `solve_cluster_geometry` call. A degenerate
     cluster raises DegenerateGeometry: for rows under about 2 500 km the

@@ -1,16 +1,16 @@
 """Tab-separated output tables (share, per-user cluster, owner-view and
 metrics); floats are written by `repr`, which round-trips exactly. A
 view's parameter columns are formatted once per run, one float64 matrix
-per segment read off its `OwnerViews` columns, with a row per (user,
-cluster) slot in slot order (delay, power, AoA azimuth/elevation, AoD
-azimuth/elevation per sub-array, LBS, FBS x/y/z per sub-array), and
-written to its user's table and to `cluster_views.tsv` alike. The delay
-is read from the run tensor: its delay at the segment's first snapshot
-less the direct path's. The angles are read from the focal points: AoD
-from each sub-array centre toward its FBS, AoA from the owner's
-segment-start position toward the LBS. A collapsed arrival leg (the LBS
-at the owner, as for boresight clusters) has no direction; its AoA is
-that of the direct path, toward the reference sub-array centre."""
+per segment read off its `OwnerViews` columns and each slot's geometry
+row, with a row per (user, cluster) slot in slot order (delay, power, AoA
+azimuth/elevation, AoD azimuth/elevation per sub-array, LBS, FBS x/y/z per
+sub-array), and written to its user's table and to `cluster_views.tsv`
+alike. The delay is read from the run tensor: its delay at the segment's
+first snapshot less the direct path's. The angles are read from the focal
+points: AoD from each sub-array centre toward its FBS, AoA from the
+owner's segment-start position toward the LBS. A collapsed arrival leg
+(the LBS at the owner, as for boresight clusters) has no direction; its
+AoA is that of the direct path, toward the reference sub-array centre."""
 
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ def _param_rows(views, tensor, layout) -> dict[tuple[int, int], str]:
     ref, n_clusters = array.subarray_centers[array.reference_subarray], views.cluster_id.shape[1]
     rx0 = [layout.segment_start_position(u, segment.index) for u in views.user_id.tolist()]
     owners = np.repeat(rx0, n_clusters, axis=0)
-    lbs, fbs = views.lbs.reshape(-1, 3), views.fbs.reshape(len(owners), -1, 3)
+    lbs, fbs = (column[views.slot_geometry.ravel()] for column in views.geometry[:2])
     # Tensor slot (k, c) is the views' slot (k, c).
     direct = np.divide([math.dist(x, ref) for x in rx0], SPEED_OF_LIGHT_M_S)
     delays = (tensor.delays[:, :, segment.first_snapshot] - direct[:, None]).ravel()

@@ -9,6 +9,7 @@ import pytest
 
 from auramimo import (
     ChannelTensor,
+    ClusterGeometry,
     ClusterRow,
     ClusterSet,
     OwnerView,
@@ -159,13 +160,34 @@ def cluster_columns(rows, *, by_user=None, power_denominator=None) -> ClusterSet
 
 def views_from_rows(rows, segment_index: int = 0) -> OwnerViews:
     """The `OwnerViews` whose slots are `rows`, `OwnerView`s in slot order:
-    users ascending, each user's clusters ascending."""
+    users ascending, each user's clusters ascending. Slots of one cluster
+    whose geometry values are bit-equal share a geometry row, rows in order
+    of first use."""
     users = list(dict.fromkeys(r.user_id for r in rows))
-    columns = {}
-    for name in OwnerView._fields[1:]:
-        column = np.array([getattr(r, name) for r in rows])
-        columns[name] = column.reshape(len(users), -1, *column.shape[1:])
-    return OwnerViews(segment_index=segment_index, user_id=np.array(users), **columns)
+
+    def key(r):  # r[4:] is the slot's geometry: LBS, FBS, leg lengths, interior
+        return (r.cluster_id, *(np.asarray(x).tobytes() for x in r[4:]))
+
+    first = {}
+    for r in rows:
+        first.setdefault(key(r), r)
+    row_of = {k: i for i, k in enumerate(first)}
+    columns = {
+        name: np.array([getattr(r, name) for r in rows]).reshape(len(users), -1)
+        for name in OwnerView._fields[1:4]
+    }
+    return OwnerViews(
+        segment_index=segment_index,
+        user_id=np.array(users),
+        **columns,
+        slot_geometry=np.array([row_of[key(r)] for r in rows]).reshape(len(users), -1),
+        geometry=ClusterGeometry._make(map(np.array, zip(*(r[4:] for r in first.values())))),
+    )
+
+
+def slot_columns(views) -> ClusterGeometry:
+    """Each slot's geometry row of an `OwnerViews`, leading shape (U, C)."""
+    return ClusterGeometry._make(column[views.slot_geometry] for column in views.geometry)
 
 
 def view_users(views) -> tuple[int, ...]:
@@ -184,14 +206,15 @@ def user_views(views, user: int) -> list:
     return [v for (u, _), v in sorted(views.views.items()) if u == user]
 
 
-def synthesize_segment(views, layout, carrier_hz, seed, **kwargs) -> ChannelTensor:
-    """One segment's channel: allocates the (coefficients, delays) arrays,
-    has `synthesize` fill them and returns them as a checked tensor."""
+def synthesize_segment(views, layout, carrier_hz, seed, dtype=complex, **kwargs) -> ChannelTensor:
+    """One segment's channel: allocates the (coefficients of `dtype`,
+    delays) arrays, has `synthesize` fill them and returns them as a
+    checked tensor."""
     users = view_users(views)
     n_clusters = max((len(user_views(views, u)) for u in users), default=0)
     n_snap = layout.segments[views.segment_index].n_snapshots
     coefficients = np.empty(
-        (len(users), 1, layout.array.n_elements, n_clusters, n_snap), complex
+        (len(users), 1, layout.array.n_elements, n_clusters, n_snap), dtype
     )
     delays = np.empty((len(users), n_clusters, n_snap))
     synthesize(views, layout, carrier_hz, seed, out=(coefficients, delays), **kwargs)

@@ -433,7 +433,7 @@ def test_c11_recalc_fixed_point(check):
         lsp = draw_lsp(config.scenario, layout, config.seed)
         table = share_table_for_segment(layout, 0, config.total_clusters_per_user)
         clusters = assemble_clusters(table, lsp, layout, config.scenario, config.seed)
-        shared_views = share_clusters(clusters, attach_focal_points(clusters, layout))
+        shared_views = share_clusters(clusters), attach_focal_points(clusters, layout)
 
         shared = [
             c for c in clusters.clusters.values() if len(owners(clusters, c.cluster_id)) == 2
@@ -445,7 +445,7 @@ def test_c11_recalc_fixed_point(check):
         for length_m in (1e-6, 1e6):
             segments = tuple(replace(s, length_m=length_m) for s in layout.segments)
             probe_layout = replace(layout, segments=segments)
-            all_views = recalculate_views(shared_views, clusters, probe_layout)
+            all_views = recalculate_views(*shared_views, clusters, probe_layout)
             views = all_views.views
             delays = view_excess_delays(all_views, probe_layout)
             for cluster in shared:

@@ -212,18 +212,16 @@ def test_clusters_are_frozen():
                 a.flat[0] = a.flat[0]
 
     # Hand-built columns are frozen by the owner views that hold them.
-    geometry = ClusterGeometry(
-        np.zeros((1, 1, 3)), np.ones((1, 1, 2, 3)), np.ones((1, 1, 2)), np.zeros((1, 1))
-    )
+    geometry = ClusterGeometry(np.zeros((1, 3)), np.ones((1, 2, 3)), np.ones((1, 2)), np.zeros(1))
     columns = dict(
         user_id=np.array([1]),
         cluster_id=np.zeros((1, 1), int),
         recalc_mode=np.array([[MODE_GENERATOR]]),
         power=np.ones((1, 1)),
-        **geometry._asdict(),
+        slot_geometry=np.zeros((1, 1), int),
     )
-    views = OwnerViews(segment_index=0, **columns)
-    for a in columns.values():
+    views = OwnerViews(segment_index=0, **columns, geometry=geometry)
+    for a in [*columns.values(), *geometry]:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -239,7 +237,9 @@ def test_clusters_are_frozen():
     boresight = {c for cs in sets for c in cs.cluster_id[cs.boresight].tolist()}  # run-unique
     assert any(v.recalc_mode == MODE_KEPT_FOCAL and v.cluster_id not in boresight for v in views)
     arrays = [getattr(cs, name) for cs in sets for name in ClusterRow._fields]
-    arrays += [getattr(seg.views, name) for seg in result.segments for name in OwnerView._fields]
+    for seg in result.segments:
+        arrays += [getattr(seg.views, name) for name in OwnerView._fields[:4]]
+        arrays += [seg.views.slot_geometry, *seg.views.geometry]
     arrays += [a for v in views for a in (v.lbs, v.fbs, v.e_len_m)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

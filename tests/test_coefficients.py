@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,8 +22,10 @@ from auramimo import (
     partition_subarrays,
     planar_vs_spherical_error,
     recalculate_views,
+    run_segment,
     share_clusters,
     share_table_for_segment,
+    share_tables,
     synthesize,
     uniform_linear_array,
 )
@@ -30,9 +33,11 @@ from auramimo import coefficients
 from auramimo.coefficients import _fan_positions, scatterer_randomness
 from auramimo.layout import ArrayGeometry
 from auramimo.geom import SPEED_OF_LIGHT_M_S, azimuth_rotation, distances
+from auramimo.clustergen import ClusterGeometry
 from auramimo.sharing import OwnerView, OwnerViews
 from conftest import (
     make_point_layout,
+    make_random_config,
     make_scenario,
     make_two_user_layout,
     subarray_sizes,
@@ -175,8 +180,7 @@ def _full_views(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    shared = share_clusters(cs, attach_focal_points(cs, layout))
-    return cs, recalculate_views(shared, cs, layout)
+    return cs, recalculate_views(share_clusters(cs), attach_focal_points(cs, layout), cs, layout)
 
 
 def _full_tensor(layout, seed=3, total=7):
@@ -258,7 +262,8 @@ def test_drifting_delay_steps_bounded_by_snapshot_spacing():
 
 
 def test_incomplete_views_rejected():
-    # An empty set and a column that does not lead with (user, cluster) are
+    # An empty set, a column that does not lead with (user, cluster), a slot
+    # that names no geometry row and geometry columns of unequal length are
     # rejected when they are built, so synthesis never receives one.
     layout = make_point_layout({1: (20.0, 0.0, 1.5), 2: (22.0, 0.0, 1.5)}, 5.0)
     view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
@@ -267,7 +272,7 @@ def test_incomplete_views_rejected():
     columns = vars(views_from_rows(rows))
     with pytest.raises(IncompleteViews, match="segment 0 has no owner views"):
         OwnerViews(**{**columns, "cluster_id": np.empty((2, 0), int)})
-    for name in OwnerView._fields[1:]:
+    for name in ("cluster_id", "recalc_mode", "power", "slot_geometry"):
         column = columns[name]
         for bad in (column[:1], column[:, :1], column.reshape(4, *column.shape[2:])):
             with pytest.raises(IncompleteViews) as info:
@@ -280,6 +285,21 @@ def test_incomplete_views_rejected():
     # A user id column of another length disagrees with every other column.
     with pytest.raises(IncompleteViews, match="not \\(U, C\\) = \\(3, 2\\)$"):
         OwnerViews(**{**columns, "user_id": np.array([1, 2, 3])})
+    # A slot naming row -1 (which every gather would wrap to the last row),
+    # row G of G rows, or a row that is not an integer.
+    geometry = columns["geometry"]
+    assert len(geometry.lbs) == 2  # one row per cluster
+    for bad in (-1, 2, 0.0):
+        slot_geometry = columns["slot_geometry"].astype(type(bad))
+        slot_geometry[1, 0] = bad
+        with pytest.raises(IncompleteViews, match="^a slot names no row of the 2 geometry rows$"):
+            OwnerViews(**{**columns, "slot_geometry": slot_geometry})
+    # A geometry column one row short of the others.
+    for name, column in geometry._asdict().items():
+        short = geometry._replace(**{name: column[:1]})
+        match = r"^geometry columns have unequal lengths \[1, 2\]$"
+        with pytest.raises(IncompleteViews, match=match):
+            OwnerViews(**{**columns, "geometry": short})
 
 
 def test_users_must_agree_on_cluster_count():
@@ -289,12 +309,19 @@ def test_users_must_agree_on_cluster_count():
     view = _manual_view(layout, (15.0, 4.0, 2.0), [(3.0, 6.0, 5.0)], 1.0)
     rows = [view._replace(user_id=u, cluster_id=c) for u, c in ((1, 0), (1, 1), (2, 0))]
     columns = {
-        name: np.array([getattr(r, name) for r in rows]) for name in OwnerView._fields[1:]
+        name: np.array([getattr(r, name) for r in rows]) for name in OwnerView._fields[1:4]
     }
+    geometry = ClusterGeometry._make(map(np.array, zip(*(r[4:] for r in rows))))
     with pytest.raises(
         IncompleteViews, match=r"^cluster_id has leading shape \(3,\), not \(U, C\) = \(2, 3\)$"
     ):
-        OwnerViews(segment_index=0, user_id=np.array([1, 2]), **columns)
+        OwnerViews(
+            segment_index=0,
+            user_id=np.array([1, 2]),
+            **columns,
+            slot_geometry=np.arange(3),
+            geometry=geometry,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +527,10 @@ def _reference_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scatter
     return coeff, delays
 
 
-def _departure_keys(views):
-    return {
-        (v.cluster_id, v.fbs.tobytes(), 0.0 if v.interior_raw_m < 0.0 else v.interior_raw_m)
-        for v in views.views.values()
-    }
+def _n_geometries(views):
+    """How many geometry rows the slots name: synthesis's departure
+    geometries."""
+    return len(set(views.slot_geometry.ravel().tolist()))
 
 
 def _seeded_views(rng, seed):
@@ -535,8 +561,7 @@ def _seeded_views(rng, seed):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    shared = share_clusters(cs, attach_focal_points(cs, layout))
-    views = recalculate_views(shared, cs, layout)
+    views = recalculate_views(share_clusters(cs), attach_focal_points(cs, layout), cs, layout)
     return views, layout, cs
 
 
@@ -590,9 +615,60 @@ def test_shared_departure_phases_equal_per_view_loop():
             seen["boresight"] += cs.clusters[v.cluster_id].boresight
         starts = [tuple(layout.segment_start_position(u, 0)) for u in layout.user_ids]
         seen["colocated"] += len(set(starts)) < len(starts)
-        seen["reused"] += len(_departure_keys(views)) < len(all_views)
+        seen["reused"] += _n_geometries(views) < len(all_views)
         seen["uneven"] += len(layout.array.equal_size_runs) > 1
         seen["single"] += n_sc == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _one_row_per_slot(views):
+    """`views` with every slot naming its own copy of its geometry row."""
+    slots = views.slot_geometry.ravel()
+    return replace(
+        views,
+        slot_geometry=np.arange(len(slots)).reshape(views.slot_geometry.shape),
+        geometry=ClusterGeometry._make(column[slots] for column in views.geometry),
+    )
+
+
+def test_shared_geometry_rows_equal_one_row_per_slot(monkeypatch):
+    # Slots naming one geometry row share its departure phase: the stored
+    # complex64 bytes, as in the run tensor, are those of every slot
+    # computing its own (in complex128 a product over m slots can differ from
+    # m one-slot products in the last bit), and synthesis makes one departure
+    # geometry per row named, so it never merges two rows (two co-located
+    # owners' equal re-solves included).
+    calls = []
+    original = coefficients._departure_phase
+
+    def spy(fans, *args):
+        calls.append(len(fans))
+        return original(fans, *args)
+
+    monkeypatch.setattr(coefficients, "_departure_phase", spy)
+    rng = np.random.default_rng(27)
+    cases = [_seeded_views(rng, 3000 + trial)[:2] for trial in range(40)]
+    for seed in range(40):
+        config = make_random_config(seed)
+        lsp = draw_lsp(config.scenario, config.layout, seed)
+        for table in share_tables(config):
+            cases.append((run_segment(config, lsp, table).views, config.layout))
+    seen = dict.fromkeys(["kept-focal-point", "kept-parameters", "colocated", "shared"], 0)
+    for n, (views, layout) in enumerate(cases):
+        calls.clear()
+        got = synthesize_segment(views, layout, 3.5e9, seed=n, dtype=np.complex64)
+        assert sum(calls) == _n_geometries(views), n
+        calls.clear()
+        expanded = _one_row_per_slot(views)
+        want = synthesize_segment(expanded, layout, 3.5e9, seed=n, dtype=np.complex64)
+        assert sum(calls) == views.slot_geometry.size, n
+        assert got.coefficients.tobytes() == want.coefficients.tobytes(), n
+        assert got.delays.tobytes() == want.delays.tobytes(), n
+        for mode in ("kept-focal-point", "kept-parameters"):
+            seen[mode] += (views.recalc_mode == mode).any()
+        starts = [tuple(layout.segment_start_position(u, 0)) for u in views.user_id.tolist()]
+        seen["colocated"] += len(set(starts)) < len(starts)
+        seen["shared"] += _n_geometries(views) < views.slot_geometry.size
     assert min(seen.values()) >= 20, seen
 
 
@@ -607,7 +683,7 @@ def test_departure_phase_computed_once_per_distinct_geometry(monkeypatch):
 
     monkeypatch.setattr(coefficients, "_departure_phase", spy)
     _, views, _ = _full_tensor(make_two_user_layout(0.0))
-    assert sum(n for n, _ in calls) == len(_departure_keys(views)) < len(views.views)
+    assert sum(n for n, _ in calls) == len(views.geometry.lbs) < len(views.views)
 
     for n_elements in (64, 250, 1000):
         calls.clear()
@@ -649,7 +725,7 @@ def test_outputs_independent_of_cpu_count(monkeypatch):
             tensors.append(tensor)
             # The calling thread, and with more CPUs up to cpus - 1 workers.
             per_block = coefficients.BLOCK_VALUES // (n_elements * coefficients.N_SCATTERERS)
-            assert len(_departure_keys(views)) > 2 * per_block  # at least three blocks
+            assert _n_geometries(views) > 2 * per_block  # at least three blocks
             assert threading.current_thread() in threads
             assert (len(threads) == 1) == (cpus == 1) and len(threads) <= cpus, cpus
         for tensor in tensors[1:]:
@@ -753,7 +829,7 @@ def _per_slot_synthesize(views, layout, carrier_hz, seed, spread_deg, n_scattere
     by_geometry = {}
     for k, slots in enumerate(per_user):
         for c, v in enumerate(slots):
-            key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
+            key = (v.cluster_id, views.slot_geometry[k, c], max(v.interior_raw_m, 0.0))
             by_geometry.setdefault(key, (v.fbs, []))[1].append((k, c))
     rx_positions = [layout.segment_positions(u, segment) for u in view_users(views)]
     anchors = [layout.segment_start_position(u, segment) for u in view_users(views)]
@@ -833,8 +909,8 @@ def _two_segment_views(rng, seed):
         table = share_table_for_segment(layout, segment.index, total, id_base=id_base)
         id_base = max(table.cluster_ids) + 1
         cs = assemble_clusters(table, lsp, layout, scenario, seed)
-        shared = share_clusters(cs, attach_focal_points(cs, layout))
-        segments.append(recalculate_views(shared, cs, layout))
+        geometry = attach_focal_points(cs, layout)
+        segments.append(recalculate_views(share_clusters(cs), geometry, cs, layout))
     return segments, layout, total
 
 
@@ -931,8 +1007,8 @@ def test_stacked_products_keep_the_per_geometry_shape(monkeypatch):
             table = share_table_for_segment(layout, segment.index, 7, id_base=id_base)
             id_base = max(table.cluster_ids) + 1
             cs = assemble_clusters(table, lsp, layout, scenario, trial)
-            shared = share_clusters(cs, attach_focal_points(cs, layout))
-            views = recalculate_views(shared, cs, layout)
+            geometry = attach_focal_points(cs, layout)
+            views = recalculate_views(share_clusters(cs), geometry, cs, layout)
             shape = (5, 1, n_elements, 7, segment.n_snapshots)
             got = np.empty(shape, complex), np.empty((5, 7, segment.n_snapshots))
             want = np.empty_like(got[0]), np.empty_like(got[1])
@@ -941,11 +1017,8 @@ def test_stacked_products_keep_the_per_geometry_shape(monkeypatch):
             assert np.array_equal(got[0], want[0]), (trial, segment.index)
             assert np.array_equal(got[1], want[1]), (trial, segment.index)
 
-            counts = {}
-            for v in views.views.values():
-                key = (v.cluster_id, v.fbs.tobytes(), max(v.interior_raw_m, 0.0))
-                counts[key] = counts.get(key, 0) + 1
-            slots = sorted(counts.values())  # per geometry, in synthesis order
+            counts = np.bincount(views.slot_geometry.ravel())
+            slots = sorted(counts.tolist())  # per geometry, in synthesis order
             blocks = [slots[i : i + per_block] for i in range(0, len(slots), per_block)]
             seen["multi-slot"] += sum(m > 1 for m in slots)
             seen["one per block"] += per_block == 1 and max(slots) > 1
@@ -1074,7 +1147,7 @@ def test_each_thread_makes_its_work_arrays_once(monkeypatch):
         finally:
             sys.setswitchinterval(switch_interval)
         # Every block is taken by exactly one thread.
-        n_blocks = len(_departure_keys(views))
+        n_blocks = _n_geometries(views)
         assert sorted(first for _, first, _ in calls) == list(range(n_blocks)), cpus
         assert n_blocks > cpus
         makers = [thread for thread, _ in made]
@@ -1092,7 +1165,7 @@ def test_stalled_worker_holds_back_only_its_block(monkeypatch):
     layout = make_two_user_layout(2.0, n_elements=n_elements)
     monkeypatch.setattr(coefficients, "_cpu_count", lambda: 1)
     serial, views, _ = _full_tensor(layout)
-    n_blocks = len(_departure_keys(views))
+    n_blocks = _n_geometries(views)
     assert n_blocks >= 4
 
     caller = threading.current_thread()

@@ -305,13 +305,13 @@ def test_segment_synthesis_fills_out_from_every_thread(monkeypatch):
 
 
 def _by_value(fbs):
-    """An FBS set by its bytes, as synthesis keys departure geometries."""
+    """An FBS set by its bytes: equal sets, equal keys."""
     return fbs.tobytes()
 
 
 def test_each_segment_builds_one_owner_views(monkeypatch):
-    # share_clusters hands recalculate_views each slot's generator
-    # geometry; only the complete set of a segment is an OwnerViews.
+    # share_clusters hands recalculate_views each slot's cluster row; only
+    # the complete set of a segment is an OwnerViews.
     built = []
     original = sharing.OwnerViews.__post_init__
 
@@ -339,13 +339,13 @@ def test_planar_error_once_per_segment(monkeypatch):
         calls.clear()
         result = run(config)
         assert len(calls) == len(result.segments) == 2
-        # One call with one row per distinct FBS set.
-        # A kept-focal-point view copies its generator view's set, so the
+        # One call over the views' geometry rows, one per FBS set solved.
+        # A kept-focal-point view names its generator view's row, so the
         # rows are those of the generator and kept-parameters views.
         for fbs, seg in zip(calls, result.segments):
             views = seg.views.views.values()
             distinct = {_by_value(v.fbs) for v in views}
-            assert len(fbs) == len(distinct)
+            assert fbs is seg.views.geometry.fbs
             assert {_by_value(row) for row in fbs} == distinct
             assert distinct == {
                 _by_value(v.fbs) for v in views if v.recalc_mode != MODE_KEPT_FOCAL

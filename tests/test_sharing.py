@@ -14,6 +14,7 @@ from auramimo import (
     choose_recalc_mode,
     draw_lsp,
     linear_track,
+    planar_vs_spherical_error,
     recalculate_views,
     share_clusters,
     share_table_for_segment,
@@ -35,6 +36,7 @@ from conftest import (
     make_scenario,
     make_two_user_layout,
     owners,
+    slot_columns,
     synthesize_segment,
     view_excess_delays,
 )
@@ -94,16 +96,18 @@ def _full_pipeline(layout, seed=3, total=7):
     table = share_table_for_segment(layout, 0, total)
     lsp = draw_lsp(scenario, layout, seed=seed)
     cs = assemble_clusters(table, lsp, layout, scenario, seed=seed)
-    shared = share_clusters(cs, attach_focal_points(cs, layout))
+    shared = share_clusters(cs), attach_focal_points(cs, layout)
     return cs, shared, layout
 
 
 def _generator(cs, shared, cluster):
-    """The generator geometry of `cluster`: its generating user's slot of
-    `shared`, as from `share_clusters`."""
+    """The generator geometry of `cluster`: the row its generating user's
+    slot names in `shared`, (slot rows, geometry) as from `share_clusters`
+    and `attach_focal_points`."""
     user = cluster.generating_user
     k, c = list(cs.by_user).index(user), cs.by_user[user].index(cluster.cluster_id)
-    return ClusterGeometry._make(column[k, c] for column in shared)
+    rows, geometry = shared
+    return ClusterGeometry._make(column[rows[k, c]] for column in geometry)
 
 
 def _written_rows(views, layout):
@@ -124,14 +128,17 @@ def _angles(row, n_subarrays):
 def test_share_clusters_verbatim_and_power():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
     attached = attach_focal_points(cs, layout)
-    views = recalculate_views(shared, cs, layout)
+    views = recalculate_views(*shared, cs, layout)
     excess = view_excess_delays(views, layout)
-    # Every owner's slot holds its cluster's generator geometry, verbatim.
-    assert [c.shape[:2] for c in shared] == [views.cluster_id.shape] * 4 == [(2, 7)] * 4
+    # Every owner's slot names its cluster's row, whose generator geometry
+    # the views keep verbatim as their first rows.
+    rows = shared[0]
+    assert rows.shape == views.cluster_id.shape == (2, 7)
     for k, (user, ids) in enumerate(cs.by_user.items()):
         for c, cid in enumerate(ids):
-            for got, want in zip(shared, attached):
-                assert np.array_equal(got[k, c], want[cs.rows(cid)]), (user, cid)
+            assert rows[k, c] == cs.rows(cid), (user, cid)
+    for got, want in zip(views.geometry, attached):
+        assert np.array_equal(got[: len(want)], want)
     # One generator view per cluster.
     generators = [v for v in views.views.values() if v.recalc_mode == MODE_GENERATOR]
     assert sorted(v.cluster_id for v in generators) == sorted(cs.clusters)
@@ -178,7 +185,7 @@ def _joining(cs, cluster):
 
 def test_kept_parameters_keeps_scalars_and_resolves_geometry():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
+    views = recalculate_views(*shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
     excess = view_excess_delays(views, layout)
     written = _written_rows(views, layout)
     centers = layout.array.subarray_centers
@@ -223,12 +230,12 @@ def test_kept_parameters_degenerate_solve_names_cluster_and_owner():
     owner = _joining(cs, cluster)
     match = f"cluster {cluster.cluster_id}: no focal points from owner {owner}"
     with pytest.raises(DegenerateGeometry, match=match):
-        recalculate_views(shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
+        recalculate_views(*shared, cs, _with_segment_length(layout, KEEP_PARAMETERS_M))
 
 
 def test_kept_focal_point_keeps_geometry_and_reads_angles():
     cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-    views = recalculate_views(shared, cs, _with_segment_length(layout, KEEP_FOCAL_M))
+    views = recalculate_views(*shared, cs, _with_segment_length(layout, KEEP_FOCAL_M))
     excess = view_excess_delays(views, layout)
     written = _written_rows(views, layout)
     centers = layout.array.subarray_centers
@@ -260,7 +267,7 @@ def test_colocated_owner_gets_bit_identical_view_in_both_modes():
     cs, shared, layout = _full_pipeline(make_two_user_layout(0.0))
     modes = set()
     for length_m in (KEEP_PARAMETERS_M, KEEP_FOCAL_M):
-        views = recalculate_views(shared, cs, _with_segment_length(layout, length_m))
+        views = recalculate_views(*shared, cs, _with_segment_length(layout, length_m))
         excess = view_excess_delays(views, layout)
         written = _written_rows(views, layout)
         n_sub = layout.array.n_subarrays
@@ -299,7 +306,7 @@ def test_moving_toward_lbs_shortens_kept_focal_delay():
     step = 0.3 * to_lbs / np.linalg.norm(to_lbs)
     owner = _joining(cs, cluster)
     moved = _move_user(_with_segment_length(layout, KEEP_FOCAL_M), owner, gen_pos + step)
-    views = recalculate_views(shared, cs, moved)
+    views = recalculate_views(*shared, cs, moved)
     view = views.views[owner, cluster.cluster_id]
     excess = view_excess_delays(views, moved)
     delay = excess[owner, cluster.cluster_id]
@@ -326,7 +333,7 @@ def test_kept_focal_path_shorter_than_direct_writes_negative_delay(tmp_path):
     cs = cluster_columns(
         [_cluster()], by_user={1: (0,), 2: (0,)}, power_denominator={1: 0.5, 2: 0.5}
     )
-    views = recalculate_views(share_clusters(cs, geometry), cs, layout)
+    views = recalculate_views(share_clusters(cs), geometry, cs, layout)
     assert views.views[2, 0].recalc_mode == MODE_KEPT_FOCAL
     group = GroupShare(
         members=(1, 2), proportion=1.0, scaled_proportion=1.0, count=1, cluster_ids=(0,)
@@ -355,7 +362,7 @@ def test_recalculate_views_modes_and_power():
         cs, shared, _ = _full_pipeline(layout)
         modes = set()
         seg_len = layout.segments[0].length_m
-        final = recalculate_views(shared, cs, layout)
+        final = recalculate_views(*shared, cs, layout)
         assert list(final.views) == sorted(
             (u, c) for u, ids in cs.by_user.items() for c in ids
         )
@@ -385,7 +392,7 @@ def test_recalculate_views_modes_and_power():
 def test_recalculated_views_are_deterministic():
     def build():
         cs, shared, layout = _full_pipeline(make_two_user_layout(2.0))
-        final = recalculate_views(shared, cs, layout)
+        final = recalculate_views(*shared, cs, layout)
         return [(k, row.tolist()) for k, row in sorted(_written_rows(final, layout).items())]
 
     assert build() == build()
@@ -531,23 +538,30 @@ def _moved_kept_parameters(views, cs, layout):
     )
 
 
+def _gate_configs():
+    """The 101 configs of the recalculation gates: 100 seeded random
+    layouts and two segments in which a joining owner re-solves
+    (kept-parameters)."""
+    configs = [make_random_config(seed) for seed in [*range(60), *range(100, 140)]]
+    return [*configs, make_run_config(n_snapshots=20)]
+
+
 def test_recalculate_views_equal_per_view_reference():
     seen = {"layouts": 0, "kept-parameters": 0, "co-located": 0}
-    configs = [make_random_config(seed) for seed in [*range(60), *range(100, 140)]]
-    # Two segments in which a joining owner re-solves (kept-parameters).
-    configs.append(make_run_config(n_snapshots=20))
-    for n, config in enumerate(configs):
+    for n, config in enumerate(_gate_configs()):
         kept_parameters = co_located = False
         for layout, cs, attached in _segments(config):
             label = (n, cs.segment_index)
-            new = recalculate_views(share_clusters(cs, attached), cs, layout)
+            new = recalculate_views(share_clusters(cs), attached, cs, layout)
             old, old_delays = _per_view_views(cs, attached, layout)
             excess = view_excess_delays(new, layout)
             assert new.segment_index == cs.segment_index
-            # Every column, slot (k, c) holding user k's c-th view.
+            # Every column, slot (k, c) holding user k's c-th view; the
+            # geometry columns gathered from each slot's row.
             assert new.user_id.tolist() == list(dict.fromkeys(u for u, _ in old)), label
+            columns = {**vars(new), **slot_columns(new)._asdict()}
             for name in OwnerView._fields[1:]:
-                column = getattr(new, name)
+                column = columns[name]
                 want = np.array([getattr(v, name) for v in old.values()])
                 assert column.shape == new.cluster_id.shape + want.shape[1:], (label, name)
                 assert np.array_equal(column, want.reshape(column.shape)), (label, name)
@@ -572,6 +586,45 @@ def test_recalculate_views_equal_per_view_reference():
     assert seen["kept-parameters"] >= 10 and seen["co-located"] >= 10, seen
 
 
+def test_geometry_table_holds_each_solve_once():
+    # The clusters' generator rows come first, bit-equal to the focal
+    # solve; after them one row per moved kept-parameters slot, named by
+    # that slot alone; every row is named by a slot, so the planar error's
+    # maximum over rows is its maximum over views.
+    seen = {"appended": 0, "shared rows": 0}
+    for n, config in enumerate(_gate_configs()):
+        for layout, cs, attached in _segments(config):
+            label = (n, cs.segment_index)
+            views = recalculate_views(share_clusters(cs), attached, cs, layout)
+            n_rows = len(cs.cluster_id)
+            for got, want in zip(views.geometry, attached):
+                assert got.shape == (len(views.geometry.lbs), *want.shape[1:]), label
+                assert got[:n_rows].tobytes() == want.tobytes(), label
+            slots = views.slot_geometry.ravel().tolist()
+            counts = np.bincount(slots, minlength=len(views.geometry.lbs))
+            assert (counts >= 1).all(), label
+            appended = views.slot_geometry >= n_rows
+            assert (counts[n_rows:] == 1).all(), label
+            position = layout.segment_start_position
+            moved = [
+                not np.array_equal(
+                    position(views.user_id[k], cs.segment_index),
+                    position(cs.clusters[cid].generating_user, cs.segment_index),
+                )
+                for (k, _), cid in np.ndenumerate(views.cluster_id)
+            ]
+            kept = views.recalc_mode == MODE_KEPT_PARAMETERS
+            assert np.array_equal(appended, kept & np.reshape(moved, kept.shape)), label
+            assert views.slot_geometry[appended].tolist() == list(range(n_rows, len(counts)))
+            fbs = views.geometry.fbs
+            per_row = planar_vs_spherical_error(fbs, layout, 3.5e9).max(axis=0)
+            per_slot = planar_vs_spherical_error(fbs[slots], layout, 3.5e9).max(axis=0)
+            assert np.array_equal(per_row, per_slot), label
+            seen["appended"] += int(appended.sum())
+            seen["shared rows"] += int((counts > 1).sum())
+    assert seen["appended"] >= 20 and seen["shared rows"] >= 20, seen
+
+
 def test_one_solve_per_segment(monkeypatch):
     calls = []
     original = sharing.solve_cluster_geometry
@@ -585,7 +638,7 @@ def test_one_solve_per_segment(monkeypatch):
     for seed in range(40):
         for layout, cs, geometries in _random_segments(seed):
             calls.clear()
-            views = recalculate_views(share_clusters(cs, geometries), cs, layout)
+            views = recalculate_views(share_clusters(cs), geometries, cs, layout)
             moved = _moved_kept_parameters(views, cs, layout)
             # Every moved kept-parameters view is a row of the one call.
             assert calls == ([moved] if moved else []), (seed, cs.segment_index)
@@ -599,7 +652,7 @@ def test_every_owned_cluster_has_one_view_and_each_user_full_power():
     seen = {mode: 0 for mode in modes}
     for seed in range(100, 140):
         for layout, cs, geometries in _random_segments(seed):
-            views = recalculate_views(share_clusters(cs, geometries), cs, layout)
+            views = recalculate_views(share_clusters(cs), geometries, cs, layout)
             pairs = [(u, c) for u, ids in cs.by_user.items() for c in ids]
             assert sorted(views.views) == sorted(pairs)
             assert len(set(pairs)) == len(pairs)
@@ -644,8 +697,8 @@ def test_owner_view_rows_are_built_on_first_read(monkeypatch, tmp_path):
     write_outputs(result, tmp_path)
     assert len(result.segments) == 2
     assert rows == []
-    # Columns of solved rows (n, 3) and of slots (U, C, 3), never one cluster.
-    assert {g.lbs.ndim for g in geometries} == {2, 3}
+    # Columns of solved rows (n, 3), never one cluster.
+    assert {g.lbs.ndim for g in geometries} == {2}
     for seg in result.segments:
         assert "views" not in vars(seg.views)
         n_views = seg.views.cluster_id.size
@@ -667,11 +720,12 @@ def test_owner_view_rows_equal_the_columns():
             keys = [(views.user_id[k], views.cluster_id[k, c]) for k, c in slots]
             # In slot order, a row per slot.
             assert list(views.views) == keys, n
+            columns = {**vars(views), **slot_columns(views)._asdict()}
             for (k, c), row in zip(slots, views.views.values()):
                 assert [type(x) for x in row] == types, (n, k, c)
                 assert row.user_id == views.user_id[k], (n, k, c)
                 for name in OwnerView._fields[1:]:
-                    assert np.array_equal(getattr(row, name), getattr(views, name)[k, c])
+                    assert np.array_equal(getattr(row, name), columns[name][k, c])
                 for a in (row.lbs, row.fbs, row.e_len_m):
                     with pytest.raises(ValueError, match="read-only"):
                         a.flat[0] = a.flat[0]
